@@ -129,7 +129,10 @@ def load_config(args) -> dict:
     cfg = dict(DEFAULT_CONFIG)
     if args.config:
         with open(args.config) as fh:
-            cfg.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise CliError("config must be a JSON object")
+        cfg.update(loaded)
     if getattr(args, "order", None) is not None:
         cfg["truncation"] = args.order
     if getattr(args, "tol", None) is not None:
@@ -140,7 +143,11 @@ def load_config(args) -> dict:
 
 
 def model_from_config(cfg):
-    model = latticecft.NarainModel(Fraction(cfg["R_squared"]))
+    try:
+        rsq = Fraction(cfg["R_squared"])
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise CliError(f"bad R_squared {cfg['R_squared']!r}") from None
+    model = latticecft.NarainModel(rsq)
     rho = {"+1": 1, "-1": -1, 1: 1, -1: -1}.get(cfg["reflection"])
     if rho is None:
         raise CliError(f"bad reflection {cfg['reflection']!r}")
@@ -271,7 +278,9 @@ def cmd_braid(args) -> int:
 
 def _verify_bootstrap(cfg):
     model, rho = model_from_config(cfg)
-    box = int(cfg.get("box", 5))
+    box = cfg.get("box", 5)
+    if isinstance(box, bool) or not isinstance(box, int) or box < 0:
+        raise CliError(f"box must be a non-negative integer, got {box!r}")
     bd = latticecft.build_boundary(model, rho)
     return [latticecft.bootstrap_check(model, bd, box)]
 

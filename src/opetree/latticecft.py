@@ -5,8 +5,10 @@ matrix [[0, 1], [1, 0]].  For compactification radius R with R^2
 rational, the left/right movers are a = (n/R + mR)/sqrt(2) and
 abar = (n/R - mR)/sqrt(2); every pairing the correlators need is a
 rational combination of u^2 = 1/(2 R^2), w^2 = R^2/2 and u*w = 1/2, so
-all exponents are exact rationals.  Cocycle values are roots of unity
-tracked as exact phase exponents nu, value exp(i pi nu).
+all exponents are exact rationals.  Writing R^2 = p/q in lowest terms,
+every such exponent has a denominator dividing D = 2pq.  Cocycle values
+are roots of unity tracked as integers k mod 2D, value exp(i pi k/D);
+the Fraction-valued ``*_exponent`` methods are views k/D of them.
 
 Closed-form correlators are products over coordinate pairs with a fixed
 branch plan (bulk pairs combined into single-valued factors, all mixed
@@ -93,7 +95,12 @@ def epsilon_cocycle(alpha: Charge, beta: Charge) -> int:
 
 @dataclass(frozen=True)
 class NarainModel:
-    """Compactified free boson on the (1,1) lattice, R^2 rational."""
+    """Compactified free boson on the (1,1) lattice, R^2 = p/q rational.
+
+    ``D = 2pq`` clears the denominator of every frame product, so
+    ``D * frame_product`` is the integer bilinear form
+    :meth:`frame_product_num`.
+    """
 
     r_squared: Fraction
 
@@ -101,19 +108,22 @@ class NarainModel:
         rsq = Fraction(self.r_squared)
         if rsq <= 0:
             raise LatticeError("R^2 must be a positive rational")
+        p, q = rsq.numerator, rsq.denominator
         object.__setattr__(self, "r_squared", rsq)
-        object.__setattr__(self, "_u2", 1 / (2 * rsq))
-        object.__setattr__(self, "_w2", rsq / 2)
+        object.__setattr__(self, "D", 2 * p * q)
+        # D * (u^2, uw, w^2) = (q^2, pq, p^2)
+        object.__setattr__(self, "_gram_num", (q * q, p * q, p * p))
+
+    def frame_product_num(self, v1, v2) -> int:
+        """D times the product of two left-mover frame vectors x*u + y*w."""
+        (x1, y1), (x2, y2) = v1, v2
+        uu, uw, ww = self._gram_num
+        return x1 * x2 * uu + y1 * y2 * ww + (x1 * y2 + x2 * y1) * uw
 
     def frame_product(self, v1, v2) -> Fraction:
         """Product of two left-mover frame vectors x*u + y*w, using
         u^2 = 1/(2R^2), w^2 = R^2/2, uw = 1/2."""
-        (x1, y1), (x2, y2) = v1, v2
-        return (
-            x1 * x2 * self._u2
-            + y1 * y2 * self._w2
-            + Fraction(x1 * y2 + x2 * y1, 2)
-        )
+        return Fraction(self.frame_product_num(v1, v2), self.D)
 
     @staticmethod
     def a_vec(alpha: Charge):
@@ -129,16 +139,8 @@ class NarainModel:
     def abarbar(self, alpha, beta) -> Fraction:
         return self.frame_product(self.abar_vec(alpha), self.abar_vec(beta))
 
-    def a_abar(self, alpha, beta) -> Fraction:
-        return self.frame_product(self.a_vec(alpha), self.abar_vec(beta))
-
     def weight(self, alpha) -> tuple:
         return self.aa(alpha, alpha) / 2, self.abarbar(alpha, alpha) / 2
-
-    def charge_values(self, alpha) -> tuple:
-        n, m = alpha
-        r = math.sqrt(float(self.r_squared))
-        return (n / r + m * r) / math.sqrt(2), (n / r - m * r) / math.sqrt(2)
 
 
 # ---------------------------------------------------------------------------
@@ -149,11 +151,13 @@ class NarainModel:
 class BoundaryData:
     """Reflection sign, boundary charges, and the cocycles eta and sigma.
 
-    sigma is stored as exact phase exponents (value exp(i pi nu)),
-    solved greedily along the lexicographic spanning tree of the lattice
-    with sigma(0) = sigma(e1) = sigma(e2) = 1.  The boundary charge
-    group is rank one, so the commutator-map construction yields the
-    trivial eta (basis table has no off-diagonal entries).
+    Every phase is an integer k mod 2D, value exp(i pi k/D) with
+    D = model.D: the ``*_num`` methods return k, and the Fraction-valued
+    ``*_exponent`` methods are the views k/D.  sigma_table holds sigma's
+    integers, solved greedily along the lexicographic spanning tree of
+    the lattice with sigma(0) = sigma(e1) = sigma(e2) = 1.  The boundary
+    charge group is rank one, so the commutator-map construction yields
+    the trivial eta (basis table has no off-diagonal entries).
     """
 
     model: NarainModel
@@ -163,9 +167,9 @@ class BoundaryData:
     def __post_init__(self):
         if self.rho not in (1, -1):
             raise LatticeError("reflection sign must be +1 or -1")
-        self.sigma_table.setdefault((0, 0), Fraction(0))
-        self.sigma_table.setdefault((1, 0), Fraction(0))
-        self.sigma_table.setdefault((0, 1), Fraction(0))
+        self.sigma_table.setdefault((0, 0), 0)
+        self.sigma_table.setdefault((1, 0), 0)
+        self.sigma_table.setdefault((0, 1), 0)
 
     def t_coeff(self, alpha: Charge) -> int:
         """Boundary charge of alpha in units of the group generator."""
@@ -190,40 +194,46 @@ class BoundaryData:
         return (self.rho * n, -self.rho * m)
 
     def alpha_phi_beta(self, alpha: Charge, beta: Charge) -> int:
-        """(alpha, phi beta) in the lattice form; always an integer."""
-        val = self.model.frame_product(
-            self.model.a_vec(alpha), self.phi_abar_vec(beta)
-        ) - self.model.frame_product(
-            self.model.abar_vec(alpha),
-            tuple(self.rho * v for v in self.model.a_vec(beta)),
-        )
-        if val.denominator != 1:
-            raise LatticeError("(alpha, phi beta) failed to be an integer")
-        return int(val)
+        """(alpha, phi beta) in the lattice form: the frame products
+        (a, phi pbar beta) - (abar, rho a_beta), whose u^2 and w^2 terms
+        cancel, leaving rho (m n2 - n m2)."""
+        (n, m), (n2, m2) = alpha, beta
+        return self.rho * (m * n2 - n * m2)
+
+    def eta_num(self, k1: int, k2: int) -> int:
+        return 0
 
     def eta_exponent(self, k1: int, k2: int) -> Fraction:
-        return Fraction(0)
+        return Fraction(self.eta_num(k1, k2), self.model.D)
 
     def eta(self, k1: int, k2: int) -> complex:
         return phase_pi(self.eta_exponent(k1, k2))
 
-    def commutator_exponent(self, alpha: Charge, beta: Charge) -> Fraction:
-        """c(alpha,beta) = exp(-i pi ((alpha,beta) + (alpha, phi beta)))."""
-        return Fraction(
-            -(lattice_pairing(alpha, beta) + self.alpha_phi_beta(alpha, beta))
-        )
+    def commutator_num(self, alpha: Charge, beta: Charge) -> int:
+        """c(alpha,beta) = exp(-i pi ((alpha,beta) + (alpha, phi beta))),
+        not reduced mod 2D."""
+        return -(
+            lattice_pairing(alpha, beta) + self.alpha_phi_beta(alpha, beta)
+        ) * self.model.D
 
-    def epsilon_prime_exponent(self, alpha: Charge, beta: Charge) -> Fraction:
+    def commutator_exponent(self, alpha: Charge, beta: Charge) -> Fraction:
+        return Fraction(self.commutator_num(alpha, beta), self.model.D)
+
+    def epsilon_prime_num(self, alpha: Charge, beta: Charge) -> int:
         """eps' = eps * eta(ta,tb)^{-1} * exp(i pi (phi pbar a, p b))."""
+        d = self.model.D
         return (
-            Fraction(epsilon_exponent(alpha, beta))
-            - self.eta_exponent(self.t_coeff(alpha), self.t_coeff(beta))
-            + self.model.frame_product(
+            epsilon_exponent(alpha, beta) * d
+            - self.eta_num(self.t_coeff(alpha), self.t_coeff(beta))
+            + self.model.frame_product_num(
                 self.phi_abar_vec(alpha), self.model.a_vec(beta)
             )
-        ) % 2
+        ) % (2 * d)
 
-    def sigma_exponent(self, alpha: Charge) -> Fraction:
+    def epsilon_prime_exponent(self, alpha: Charge, beta: Charge) -> Fraction:
+        return Fraction(self.epsilon_prime_num(alpha, beta), self.model.D)
+
+    def sigma_num(self, alpha: Charge) -> int:
         alpha = (int(alpha[0]), int(alpha[1]))
         if alpha in self.sigma_table:
             return self.sigma_table[alpha]
@@ -232,35 +242,38 @@ class BoundaryData:
         # sigma(x + y) = sigma(x) sigma(y) / eps'(x, y)
         if n > 0:
             prev = (n - 1, m)
-            nu = (
-                self.sigma_exponent(prev)
-                + self.sigma_exponent((1, 0))
-                - self.epsilon_prime_exponent(prev, (1, 0))
+            k = (
+                self.sigma_num(prev)
+                + self.sigma_num((1, 0))
+                - self.epsilon_prime_num(prev, (1, 0))
             )
         elif n < 0:
             nxt = (n + 1, m)
-            nu = (
-                self.epsilon_prime_exponent(alpha, (1, 0))
-                + self.sigma_exponent(nxt)
-                - self.sigma_exponent((1, 0))
+            k = (
+                self.epsilon_prime_num(alpha, (1, 0))
+                + self.sigma_num(nxt)
+                - self.sigma_num((1, 0))
             )
         elif m > 0:
             prev = (0, m - 1)
-            nu = (
-                self.sigma_exponent(prev)
-                + self.sigma_exponent((0, 1))
-                - self.epsilon_prime_exponent(prev, (0, 1))
+            k = (
+                self.sigma_num(prev)
+                + self.sigma_num((0, 1))
+                - self.epsilon_prime_num(prev, (0, 1))
             )
         else:
             nxt = (0, m + 1)
-            nu = (
-                self.epsilon_prime_exponent(alpha, (0, 1))
-                + self.sigma_exponent(nxt)
-                - self.sigma_exponent((0, 1))
+            k = (
+                self.epsilon_prime_num(alpha, (0, 1))
+                + self.sigma_num(nxt)
+                - self.sigma_num((0, 1))
             )
-        nu %= 2
-        self.sigma_table[alpha] = nu
-        return nu
+        k %= 2 * self.model.D
+        self.sigma_table[alpha] = k
+        return k
+
+    def sigma_exponent(self, alpha: Charge) -> Fraction:
+        return Fraction(self.sigma_num(alpha), self.model.D)
 
     def sigma(self, alpha: Charge) -> complex:
         return phase_pi(self.sigma_exponent(alpha))
@@ -268,14 +281,15 @@ class BoundaryData:
     def materialize(self, box: int) -> None:
         for n in range(-box, box + 1):
             for m in range(-box, box + 1):
-                self.sigma_exponent((n, m))
+                self.sigma_num((n, m))
 
     def perturbed(self, alpha: Charge, box: int) -> "BoundaryData":
         """Negative control: copy with sigma(alpha) sign-flipped after the
         box is materialized; no other entry is recomputed."""
         self.materialize(box)
         table = dict(self.sigma_table)
-        table[tuple(alpha)] = (table[tuple(alpha)] + 1) % 2
+        d = self.model.D
+        table[tuple(alpha)] = (table[tuple(alpha)] + d) % (2 * d)
         return BoundaryData(self.model, self.rho, table)
 
 
@@ -291,7 +305,7 @@ def build_boundary(model: NarainModel, rho: int, check_box: int = 6) -> Boundary
         for m in range(-check_box, check_box + 1):
             a = (n, m)
             for b in gens:
-                if bd.epsilon_prime_exponent(a, b) != bd.epsilon_prime_exponent(b, a):
+                if bd.epsilon_prime_num(a, b) != bd.epsilon_prime_num(b, a):
                     raise LatticeError(f"eps' not symmetric at {a}, {b}")
     bd.materialize(check_box)
     return bd
@@ -595,6 +609,11 @@ def tree_expansion(
 # Bootstrap verification
 
 
+def _phase_error(k1: int, k2: int, d: int) -> float:
+    """|exp(i pi k1/d) - exp(i pi k2/d)| in floating point."""
+    return abs(phase_pi(Fraction(k1, d)) - phase_pi(Fraction(k2, d)))
+
+
 def bootstrap_check(
     model: NarainModel, bd: BoundaryData, box: int, tol: float = 1e-12
 ) -> VerifyReport:
@@ -605,39 +624,41 @@ def bootstrap_check(
         = sigma(a) sigma(b) eta(ta,tb);
     (3) eta(ta,tb) eta(tb,ta)^{-1} = exp(-i pi ((a,b) + (a, phi b)));
     plus the kernel property c(a,b) = 1 for a in ker t.
+
+    Both sides are compared exactly, as integers mod 2D; only a pair
+    that differs is evaluated in floating point, for the reported error.
     """
     t0 = time.perf_counter()
-    worst = abs(bd.sigma((0, 0)) - 1)
+    d = model.D
+    two_d = 2 * d
+    bd.materialize(2 * box)  # sigma at every a, b and a + b
+    sigma = bd.sigma_table
+    worst = _phase_error(sigma[(0, 0)], 0, d)
     kernel_worst = 0.0
     rng_box = range(-box, box + 1)
-    for n in rng_box:
-        for m in rng_box:
-            a = (n, m)
-            ta = bd.t_coeff(a)
-            in_kernel = ta == 0
-            for n2 in rng_box:
-                for m2 in rng_box:
-                    b = (n2, m2)
-                    tb = bd.t_coeff(b)
-                    lhs2 = (
-                        Fraction(epsilon_exponent(a, b))
-                        + bd.sigma_exponent((n + n2, m + m2))
-                        + model.frame_product(bd.phi_abar_vec(a), model.a_vec(b))
-                    )
-                    rhs2 = (
-                        bd.sigma_exponent(a)
-                        + bd.sigma_exponent(b)
-                        + bd.eta_exponent(ta, tb)
-                    )
-                    worst = max(worst, abs(phase_pi(lhs2) - phase_pi(rhs2)))
-                    lhs3 = bd.eta_exponent(ta, tb) - bd.eta_exponent(tb, ta)
-                    rhs3 = bd.commutator_exponent(a, b)
-                    worst = max(worst, abs(phase_pi(lhs3) - phase_pi(rhs3)))
-                    if in_kernel:
-                        kernel_worst = max(
-                            kernel_worst,
-                            abs(phase_pi(bd.commutator_exponent(a, b)) - 1),
-                        )
+    eta = {(k1, k2): bd.eta_num(k1, k2) for k1 in rng_box for k2 in rng_box}
+    charges = [((n, m), bd.t_coeff((n, m))) for n in rng_box for m in rng_box]
+    for a, ta in charges:
+        n, m = a
+        sigma_a = sigma[a]
+        phi_a = bd.phi_abar_vec(a)
+        in_kernel = ta == 0
+        for b, tb in charges:
+            n2, m2 = b
+            lhs2 = (
+                epsilon_exponent(a, b) * d
+                + sigma[(n + n2, m + m2)]
+                + model.frame_product_num(phi_a, b)
+            )
+            rhs2 = sigma_a + sigma[b] + eta[(ta, tb)]
+            if (lhs2 - rhs2) % two_d:
+                worst = max(worst, _phase_error(lhs2, rhs2, d))
+            lhs3 = eta[(ta, tb)] - eta[(tb, ta)]
+            rhs3 = bd.commutator_num(a, b)
+            if (lhs3 - rhs3) % two_d:
+                worst = max(worst, _phase_error(lhs3, rhs3, d))
+            if in_kernel and rhs3 % two_d:
+                kernel_worst = max(kernel_worst, _phase_error(rhs3, 0, d))
     worst = max(worst, kernel_worst)
     return VerifyReport(
         name="bootstrap",

@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import opetree
 from opetree.cli import dumps_canonical, main, parse_power_product
 from opetree.series import PowerProduct
 
@@ -175,6 +177,39 @@ class TestVerifyCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("box", [-1, 2.7, 3.0, True, "3", None])
+    def test_bootstrap_rejects_bad_box(self, capsys, tmp_path, box):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"box": box}))
+        code, out, err = run_cli(["verify", "bootstrap", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: box must be a non-negative integer")
+
+    def test_bootstrap_box_zero(self, capsys, tmp_path):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"box": 0}))
+        code, out, _ = run_cli(["verify", "bootstrap", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert json.loads(out)["checks"][0]["params"]["box"] == 0
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"R_squared": "2/0"}, "error: bad R_squared '2/0'"),
+            ({"R_squared": [2]}, "error: bad R_squared [2]"),
+            ([["box", 3]], "error: config must be a JSON object"),
+            ([1, 2], "error: config must be a JSON object"),
+        ],
+    )
+    def test_bad_config_exit_2(self, capsys, tmp_path, config, message):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(["verify", "bootstrap", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == message
+
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -195,10 +230,14 @@ class TestCanonicalJson:
         assert dumps_canonical({"b": 1, "a": 2}) == '{"a": 2, "b": 1}'
 
     def test_entry_point_runs(self):
+        # the child imports opetree from wherever this process found it
+        src = os.path.dirname(os.path.dirname(opetree.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "opetree.cli", "tree", "parse", "1(23)"],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"tree": "1(23)"}

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opetree.latticecft import (
     BoundaryData,
@@ -14,6 +16,7 @@ from opetree.latticecft import (
     bulk_correlator,
     continue_bulk,
     epsilon_cocycle,
+    epsilon_exponent,
     expansion_consistency_check,
     lattice_pairing,
     mixed_correlator,
@@ -189,6 +192,159 @@ class TestBoundaryData:
                 for n2 in range(-5, 6):
                     for m2 in range(-5, 6):
                         assert phase_pi(bd.commutator_exponent(a, (n2, m2))) == 1
+
+
+def _ref_frame_product(rsq, v1, v2):
+    """x1 x2 u^2 + y1 y2 w^2 + (x1 y2 + x2 y1) uw in Fractions."""
+    (x1, y1), (x2, y2) = v1, v2
+    return x1 * x2 / (2 * rsq) + y1 * y2 * rsq / 2 + Fraction(x1 * y2 + x2 * y1, 2)
+
+
+class _FractionBoundary:
+    """Reference cocycles in Fraction exponents mod 2 (value exp(i pi nu)):
+    the same greedy sigma solve, written against the rational frame form."""
+
+    def __init__(self, bd, table=None):
+        self.rho = bd.rho
+        self.rsq = bd.model.r_squared
+        self.t_coeff = bd.t_coeff
+        self.phi_abar_vec = bd.phi_abar_vec
+        self.table = table or {(0, 0): Fraction(0), (1, 0): Fraction(0), (0, 1): Fraction(0)}
+
+    def alpha_phi_beta(self, a, b):
+        rho_b = (self.rho * b[0], self.rho * b[1])
+        return _ref_frame_product(self.rsq, a, self.phi_abar_vec(b)) - _ref_frame_product(
+            self.rsq, (a[0], -a[1]), rho_b
+        )
+
+    def commutator(self, a, b):
+        return -(lattice_pairing(a, b) + self.alpha_phi_beta(a, b))
+
+    def epsilon_prime(self, a, b):
+        return (epsilon_exponent(a, b) + _ref_frame_product(self.rsq, self.phi_abar_vec(a), b)) % 2
+
+    def sigma(self, a):
+        if a in self.table:
+            return self.table[a]
+        n, m = a
+        if n > 0:
+            prev = (n - 1, m)
+            nu = self.sigma(prev) + self.sigma((1, 0)) - self.epsilon_prime(prev, (1, 0))
+        elif n < 0:
+            nu = self.epsilon_prime(a, (1, 0)) + self.sigma((n + 1, m)) - self.sigma((1, 0))
+        elif m > 0:
+            prev = (0, m - 1)
+            nu = self.sigma(prev) + self.sigma((0, 1)) - self.epsilon_prime(prev, (0, 1))
+        else:
+            nu = self.epsilon_prime(a, (0, 1)) + self.sigma((0, m + 1)) - self.sigma((0, 1))
+        self.table[a] = nu % 2
+        return self.table[a]
+
+
+def _reference_bootstrap(ref, box, tol=1e-12):
+    """(passed, max_rel_err, samples) of the Fraction and phase_pi loop;
+    eta is trivial for the rank-one model."""
+    worst = abs(phase_pi(ref.sigma((0, 0))) - 1)
+    kernel_worst = 0.0
+    rng_box = range(-box, box + 1)
+    for n in rng_box:
+        for m in rng_box:
+            a = (n, m)
+            for n2 in rng_box:
+                for m2 in rng_box:
+                    b = (n2, m2)
+                    lhs2 = (
+                        epsilon_exponent(a, b)
+                        + ref.sigma((n + n2, m + m2))
+                        + _ref_frame_product(ref.rsq, ref.phi_abar_vec(a), b)
+                    )
+                    rhs2 = ref.sigma(a) + ref.sigma(b)
+                    worst = max(worst, abs(phase_pi(lhs2) - phase_pi(rhs2)))
+                    comm = ref.commutator(a, b)
+                    worst = max(worst, abs(phase_pi(0) - phase_pi(comm)))
+                    if ref.t_coeff(a) == 0:
+                        kernel_worst = max(kernel_worst, abs(phase_pi(comm) - 1))
+    worst = max(worst, kernel_worst)
+    samples = [{"worst_identity_error": worst, "kernel_error": kernel_worst}]
+    return worst <= tol, worst, samples
+
+
+class TestExactPhases:
+    """The integer phases mod 2D against a Fraction reference."""
+
+    RADII = ("2", "5/7", "11/6", "3/8")
+
+    @staticmethod
+    def _as_fractions(bd):
+        return {k: Fraction(v, bd.model.D) for k, v in bd.sigma_table.items()}
+
+    def _compare(self, model, bd, ref, box):
+        want = _reference_bootstrap(ref, box)
+        rep = bootstrap_check(model, bd, box)
+        assert (rep.passed, rep.max_rel_err, rep.samples) == want
+        return rep
+
+    def test_sigma_matches_fraction_solve(self):
+        for rsq in self.RADII:
+            model = NarainModel(Fraction(rsq))
+            for rho in (1, -1):
+                bd = build_boundary(model, rho)
+                ref = _FractionBoundary(bd)
+                assert bd.sigma_table.keys() == {
+                    (n, m) for n in range(-6, 7) for m in range(-6, 7)
+                }
+                assert self._as_fractions(bd) == {k: ref.sigma(k) for k in bd.sigma_table}
+
+    def test_reports_match_fraction_loop(self):
+        for rsq in self.RADII:
+            model = NarainModel(Fraction(rsq))
+            for rho in (1, -1):
+                for box in (2, 3):
+                    bd = build_boundary(model, rho)
+                    rep = self._compare(model, bd, _FractionBoundary(bd), box)
+                    assert rep.passed and rep.max_rel_err == 0
+                    bad = bd.perturbed((1, 0), box)
+                    ref = _FractionBoundary(bad, self._as_fractions(bad))
+                    assert not self._compare(model, bad, ref, box).passed
+
+    def test_controls_fail_at_several_charges(self):
+        for rsq in ("1/2", "5/7"):
+            model = NarainModel(Fraction(rsq))
+            for rho in (1, -1):
+                bd = build_boundary(model, rho)
+                for alpha in ((0, 0), (0, 1), (1, 1), (-2, 1), (2, -2)):
+                    bad = bd.perturbed(alpha, 2)
+                    ref = _FractionBoundary(bad, self._as_fractions(bad))
+                    rep = self._compare(model, bad, ref, 2)
+                    assert not rep.passed
+                    assert abs(rep.max_rel_err - 2) < 1e-12  # a sign flip
+
+    def test_perturbed_flips_by_d(self, boundaries):
+        bd = boundaries[1]
+        bad = bd.perturbed((2, 1), 2)
+        assert bad.sigma_exponent((2, 1)) == (bd.sigma_exponent((2, 1)) + 1) % 2
+        assert abs(bad.sigma((2, 1)) + bd.sigma((2, 1))) < 1e-15
+
+    @given(
+        p=st.integers(1, 40),
+        q=st.integers(1, 40),
+        vecs=st.lists(st.integers(-30, 30), min_size=4, max_size=4),
+        rho=st.sampled_from((1, -1)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_integer_forms_match_fractions(self, p, q, vecs, rho):
+        rsq = Fraction(p, q)
+        model = NarainModel(rsq)
+        assert model.D == 2 * rsq.numerator * rsq.denominator
+        v1, v2 = tuple(vecs[:2]), tuple(vecs[2:])
+        want = _ref_frame_product(rsq, v1, v2)
+        assert model.frame_product_num(v1, v2) == model.D * want
+        assert model.frame_product(v1, v2) == want
+        bd = BoundaryData(model, rho)
+        ref = _FractionBoundary(bd)
+        assert bd.alpha_phi_beta(v1, v2) == ref.alpha_phi_beta(v1, v2)
+        assert bd.commutator_exponent(v1, v2) == ref.commutator(v1, v2)
+        assert bd.epsilon_prime_exponent(v1, v2) == ref.epsilon_prime(v1, v2)
 
 
 class TestMixedCorrelator:
