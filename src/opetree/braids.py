@@ -64,15 +64,6 @@ class BraidWord:
     def inverse(self) -> "BraidWord":
         return BraidWord(self.strands, tuple(-x for x in reversed(self.word)))
 
-    def free_reduce(self) -> "BraidWord":
-        out = []
-        for x in self.word:
-            if out and out[-1] == -x:
-                out.pop()
-            else:
-                out.append(x)
-        return BraidWord(self.strands, tuple(out))
-
 
 def identity_braid(n: int) -> BraidWord:
     return BraidWord(n, ())
@@ -262,10 +253,6 @@ class PaPBMorphism:
     source_frame: tuple
     target_frame: tuple
 
-    @property
-    def strand_coloring(self) -> tuple:
-        return self.source_frame
-
     def invariants(self) -> tuple:
         """Equality is not decided up to homotopy; these are the stored
         discrete invariants: the permutation and the signed crossing
@@ -356,10 +343,6 @@ def conjugation_swapped(m: PaPBMorphism) -> PaPBMorphism:
         tuple(swap(t) for t in m.target_frame),
     )
     return _validate_papb(out)
-
-
-def _retag_closed_block(tags, leaf_seq, kind, offset):
-    return tuple((kind, offset + leaf_seq[j]) for j in range(len(leaf_seq)))
 
 
 def papb_compose(mu: PaPBMorphism, slot: int, nu) -> PaPBMorphism:

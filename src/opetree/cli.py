@@ -102,7 +102,11 @@ def parse_power_product(text: str) -> series.PowerProduct:
         m = _DIFF_RE.match(factor)
         if m:
             i, j, exp = int(m.group(1)), int(m.group(2)), m.group(3)
-            diffs.append(((i, j), Fraction(exp) if exp else Fraction(1)))
+            try:
+                exponent = Fraction(exp) if exp else Fraction(1)
+            except ZeroDivisionError:
+                raise CliError(f"zero denominator in factor {factor!r}") from None
+            diffs.append(((i, j), exponent))
             continue
         m = _POW_RE.match(factor)
         if m:
@@ -289,6 +293,8 @@ def _verify_boundary(cfg):
     model, rho = model_from_config(cfg)
     bd = latticecft.build_boundary(model, rho)
     charges = [tuple(c) for c in cfg["charges"]]
+    if not charges:
+        raise CliError("boundary-consistency needs at least one charge")
     alpha = charges[0]
     beta = charges[1] if len(charges) > 1 else (0, 1)
     seed = int(cfg["seed"])

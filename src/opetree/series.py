@@ -8,6 +8,16 @@ order N.  Ungraded variables (the root difference x_A and the
 translation z_A) are never truncated.  Exponent arithmetic is exact
 rational; coefficients are complex doubles.
 
+Every truncated tail product goes through one kernel, :func:`_tail_mul`.
+It packs each exponent vector into one integer in base N + 1 (Monagan &
+Pearce's packed exponent vectors): a product of total degree <= N has
+every exponent <= N, so adding two packed keys never carries.  The
+kernel keeps the plain loop's order (left operand outer, right operand
+inner, both in dict order) and first-touch insertion order, so every
+coefficient is summed in the same order and comes out bit for bit as
+the tuple-keyed loop gives it.  Binomial tails (1+u)^q are memoized on
+(u in dict order, q, N, number of variables).
+
 Evaluation uses the principal logarithm, Arg in (-pi, pi); a variable
 raised to a non-integer power (or carrying a log factor) must evaluate
 off the cut R_{<=0}.
@@ -19,6 +29,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from opetree.coords import (
@@ -75,6 +86,8 @@ class GenSeries:
     def __init__(self, graded: Sequence[str], order: int, sectors=None):
         self.graded = tuple(graded)
         self.order = int(order)
+        if self.order < 0:
+            raise SeriesError(f"truncation order must be >= 0, got {self.order}")
         # key: (logs, ungraded, base) with base a Fraction tuple over graded
         # value: tail {int exponent vector: complex coeff}
         self.sectors = {} if sectors is None else sectors
@@ -118,9 +131,6 @@ class GenSeries:
             self.order,
             {k: dict(t) for k, t in self.sectors.items()},
         )
-
-    def is_zero(self) -> bool:
-        return not any(tail for tail in self.sectors.values())
 
     def n_terms(self) -> int:
         return sum(len(t) for t in self.sectors.values())
@@ -238,16 +248,8 @@ class GenSeries:
                 logs = _merge_counts(l1, l2)
                 ungraded = _merge_fracs(u1, u2)
                 base = tuple(q1 + q2 for q1, q2 in zip(b1, b2))
-                tail = {}
-                for v1, c1 in t1.items():
-                    d1 = sum(v1)
-                    if d1 > order:
-                        continue
-                    for v2, c2 in t2.items():
-                        if d1 + sum(v2) > order:
-                            continue
-                        nv = tuple(x + y for x, y in zip(v1, v2))
-                        tail[nv] = tail.get(nv, 0) + c1 * c2
+                # zeros stay until out._prune(): _merge_sector adds them
+                tail = _tail_mul(t1, t2, order, prune=False)
                 if tail:
                     out._merge_sector((logs, ungraded, base), tail)
         return out._prune()
@@ -390,30 +392,78 @@ def _merge_fracs(u1, u2):
     return tuple(sorted(d.items()))
 
 
-def _tail_mul(t1, t2, order):
+def _pack(vec, base) -> int:
+    key = 0
+    for e in reversed(vec):
+        key = key * base + e
+    return key
+
+
+def _tail_mul(t1, t2, order, prune=True):
+    """Product of two tails truncated at total degree ``order``.
+
+    Exponents are nonnegative, so a product term of degree <= order has
+    every exponent < order + 1 and packed keys add without carries.  The
+    sums run left term outer, right term inner, both in dict order, and
+    new terms are inserted on first touch: the result, zeros included
+    when ``prune`` is false, is that of the tuple-keyed double loop.
+    """
+    base = order + 1
+    right = []
+    for vec, c in t2.items():
+        d = sum(vec)
+        if d <= order:
+            right.append((_pack(vec, base), d, c))
+    fitting = {}  # room -> right terms of degree <= room, in dict order
     out = {}
-    for v1, c1 in t1.items():
-        d1 = sum(v1)
-        for v2, c2 in t2.items():
-            if d1 + sum(v2) > order:
-                continue
-            nv = tuple(x + y for x, y in zip(v1, v2))
-            out[nv] = out.get(nv, 0) + c1 * c2
-    return {v: c for v, c in out.items() if c != 0}
+    get = out.get
+    for vec, c1 in t1.items():
+        room = order - sum(vec)
+        if room < 0:
+            continue
+        terms = fitting.get(room)
+        if terms is None:
+            terms = fitting[room] = [(k, c) for k, d, c in right if d <= room]
+        k1 = _pack(vec, base)
+        for k2, c2 in terms:
+            k = k1 + k2
+            out[k] = get(k, 0) + c1 * c2
+    powers = [base**i for i in range(len(next(iter(t1), ())))]
+    return {
+        tuple([k // p % base for p in powers]): c
+        for k, c in out.items()
+        if c != 0 or not prune
+    }
 
 
 def _binomial_tail(u, q, order, nvars):
-    """(1+u)^q truncated: sum_k C(q,k) u^k with u of positive degree."""
+    """(1+u)^q truncated: sum_k C(q,k) u^k with u of positive degree.
+
+    Memoized on u's items in dict order, which fixes the summation order.
+    The key's complex equality does not tell 0.0 from -0.0, and need not:
+    every sum starts from int 0 or 1+0j, so a part that sums to zero comes
+    out +0.0 and no other bit depends on the sign of a zero.  Returns a
+    fresh dict: callers scale it in place.
+    """
+    return dict(_binomial_tail_memo(tuple(u.items()), Fraction(q), order, nvars))
+
+
+@lru_cache(maxsize=4096)
+def _binomial_tail_memo(items, q, order, nvars):
+    u = dict(items)
     zero = tuple([0] * nvars)
     out = {zero: 1.0 + 0j}
     power = {zero: 1.0 + 0j}
+    coeff = Fraction(1)
     for k in range(1, order + 1):
         power = _tail_mul(power, u, order)
         if not power:
             break
-        coeff = complex(binomial(q, k))
+        # C(q, k) from C(q, k-1): the steps binomial(q, k) takes
+        coeff = coeff * (q - (k - 1)) / k
+        ck = complex(coeff)
         for vec, c in power.items():
-            out[vec] = out.get(vec, 0) + coeff * c
+            out[vec] = out.get(vec, 0) + ck * c
     return {v: c for v, c in out.items() if c != 0}
 
 

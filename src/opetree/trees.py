@@ -388,9 +388,6 @@ class TreeMeta:
     def upper(self, edge):
         return edge[:-1]
 
-    def edge_index(self, edge) -> int:
-        return self.edges.index(edge)
-
 
 def tree_meta(t: Tree) -> TreeMeta:
     r = validate_tree(t)

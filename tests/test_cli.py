@@ -75,6 +75,19 @@ class TestExpandCommand:
         assert terms[(("xA", "-1"), ("ze0", "1"))] == -1
         assert terms[(("xA", "-1"), ("ze1", "1"), ("ze2", "1"))] == 1
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["(12)3", "(z1-z2)^1", "--N", "-5"], "error: truncation order must be >= 0, got -5"),
+            (["(12)3", "(z1-z2)^1/0"], "error: zero denominator in factor '(z1-z2)^1/0'"),
+        ],
+    )
+    def test_bad_input_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(["expand", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == message
+
     def test_power_product_parser(self):
         f = parse_power_product("(z2-z1)^-1 * z3^2 * (z1-z4)^1/2")
         assert f.diffs[0][0] == (2, 1)
@@ -206,6 +219,22 @@ class TestVerifyCommand:
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps(config))
         code, out, err = run_cli(["verify", "bootstrap", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == message
+
+    @pytest.mark.parametrize(
+        "suite, config, message",
+        [
+            ("boundary-consistency", {"truncation": -3}, "error: truncation order must be >= 0, got -3"),
+            ("bulk-consistency", {"truncation": -3}, "error: truncation order must be >= 0, got -3"),
+            ("boundary-consistency", {"charges": []}, "error: boundary-consistency needs at least one charge"),
+        ],
+    )
+    def test_consistency_bad_config_exit_2(self, capsys, tmp_path, suite, config, message):
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({**config, "points": 2}))
+        code, out, err = run_cli(["verify", suite, "--config", str(cfg)], capsys)
         assert code == 2
         assert out == ""
         assert err.strip() == message

@@ -1,18 +1,22 @@
 import cmath
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opetree import series
 from opetree.coords import a_coordinates, psi
 from opetree.series import (
     BranchPlan,
     GenSeries,
     PowerProduct,
     SeriesError,
+    _binomial_tail,
+    _tail_mul,
     binomial,
     evaluate_closed,
     evaluate_series,
@@ -108,6 +112,12 @@ class TestArithmetic:
         for k in range(1, 7):
             assert abs(got[k] - (-1) ** (k + 1) / k) < 1e-14
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(SeriesError):
+            GenSeries(("z",), -1)
+        with pytest.raises(SeriesError):
+            expand(parse_tree("(12)3"), PowerProduct(diffs=(((1, 2), 1),)), -5)
+
     def test_log1p_requires_unit(self):
         s = GenSeries.monomial(2.0, {}, ("z",), 3)
         with pytest.raises(SeriesError):
@@ -160,6 +170,167 @@ class TestArithmetic:
                 exact[v] = exact.get(v, Fraction(0)) + coeff * c
         for v, c in exact.items():
             assert abs(got[v] - float(c)) <= 1e-13 * max(1.0, abs(float(c)))
+
+
+def _loop_tail_mul(t1, t2, order, prune=True):
+    """The tuple-keyed double loop that _tail_mul replaced, kept as the
+    reference: left operand outer, right inner, first-touch insertion."""
+    out = {}
+    for v1, c1 in t1.items():
+        d1 = sum(v1)
+        for v2, c2 in t2.items():
+            if d1 + sum(v2) > order:
+                continue
+            nv = tuple(x + y for x, y in zip(v1, v2))
+            out[nv] = out.get(nv, 0) + c1 * c2
+    return {v: c for v, c in out.items() if c != 0 or not prune}
+
+
+def _loop_mul(a, b):
+    """GenSeries.__mul__ as it was, with its own copy of the loop."""
+    a, b = a._aligned(b)
+    order = min(a.order, b.order)
+    out = GenSeries(a.graded, order)
+    for (l1, u1, b1), t1 in a.sectors.items():
+        for (l2, u2, b2), t2 in b.sectors.items():
+            base = tuple(q1 + q2 for q1, q2 in zip(b1, b2))
+            tail = _loop_tail_mul(t1, t2, order, prune=False)
+            if tail:
+                key = (series._merge_counts(l1, l2), series._merge_fracs(u1, u2), base)
+                out._merge_sector(key, tail)
+    return out._prune()
+
+
+def _bits(tail):
+    """Terms in dict order with the exact bits of each coefficient."""
+    return [(v, struct.pack("<dd", c.real, c.imag)) for v, c in tail.items()]
+
+
+# Parts that cancel exactly, signed zeros, and arbitrary doubles.
+_parts = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.5, -0.5, 0.0, -0.0]),
+    st.floats(-4, 4, allow_nan=False),
+)
+_coeffs = st.one_of(
+    st.sampled_from([0j, complex(-0.0, -0.0), 1 + 0j, -1 + 0j]),
+    st.builds(complex, _parts, _parts),
+)
+
+
+@st.composite
+def _tails(draw, nvars, order):
+    """Tails whose terms may exceed the order; they must be skipped."""
+    vecs = st.tuples(*[st.integers(0, order + 1)] * nvars)
+    return draw(st.dictionaries(vecs, _coeffs, max_size=12))
+
+
+@st.composite
+def _tail_pairs(draw):
+    nvars = draw(st.integers(1, 4))
+    order = draw(st.integers(0, 12))
+    return nvars, order, draw(_tails(nvars, order)), draw(_tails(nvars, order))
+
+
+class TestPackedKernel:
+    @given(case=_tail_pairs(), prune=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_tail_mul_bit_identical_to_loop(self, case, prune):
+        nvars, order, t1, t2 = case
+        got = _tail_mul(t1, t2, order, prune=prune)
+        assert _bits(got) == _bits(_loop_tail_mul(t1, t2, order, prune=prune))
+
+    @given(case=_tail_pairs(), extra=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mul_bit_identical_to_loop(self, case, extra):
+        # bases 0 and 1/2 on both sides: the two cross products share the
+        # sector 1/2, and 1/2 + 1/2 folds into sector 0, so the product's
+        # zeros reach _merge_sector
+        nvars, order, t1, t2 = case
+        t3, t4 = extra.draw(_tails(nvars, order)), extra.draw(_tails(nvars, order))
+        graded = tuple(f"z{k}" for k in range(nvars))
+        zero = tuple([Fraction(0)] * nvars)
+        half = tuple([Fraction(1, 2)] + [Fraction(0)] * (nvars - 1))
+        a = GenSeries(graded, order, {((), (), zero): t1, ((), (), half): t3})
+        b = GenSeries(
+            graded,
+            extra.draw(st.integers(order, order + 2)),
+            {((), (), half): t2, ((), (), zero): t4},
+        )
+        got, want = a * b, _loop_mul(a, b)
+        assert list(got.sectors) == list(want.sectors)
+        for key in want.sectors:
+            assert _bits(got.sectors[key]) == _bits(want.sectors[key])
+
+    def test_zero_order_keeps_constants_only(self):
+        t = {(0, 0): 2 + 0j, (1, 0): 1 + 0j, (0, 1): 3 + 0j}
+        assert _tail_mul(t, t, 0) == {(0, 0): 4 + 0j}
+
+
+class TestBinomialTail:
+    def test_matches_exact_rational_expansion(self):
+        # integer-coefficient u, as the pair-difference tails have: every
+        # double coefficient of (1+u)^q is within 1e-13 relative of the
+        # exact rational one, and exact zeros come out zero
+        rng = random.Random(43)
+        checked = 0
+        while checked < 120:
+            nvars, order = rng.randint(1, 3), rng.randint(1, 12)
+            u = {}
+            for _ in range(rng.randint(1, 5)):
+                vec = tuple(rng.randint(0, 3) for _ in range(nvars))
+                if 0 < sum(vec) <= order:
+                    u[vec] = rng.choice([-3, -2, -1, 1, 2, 3])
+            if not u:
+                continue
+            q = Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 6, 7]))
+            got = _binomial_tail({v: complex(c) for v, c in u.items()}, q, order, nvars)
+            zero = tuple([0] * nvars)
+            exact, power = {zero: Fraction(1)}, {zero: Fraction(1)}
+            for k in range(1, order + 1):
+                nxt = {}
+                for v1, c1 in power.items():
+                    for v2, c2 in u.items():
+                        v = tuple(x + y for x, y in zip(v1, v2))
+                        if sum(v) <= order:
+                            nxt[v] = nxt.get(v, Fraction(0)) + c1 * c2
+                power = nxt
+                for v, c in power.items():
+                    exact[v] = exact.get(v, Fraction(0)) + binomial(q, k) * c
+            for v in set(exact) | set(got):
+                want, have = exact.get(v, Fraction(0)), got.get(v, 0j)
+                assert abs(have - float(want)) <= 1e-13 * abs(float(want)), (u, q, v)
+            checked += 1
+
+    def test_memo_results_are_not_aliased(self):
+        u = {(1, 0): 0.5 + 0j, (0, 1): -0.25 + 0j, (1, 1): 0.125 + 0j}
+        q = Fraction(-5, 3)
+        first = one_plus(("a", "b"), 8, u).pow(q)
+        before = series._binomial_tail_memo.cache_info().hits
+        # same tail, other leading constant: pow scales its copy in place
+        scaled = (one_plus(("a", "b"), 8, u) * 3.0).pow(q)
+        assert series._binomial_tail_memo.cache_info().hits == before + 1
+        again = one_plus(("a", "b"), 8, u).pow(q)
+        ((key, tail),) = first.sectors.items()
+        assert list(again.sectors) == [key]
+        assert _bits(again.sectors[key]) == _bits(tail)
+        ratio = cmath.exp(q * cmath.log(3.0))
+        for vec, c in tail.items():
+            assert abs(scaled.sectors[key][vec] - ratio * c) <= 1e-14 * abs(ratio * c)
+        # a caller mutating its tail leaves the memo intact
+        mine = _binomial_tail(u, q, 8, 2)
+        want = _bits(mine)
+        mine[(0, 0)] = 99.0 + 0j
+        assert _bits(_binomial_tail(u, q, 8, 2)) == want
+
+    def test_memo_exact_across_signed_zeros(self):
+        # the memo key merges 0.0 and -0.0 parts; the tail it returns must
+        # still be the one computed from the tail asked for
+        plus = {(1,): complex(0.5, 0.0), (2,): complex(-1.0, 0.0), (3,): 0j}
+        minus = {(1,): complex(0.5, -0.0), (2,): complex(-1.0, -0.0), (3,): -0j}
+        for q in (Fraction(1, 2), Fraction(-3), Fraction(2)):
+            for u in (plus, minus):
+                fresh = series._binomial_tail_memo.__wrapped__(tuple(u.items()), q, 6, 1)
+                assert _bits(_binomial_tail(u, q, 6, 1)) == _bits(fresh)
 
 
 class TestExpand:
