@@ -158,6 +158,35 @@ def model_from_config(cfg):
     return model, rho
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(cfg, key, default=None, minimum=None, name=None) -> int:
+    """``cfg[key]`` as a JSON integer (no boolean, float or string), at
+    least ``minimum`` when one is given."""
+    value = cfg.get(key, default)
+    name = name or key
+    if not _is_int(value):
+        raise CliError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise CliError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _charges(cfg, most, suite) -> list:
+    """The config's charges as tuples: at most ``most`` [n, m] integer pairs."""
+    charges = cfg["charges"]
+    if not isinstance(charges, list):
+        raise CliError(f"charges must be a list of [n, m] integer pairs, got {charges!r}")
+    for c in charges:
+        if not (isinstance(c, list) and len(c) == 2 and all(map(_is_int, c))):
+            raise CliError(f"a charge must be a pair of integers [n, m], got {c!r}")
+    if len(charges) > most:
+        raise CliError(f"{suite} takes at most {most} charges, got {len(charges)}")
+    return [tuple(c) for c in charges]
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -290,17 +319,17 @@ def _verify_bootstrap(cfg):
 
 
 def _verify_boundary(cfg):
-    model, rho = model_from_config(cfg)
-    bd = latticecft.build_boundary(model, rho)
-    charges = [tuple(c) for c in cfg["charges"]]
+    charges = _charges(cfg, 2, "boundary-consistency")
     if not charges:
         raise CliError("boundary-consistency needs at least one charge")
     alpha = charges[0]
     beta = charges[1] if len(charges) > 1 else (0, 1)
-    seed = int(cfg["seed"])
-    order = int(cfg["truncation"])
+    seed = _int_field(cfg, "seed")
+    order = _int_field(cfg, "truncation", minimum=0, name="truncation order")
     tol = float(cfg["tolerance"])
-    pts = int(cfg.get("points", 10))
+    pts = _int_field(cfg, "points", 10, minimum=1)
+    model, rho = model_from_config(cfg)
+    bd = latticecft.build_boundary(model, rho)
     rep1 = latticecft.expansion_consistency_check(
         model,
         [trees.parse_tree("t(c1)o2"), trees.parse_tree("o2t(c1)")],
@@ -326,11 +355,13 @@ def _verify_boundary(cfg):
 
 
 def _verify_bulk(cfg):
+    charges = _charges(cfg, 4, "bulk-consistency")
+    charges += [(0, 0)] * (4 - len(charges))
+    seed = _int_field(cfg, "seed")
+    order = _int_field(cfg, "truncation", minimum=0, name="truncation order")
+    tol = float(cfg["tolerance"])
+    pts = _int_field(cfg, "points", 6, minimum=1)
     model, _ = model_from_config(cfg)
-    charges = [tuple(c) for c in cfg["charges"]]
-    while len(charges) < 4:
-        charges.append((0, 0))
-    charges = charges[:4]
     tree_list = [
         trees.parse_tree("1(2(34))"),
         trees.parse_tree("(12)(34)"),
@@ -340,36 +371,37 @@ def _verify_bulk(cfg):
         model,
         tree_list,
         charges,
-        int(cfg["truncation"]),
-        float(cfg["tolerance"]),
-        int(cfg.get("points", 6)),
-        int(cfg["seed"]),
+        order,
+        tol,
+        pts,
+        seed,
     )
-    rep2 = latticecft.single_valuedness_check(
-        model, charges, n_samples=4, seed=int(cfg["seed"]) + 1
-    )
+    rep2 = latticecft.single_valuedness_check(model, charges, n_samples=4, seed=seed + 1)
     return [rep, rep2]
 
 
 def _verify_skew(cfg):
+    seed = _int_field(cfg, "seed")
+    n_pairs = _int_field(cfg, "pairs", 10, minimum=1)
     model, _ = model_from_config(cfg)
-    rng = random.Random(int(cfg["seed"]))
+    rng = random.Random(seed)
     pairs = [
         ((rng.randint(-2, 2), rng.randint(-2, 2)), (rng.randint(-2, 2), rng.randint(-2, 2)))
-        for _ in range(int(cfg.get("pairs", 10)))
+        for _ in range(n_pairs)
     ]
-    return [latticecft.skew_symmetry_check(model, pairs, n_samples=10, seed=int(cfg["seed"]) + 1)]
+    return [latticecft.skew_symmetry_check(model, pairs, n_samples=10, seed=seed + 1)]
 
 
 def _verify_regions(cfg):
     import time
 
+    seed = _int_field(cfg, "seed")
+    n = _int_field(cfg, "points", 1000, minimum=1)
     t0 = time.perf_counter()
-    rng = random.Random(int(cfg["seed"]))
+    rng = random.Random(seed)
     comb = trees.parse_tree("1(2(3(45)))")
     cs = coords.a_coordinates(comb)
     mismatches = 0
-    n = int(cfg.get("points", 1000))
     for _ in range(n):
         pt = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(5)]
         chain = all(
@@ -396,7 +428,7 @@ def _verify_regions(cfg):
         two_comb_ok = two_comb_ok and got is want
     rep = latticecft.VerifyReport(
         name="regions",
-        params={"tree": "1(2(3(45)))", "points": n, "seed": cfg["seed"]},
+        params={"tree": "1(2(3(45)))", "points": n, "seed": seed},
         samples=[{"mismatches": mismatches, "two_comb_reduction": two_comb_ok}],
         max_rel_err=float(mismatches),
         tolerance=0.0,

@@ -15,8 +15,21 @@ every exponent <= N, so adding two packed keys never carries.  The
 kernel keeps the plain loop's order (left operand outer, right operand
 inner, both in dict order) and first-touch insertion order, so every
 coefficient is summed in the same order and comes out bit for bit as
-the tuple-keyed loop gives it.  Binomial tails (1+u)^q are memoized on
+the tuple-keyed loop gives it.  Packed keys are decoded back to tuples
+two digits per table lookup.  Binomial tails (1+u)^q are memoized on
 (u in dict order, q, N, number of variables).
+
+:func:`evaluate_series` is table-driven.  For each graded variable and
+integer base b of a sector it keeps one lazily filled power table, keyed
+by the tail exponent n and holding value ** (b + n), shared by the
+sectors with that base.  Each term is ``prod(map(getitem, row, vec),
+start=c)`` over the sector's row of tables: the coefficient first, then
+the variables in graded order, as the per-term loop that skipped zero
+exponents multiplied them.  A zero total exponent reads
+1+0j instead of being skipped.  Times 1+0j a finite complex keeps its
+nonzero parts and at most flips the sign of a zero part, and the sector
+sum starts at +0j, so a zero part of either sign adds as +0.0: the sum
+is bit for bit the skipping loop's.
 
 Evaluation uses the principal logarithm, Arg in (-pi, pi); a variable
 raised to a non-integer power (or carrying a log factor) must evaluate
@@ -30,6 +43,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, repeat
+from math import prod
+from operator import add, floordiv, getitem, mod
 from typing import Mapping, Sequence
 
 from opetree.coords import (
@@ -428,12 +444,43 @@ def _tail_mul(t1, t2, order, prune=True):
         for k2, c2 in terms:
             k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
-    powers = [base**i for i in range(len(next(iter(t1), ())))]
-    return {
-        tuple([k // p % base for p in powers]): c
-        for k, c in out.items()
-        if c != 0 or not prune
-    }
+    vecs = _unpack(out, base, len(next(iter(t1), ())))
+    coeffs = out.values()
+    if prune:
+        return dict(compress(zip(vecs, coeffs), coeffs))
+    return dict(zip(vecs, coeffs))
+
+
+_PAIR_BASE_MAX = 64  # digit-pair tables up to 64**2 entries; one digit above
+
+
+@lru_cache(maxsize=8)
+def _digit_table(base, width):
+    """Tuples of ``width`` base-``base`` digits, low digit first, by value."""
+    if width == 1:
+        return [(d,) for d in range(base)]
+    return [(lo, hi) for hi in range(base) for lo in range(base)]
+
+
+def _unpack(keys, base, nvars):
+    """Exponent tuples of packed keys, in the order of ``keys``.
+
+    Each lazy map decodes one chunk of two digits (one when the pair table
+    would be large) for every key in a table lookup, and the chunks are
+    concatenated; an odd variable count ends with a one-digit step.  The
+    result is an iterator; no Python code runs per key.
+    """
+    width = 2 if base <= _PAIR_BASE_MAX else 1
+    step = base**width
+    chunk = _digit_table(base, width).__getitem__
+    vecs = repeat(())
+    for i in range(nvars // width):
+        digits = map(mod, map(floordiv, keys, repeat(step**i)), repeat(step))
+        vecs = map(add, vecs, map(chunk, digits))
+    if nvars % width:
+        top = map(floordiv, keys, repeat(step ** (nvars // width)))
+        vecs = map(add, vecs, map(_digit_table(base, 1).__getitem__, top))
+    return vecs
 
 
 def _binomial_tail(u, q, order, nvars):
@@ -661,7 +708,9 @@ def evaluate_series(s: GenSeries, values: Mapping) -> complex:
     """Sum the series at numeric variable values, principal branches.
 
     Raises :class:`SeriesError` for a missing variable or a variable on
-    the cut raised to a non-integer power or carrying a log factor.
+    the cut raised to a non-integer power or carrying a log factor.  A
+    value is looked up, a power computed and a cut checked only when some
+    term needs it.
     """
     logv = {}
 
@@ -673,14 +722,18 @@ def evaluate_series(s: GenSeries, values: Mapping) -> complex:
             logv[v] = cmath.log(val)
         return logv[v]
 
-    pow_tables = {}
+    tables = {}
 
-    def int_pow(v, n):
-        table = pow_tables.setdefault(v, {0: 1.0 + 0j})
-        if n not in table:
-            val = _value_of(values, v)
-            table[n] = val**n
-        return table[n]
+    def table(v, offset=0):
+        found = tables.get((v, offset))
+        if found is None:
+            found = tables[v, offset] = _PowerTable(values, v, offset)
+        return found
+
+    def power(v, q):
+        if q.denominator == 1:
+            return table(v)[int(q)]
+        return cmath.exp(q * log_of(v))
 
     total = 0j
     for (logs, ungraded, base), tail in s.sectors.items():
@@ -688,35 +741,48 @@ def evaluate_series(s: GenSeries, values: Mapping) -> complex:
         for v, k in logs:
             sector_val *= log_of(v) ** k
         for v, q in ungraded:
-            sector_val *= _frac_pow(values, v, q, log_of, int_pow)
-        base_int = []
+            sector_val *= power(v, q)
+        row = []
         for g, q in zip(s.graded, base):
             if q.denominator == 1:
-                base_int.append(int(q))
+                row.append(table(g, int(q)))
             else:
-                sector_val *= _frac_pow(values, g, q, log_of, int_pow)
-                base_int.append(0)
+                sector_val *= power(g, q)
+                row.append(table(g))
+        # c times one entry per graded variable, in graded order.  A zero
+        # exponent reads 1+0j, which flips at most the sign of a zero part
+        # of a finite term, and acc, from +0j, adds either zero as +0.0.
         acc = 0j
         for vec, c in tail.items():
-            term = c
-            for g, b, n in zip(s.graded, base_int, vec):
-                if b + n:
-                    term *= int_pow(g, b + n)
-            acc += term
+            acc += prod(map(getitem, row, vec), start=c)
         total += sector_val * acc
     return total
+
+
+class _PowerTable(dict):
+    """n -> value ** (offset + n) of one variable, filled on first use.
+
+    offset + n == 0 reads 1+0j; any other entry looks the value up the
+    first time one is needed.
+    """
+
+    __slots__ = ("values", "var", "offset", "value")
+
+    def __init__(self, values, var, offset):
+        super().__init__({-offset: 1.0 + 0j})
+        self.values, self.var, self.offset, self.value = values, var, offset, None
+
+    def __missing__(self, n):
+        if self.value is None:
+            self.value = _value_of(self.values, self.var)
+        power = self[n] = self.value ** (self.offset + n)
+        return power
 
 
 def _value_of(values, v):
     if v not in values:
         raise SeriesError(f"no value for variable {v}")
     return complex(values[v])
-
-
-def _frac_pow(values, v, q, log_of, int_pow):
-    if q.denominator == 1:
-        return int_pow(v, int(q))
-    return cmath.exp(q * log_of(v))
 
 
 # ---------------------------------------------------------------------------

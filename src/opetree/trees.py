@@ -255,15 +255,23 @@ def _tokenize(text: str, split_digits: bool) -> list:
     return toks
 
 
+MAX_NESTING = 256  # parentheses and Tau; far below the recursion limit
+
+
 def _parse_tokens(toks: list, text_len: int) -> Tree:
     pos = 0
+    depth = 0
 
     def peek():
         return toks[pos] if pos < len(toks) else (None, None, text_len)
 
     def parse_item():
-        nonlocal pos
+        nonlocal pos, depth
         kind, value, at = peek()
+        if kind in ("(", "tau"):
+            depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING}", at)
         if kind == "int":
             pos += 1
             return Leaf(value)
@@ -279,6 +287,7 @@ def _parse_tokens(toks: list, text_len: int) -> Tree:
             if peek()[0] != ")":
                 raise ParseError("missing ')'", peek()[2])
             pos += 1
+            depth -= 1
             return inner
         if kind == "tau":
             pos += 1
@@ -286,6 +295,7 @@ def _parse_tokens(toks: list, text_len: int) -> Tree:
             if peek()[0] != ")":
                 raise ParseError("missing ')' after Tau", peek()[2])
             pos += 1
+            depth -= 1
             return Tau(inner)
         raise ParseError("expected a leaf or '('", at)
 

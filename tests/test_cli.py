@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import opetree
 from opetree.cli import dumps_canonical, main, parse_power_product
@@ -36,6 +38,12 @@ class TestTreeCommands:
         code, out, err = run_cli(["tree", "parse", "((12)"], capsys)
         assert code == 2
         assert "error" in err
+
+    def test_deep_nesting_exit_2(self, capsys):
+        code, out, err = run_cli(["tree", "parse", "(" * 3000 + "1" + ")" * 3000], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: nesting deeper than 256 (at position 256)"
 
     def test_permute(self, capsys):
         code, out, _ = run_cli(["tree", "permute", "1(23)", "2,1,3"], capsys)
@@ -229,15 +237,53 @@ class TestVerifyCommand:
             ("boundary-consistency", {"truncation": -3}, "error: truncation order must be >= 0, got -3"),
             ("bulk-consistency", {"truncation": -3}, "error: truncation order must be >= 0, got -3"),
             ("boundary-consistency", {"charges": []}, "error: boundary-consistency needs at least one charge"),
+            ("boundary-consistency", {"truncation": 4.7}, "error: truncation order must be an integer, got 4.7"),
+            ("bulk-consistency", {"truncation": "4"}, "error: truncation order must be an integer, got '4'"),
+            ("bulk-consistency", {"truncation": True}, "error: truncation order must be an integer, got True"),
+            ("boundary-consistency", {"points": 0}, "error: points must be >= 1, got 0"),
+            ("bulk-consistency", {"points": 0}, "error: points must be >= 1, got 0"),
+            ("regions", {"points": 0}, "error: points must be >= 1, got 0"),
+            ("regions", {"points": 2.5}, "error: points must be an integer, got 2.5"),
+            ("boundary-consistency", {"seed": "5"}, "error: seed must be an integer, got '5'"),
+            ("bulk-consistency", {"seed": 1.5}, "error: seed must be an integer, got 1.5"),
+            ("skew", {"seed": None}, "error: seed must be an integer, got None"),
+            ("regions", {"seed": [1]}, "error: seed must be an integer, got [1]"),
+            ("skew", {"pairs": 0}, "error: pairs must be >= 1, got 0"),
+            ("skew", {"pairs": False}, "error: pairs must be an integer, got False"),
+            ("bulk-consistency", {"charges": [[1, "x"]]}, "error: a charge must be a pair of integers [n, m], got [1, 'x']"),
+            ("boundary-consistency", {"charges": [[1, "x"]]}, "error: a charge must be a pair of integers [n, m], got [1, 'x']"),
+            ("bulk-consistency", {"charges": [[True, 0]]}, "error: a charge must be a pair of integers [n, m], got [True, 0]"),
+            ("bulk-consistency", {"charges": [[1, 0, 0]]}, "error: a charge must be a pair of integers [n, m], got [1, 0, 0]"),
+            ("boundary-consistency", {"charges": [[1.0, 0]]}, "error: a charge must be a pair of integers [n, m], got [1.0, 0]"),
+            ("boundary-consistency", {"charges": {"n": 1}}, "error: charges must be a list of [n, m] integer pairs, got {'n': 1}"),
+            ("bulk-consistency", {"charges": [[1, 0]] * 5}, "error: bulk-consistency takes at most 4 charges, got 5"),
+            ("boundary-consistency", {"charges": [[1, 0]] * 3}, "error: boundary-consistency takes at most 2 charges, got 3"),
         ],
     )
     def test_consistency_bad_config_exit_2(self, capsys, tmp_path, suite, config, message):
         cfg = tmp_path / "model.json"
-        cfg.write_text(json.dumps({**config, "points": 2}))
+        cfg.write_text(json.dumps({"points": 2, **config}))
         code, out, err = run_cli(["verify", suite, "--config", str(cfg)], capsys)
         assert code == 2
         assert out == ""
         assert err.strip() == message
+
+    @given(case=st.data())
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_malformed_config_fuzz(self, capsys, tmp_path, case):
+        # only invalid values, so every call stops before a suite runs
+        suite, key = case.draw(st.sampled_from(_FIELDS_READ))
+        value = case.draw(_invalid(key, suite))
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(["verify", suite, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "report.json"
@@ -248,6 +294,55 @@ class TestVerifyCommand:
         assert out == ""
         obj = json.loads(dest.read_text())
         assert obj["passed"] is True
+
+
+# (suite, config key) for every integer or charge field a suite reads
+_FIELDS_READ = [
+    ("bootstrap", "box"),
+    *[(suite, key) for suite in ("boundary-consistency", "bulk-consistency")
+      for key in ("truncation", "points", "seed", "charges")],
+    ("skew", "seed"),
+    ("skew", "pairs"),
+    ("regions", "seed"),
+    ("regions", "points"),
+]
+_MINIMUM = {"box": 0, "truncation": 0, "points": 1, "pairs": 1}
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_not_int = _json.filter(lambda v: isinstance(v, bool) or not isinstance(v, int))
+
+
+def _invalid(key, suite):
+    """Values of ``key`` that ``suite`` must reject."""
+    if key == "charges":
+        return _invalid_charges(suite)
+    if key in _MINIMUM:
+        return _not_int | st.integers(max_value=_MINIMUM[key] - 1)
+    return _not_int
+
+
+def _invalid_charges(suite):
+    pair = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
+    bad_pair = _json.filter(
+        lambda v: not (
+            isinstance(v, list) and len(v) == 2
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in v)
+        )
+    )
+    most = 2 if suite == "boundary-consistency" else 4
+    shapes = [
+        _json.filter(lambda v: not isinstance(v, list)),
+        st.tuples(st.lists(pair, max_size=2), bad_pair, st.lists(pair, max_size=2)).map(
+            lambda t: t[0] + [t[1]] + t[2]
+        ),
+        st.lists(pair, min_size=most + 1, max_size=most + 3),
+    ]
+    if suite == "boundary-consistency":
+        shapes.append(st.just([]))
+    return st.one_of(shapes)
 
 
 class TestCanonicalJson:

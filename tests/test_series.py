@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from opetree import series
 from opetree.coords import a_coordinates, psi
 from opetree.series import (
+    ZERO,
     BranchPlan,
     GenSeries,
     PowerProduct,
@@ -226,7 +227,8 @@ def _tails(draw, nvars, order):
 
 @st.composite
 def _tail_pairs(draw):
-    nvars = draw(st.integers(1, 4))
+    # 5-7 variables take three digit-pair chunks; odd counts end on one digit
+    nvars = draw(st.integers(1, 7))
     order = draw(st.integers(0, 12))
     return nvars, order, draw(_tails(nvars, order)), draw(_tails(nvars, order))
 
@@ -264,6 +266,28 @@ class TestPackedKernel:
     def test_zero_order_keeps_constants_only(self):
         t = {(0, 0): 2 + 0j, (1, 0): 1 + 0j, (0, 1): 3 + 0j}
         assert _tail_mul(t, t, 0) == {(0, 0): 4 + 0j}
+
+    @pytest.mark.parametrize("order", [62, 63, 64, 200])
+    def test_large_orders_bit_identical_to_loop(self, order):
+        # base order + 1 above 64 decodes one digit per lookup, not pairs
+        rng = random.Random(order)
+        series._digit_table.cache_clear()
+        for nvars in (1, 2, 3, 6):
+            tails = [
+                {
+                    tuple(rng.randint(0, order // nvars) for _ in range(nvars)): complex(
+                        rng.uniform(-1, 1), rng.uniform(-1, 1)
+                    )
+                    for _ in range(30)
+                }
+                for _ in range(2)
+            ]
+            got = _tail_mul(*tails, order)
+            assert _bits(got) == _bits(_loop_tail_mul(*tails, order))
+        if order >= 64:
+            # only the order + 1 one-digit tuples, no (order + 1)**2 pairs
+            assert series._digit_table.cache_info().currsize == 1
+            assert len(series._digit_table(order + 1, 1)) == order + 1
 
 
 class TestBinomialTail:
@@ -449,10 +473,148 @@ def _assert_series_close(s1, s2, tol=1e-12):
         assert abs(a - b) <= tol * max(1.0, abs(a), abs(b)), (k, a, b)
 
 
+def _loop_evaluate(s, values):
+    """evaluate_series as it was, a per-term loop that skips each factor
+    with a zero total exponent; kept as the bit-exact reference."""
+    logv = {}
+
+    def value_of(v):
+        if v not in values:
+            raise SeriesError(f"no value for variable {v}")
+        return complex(values[v])
+
+    def log_of(v):
+        if v not in logv:
+            val = value_of(v)
+            if series.on_cut(val):
+                raise SeriesError(f"variable {v} on the cut")
+            logv[v] = cmath.log(val)
+        return logv[v]
+
+    pow_tables = {}
+
+    def int_pow(v, n):
+        table = pow_tables.setdefault(v, {0: 1.0 + 0j})
+        if n not in table:
+            table[n] = value_of(v) ** n
+        return table[n]
+
+    def frac_pow(v, q):
+        if q.denominator == 1:
+            return int_pow(v, int(q))
+        return cmath.exp(q * log_of(v))
+
+    total = 0j
+    for (logs, ungraded, base), tail in s.sectors.items():
+        sector_val = 1.0 + 0j
+        for v, k in logs:
+            sector_val *= log_of(v) ** k
+        for v, q in ungraded:
+            sector_val *= frac_pow(v, q)
+        base_int = []
+        for g, q in zip(s.graded, base):
+            if q.denominator == 1:
+                base_int.append(int(q))
+            else:
+                sector_val *= frac_pow(g, q)
+                base_int.append(0)
+        acc = 0j
+        for vec, c in tail.items():
+            term = c
+            for g, b, n in zip(s.graded, base_int, vec):
+                if b + n:
+                    term *= int_pow(g, b + n)
+            acc += term
+        total += sector_val * acc
+    return total
+
+
+def _outcome(fn, *args):
+    """Exact bits of a complex result, or the exception it raised."""
+    try:
+        z = fn(*args)
+    except (SeriesError, ZeroDivisionError) as err:
+        return type(err), str(err)
+    return z.real.hex(), z.imag.hex()
+
+
+_GRADED = ("a", "b", "c")
+_UNGRADED = ("x", "y")
+# exactly zero, or at least 0.1 in size, so no power overflows
+_value_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+    st.floats(0.1, 3),
+    st.floats(-3, -0.1),
+)
+_values = st.builds(complex, _value_parts, _value_parts)
+_exponents = st.one_of(
+    st.integers(-3, 3).map(Fraction),
+    st.fractions(Fraction(-3), Fraction(3), max_denominator=4),
+)
+
+
+@st.composite
+def _series_and_values(draw):
+    """Multi-sector series over three graded variables with negative and
+    fractional bases, ungraded factors and log factors, and values that
+    may be zero, on the cut or missing."""
+    nvars = draw(st.integers(1, 3))
+    graded = _GRADED[:nvars]
+    order = draw(st.integers(0, 8))
+    sectors = {}
+    for _ in range(draw(st.integers(1, 4))):
+        base = tuple(draw(_exponents) for _ in graded)
+        names = draw(st.lists(st.sampled_from(_UNGRADED), unique=True, max_size=2))
+        ungraded = tuple(sorted((v, draw(_exponents.filter(bool))) for v in names))
+        log_names = draw(st.lists(st.sampled_from(graded + _UNGRADED), unique=True, max_size=2))
+        logs = tuple(sorted((v, draw(st.integers(1, 2))) for v in log_names))
+        vecs = st.tuples(*[st.integers(0, order)] * nvars)
+        sectors[(logs, ungraded, base)] = draw(
+            st.dictionaries(vecs, _coeffs, min_size=1, max_size=10)
+        )
+    s = GenSeries(graded, order, sectors)
+    missing = draw(st.lists(st.sampled_from(graded + _UNGRADED), max_size=1))
+    return s, {v: draw(_values) for v in graded + _UNGRADED if v not in missing}
+
+
 class TestEvaluate:
+    @given(case=_series_and_values())
+    @settings(max_examples=250, deadline=None)
+    def test_bit_identical_to_loop(self, case):
+        s, values = case
+        assert _outcome(evaluate_series, s, values) == _outcome(_loop_evaluate, s, values)
+
     def test_constant(self):
         s = GenSeries.constant(1.0, ("z",), 3)
         assert evaluate_series(s, {"z": 123.0}) == 1
+        assert evaluate_series(s, {}) == 1
+
+    def test_unused_missing_variable(self):
+        # every exponent of b is zero, so b needs no value
+        s = GenSeries(("a", "b"), 4, {((), (), (Fraction(-1), ZERO)): {(1, 0): 2j, (3, 0): 1 + 0j}})
+        assert evaluate_series(s, {"a": 2.0}) == 2j + 4
+        with pytest.raises(SeriesError, match="no value for variable b"):
+            evaluate_series(
+                GenSeries(("a", "b"), 4, {((), (), (ZERO, ZERO)): {(0, 1): 1 + 0j}}), {"a": 2.0}
+            )
+
+    def test_zero_value_with_nonnegative_exponents(self):
+        # base -1 with tail exponents >= 1: a^0 and a^2 at a = 0; the
+        # negative powers no term uses are never computed
+        s = GenSeries(("a",), 4, {((), (), (Fraction(-1),)): {(1,): 3 + 0j, (3,): 5 + 0j}})
+        assert evaluate_series(s, {"a": 0j}) == 3
+        with pytest.raises(ZeroDivisionError):
+            evaluate_series(
+                GenSeries(("a",), 4, {((), (), (Fraction(-1),)): {(0,): 1 + 0j}}), {"a": 0j}
+            )
+
+    def test_cut_variable_with_integer_power(self):
+        s = GenSeries(("a",), 4, {((), (("x", Fraction(3)),), (Fraction(-2),)): {(0,): 1 + 0j, (3,): 1 + 0j}})
+        got = evaluate_series(s, {"a": -2.0, "x": -1.0})
+        assert got == -(0.25 - 2)
+        assert _outcome(evaluate_series, s, {"a": -2.0, "x": -1.0}) == _outcome(
+            _loop_evaluate, s, {"a": -2.0, "x": -1.0}
+        )
 
     def test_cut_error(self):
         s = GenSeries.monomial(1.0, {"x": Fraction(1, 2)}, (), 3)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from opetree.trees import (
     EMPTY,
+    MAX_NESTING,
     ClosedLeaf,
     Leaf,
     Node,
@@ -93,6 +94,24 @@ class TestParseFormat:
             r = rng.randint(0, 9)
             t = random_tree(rng, range(1, r + 1))
             assert parse_tree(format_tree(t)) == t
+
+    def test_nesting_limit(self):
+        deepest = "(" * MAX_NESTING + "1" + ")" * MAX_NESTING
+        assert parse_tree(deepest) == Leaf(1)
+        for depth in (MAX_NESTING + 1, 3000):
+            with pytest.raises(ParseError) as err:
+                parse_tree("(" * depth + "1" + ")" * depth)
+            assert err.value.position == MAX_NESTING
+            assert f"nesting deeper than {MAX_NESTING}" in str(err.value)
+        # Tau counts as a level too
+        with pytest.raises(ParseError) as err:
+            parse_tree("t(" * 2000 + "c1" + ")" * 2000 + "o2")
+        assert err.value.position == 2 * MAX_NESTING
+        # a comb whose last leaves sit MAX_NESTING levels deep round-trips
+        comb = Leaf(MAX_NESTING + 1)
+        for label in range(MAX_NESTING, 0, -1):
+            comb = Node(Leaf(label), comb)
+        assert parse_tree(format_tree(comb)) == comb
 
     def test_round_trip_large_labels(self):
         rng = random.Random(7)
