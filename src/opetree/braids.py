@@ -18,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from opetree.coords import nested_configuration_open, phi_embedding
 from opetree.trees import (
     Tree,
+    _map_colored_plain,
     compose,
     compose_colored,
     doubled_labels,
@@ -228,6 +228,9 @@ def rank_frame(e: Tree) -> tuple:
 
     Returns a tuple of tags ('z', k) / ('zbar', k) / ('x', j).
     """
+    # coords is needed only here, so braid-word commands never load it
+    from opetree.coords import nested_configuration_open, phi_embedding
+
     r, s, _ = validate_colored(e)
     tags = doubled_labels(e)
     base = phi_embedding(nested_configuration_open(e), r, s)
@@ -379,8 +382,8 @@ def papb_compose(mu: PaPBMorphism, slot: int, nu) -> PaPBMorphism:
                     out.append((kind, k + t - 1))
             return tuple(out)
 
-        source = compose_colored(mu.source, slot, _closed_lift(nu.source))
-        target = compose_colored(mu.target, slot, _closed_lift(nu.target))
+        source = compose_colored(mu.source, slot, _map_colored_plain(nu.source, closed=True))
+        target = compose_colored(mu.target, slot, _map_colored_plain(nu.target, closed=True))
         return _validate_papb(
             PaPBMorphism(
                 source,
@@ -427,14 +430,6 @@ def papb_compose(mu: PaPBMorphism, slot: int, nu) -> PaPBMorphism:
             splice(mu.target_frame, nu.target_frame),
         )
     )
-
-
-def _closed_lift(t: Tree) -> Tree:
-    from opetree.trees import ClosedLeaf, Leaf, Node
-
-    if isinstance(t, Leaf):
-        return ClosedLeaf(t.label)
-    return Node(_closed_lift(t.left), _closed_lift(t.right))
 
 
 # ---------------------------------------------------------------------------

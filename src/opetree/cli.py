@@ -5,20 +5,22 @@ Subcommands: ``tree`` (parse/compose/permute/double), ``coords``,
 (bulk-consistency / boundary-consistency / bootstrap / skew / regions).
 
 Exit codes: 0 on success/pass, 1 on a failed verification, 2 on invalid
-input.  JSON output is canonical: sorted keys, floats at 17 significant
-digits, so identical invocations are byte-identical.
+input (including unreadable files and a closed stdout pipe).  JSON output
+is canonical: sorted keys, floats at 17 significant digits, so identical
+invocations are byte-identical.
+
+Start-up: the module level imports only ``argparse``, ``json`` and
+``sys``.  Each subcommand imports the opetree modules it uses (``tree``
+only :mod:`opetree.trees`, ``braid perm`` adds :mod:`opetree.braids`),
+so a one-shot call compiles and runs nothing else; ``tests/test_cli.py``
+pins the set per subcommand.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import random
-import re
 import sys
-from fractions import Fraction
-
-from opetree import braids, coords, latticecft, series, trees
 
 
 class CliError(ValueError):
@@ -59,8 +61,6 @@ def _write_canonical(obj, parts):
         parts.append(f"{obj:.17g}")
     elif isinstance(obj, int):
         parts.append(str(obj))
-    elif isinstance(obj, Fraction):
-        parts.append(json.dumps(str(obj)))
     elif isinstance(obj, complex):
         parts.append(f"[{obj.real:.17g}, {obj.imag:.17g}]")
     else:
@@ -89,17 +89,23 @@ def _emit(args, obj, text: str | None = None):
 # ---------------------------------------------------------------------------
 # Power-product mini-grammar: "(z2-z1)^-1 * z3^2"
 
-_DIFF_RE = re.compile(r"^\(\s*z(\d+)\s*-\s*z(\d+)\s*\)(?:\^(-?\d+(?:/\d+)?))?$")
-_POW_RE = re.compile(r"^z(\d+)(?:\^(\d+))?$")
+_DIFF_RE = r"^\(\s*z(\d+)\s*-\s*z(\d+)\s*\)(?:\^(-?\d+(?:/\d+)?))?$"
+_POW_RE = r"^z(\d+)(?:\^(\d+))?$"
 
 
-def parse_power_product(text: str) -> series.PowerProduct:
+def parse_power_product(text: str):
+    """``text`` as a :class:`opetree.series.PowerProduct`."""
+    import re
+    from fractions import Fraction
+
+    from opetree.series import PowerProduct
+
     diffs, powers = [], []
     for raw in text.split("*"):
         factor = raw.strip()
         if not factor:
             raise CliError("empty factor in power product")
-        m = _DIFF_RE.match(factor)
+        m = re.match(_DIFF_RE, factor)
         if m:
             i, j, exp = int(m.group(1)), int(m.group(2)), m.group(3)
             try:
@@ -108,12 +114,12 @@ def parse_power_product(text: str) -> series.PowerProduct:
                 raise CliError(f"zero denominator in factor {factor!r}") from None
             diffs.append(((i, j), exponent))
             continue
-        m = _POW_RE.match(factor)
+        m = re.match(_POW_RE, factor)
         if m:
             powers.append((int(m.group(1)), int(m.group(2) or 1)))
             continue
         raise CliError(f"cannot parse factor {factor!r}")
-    return series.PowerProduct(diffs=tuple(diffs), powers=tuple(powers))
+    return PowerProduct(diffs=tuple(diffs), powers=tuple(powers))
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +153,17 @@ def load_config(args) -> dict:
 
 
 def model_from_config(cfg):
+    from fractions import Fraction
+
+    from opetree import latticecft
+
+    value = cfg["R_squared"]
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise CliError(f"bad R_squared {value!r}")
     try:
-        rsq = Fraction(cfg["R_squared"])
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise CliError(f"bad R_squared {cfg['R_squared']!r}") from None
+        rsq = Fraction(value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise CliError(f"bad R_squared {value!r}") from None
     model = latticecft.NarainModel(rsq)
     rho = {"+1": 1, "-1": -1, 1: 1, -1: -1}.get(cfg["reflection"])
     if rho is None:
@@ -160,6 +173,15 @@ def model_from_config(cfg):
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _tolerance(cfg) -> float:
+    """``cfg["tolerance"]`` as a float; it must be a JSON number (no
+    boolean or string)."""
+    value = cfg["tolerance"]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CliError(f"tolerance must be a number, got {value!r}")
+    return float(value)
 
 
 def _int_field(cfg, key, default=None, minimum=None, name=None) -> int:
@@ -192,6 +214,8 @@ def _charges(cfg, most, suite) -> list:
 
 
 def cmd_tree(args) -> int:
+    from opetree import trees
+
     if args.action == "parse":
         t = trees.parse_tree(args.expr[0])
         _emit(args, {"tree": trees.format_tree(t)}, trees.format_tree(t))
@@ -225,6 +249,8 @@ def cmd_tree(args) -> int:
 
 
 def cmd_coords(args) -> int:
+    from opetree import coords, trees
+
     a = trees.parse_tree(args.tree)
     cs = coords.a_coordinates(a)
     desc = cs.describe()
@@ -243,6 +269,8 @@ def cmd_coords(args) -> int:
 
 
 def cmd_expand(args) -> int:
+    from opetree import series, trees
+
     a = trees.parse_tree(args.tree)
     f = parse_power_product(args.function)
     ex = series.expand(a, f, args.order if args.order is not None else 8)
@@ -262,6 +290,8 @@ def cmd_expand(args) -> int:
 
 
 def cmd_braid(args) -> int:
+    from opetree import braids, trees
+
     if args.action == "perm":
         w = braids.parse_braid_word(args.expr[0], strands=args.strands)
         _emit(args, {"permutation": list(braids.braid_permutation(w))})
@@ -310,6 +340,8 @@ def cmd_braid(args) -> int:
 
 
 def _verify_bootstrap(cfg):
+    from opetree import latticecft
+
     model, rho = model_from_config(cfg)
     box = cfg.get("box", 5)
     if isinstance(box, bool) or not isinstance(box, int) or box < 0:
@@ -319,6 +351,8 @@ def _verify_bootstrap(cfg):
 
 
 def _verify_boundary(cfg):
+    from opetree import latticecft, trees
+
     charges = _charges(cfg, 2, "boundary-consistency")
     if not charges:
         raise CliError("boundary-consistency needs at least one charge")
@@ -326,7 +360,7 @@ def _verify_boundary(cfg):
     beta = charges[1] if len(charges) > 1 else (0, 1)
     seed = _int_field(cfg, "seed")
     order = _int_field(cfg, "truncation", minimum=0, name="truncation order")
-    tol = float(cfg["tolerance"])
+    tol = _tolerance(cfg)
     pts = _int_field(cfg, "points", 10, minimum=1)
     model, rho = model_from_config(cfg)
     bd = latticecft.build_boundary(model, rho)
@@ -355,11 +389,13 @@ def _verify_boundary(cfg):
 
 
 def _verify_bulk(cfg):
+    from opetree import latticecft, trees
+
     charges = _charges(cfg, 4, "bulk-consistency")
     charges += [(0, 0)] * (4 - len(charges))
     seed = _int_field(cfg, "seed")
     order = _int_field(cfg, "truncation", minimum=0, name="truncation order")
-    tol = float(cfg["tolerance"])
+    tol = _tolerance(cfg)
     pts = _int_field(cfg, "points", 6, minimum=1)
     model, _ = model_from_config(cfg)
     tree_list = [
@@ -381,6 +417,10 @@ def _verify_bulk(cfg):
 
 
 def _verify_skew(cfg):
+    import random
+
+    from opetree import latticecft
+
     seed = _int_field(cfg, "seed")
     n_pairs = _int_field(cfg, "pairs", 10, minimum=1)
     model, _ = model_from_config(cfg)
@@ -393,7 +433,10 @@ def _verify_skew(cfg):
 
 
 def _verify_regions(cfg):
+    import random
     import time
+
+    from opetree import coords, latticecft, trees
 
     seed = _int_field(cfg, "seed")
     n = _int_field(cfg, "points", 1000, minimum=1)
@@ -513,19 +556,17 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        return args.func(args)
-    except (
-        CliError,
-        trees.TreeError,
-        coords.CoordError,
-        coords.CertificateError,
-        series.SeriesError,
-        braids.BraidError,
-        latticecft.LatticeError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-        ValueError,
-    ) as err:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    # every opetree error and CliError is a ValueError
+    except (OSError, ValueError) as err:
+        if isinstance(err, BrokenPipeError):
+            import os
+
+            # the reader is gone: send what is still buffered, and the
+            # interpreter's flush at exit, to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {err}", file=sys.stderr)
         return 2
 

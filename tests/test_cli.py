@@ -18,6 +18,14 @@ def run_cli(args, capsys):
     return code, out.out, out.err
 
 
+def child_env():
+    """The environment for a child interpreter that imports opetree from
+    wherever this process found it."""
+    src = os.path.dirname(os.path.dirname(opetree.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestTreeCommands:
     def test_compose(self, capsys):
         code, out, _ = run_cli(["tree", "compose", "3((12)4)", "2", "2(13)"], capsys)
@@ -221,6 +229,9 @@ class TestVerifyCommand:
             ({"R_squared": [2]}, "error: bad R_squared [2]"),
             ([["box", 3]], "error: config must be a JSON object"),
             ([1, 2], "error: config must be a JSON object"),
+            ({"R_squared": True}, "error: bad R_squared True"),
+            ({"R_squared": None}, "error: bad R_squared None"),
+            ({"R_squared": float("inf")}, "error: bad R_squared inf"),
         ],
     )
     def test_bad_config_exit_2(self, capsys, tmp_path, config, message):
@@ -258,6 +269,13 @@ class TestVerifyCommand:
             ("boundary-consistency", {"charges": {"n": 1}}, "error: charges must be a list of [n, m] integer pairs, got {'n': 1}"),
             ("bulk-consistency", {"charges": [[1, 0]] * 5}, "error: bulk-consistency takes at most 4 charges, got 5"),
             ("boundary-consistency", {"charges": [[1, 0]] * 3}, "error: boundary-consistency takes at most 2 charges, got 3"),
+            ("bulk-consistency", {"tolerance": True, "R_squared": True}, "error: tolerance must be a number, got True"),
+            ("boundary-consistency", {"tolerance": False}, "error: tolerance must be a number, got False"),
+            ("boundary-consistency", {"tolerance": "1e-3"}, "error: tolerance must be a number, got '1e-3'"),
+            ("bulk-consistency", {"tolerance": None}, "error: tolerance must be a number, got None"),
+            ("bulk-consistency", {"R_squared": True}, "error: bad R_squared True"),
+            ("boundary-consistency", {"R_squared": False}, "error: bad R_squared False"),
+            ("skew", {"R_squared": True}, "error: bad R_squared True"),
         ],
     )
     def test_consistency_bad_config_exit_2(self, capsys, tmp_path, suite, config, message):
@@ -285,6 +303,42 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_numeric_r_squared_and_tolerance(self, capsys, tmp_path):
+        # JSON numbers are as good as strings and floats for these fields
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"R_squared": 2, "tolerance": 1, "truncation": 2, "points": 1}))
+        code, out, _ = run_cli(["verify", "bulk-consistency", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert json.loads(out)["checks"][0]["tolerance"] == 1.0
+
+    def test_config_directory_exit_2(self, capsys, tmp_path):
+        code, out, err = run_cli(["verify", "bootstrap", "--config", str(tmp_path)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_broken_pipe_exit_2(self, unbuffered):
+        # stdout is a pipe whose reader is already gone; buffered, the
+        # write fails at the final flush, unbuffered inside print
+        env = {k: v for k, v in child_env().items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-W", "error", "-m", "opetree.cli", "verify", "regions", "--seed", "5"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "report.json"
         code, out, _ = run_cli(
@@ -296,11 +350,12 @@ class TestVerifyCommand:
         assert obj["passed"] is True
 
 
-# (suite, config key) for every integer or charge field a suite reads
+# (suite, config key) for every field a suite validates
 _FIELDS_READ = [
     ("bootstrap", "box"),
     *[(suite, key) for suite in ("boundary-consistency", "bulk-consistency")
-      for key in ("truncation", "points", "seed", "charges")],
+      for key in ("truncation", "points", "seed", "charges", "tolerance")],
+    *[(suite, "R_squared") for suite in ("bootstrap", "boundary-consistency", "bulk-consistency", "skew")],
     ("skew", "seed"),
     ("skew", "pairs"),
     ("regions", "seed"),
@@ -319,6 +374,11 @@ def _invalid(key, suite):
     """Values of ``key`` that ``suite`` must reject."""
     if key == "charges":
         return _invalid_charges(suite)
+    if key == "tolerance":
+        return _json.filter(lambda v: isinstance(v, bool) or not isinstance(v, (int, float)))
+    if key == "R_squared":
+        # strings are parsed, so only the other JSON types are sure to fail
+        return _json.filter(lambda v: isinstance(v, bool) or not isinstance(v, (str, int, float)))
     if key in _MINIMUM:
         return _not_int | st.integers(max_value=_MINIMUM[key] - 1)
     return _not_int
@@ -354,14 +414,51 @@ class TestCanonicalJson:
         assert dumps_canonical({"b": 1, "a": 2}) == '{"a": 2, "b": 1}'
 
     def test_entry_point_runs(self):
-        # the child imports opetree from wherever this process found it
-        src = os.path.dirname(os.path.dirname(opetree.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        # -W error: runpy warns if importing the package already imported cli
         proc = subprocess.run(
-            [sys.executable, "-m", "opetree.cli", "tree", "parse", "1(23)"],
+            [sys.executable, "-W", "error", "-m", "opetree.cli", "tree", "parse", "1(23)"],
             capture_output=True,
             text=True,
-            env={**os.environ, "PYTHONPATH": path},
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"tree": "1(23)"}
+
+
+# Each subcommand imports only the opetree modules it uses, so a one-shot
+# call compiles nothing else; a new top-level import shows up here.
+_BASE = {"opetree", "opetree.cli", "opetree.trees"}
+_LATTICE = _BASE | {"opetree.coords", "opetree.series", "opetree.latticecft"}
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        (["tree", "parse", "(12)3"], 0, _BASE),
+        (["tree", "double", "t(c1) o2"], 0, _BASE),
+        (["tree", "parse", "((12)"], 2, _BASE),
+        (["coords", "(12)3", "--at", "[1, 2, 3]"], 0, _BASE | {"opetree.coords"}),
+        (["expand", "(12)3", "(z2-z1)^-1", "--N", "2"], 0, _BASE | {"opetree.coords", "opetree.series"}),
+        (["braid", "perm", "s1 s2 s1"], 0, _BASE | {"opetree.braids"}),
+        (["braid", "cable", "s1", "2", "s1"], 0, _BASE | {"opetree.braids"}),
+        (["braid", "generator", "sigma"], 0, _BASE | {"opetree.braids", "opetree.coords"}),
+        (["verify", "skew", "--seed", "3"], 0, _LATTICE),
+        (["verify", "regions", "--seed", "5"], 0, _LATTICE),
+    ],
+)
+def test_import_footprint(argv, code, loaded):
+    child = (
+        "import contextlib, io, json, sys\n"
+        "from opetree import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'opetree')]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", child, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [code, sorted(loaded)]
