@@ -165,10 +165,12 @@ def model_from_config(cfg):
     except (ValueError, ZeroDivisionError, OverflowError):
         raise CliError(f"bad R_squared {value!r}") from None
     model = latticecft.NarainModel(rsq)
-    rho = {"+1": 1, "-1": -1, 1: 1, -1: -1}.get(cfg["reflection"])
-    if rho is None:
-        raise CliError(f"bad reflection {cfg['reflection']!r}")
-    return model, rho
+    value = cfg["reflection"]
+    if value in ("+1", "-1"):
+        return model, int(value)
+    if _is_int(value) and value in (1, -1):
+        return model, value
+    raise CliError(f"bad reflection {value!r}")
 
 
 def _is_int(value) -> bool:

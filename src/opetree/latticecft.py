@@ -6,9 +6,11 @@ rational, the left/right movers are a = (n/R + mR)/sqrt(2) and
 abar = (n/R - mR)/sqrt(2); every pairing the correlators need is a
 rational combination of u^2 = 1/(2 R^2), w^2 = R^2/2 and u*w = 1/2, so
 all exponents are exact rationals.  Writing R^2 = p/q in lowest terms,
-every such exponent has a denominator dividing D = 2pq.  Cocycle values
-are roots of unity tracked as integers k mod 2D, value exp(i pi k/D);
-the Fraction-valued ``*_exponent`` methods are views k/D of them.
+every such exponent has a denominator dividing D = 2pq.  Every phase
+(the cocycles epsilon, sigma and eta, the OPE prefactor of a tree and
+the inter-region phase predictions) is an integer k mod 2D with value
+exp(i pi k/D); :meth:`NarainModel.phase` is the one place such an
+integer becomes a complex number.
 
 Closed-form correlators are products over coordinate pairs with a fixed
 branch plan (bulk pairs combined into single-valued factors, all mixed
@@ -23,6 +25,7 @@ under numeric loops, and the half-loop skew relation.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import random
 import time
@@ -73,9 +76,6 @@ class LatticeError(ValueError):
 # ---------------------------------------------------------------------------
 # Lattice and model
 
-GRAM = ((0, 1), (1, 0))
-
-
 def lattice_pairing(alpha: Charge, beta: Charge) -> int:
     """(alpha, beta) in the hyperbolic Gram form [[0,1],[1,0]]."""
     (n, m), (n2, m2) = alpha, beta
@@ -125,6 +125,11 @@ class NarainModel:
         u^2 = 1/(2R^2), w^2 = R^2/2, uw = 1/2."""
         return Fraction(self.frame_product_num(v1, v2), self.D)
 
+    def phase(self, k: int) -> complex:
+        """exp(i pi k/D): the one conversion of an integer phase to a
+        complex number."""
+        return phase_pi(Fraction(k, self.D))
+
     @staticmethod
     def a_vec(alpha: Charge):
         return (alpha[0], alpha[1])
@@ -151,11 +156,12 @@ class NarainModel:
 class BoundaryData:
     """Reflection sign, boundary charges, and the cocycles eta and sigma.
 
-    Every phase is an integer k mod 2D, value exp(i pi k/D) with
-    D = model.D: the ``*_num`` methods return k, and the Fraction-valued
-    ``*_exponent`` methods are the views k/D.  sigma_table holds sigma's
-    integers, solved greedily along the lexicographic spanning tree of
-    the lattice with sigma(0) = sigma(e1) = sigma(e2) = 1.  The boundary
+    Every phase is an integer k mod 2D, value ``model.phase(k)`` =
+    exp(i pi k/D) with D = model.D, and the ``*_num`` methods return k.
+    sigma_table holds sigma's integers, solved greedily along the
+    lexicographic spanning tree of the lattice with
+    sigma(0) = sigma(e1) = sigma(e2) = 1.  ``sigma_exponent``, the
+    Fraction k/D, is kept only for perfbench's tracer.  The boundary
     charge group is rank one, so the commutator-map construction yields
     the trivial eta (basis table has no off-diagonal entries).
     """
@@ -203,21 +209,12 @@ class BoundaryData:
     def eta_num(self, k1: int, k2: int) -> int:
         return 0
 
-    def eta_exponent(self, k1: int, k2: int) -> Fraction:
-        return Fraction(self.eta_num(k1, k2), self.model.D)
-
-    def eta(self, k1: int, k2: int) -> complex:
-        return phase_pi(self.eta_exponent(k1, k2))
-
     def commutator_num(self, alpha: Charge, beta: Charge) -> int:
         """c(alpha,beta) = exp(-i pi ((alpha,beta) + (alpha, phi beta))),
         not reduced mod 2D."""
         return -(
             lattice_pairing(alpha, beta) + self.alpha_phi_beta(alpha, beta)
         ) * self.model.D
-
-    def commutator_exponent(self, alpha: Charge, beta: Charge) -> Fraction:
-        return Fraction(self.commutator_num(alpha, beta), self.model.D)
 
     def epsilon_prime_num(self, alpha: Charge, beta: Charge) -> int:
         """eps' = eps * eta(ta,tb)^{-1} * exp(i pi (phi pbar a, p b))."""
@@ -229,9 +226,6 @@ class BoundaryData:
                 self.phi_abar_vec(alpha), self.model.a_vec(beta)
             )
         ) % (2 * d)
-
-    def epsilon_prime_exponent(self, alpha: Charge, beta: Charge) -> Fraction:
-        return Fraction(self.epsilon_prime_num(alpha, beta), self.model.D)
 
     def sigma_num(self, alpha: Charge) -> int:
         alpha = (int(alpha[0]), int(alpha[1]))
@@ -272,11 +266,9 @@ class BoundaryData:
         self.sigma_table[alpha] = k
         return k
 
+    # Kept only for perfbench's tracer; a benchmark change can drop both together.
     def sigma_exponent(self, alpha: Charge) -> Fraction:
         return Fraction(self.sigma_num(alpha), self.model.D)
-
-    def sigma(self, alpha: Charge) -> complex:
-        return phase_pi(self.sigma_exponent(alpha))
 
     def materialize(self, box: int) -> None:
         for n in range(-box, box + 1):
@@ -381,7 +373,7 @@ def bulk_correlator(model: NarainModel, dual: Charge, insertions) -> complex:
             if k.denominator != 1:
                 raise LatticeError("bulk pair exponents differ non-integrally")
             value *= abs(v) ** float(2 * bb) * v ** int(k)
-    return phase_pi(nu) * value
+    return model.phase(nu * model.D) * value
 
 
 def reference_tree(r: int, s: int) -> Tree:
@@ -396,39 +388,41 @@ def reference_tree(r: int, s: int) -> Tree:
     return out
 
 
-def ope_prefactor_exponent(bd: BoundaryData, e: Tree, bulk_charges, bdry_charges) -> Fraction:
-    """Phase exponent of the product of OPE structure constants over the
-    tree: epsilon at closed vertices, sigma at Tau, eta at open vertices."""
+def ope_prefactor_num(bd: BoundaryData, e: Tree, bulk_charges, bdry_charges) -> int:
+    """Phase of the product of OPE structure constants over the tree, as
+    an integer in [0, 2D): epsilon at closed vertices, sigma at Tau, eta
+    at open vertices."""
     r = len(bulk_charges)
+    d = bd.model.D
 
     def walk(t):
         if isinstance(t, ClosedLeaf):
-            return Fraction(0), "c", tuple(bulk_charges[t.label - 1])
+            return 0, "c", tuple(bulk_charges[t.label - 1])
         if isinstance(t, OpenLeaf):
-            return Fraction(0), "o", int(bdry_charges[t.label - r - 1])
+            return 0, "o", int(bdry_charges[t.label - r - 1])
         if isinstance(t, Tau):
-            nu, kind, ch = walk(t.child)
+            k, kind, ch = walk(t.child)
             if kind != "c":
                 raise LatticeError("Tau over a non-closed subtree")
-            return nu + bd.sigma_exponent(ch), "o", bd.t_coeff(ch)
+            return k + bd.sigma_num(ch), "o", bd.t_coeff(ch)
         if isinstance(t, Node):
-            nu1, k1, c1 = walk(t.left)
-            nu2, k2, c2 = walk(t.right)
-            if k1 != k2:
+            k1, kind1, c1 = walk(t.left)
+            k2, kind2, c2 = walk(t.right)
+            if kind1 != kind2:
                 raise LatticeError("mixed colors at a tree vertex")
-            if k1 == "c":
+            if kind1 == "c":
                 return (
-                    nu1 + nu2 + epsilon_exponent(c1, c2),
+                    k1 + k2 + epsilon_exponent(c1, c2) * d,
                     "c",
                     (c1[0] + c2[0], c1[1] + c2[1]),
                 )
-            return nu1 + nu2 + bd.eta_exponent(c1, c2), "o", c1 + c2
+            return k1 + k2 + bd.eta_num(c1, c2), "o", c1 + c2
         raise LatticeError(f"unexpected node {t!r}")
 
-    nu, kind, _ = walk(e)
+    k, kind, _ = walk(e)
     if kind != "o":
         raise LatticeError("correlator tree must be o-colored")
-    return nu % 2
+    return k % (2 * d)
 
 
 def _doubled_charge_frames(bd: BoundaryData, bulk_charges, bdry_charges) -> dict:
@@ -444,18 +438,23 @@ def _doubled_charge_frames(bd: BoundaryData, bulk_charges, bdry_charges) -> dict
     return frames
 
 
+def _frame_diffs(model: NarainModel, frames, pairs) -> tuple:
+    """``((k, l), frame product)`` for each pair (k, l) whose frame
+    vectors have a nonzero product: the diffs of a ``PowerProduct``."""
+    diffs = []
+    for k, l in pairs:
+        q = model.frame_product(frames[k], frames[l])
+        if q != 0:
+            diffs.append(((k, l), q))
+    return tuple(diffs)
+
+
 def mixed_power_product(bd: BoundaryData, bulk_charges, bdry_charges):
     """Doubled pair product and branch plan, in doubled labels."""
-    model = bd.model
     r, s = len(bulk_charges), len(bdry_charges)
     frames = _doubled_charge_frames(bd, bulk_charges, bdry_charges)
-    n = 2 * r + s
-    diffs = []
-    for k in range(1, n + 1):
-        for l in range(k + 1, n + 1):
-            q = model.frame_product(frames[k], frames[l])
-            if q != 0:
-                diffs.append(((k, l), q))
+    pairs = itertools.combinations(range(1, 2 * r + s + 1), 2)
+    diffs = _frame_diffs(bd.model, frames, pairs)
     index = {pair: idx for idx, (pair, _) in enumerate(diffs)}
     paired = []
     for i in range(1, r + 1):
@@ -464,7 +463,7 @@ def mixed_power_product(bd: BoundaryData, bulk_charges, bdry_charges):
             b = index.get((2 * i, 2 * j))
             if a is not None and b is not None:
                 paired.append((a, b))
-    return PowerProduct(diffs=tuple(diffs)), BranchPlan(paired=tuple(paired))
+    return PowerProduct(diffs=diffs), BranchPlan(paired=tuple(paired))
 
 
 def mixed_correlator(
@@ -485,10 +484,10 @@ def mixed_correlator(
         return 0j
     product, plan = mixed_power_product(bd, bulk_charges, bdry_charges)
     point = phi_embedding(zs + xs, len(zs), len(xs))
-    pref = ope_prefactor_exponent(
+    pref = ope_prefactor_num(
         bd, reference_tree(len(zs), len(xs)), bulk_charges, bdry_charges
     )
-    return phase_pi(pref) * evaluate_closed(product, point, plan)
+    return model.phase(pref) * evaluate_closed(product, point, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -499,17 +498,19 @@ def mixed_correlator(
 class TreeExpansion:
     """A per-tree OPE expansion: the raw series in the (doubled) tree's
     coordinates and the tree's OPE prefactor, kept separate so region
-    phases can be measured against the raw expansion."""
+    phases can be measured against the raw expansion.  The prefactor is
+    the integer phase ``prefactor_num`` mod 2D of ``model``."""
 
+    model: NarainModel
     tree: Tree
     working_tree: Tree
     series: GenSeries
-    prefactor_exponent: Fraction
+    prefactor_num: int
     colored: bool
 
     @property
     def prefactor(self) -> complex:
-        return phase_pi(self.prefactor_exponent)
+        return self.model.phase(self.prefactor_num)
 
     def coordinate_values(self, point) -> dict:
         """Series variable values; ``point`` uses doubled coordinates for a
@@ -529,11 +530,8 @@ class TreeExpansion:
         return self.prefactor * self.evaluate_raw(point)
 
 
-def _ordered_pairs(tree: Tree):
-    order = leaf_order(tree)
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            yield order[i], order[j]
+def _ordered_pairs(tree: Tree) -> list:
+    return list(itertools.combinations(leaf_order(tree), 2))
 
 
 def tree_expansion(
@@ -564,34 +562,30 @@ def tree_expansion(
             raise LatticeError("charge count mismatch")
         working = doubling(e)
         frames = _doubled_charge_frames(bd, [tuple(a) for a in charges], bdry_charges)
-        diffs = []
-        for k, l in _ordered_pairs(working):
-            q = model.frame_product(frames[k], frames[l])
-            if q != 0:
-                diffs.append(((k, l), q))
-        ex = expand(working, PowerProduct(diffs=tuple(diffs)), order)
+        diffs = _frame_diffs(model, frames, _ordered_pairs(working))
+        ex = expand(working, PowerProduct(diffs=diffs), order)
         if ex.negative_pairs:
             raise LatticeError(
                 f"leaf-ordered factor with negative leading sign: {ex.negative_pairs}"
             )
-        pref = ope_prefactor_exponent(bd, e, charges, bdry_charges)
-        return TreeExpansion(e, working, ex.series, pref, colored=True)
+        pref = ope_prefactor_num(bd, e, charges, bdry_charges)
+        return TreeExpansion(model, e, working, ex.series, pref, colored=True)
 
     r = validate_tree(e)
     if len(charges) != r:
         raise LatticeError("charge count mismatch")
     charges = [tuple(a) for a in charges]
     cs = a_coordinates(e)
-    diffs_z, diffs_zb = [], []
-    for i, j in _ordered_pairs(e):
-        aa = model.aa(charges[i - 1], charges[j - 1])
-        bb = model.abarbar(charges[i - 1], charges[j - 1])
-        if aa:
-            diffs_z.append(((i, j), aa))
-        if bb:
-            diffs_zb.append(((i, j), bb))
-    ex_z = expand(cs, PowerProduct(diffs=tuple(diffs_z)), order)
-    ex_zb = expand(cs, PowerProduct(diffs=tuple(diffs_zb)), order, conjugate=True)
+    pairs = _ordered_pairs(e)
+    a_frames = {i: model.a_vec(a) for i, a in enumerate(charges, start=1)}
+    abar_frames = {i: model.abar_vec(a) for i, a in enumerate(charges, start=1)}
+    ex_z = expand(cs, PowerProduct(diffs=_frame_diffs(model, a_frames, pairs)), order)
+    ex_zb = expand(
+        cs,
+        PowerProduct(diffs=_frame_diffs(model, abar_frames, pairs)),
+        order,
+        conjugate=True,
+    )
     if ex_z.negative_pairs or ex_zb.negative_pairs:
         raise LatticeError("leaf-ordered factor with negative leading sign")
     seq = leaf_order(e)
@@ -601,7 +595,7 @@ def tree_expansion(
         for j in range(i + 1, r)
     )
     return TreeExpansion(
-        e, e, ex_z.series * ex_zb.series, Fraction(nu % 2), colored=False
+        model, e, e, ex_z.series * ex_zb.series, (nu % 2) * model.D, colored=False
     )
 
 
@@ -609,9 +603,9 @@ def tree_expansion(
 # Bootstrap verification
 
 
-def _phase_error(k1: int, k2: int, d: int) -> float:
-    """|exp(i pi k1/d) - exp(i pi k2/d)| in floating point."""
-    return abs(phase_pi(Fraction(k1, d)) - phase_pi(Fraction(k2, d)))
+def _phase_error(model: NarainModel, k1: int, k2: int) -> float:
+    """|exp(i pi k1/D) - exp(i pi k2/D)| in floating point."""
+    return abs(model.phase(k1) - model.phase(k2))
 
 
 def bootstrap_check(
@@ -633,7 +627,7 @@ def bootstrap_check(
     two_d = 2 * d
     bd.materialize(2 * box)  # sigma at every a, b and a + b
     sigma = bd.sigma_table
-    worst = _phase_error(sigma[(0, 0)], 0, d)
+    worst = _phase_error(model, sigma[(0, 0)], 0)
     kernel_worst = 0.0
     rng_box = range(-box, box + 1)
     eta = {(k1, k2): bd.eta_num(k1, k2) for k1 in rng_box for k2 in rng_box}
@@ -652,13 +646,13 @@ def bootstrap_check(
             )
             rhs2 = sigma_a + sigma[b] + eta[(ta, tb)]
             if (lhs2 - rhs2) % two_d:
-                worst = max(worst, _phase_error(lhs2, rhs2, d))
+                worst = max(worst, _phase_error(model, lhs2, rhs2))
             lhs3 = eta[(ta, tb)] - eta[(tb, ta)]
             rhs3 = bd.commutator_num(a, b)
             if (lhs3 - rhs3) % two_d:
-                worst = max(worst, _phase_error(lhs3, rhs3, d))
+                worst = max(worst, _phase_error(model, lhs3, rhs3))
             if in_kernel and rhs3 % two_d:
-                kernel_worst = max(kernel_worst, _phase_error(rhs3, 0, d))
+                kernel_worst = max(kernel_worst, _phase_error(model, rhs3, 0))
     worst = max(worst, kernel_worst)
     return VerifyReport(
         name="bootstrap",
@@ -865,9 +859,7 @@ def expansion_consistency_check(
     phase_worst = 0.0
     for idx in range(1, len(trees)):
         measured = base_ratios[idx] / base_ratios[0]
-        predicted = phase_pi(
-            texps[idx].prefactor_exponent - texps[0].prefactor_exponent
-        )
+        predicted = model.phase(texps[idx].prefactor_num - texps[0].prefactor_num)
         err = abs(measured - predicted)
         phase_worst = max(phase_worst, err)
         samples[idx]["phase_measured"] = [measured.real, measured.imag]
@@ -925,7 +917,7 @@ def continue_bulk(model: NarainModel, dual, charges, path) -> complex:
             aa = model.aa(charges[i], charges[j])
             bb = model.abarbar(charges[i], charges[j])
             total += float(aa) * logs[(i, j)] + float(bb) * logs[(i, j)].conjugate()
-    return phase_pi(nu) * cmath.exp(total)
+    return model.phase(nu * model.D) * cmath.exp(total)
 
 
 def _loop_path(points, mover: int, around: int, turns: float, segments: int = 64):
@@ -1009,6 +1001,7 @@ def skew_symmetry_check(
     """
     t0 = time.perf_counter()
     rng = random.Random(seed)
+    d = model.D
     worst = 0.0
     samples = []
     for alpha, beta in charge_pairs:
@@ -1031,8 +1024,8 @@ def skew_symmetry_check(
             rel = abs(end - want) / max(abs(want), 1e-300)
             pair_worst = max(pair_worst, rel)
             # power-part continuation phase, epsilon prefactors divided out
-            measured = (end / phase_pi(epsilon_exponent(alpha, beta))) / (
-                want / phase_pi(epsilon_exponent(beta, alpha))
+            measured = (end / model.phase(epsilon_exponent(alpha, beta) * d)) / (
+                want / model.phase(epsilon_exponent(beta, alpha) * d)
             )
             pair_worst = max(
                 pair_worst,

@@ -112,10 +112,6 @@ def leaves(t: Tree) -> list:
     return out
 
 
-def leaf_labels(t: Tree) -> list:
-    return [lf.label for lf in leaves(t)]
-
-
 def is_colored(t: Tree) -> bool:
     if isinstance(t, (ClosedLeaf, OpenLeaf, Tau)):
         return True
@@ -136,17 +132,6 @@ def validate_tree(t: Tree) -> int:
     if labels != list(range(1, len(lv) + 1)):
         raise TreeError(f"leaf labels {labels} are not exactly 1..{len(lv)}")
     return len(lv)
-
-
-def color_of(t: Tree) -> str:
-    """Output color: 'c' for a pure closed tree, 'o' otherwise."""
-    if isinstance(t, ClosedLeaf):
-        return "c"
-    if isinstance(t, (OpenLeaf, Tau)):
-        return "o"
-    if isinstance(t, Node):
-        return "o" if "o" in (color_of(t.left), color_of(t.right)) else "c"
-    raise TreeError(f"not a colored tree node: {t!r}")
 
 
 def validate_colored(t: Tree) -> tuple[int, int, str]:
@@ -509,7 +494,7 @@ def permute(a: Tree, g: Sequence[int] | dict) -> Tree:
 
 def leaf_order(a: Tree) -> list[int]:
     """Labels read left to right ('forgetting the parenthesization')."""
-    return leaf_labels(a)
+    return [lf.label for lf in leaves(a)]
 
 
 # ---------------------------------------------------------------------------
@@ -635,18 +620,13 @@ def doubling(e: Tree) -> Tree:
         if isinstance(x, OpenLeaf):
             return Leaf(2 * r + (x.label - r))
         if isinstance(x, Tau):
-            z = _map_colored(x.child, lambda lf: ClosedLeaf(lf.label))
-            plain = _map_colored(z, lambda lf: Leaf(2 * lf.label - 1))
-            bar = _map_colored(z, lambda lf: Leaf(2 * lf.label))
-            return Node(_as_plain(plain), _as_plain(bar))
+            return Node(
+                _map_colored(x.child, lambda lf: Leaf(2 * lf.label - 1)),
+                _map_colored(x.child, lambda lf: Leaf(2 * lf.label)),
+            )
         if isinstance(x, Node):
             return Node(build(x.left), build(x.right))
         raise TreeError(f"unexpected node {x!r}")
-
-    def _as_plain(t):
-        if isinstance(t, Leaf):
-            return t
-        return Node(_as_plain(t.left), _as_plain(t.right))
 
     out = build(e)
     validate_tree(out)

@@ -232,6 +232,13 @@ class TestVerifyCommand:
             ({"R_squared": True}, "error: bad R_squared True"),
             ({"R_squared": None}, "error: bad R_squared None"),
             ({"R_squared": float("inf")}, "error: bad R_squared inf"),
+            ({"reflection": True}, "error: bad reflection True"),
+            ({"reflection": False}, "error: bad reflection False"),
+            ({"reflection": 1.0}, "error: bad reflection 1.0"),
+            ({"reflection": -1.0}, "error: bad reflection -1.0"),
+            ({"reflection": 0}, "error: bad reflection 0"),
+            ({"reflection": "1"}, "error: bad reflection '1'"),
+            ({"reflection": [1]}, "error: bad reflection [1]"),
         ],
     )
     def test_bad_config_exit_2(self, capsys, tmp_path, config, message):
@@ -303,6 +310,19 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("sign", ["+1", "-1"])
+    def test_integer_reflection(self, capsys, tmp_path, sign):
+        # the JSON integers 1 and -1 run exactly like the strings "+1", "-1"
+        outs = []
+        for value in (sign, int(sign)):
+            cfg = tmp_path / "model.json"
+            cfg.write_text(json.dumps({"reflection": value, "box": 1}))
+            code, out, _ = run_cli(["verify", "bootstrap", "--config", str(cfg)], capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["checks"][0]["params"]["rho"] == int(sign)
+
     def test_numeric_r_squared_and_tolerance(self, capsys, tmp_path):
         # JSON numbers are as good as strings and floats for these fields
         cfg = tmp_path / "model.json"
@@ -356,6 +376,7 @@ _FIELDS_READ = [
     *[(suite, key) for suite in ("boundary-consistency", "bulk-consistency")
       for key in ("truncation", "points", "seed", "charges", "tolerance")],
     *[(suite, "R_squared") for suite in ("bootstrap", "boundary-consistency", "bulk-consistency", "skew")],
+    *[(suite, "reflection") for suite in ("bootstrap", "boundary-consistency", "bulk-consistency", "skew")],
     ("skew", "seed"),
     ("skew", "pairs"),
     ("regions", "seed"),
@@ -379,6 +400,12 @@ def _invalid(key, suite):
     if key == "R_squared":
         # strings are parsed, so only the other JSON types are sure to fail
         return _json.filter(lambda v: isinstance(v, bool) or not isinstance(v, (str, int, float)))
+    if key == "reflection":
+        # only "+1", "-1" and the non-boolean integers 1 and -1 are valid
+        return _json.filter(
+            lambda v: v not in ("+1", "-1")
+            and (isinstance(v, bool) or not isinstance(v, int) or v not in (1, -1))
+        )
     if key in _MINIMUM:
         return _not_int | st.integers(max_value=_MINIMUM[key] - 1)
     return _not_int

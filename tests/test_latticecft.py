@@ -21,7 +21,7 @@ from opetree.latticecft import (
     lattice_pairing,
     mixed_correlator,
     mixed_power_product,
-    ope_prefactor_exponent,
+    ope_prefactor_num,
     reference_tree,
     single_valuedness_check,
     skew_symmetry_check,
@@ -29,7 +29,14 @@ from opetree.latticecft import (
     _loop_path,
 )
 from opetree.series import phase_pi
-from opetree.trees import format_tree, parse_tree
+from opetree.trees import (
+    ClosedLeaf,
+    OpenLeaf,
+    Tau,
+    all_colored_trees,
+    format_tree,
+    parse_tree,
+)
 
 
 @pytest.fixture(scope="module")
@@ -149,13 +156,13 @@ class TestBoundaryData:
 
     def test_sigma_normalized(self, boundaries):
         for bd in boundaries.values():
-            assert bd.sigma((0, 0)) == 1
+            assert bd.model.phase(bd.sigma_num((0, 0))) == 1
 
     def test_eta_trivial_rank_one(self, boundaries):
         for bd in boundaries.values():
             for k1 in range(-4, 5):
                 for k2 in range(-4, 5):
-                    assert bd.eta(k1, k2) == 1
+                    assert bd.model.phase(bd.eta_num(k1, k2)) == 1
 
     def test_commutator_trivial_on_box(self, boundaries):
         # (alpha,beta) + (alpha,phi beta) is even for the rank-one model
@@ -164,7 +171,8 @@ class TestBoundaryData:
                 for m in range(-3, 4):
                     for n2 in range(-3, 4):
                         for m2 in range(-3, 4):
-                            assert bd.commutator_exponent((n, m), (n2, m2)) % 2 == 0
+                            k = bd.commutator_num((n, m), (n2, m2))
+                            assert k % (2 * bd.model.D) == 0
 
     def test_bootstrap_passes(self, model, boundaries):
         for rho, bd in boundaries.items():
@@ -191,7 +199,7 @@ class TestBoundaryData:
                 a = (gen[0] * k, gen[1] * k)
                 for n2 in range(-5, 6):
                     for m2 in range(-5, 6):
-                        assert phase_pi(bd.commutator_exponent(a, (n2, m2))) == 1
+                        assert bd.model.phase(bd.commutator_num(a, (n2, m2))) == 1
 
 
 def _ref_frame_product(rsq, v1, v2):
@@ -210,6 +218,10 @@ class _FractionBoundary:
         self.t_coeff = bd.t_coeff
         self.phi_abar_vec = bd.phi_abar_vec
         self.table = table or {(0, 0): Fraction(0), (1, 0): Fraction(0), (0, 1): Fraction(0)}
+
+    def eta(self, k1, k2):
+        """Trivial: the boundary charge group is rank one."""
+        return Fraction(0)
 
     def alpha_phi_beta(self, a, b):
         rho_b = (self.rho * b[0], self.rho * b[1])
@@ -239,6 +251,29 @@ class _FractionBoundary:
             nu = self.epsilon_prime(a, (0, 1)) + self.sigma((0, m + 1)) - self.sigma((0, 1))
         self.table[a] = nu % 2
         return self.table[a]
+
+
+def _reference_prefactor(ref, e, bulk_charges, bdry_charges):
+    """The OPE prefactor exponent mod 2 walked in Fractions (value
+    exp(i pi nu)): epsilon at closed vertices, sigma at Tau, eta at open
+    vertices."""
+    r = len(bulk_charges)
+
+    def walk(t):
+        if isinstance(t, ClosedLeaf):
+            return Fraction(0), "c", tuple(bulk_charges[t.label - 1])
+        if isinstance(t, OpenLeaf):
+            return Fraction(0), "o", bdry_charges[t.label - r - 1]
+        if isinstance(t, Tau):
+            nu, _, ch = walk(t.child)
+            return nu + ref.sigma(ch), "o", ref.t_coeff(ch)
+        nu1, kind, c1 = walk(t.left)
+        nu2, _, c2 = walk(t.right)
+        if kind == "c":
+            return nu1 + nu2 + epsilon_exponent(c1, c2), "c", (c1[0] + c2[0], c1[1] + c2[1])
+        return nu1 + nu2 + ref.eta(c1, c2), "o", c1 + c2
+
+    return walk(e)[0] % 2
 
 
 def _reference_bootstrap(ref, box, tol=1e-12):
@@ -321,9 +356,11 @@ class TestExactPhases:
 
     def test_perturbed_flips_by_d(self, boundaries):
         bd = boundaries[1]
+        d = bd.model.D
         bad = bd.perturbed((2, 1), 2)
-        assert bad.sigma_exponent((2, 1)) == (bd.sigma_exponent((2, 1)) + 1) % 2
-        assert abs(bad.sigma((2, 1)) + bd.sigma((2, 1))) < 1e-15
+        assert bad.sigma_num((2, 1)) == (bd.sigma_num((2, 1)) + d) % (2 * d)
+        phases = [x.model.phase(x.sigma_num((2, 1))) for x in (bad, bd)]
+        assert abs(phases[0] + phases[1]) < 1e-15
 
     @given(
         p=st.integers(1, 40),
@@ -343,8 +380,47 @@ class TestExactPhases:
         bd = BoundaryData(model, rho)
         ref = _FractionBoundary(bd)
         assert bd.alpha_phi_beta(v1, v2) == ref.alpha_phi_beta(v1, v2)
-        assert bd.commutator_exponent(v1, v2) == ref.commutator(v1, v2)
-        assert bd.epsilon_prime_exponent(v1, v2) == ref.epsilon_prime(v1, v2)
+        assert bd.commutator_num(v1, v2) == model.D * ref.commutator(v1, v2)
+        assert bd.epsilon_prime_num(v1, v2) == model.D * ref.epsilon_prime(v1, v2)
+        assert bd.sigma_exponent(v1) == ref.sigma(v1)
+
+
+_O_TREES = [
+    (r, s, e)
+    for r in range(5)
+    for s in range(5 - r)
+    for e in all_colored_trees(r, s)
+]
+
+
+class TestIntegerPrefactor:
+    """The integer OPE prefactor walk against the Fraction walk."""
+
+    @given(
+        tree=st.sampled_from(_O_TREES),
+        charges=st.lists(
+            st.tuples(st.integers(-4, 4), st.integers(-4, 4)), min_size=4, max_size=4
+        ),
+        ks=st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+        p=st.integers(1, 12),
+        q=st.integers(1, 12),
+        rho=st.sampled_from((1, -1)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_prefactor_matches_fraction_walk(self, tree, charges, ks, p, q, rho):
+        r, s, e = tree
+        model = NarainModel(Fraction(p, q))
+        d = model.D
+        bd = BoundaryData(model, rho)
+        bulk, bdry = charges[:r], ks[:s]
+        want = _reference_prefactor(_FractionBoundary(bd), e, bulk, bdry)
+        got = ope_prefactor_num(bd, e, bulk, bdry)
+        assert 0 <= got < 2 * d
+        assert got == d * want % (2 * d)
+        if 2 * r + s >= 2:  # the doubled tree needs two leaves
+            texp = tree_expansion(model, e, bulk, 0, bd=bd, bdry_charges=bdry)
+            assert texp.prefactor_num == got
+            assert repr(texp.prefactor) == repr(phase_pi(want))
 
 
 class TestMixedCorrelator:
@@ -365,7 +441,8 @@ class TestMixedCorrelator:
                 + float(s2) * cmath.log(z1 - x2)
                 + float(s3) * cmath.log(z1.conjugate() - x2)
             )
-            want = bd.sigma(alpha) * bd.eta(bd.t_coeff(alpha), k) * g
+            pref = bd.sigma_num(alpha) + bd.eta_num(bd.t_coeff(alpha), k)
+            want = model.phase(pref) * g
             assert abs(got - want) <= 1e-13 * abs(want)
 
     def test_reproduces_F_exponents(self, model, boundaries):
@@ -439,8 +516,7 @@ class TestRegionExpansionOracles:
                 complex(binomial(s2, j)) * (two_iy / w) ** j for j in range(80)
             )
             want = (
-                bd.sigma(alpha)
-                * bd.eta(bd.t_coeff(alpha), k)
+                model.phase(bd.sigma_num(alpha) + bd.eta_num(bd.t_coeff(alpha), k))
                 * cmath.exp(float(s1) * cmath.log(two_iy))
                 * cmath.exp(float(s2 + s3) * cmath.log(w))
                 * series
@@ -468,8 +544,7 @@ class TestRegionExpansionOracles:
                 lattice_pairing(alpha, beta) + bd.alpha_phi_beta(alpha, beta)
             )
             want = (
-                bd.sigma(alpha)
-                * bd.eta(bd.t_coeff(alpha), k)
+                model.phase(bd.sigma_num(alpha) + bd.eta_num(bd.t_coeff(alpha), k))
                 * exchange
                 * cmath.exp(float(s1) * cmath.log(two_iy))
                 * cmath.exp(float(s2 + s3) * cmath.log(w))
@@ -484,8 +559,10 @@ class TestRegionExpansionOracles:
         # two-bulk correlator, with the bulk exchange phase
         for rho, bd in boundaries.items():
             alpha, beta = (1, 1), (2, -1)
-            pref = bd.sigma(alpha) * bd.sigma(beta) * bd.eta(
-                bd.t_coeff(alpha), bd.t_coeff(beta)
+            pref = model.phase(
+                bd.sigma_num(alpha)
+                + bd.sigma_num(beta)
+                + bd.eta_num(bd.t_coeff(alpha), bd.t_coeff(beta))
             )
             dual = bd.t_coeff(alpha) + bd.t_coeff(beta)
             # boundary channel: y1, y2 << |zbar12|; the y1 exponent is
@@ -547,9 +624,7 @@ class TestRegionExpansionOracles:
             aa = model.aa(alpha, beta)
             bb = model.abarbar(alpha, beta)
             lead2 = (
-                bd.sigma(alpha)
-                * bd.sigma(beta)
-                * bd.eta(bd.t_coeff(alpha), bd.t_coeff(beta))
+                pref
                 * phase
                 * abs(z12) ** float(2 * bb)
                 * z12 ** int(aa - bb)
@@ -574,26 +649,26 @@ class TestOpePrefactor:
     def test_bb_channel_constants(self, model, boundaries):
         # tau(c1 c2): eps(a,b) sigma(a+b); tau(c1) o tau(c2):
         # sigma(a) sigma(b) eta(ta,tb)
+        d = model.D
         for rho, bd in boundaries.items():
             a, b = (1, 0), (1, 1)
-            nu1 = ope_prefactor_exponent(bd, parse_tree("t(c1c2)"), [a, b], [])
+            nu1 = ope_prefactor_num(bd, parse_tree("t(c1c2)"), [a, b], [])
             want1 = (
-                Fraction(0 if epsilon_cocycle(a, b) == 1 else 1)
-                + bd.sigma_exponent((2, 1))
-            ) % 2
+                (0 if epsilon_cocycle(a, b) == 1 else 1) * d + bd.sigma_num((2, 1))
+            ) % (2 * d)
             assert nu1 == want1
-            nu2 = ope_prefactor_exponent(bd, parse_tree("(t(c1))(t(c2))"), [a, b], [])
-            want2 = (bd.sigma_exponent(a) + bd.sigma_exponent(b)) % 2
+            nu2 = ope_prefactor_num(bd, parse_tree("(t(c1))(t(c2))"), [a, b], [])
+            want2 = (bd.sigma_num(a) + bd.sigma_num(b)) % (2 * d)
             assert nu2 == want2
 
     def test_bb3_channels(self, model, boundaries):
         for rho, bd in boundaries.items():
             a = (2, 1)
             k = 1
-            nu1 = ope_prefactor_exponent(bd, parse_tree("t(c1)o2"), [a], [k])
-            assert nu1 == bd.sigma_exponent(a) % 2
-            nu2 = ope_prefactor_exponent(bd, parse_tree("o2t(c1)"), [a], [k])
-            assert nu2 == bd.sigma_exponent(a) % 2  # eta trivial here
+            nu1 = ope_prefactor_num(bd, parse_tree("t(c1)o2"), [a], [k])
+            assert nu1 == bd.sigma_num(a) % (2 * model.D)
+            nu2 = ope_prefactor_num(bd, parse_tree("o2t(c1)"), [a], [k])
+            assert nu2 == bd.sigma_num(a) % (2 * model.D)  # eta trivial here
 
 
 class TestTreeExpansion:
@@ -629,8 +704,9 @@ class TestTreeExpansion:
             lead = {"xA": s1 + t_ab, "ze0": s1}
             got = e1.series.coefficient({v: q for v, q in lead.items() if q})
             assert abs(got - 1) < 1e-13
+            ref = _FractionBoundary(bd)
             assert e1.prefactor == phase_pi(
-                bd.sigma_exponent(alpha) + bd.eta_exponent(bd.t_coeff(alpha), k)
+                ref.sigma(alpha) + ref.eta(bd.t_coeff(alpha), k)
             )
             e2 = tree_expansion(
                 model, parse_tree("o2t(c1)"), [alpha], 6, bd=bd, bdry_charges=[k]
@@ -638,7 +714,7 @@ class TestTreeExpansion:
             got2 = e2.series.coefficient({v: q for v, q in lead.items() if q})
             assert abs(got2 - 1) < 1e-13
             assert e2.prefactor == phase_pi(
-                bd.sigma_exponent(alpha) + bd.eta_exponent(k, bd.t_coeff(alpha))
+                ref.sigma(alpha) + ref.eta(k, bd.t_coeff(alpha))
             )
 
     def test_uncertifiable_tree_raises(self, model):
