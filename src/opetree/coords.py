@@ -176,6 +176,15 @@ def psi_inverse(cs: CoordSystem, cv: CoordValues) -> tuple:
     )
 
 
+def minimal_monomials(monos: list) -> list:
+    """The exponent vectors in ``monos`` that no other one divides."""
+    return [
+        m
+        for m in monos
+        if not any(o != m and all(a <= b for a, b in zip(o, m)) for o in monos)
+    ]
+
+
 def pair_difference(a: Tree | CoordSystem, i: int, j: int) -> FactoredDifference:
     """Factor z_i - z_j as x_A * c * zeta^m * (1 + P) with c = +-1.
 
@@ -194,14 +203,7 @@ def pair_difference(a: Tree | CoordSystem, i: int, j: int) -> FactoredDifference
         diff[exps] = diff.get(exps, 0) - coeff
         if diff[exps] == 0:
             del diff[exps]
-    monos = list(diff)
-    minimal = [
-        m
-        for m in monos
-        if not any(
-            other != m and all(o <= mm for o, mm in zip(other, m)) for other in monos
-        )
-    ]
+    minimal = minimal_monomials(list(diff))
     if len(minimal) != 1:
         raise CertificateError(
             f"pair ({i},{j}): no unique minimal monomial among {sorted(minimal)}"

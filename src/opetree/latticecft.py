@@ -558,6 +558,8 @@ def tree_expansion(
         r, s, color = validate_colored(e)
         if color != "o":
             raise LatticeError("expansion tree must be o-colored")
+        if 2 * r + s == 1:
+            raise LatticeError(f"tree {format_tree(e)} doubles to one leaf: no pair to expand")
         if len(charges) != r or len(bdry_charges) != s:
             raise LatticeError("charge count mismatch")
         working = doubling(e)
@@ -572,6 +574,8 @@ def tree_expansion(
         return TreeExpansion(model, e, working, ex.series, pref, colored=True)
 
     r = validate_tree(e)
+    if r == 1:
+        raise LatticeError(f"tree {format_tree(e)} has one leaf: no pair to expand")
     if len(charges) != r:
         raise LatticeError("charge count mismatch")
     charges = [tuple(a) for a in charges]

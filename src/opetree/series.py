@@ -8,24 +8,28 @@ order N.  Ungraded variables (the root difference x_A and the
 translation z_A) are never truncated.  Exponent arithmetic is exact
 rational; coefficients are complex doubles.
 
+A tail is stored packed (Monagan & Pearce's packed exponent vectors):
+``{key: coeff}``, the exponent vector as one integer in base N + 1 with
+the first graded variable in the lowest digit.  Every digit of a kept
+term is <= N, so keys whose degrees sum to at most N add without carry.
+A key's degree is its digit sum; as N + 1 = 1 (mod N) that is
+``key % N``, or N for a nonzero key with ``key % N == 0``.  Tuples
+appear only at the boundary: :meth:`GenSeries.from_tails` packs them;
+``terms``, ``coefficient``, :func:`series_to_obj` and the re-keying for
+another variable set or order decode them.
+
 Every truncated tail product goes through one kernel, :func:`_tail_mul`.
-It packs each exponent vector into one integer in base N + 1 (Monagan &
-Pearce's packed exponent vectors): a product of total degree <= N has
-every exponent <= N, so adding two packed keys never carries.  The
-kernel keeps the plain loop's order (left operand outer, right operand
-inner, both in dict order) and first-touch insertion order, so every
-coefficient is summed in the same order and comes out bit for bit as
-the tuple-keyed loop gives it.  Packed keys are decoded back to tuples
-two digits per table lookup.  Binomial tails (1+u)^q are memoized on
-(u in dict order, q, N, number of variables).
+It keeps the tuple-keyed loop's order (left operand outer, right operand
+inner, both in dict order, first-touch insertion), and a packed key only
+renames a term, so every coefficient comes out bit for bit as that loop
+gives it.  Binomial tails (1+u)^q are memoized on (u in dict order, q, N).
 
 :func:`evaluate_series` is table-driven.  For each graded variable and
 integer base b of a sector it keeps one lazily filled power table, keyed
 by the tail exponent n and holding value ** (b + n), shared by the
-sectors with that base.  Each term is ``prod(map(getitem, row, vec),
-start=c)`` over the sector's row of tables: the coefficient first, then
-the variables in graded order, as the per-term loop that skipped zero
-exponents multiplied them.  A zero total exponent reads
+sectors with that base.  Each term is its coefficient times the entries
+picked by the key's digits, in graded order, as the per-term loop that
+skipped zero exponents multiplied them.  A zero total exponent reads
 1+0j instead of being skipped.  Times 1+0j a finite complex keeps its
 nonzero parts and at most flips the sign of a zero part, and the sector
 sum starts at +0j, so a zero part of either sign adds as +0.0: the sum
@@ -42,15 +46,15 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import compress, repeat
-from math import prod
-from operator import add, floordiv, getitem, mod
+from operator import add, floordiv, mod, mul
 from typing import Mapping, Sequence
 
 from opetree.coords import (
     CoordSystem,
     a_coordinates,
+    minimal_monomials,
     on_cut,
     pair_difference,
 )
@@ -99,23 +103,36 @@ class GenSeries:
 
     __slots__ = ("graded", "order", "sectors")
 
-    def __init__(self, graded: Sequence[str], order: int, sectors=None):
+    def __init__(self, graded: Sequence[str], order: int):
         self.graded = tuple(graded)
         self.order = int(order)
         if self.order < 0:
             raise SeriesError(f"truncation order must be >= 0, got {self.order}")
         # key: (logs, ungraded, base) with base a Fraction tuple over graded
-        # value: tail {int exponent vector: complex coeff}
-        self.sectors = {} if sectors is None else sectors
+        # value: tail {packed exponent vector: complex coeff}
+        self.sectors = {}
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_tails(cls, graded: Sequence[str], order: int, sectors: Mapping) -> "GenSeries":
+        """A series from ``{(logs, ungraded, base): {exponent tuple: coeff}}``,
+        in the same order; terms of degree above ``order`` are dropped."""
+        s = cls(graded, order)
+        for key, tail in sectors.items():
+            packed = s.sectors[key] = {}
+            for vec, c in tail.items():
+                if len(vec) != len(s.graded) or min(vec, default=0) < 0:
+                    raise SeriesError(f"bad tail exponent vector {vec}")
+                if sum(vec) <= s.order:
+                    packed[_pack(vec, s.order + 1)] = c
+        return s
 
     @classmethod
     def constant(cls, c, graded: Sequence[str], order: int) -> "GenSeries":
         s = cls(graded, order)
         if c != 0:
-            zero = tuple([ZERO] * len(s.graded))
-            s.sectors[((), (), zero)] = {tuple([0] * len(s.graded)): complex(c)}
+            s.sectors[((), (), tuple([ZERO] * len(s.graded)))] = {0: complex(c)}
         return s
 
     @classmethod
@@ -135,59 +152,72 @@ class GenSeries:
         ungraded = _ungraded_key(
             {v: q for v, q in exponents.items() if v not in s.graded}
         )
-        key = (_logs_key(logs or {}), ungraded, base)
-        s.sectors[key] = {tuple([0] * len(s.graded)): complex(coeff)}
+        s.sectors[(_logs_key(logs or {}), ungraded, base)] = {0: complex(coeff)}
         return s
 
     # -- bookkeeping -------------------------------------------------------
 
     def copy(self) -> "GenSeries":
-        return GenSeries(
-            self.graded,
-            self.order,
-            {k: dict(t) for k, t in self.sectors.items()},
-        )
+        out = GenSeries(self.graded, self.order)
+        out.sectors = {k: dict(t) for k, t in self.sectors.items()}
+        return out
 
     def n_terms(self) -> int:
         return sum(len(t) for t in self.sectors.values())
 
     def _prune(self) -> "GenSeries":
-        for key in list(self.sectors):
-            tail = self.sectors[key]
-            for vec in list(tail):
-                if tail[vec] == 0:
-                    del tail[vec]
+        for key, tail in list(self.sectors.items()):
+            if not all(tail.values()):
+                tail = self.sectors[key] = dict(compress(tail.items(), tail.values()))
             if not tail:
                 del self.sectors[key]
         return self
 
     def _aligned(self, other: "GenSeries"):
-        if self.graded == other.graded:
-            return self, other
-        union = tuple(sorted(set(self.graded) | set(other.graded)))
-        return self._embed(union), other._embed(union)
+        """Both operands over the union of graded variables, at the lower order."""
+        order = min(self.order, other.order)
+        a, b = self._at_order(order), other._at_order(order)
+        if a.graded == b.graded:
+            return a, b
+        union = tuple(sorted(set(a.graded) | set(b.graded)))
+        return a._embed(union), b._embed(union)
+
+    def _at_order(self, order: int) -> "GenSeries":
+        """The series re-keyed in base ``order`` + 1, higher terms dropped."""
+        if order == self.order:
+            return self
+        n = len(self.graded)
+        tails = {
+            key: {_unpack_key(k, self.order + 1, n): c for k, c in tail.items()}
+            for key, tail in self.sectors.items()
+        }
+        return GenSeries.from_tails(self.graded, order, tails)
 
     def _embed(self, union: tuple) -> "GenSeries":
         if union == self.graded:
             return self
-        idx = [self.graded.index(g) if g in self.graded else None for g in union]
+        base = self.order + 1
+        # digit i of a key moves to the place of self.graded[i] in union
+        places = [base ** union.index(g) for g in self.graded]
         out = GenSeries(union, self.order)
-        for (logs, ungraded, base), tail in self.sectors.items():
+        for (logs, ungraded, b), tail in self.sectors.items():
             ung = dict(ungraded)
             newbase = tuple(
-                base[i] if i is not None else Fraction(ung.pop(union[k], 0))
-                for k, i in enumerate(idx)
+                b[self.graded.index(g)] if g in self.graded else Fraction(ung.pop(g, 0))
+                for g in union
             )
-            newtail = {}
-            for vec, c in tail.items():
-                nv = tuple(vec[i] if i is not None else 0 for i in idx)
-                newtail[nv] = newtail.get(nv, 0) + c
-            key = (logs, tuple(sorted(ung.items())), newbase)
-            out._merge_sector(key, newtail)
+            keys = repeat(0)
+            for i, place in enumerate(places):
+                digits = map(mod, map(floordiv, tail, repeat(base**i)), repeat(base))
+                keys = map(add, keys, map(mul, digits, repeat(place)))
+            # 0 + c, as terms were added into a fresh tail: zero parts -> +0.0
+            newtail = dict(zip(keys, map(add, repeat(0), tail.values())))
+            out._merge_sector((logs, tuple(sorted(ung.items())), newbase), newtail)
         return out._prune()
 
     def _merge_sector(self, key, tail):
-        """Add a sector, folding integer shifts of the graded base."""
+        """Add a sector, folding integer shifts of the graded base (a new
+        sector keeps ``tail`` itself)."""
         logs, ungraded, base = key
         target = None
         if key in self.sectors:
@@ -200,26 +230,27 @@ class GenSeries:
                     target = (l2, u2, b2)
                     break
         if target is None:
-            self.sectors[key] = dict(tail)
+            self.sectors[key] = tail
             return
         _, _, b2 = target
         common = tuple(min(q1, q2) for q1, q2 in zip(base, b2))
         if common != b2:
             old = self.sectors.pop(target)
-            shift = tuple(int(q2 - qc) for q2, qc in zip(b2, common))
-            moved = {}
-            for vec, c in old.items():
-                nv = tuple(v + s for v, s in zip(vec, shift))
-                if sum(nv) <= self.order:
-                    moved[nv] = moved.get(nv, 0) + c
             target = (logs, ungraded, common)
-            self.sectors[target] = moved
-        dest = self.sectors[target]
-        shift = tuple(int(q1 - qc) for q1, qc in zip(base, target[2]))
-        for vec, c in tail.items():
-            nv = tuple(v + s for v, s in zip(vec, shift))
-            if sum(nv) <= self.order:
-                dest[nv] = dest.get(nv, 0) + c
+            self.sectors[target] = self._add_shifted({}, old, b2, common)
+        self._add_shifted(self.sectors[target], tail, base, common)
+
+    def _add_shifted(self, dest, tail, base, common):
+        """Add ``tail`` times zeta^(base - common) into ``dest``, truncated."""
+        shift = [int(q - qc) for q, qc in zip(base, common)]
+        room = self.order - sum(shift)
+        if room >= 0:
+            step = _pack(shift, self.order + 1)
+            get = dest.get
+            for k, c in tail.items():
+                if _degree(k, self.order) <= room:
+                    dest[k + step] = get(k + step, 0) + c
+        return dest
 
     # -- ring operations ---------------------------------------------------
 
@@ -227,11 +258,9 @@ class GenSeries:
         if not isinstance(other, GenSeries):
             other = GenSeries.constant(other, self.graded, self.order)
         a, b = self._aligned(other)
-        out = GenSeries(a.graded, min(a.order, b.order))
-        for key, tail in a.sectors.items():
-            out._merge_sector(key, tail)
-        for key, tail in b.sectors.items():
-            out._merge_sector(key, tail)
+        out = GenSeries(a.graded, a.order)
+        for key, tail in [*a.sectors.items(), *b.sectors.items()]:
+            out._merge_sector(key, dict(tail))
         return out._prune()
 
     __radd__ = __add__
@@ -257,15 +286,14 @@ class GenSeries:
                     tail[vec] *= c
             return out._prune()
         a, b = self._aligned(other)
-        order = min(a.order, b.order)
-        out = GenSeries(a.graded, order)
+        out = GenSeries(a.graded, a.order)
         for (l1, u1, b1), t1 in a.sectors.items():
             for (l2, u2, b2), t2 in b.sectors.items():
                 logs = _merge_counts(l1, l2)
                 ungraded = _merge_fracs(u1, u2)
                 base = tuple(q1 + q2 for q1, q2 in zip(b1, b2))
                 # zeros stay until out._prune(): _merge_sector adds them
-                tail = _tail_mul(t1, t2, order, prune=False)
+                tail = _tail_mul(t1, t2, a.order, prune=False)
                 if tail:
                     out._merge_sector((logs, ungraded, base), tail)
         return out._prune()
@@ -274,16 +302,15 @@ class GenSeries:
 
     def truncate(self, order: int) -> "GenSeries":
         out = GenSeries(self.graded, min(self.order, order))
-        for key, tail in self.sectors.items():
-            kept = {v: c for v, c in tail.items() if sum(v) <= out.order}
-            if kept:
-                out._merge_sector(key, kept)
+        for key, tail in self._at_order(out.order).sectors.items():
+            if tail:
+                out._merge_sector(key, dict(tail))
         return out._prune()
 
     # -- leading-term operations -------------------------------------------
 
     def _leading(self):
-        """For c*(monomial)*(1+u) series: (key, c, u as a tail dict).
+        """For c*(monomial)*(1+u) series: (key, c, u as a packed tail).
 
         A unique divisibility-minimal tail monomial is factored into the
         sector base first, so z + z^2 is accepted as z*(1 + z).
@@ -295,23 +322,21 @@ class GenSeries:
         tail = self.sectors[key]
         if not tail:
             raise SeriesError("zero series has no leading term")
-        minimal = [
-            v
-            for v in tail
-            if not any(w != v and all(a <= b for a, b in zip(w, v)) for w in tail)
-        ]
-        zero = tuple([0] * len(self.graded))
+        n = len(self.graded)
+        minimal = minimal_monomials([_unpack_key(k, self.order + 1, n) for k in tail])
         if len(minimal) != 1:
             raise SeriesError("leading term is not an invertible monomial")
         m0 = minimal[0]
-        if m0 != zero:
-            base = tuple(b + n for b, n in zip(base, m0))
+        if any(m0):
+            # every key is digitwise >= m0, so subtracting never borrows
+            base = tuple(b + m for b, m in zip(base, m0))
             key = (logs, ungraded, base)
-            tail = {tuple(v - n for v, n in zip(vec, m0)): c for vec, c in tail.items()}
-        c = tail[zero]
+            k0 = _pack(m0, self.order + 1)
+            tail = {k - k0: c for k, c in tail.items()}
+        c = tail[0]
         if c == 0:
             raise SeriesError("zero leading coefficient")
-        u = {v: coeff / c for v, coeff in tail.items() if v != zero}
+        u = {k: coeff / c for k, coeff in tail.items() if k}
         return key, c, u
 
     def pow(self, q) -> "GenSeries":
@@ -327,14 +352,10 @@ class GenSeries:
         if on_cut(c) and q.denominator != 1:
             raise SeriesError("leading coefficient on the cut")
         cq = c ** int(q) if q.denominator == 1 else cmath.exp(q * cmath.log(c))
-        newkey = (
-            (),
-            tuple((v, e * q) for v, e in ungraded),
-            tuple(e * q for e in base),
-        )
-        tail = _binomial_tail(u, q, self.order, len(self.graded))
-        for vec in tail:
-            tail[vec] *= cq
+        newkey = ((), tuple((v, e * q) for v, e in ungraded), tuple(e * q for e in base))
+        tail = _binomial_tail(u, q, self.order)
+        for k in tail:
+            tail[k] *= cq
         out = GenSeries(self.graded, self.order)
         out._merge_sector(newkey, tail)
         return out._prune()
@@ -345,9 +366,8 @@ class GenSeries:
         logs, ungraded, base = key
         if logs or ungraded or any(base) or c != 1:
             raise SeriesError("log1p needs a series of the form 1 + u")
-        zero = tuple([0] * len(self.graded))
         tail = {}
-        power = {zero: 1.0 + 0j}
+        power = {0: 1.0 + 0j}
         for k in range(1, self.order + 1):
             power = _tail_mul(power, u, self.order)
             if not power:
@@ -357,7 +377,7 @@ class GenSeries:
                 tail[vec] = tail.get(vec, 0) + sign * coeff
         out = GenSeries(self.graded, self.order)
         if tail:
-            out._merge_sector(((), (), zero), tail)
+            out._merge_sector(((), (), tuple([0] * len(self.graded))), tail)
         return out._prune()
 
     # -- introspection ------------------------------------------------------
@@ -365,11 +385,12 @@ class GenSeries:
     def terms(self) -> list:
         """Flatten to (exponents dict, logs dict, coeff), lexicographic."""
         flat = []
+        n = len(self.graded)
         for (logs, ungraded, base), tail in self.sectors.items():
-            for vec, c in tail.items():
+            for k, c in tail.items():
                 exps = {v: q for v, q in ungraded}
-                for g, b, n in zip(self.graded, base, vec):
-                    q = b + n
+                for g, b, d in zip(self.graded, base, _unpack_key(k, self.order + 1, n)):
+                    q = b + d
                     if q:
                         exps[g] = q
                 key = (tuple(sorted(exps.items())), logs)
@@ -415,75 +436,41 @@ def _pack(vec, base) -> int:
     return key
 
 
-def _tail_mul(t1, t2, order, prune=True):
-    """Product of two tails truncated at total degree ``order``.
+def _unpack_key(key, base, nvars) -> tuple:
+    return tuple(key // base**i % base for i in range(nvars))
 
-    Exponents are nonnegative, so a product term of degree <= order has
-    every exponent < order + 1 and packed keys add without carries.  The
-    sums run left term outer, right term inner, both in dict order, and
-    new terms are inserted on first touch: the result, zeros included
+
+def _degree(key, order) -> int:
+    """Digit sum of a key of degree <= ``order``: base order + 1 is 1 mod order."""
+    return (key % order or order) if key else 0  # key != 0 needs order >= 1
+
+
+def _tail_mul(t1, t2, order, prune=True):
+    """Product of two packed tails truncated at total degree ``order``.
+
+    A left term meets only right terms that fit in its room, so keys add
+    without carries.  The sums run left term outer, right term inner, both
+    in dict order, with first-touch insertion: the result, zeros included
     when ``prune`` is false, is that of the tuple-keyed double loop.
     """
-    base = order + 1
-    right = []
-    for vec, c in t2.items():
-        d = sum(vec)
-        if d <= order:
-            right.append((_pack(vec, base), d, c))
+    right = [(k, _degree(k, order), c) for k, c in t2.items()]
     fitting = {}  # room -> right terms of degree <= room, in dict order
     out = {}
     get = out.get
-    for vec, c1 in t1.items():
-        room = order - sum(vec)
-        if room < 0:
-            continue
+    for k1, c1 in t1.items():
+        room = order - _degree(k1, order)
         terms = fitting.get(room)
         if terms is None:
             terms = fitting[room] = [(k, c) for k, d, c in right if d <= room]
-        k1 = _pack(vec, base)
         for k2, c2 in terms:
             k = k1 + k2
             out[k] = get(k, 0) + c1 * c2
-    vecs = _unpack(out, base, len(next(iter(t1), ())))
-    coeffs = out.values()
     if prune:
-        return dict(compress(zip(vecs, coeffs), coeffs))
-    return dict(zip(vecs, coeffs))
+        return dict(compress(out.items(), out.values()))
+    return out
 
 
-_PAIR_BASE_MAX = 64  # digit-pair tables up to 64**2 entries; one digit above
-
-
-@lru_cache(maxsize=8)
-def _digit_table(base, width):
-    """Tuples of ``width`` base-``base`` digits, low digit first, by value."""
-    if width == 1:
-        return [(d,) for d in range(base)]
-    return [(lo, hi) for hi in range(base) for lo in range(base)]
-
-
-def _unpack(keys, base, nvars):
-    """Exponent tuples of packed keys, in the order of ``keys``.
-
-    Each lazy map decodes one chunk of two digits (one when the pair table
-    would be large) for every key in a table lookup, and the chunks are
-    concatenated; an odd variable count ends with a one-digit step.  The
-    result is an iterator; no Python code runs per key.
-    """
-    width = 2 if base <= _PAIR_BASE_MAX else 1
-    step = base**width
-    chunk = _digit_table(base, width).__getitem__
-    vecs = repeat(())
-    for i in range(nvars // width):
-        digits = map(mod, map(floordiv, keys, repeat(step**i)), repeat(step))
-        vecs = map(add, vecs, map(chunk, digits))
-    if nvars % width:
-        top = map(floordiv, keys, repeat(step ** (nvars // width)))
-        vecs = map(add, vecs, map(_digit_table(base, 1).__getitem__, top))
-    return vecs
-
-
-def _binomial_tail(u, q, order, nvars):
+def _binomial_tail(u, q, order):
     """(1+u)^q truncated: sum_k C(q,k) u^k with u of positive degree.
 
     Memoized on u's items in dict order, which fixes the summation order.
@@ -492,15 +479,14 @@ def _binomial_tail(u, q, order, nvars):
     out +0.0 and no other bit depends on the sign of a zero.  Returns a
     fresh dict: callers scale it in place.
     """
-    return dict(_binomial_tail_memo(tuple(u.items()), Fraction(q), order, nvars))
+    return dict(_binomial_tail_memo(tuple(u.items()), Fraction(q), order))
 
 
 @lru_cache(maxsize=4096)
-def _binomial_tail_memo(items, q, order, nvars):
+def _binomial_tail_memo(items, q, order):
     u = dict(items)
-    zero = tuple([0] * nvars)
-    out = {zero: 1.0 + 0j}
-    power = {zero: 1.0 + 0j}
+    out = {0: 1.0 + 0j}
+    power = {0: 1.0 + 0j}
     coeff = Fraction(1)
     for k in range(1, order + 1):
         power = _tail_mul(power, u, order)
@@ -646,7 +632,6 @@ def expand(
         raise SeriesError("negative_branch must be 'upper' or 'lower'")
     names = cs.var_names(conjugate=conjugate)
     graded = names["zeta"]
-    nvars = len(graded)
     out = GenSeries.constant(f.constant, graded, order)
     facs = []
     negative = []
@@ -663,12 +648,8 @@ def expand(
             coeff = phase_pi(s if negative_branch == "upper" else -s)
         piece = GenSeries.monomial(coeff, exps, graded, order)
         (key,) = piece.sectors
-        tail_u = {
-            vec: complex(c) for vec, c in fac.tail.items() if sum(vec) <= order
-        }
-        piece.sectors[key] = _scale_tail(
-            _binomial_tail(tail_u, s, order, nvars), coeff
-        )
+        tail_u = _packed_poly(fac.tail, order)
+        piece.sectors[key] = _scale_tail(_binomial_tail(tail_u, s, order), coeff)
         out = out * piece
     for i, k in f.powers:
         # z_i = z_A + x_A Q_i, expanded binomially in the two summands
@@ -679,8 +660,7 @@ def expand(
             exps = {names["z"]: Fraction(k - m), names["x"]: Fraction(m)}
             mono = GenSeries.monomial(coeff, exps, graded, order)
             if m:
-                qpow = {tuple([0] * nvars): 1.0 + 0j}
-                dense_qi = {vec: complex(c) for vec, c in qi.items()}
+                qpow, dense_qi = {0: 1.0 + 0j}, _packed_poly(qi, order)
                 for _ in range(m):
                     qpow = _tail_mul(qpow, dense_qi, order)
                 term = GenSeries(graded, order)
@@ -692,6 +672,10 @@ def expand(
                 piece = piece + mono
         out = out * piece
     return ExpandedProduct(series=out, factors=tuple(facs), negative_pairs=tuple(negative))
+
+
+def _packed_poly(poly, order):
+    return {_pack(v, order + 1): complex(c) for v, c in poly.items() if sum(v) <= order}
 
 
 def _scale_tail(tail, c):
@@ -725,10 +709,9 @@ def evaluate_series(s: GenSeries, values: Mapping) -> complex:
     tables = {}
 
     def table(v, offset=0):
-        found = tables.get((v, offset))
-        if found is None:
-            found = tables[v, offset] = _PowerTable(values, v, offset)
-        return found
+        if (v, offset) not in tables:
+            tables[v, offset] = _PowerTable(values, v, offset)
+        return tables[v, offset]
 
     def power(v, q):
         if q.denominator == 1:
@@ -736,27 +719,45 @@ def evaluate_series(s: GenSeries, values: Mapping) -> complex:
         return cmath.exp(q * log_of(v))
 
     total = 0j
-    for (logs, ungraded, base), tail in s.sectors.items():
+    base = s.order + 1
+    for (logs, ungraded, offsets), tail in s.sectors.items():
         sector_val = 1.0 + 0j
         for v, k in logs:
             sector_val *= log_of(v) ** k
         for v, q in ungraded:
             sector_val *= power(v, q)
         row = []
-        for g, q in zip(s.graded, base):
+        for g, q in zip(s.graded, offsets):
             if q.denominator == 1:
                 row.append(table(g, int(q)))
             else:
                 sector_val *= power(g, q)
                 row.append(table(g))
-        # c times one entry per graded variable, in graded order.  A zero
-        # exponent reads 1+0j, which flips at most the sign of a zero part
-        # of a finite term, and acc, from +0j, adds either zero as +0.0.
-        acc = 0j
-        for vec, c in tail.items():
-            acc += prod(map(getitem, row, vec), start=c)
-        total += sector_val * acc
+        total += sector_val * _tail_sum(tail, row, base)
     return total
+
+
+def _tail_sum(tail, row, base):
+    """Sum over the tail, from +0j, of c * row[0][digit 0] * row[1][digit 1]...
+
+    A few terms decode their keys one by one; more run through lazy maps,
+    one chain per variable, so no Python code runs per term.
+    """
+    if len(tail) < 8:
+        acc = 0j
+        for key, c in tail.items():
+            for tab in row:
+                key, d = divmod(key, base)
+                c *= tab[d]
+            acc += c
+        return acc
+    terms = iter(tail.values())
+    for i, tab in enumerate(row):
+        digits = map(floordiv, tail, repeat(base**i)) if i else iter(tail)
+        if i + 1 < len(row):
+            digits = map(mod, digits, repeat(base))
+        terms = map(mul, terms, map(tab.__getitem__, digits))
+    return reduce(add, terms, 0j)
 
 
 class _PowerTable(dict):
@@ -769,7 +770,7 @@ class _PowerTable(dict):
     __slots__ = ("values", "var", "offset", "value")
 
     def __init__(self, values, var, offset):
-        super().__init__({-offset: 1.0 + 0j})
+        self[-offset] = 1.0 + 0j
         self.values, self.var, self.offset, self.value = values, var, offset, None
 
     def __missing__(self, n):
@@ -790,14 +791,12 @@ def _value_of(values, v):
 
 
 def series_to_obj(s: GenSeries) -> list:
-    out = []
-    for exps, logs, c in s.terms():
-        out.append(
-            {
-                "exponents": {v: str(Fraction(q)) for v, q in sorted(exps.items())},
-                "logs": {v: int(k) for v, k in sorted(logs.items())},
-                "re": c.real,
-                "im": c.imag,
-            }
-        )
-    return out
+    return [
+        {
+            "exponents": {v: str(Fraction(q)) for v, q in sorted(exps.items())},
+            "logs": {v: int(k) for v, k in sorted(logs.items())},
+            "re": c.real,
+            "im": c.imag,
+        }
+        for exps, logs, c in s.terms()
+    ]

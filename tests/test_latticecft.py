@@ -723,6 +723,25 @@ class TestTreeExpansion:
         with pytest.raises(LatticeError):
             tree_expansion(model, parse_tree("12"), [(1, 0)], 4)
 
+    def test_single_leaf_trees_raise_lattice_error(self, model, boundaries, monkeypatch):
+        # one leaf to expand has no pair product; the error names the tree
+        # and comes before any coordinate system is built
+        import opetree.latticecft as lc
+
+        def no_coords(*args, **kwargs):
+            raise AssertionError("coordinates built for a single-leaf tree")
+
+        monkeypatch.setattr(lc, "a_coordinates", no_coords)
+        monkeypatch.setattr(lc, "doubling", no_coords)
+        with pytest.raises(LatticeError, match=r"tree 1 has one leaf"):
+            tree_expansion(model, parse_tree("1"), [(1, 0)], 4)
+        with pytest.raises(LatticeError, match=r"tree o1 doubles to one leaf"):
+            tree_expansion(model, parse_tree("o1"), [], 4, bd=boundaries[1], bdry_charges=[1])
+        # one bulk leaf doubles to two leaves and still expands
+        monkeypatch.undo()
+        texp = tree_expansion(model, parse_tree("t(c1)"), [(1, 0)], 4, bd=boundaries[1])
+        assert texp.series.n_terms() == 1
+
 
 class TestConsistency:
     def test_boundary_11_and_20(self, model, boundaries):

@@ -31,11 +31,20 @@ from tests.test_trees import random_tree
 
 def one_plus(graded, order, tail):
     """Series 1 + sum tail[vec]*zeta^vec."""
-    s = GenSeries.constant(1.0, graded, order)
-    (key,) = s.sectors
+    ones = {tuple([0] * len(graded)): 1.0 + 0j}
     for vec, c in tail.items():
-        s.sectors[key][vec] = s.sectors[key].get(vec, 0) + complex(c)
-    return s
+        ones[vec] = ones.get(vec, 0) + complex(c)
+    return GenSeries.from_tails(graded, order, {((), (), tuple([ZERO] * len(graded))): ones})
+
+
+def _packed(tail, order):
+    """A tuple-keyed tail packed in base order + 1, in dict order; terms
+    above the order are dropped, as GenSeries.from_tails drops them."""
+    return {series._pack(v, order + 1): c for v, c in tail.items() if sum(v) <= order}
+
+
+def _decoded(tail, order, nvars):
+    return {series._unpack_key(k, order + 1, nvars): c for k, c in tail.items()}
 
 
 class TestArithmetic:
@@ -92,16 +101,16 @@ class TestArithmetic:
         # z1 + z2 has no unique minimal monomial: not invertible
         s = GenSeries.monomial(1.0, {"z1": 1}, ("z1", "z2"), 4)
         (key,) = s.sectors
-        s.sectors[key] = {(0, 0): 1.0, (-0 + 0, 0): 1.0}
+        s = GenSeries.from_tails(s.graded, 4, {key: {(0, 0): 1.0, (-0 + 0, 0): 1.0}})
         s = GenSeries.monomial(1.0, {}, ("z1", "z2"), 4)
         (key,) = s.sectors
-        s.sectors[key] = {(1, 0): 1.0, (0, 1): 1.0}
+        s = GenSeries.from_tails(s.graded, 4, {key: {(1, 0): 1.0, (0, 1): 1.0}})
         with pytest.raises(SeriesError):
             s.pow(Fraction(1, 2))
         # z*(1 + z) is accepted and normalized
         s2 = GenSeries.monomial(1.0, {}, ("z",), 4)
         (k2,) = s2.sectors
-        s2.sectors[k2] = {(1,): 1.0, (2,): 1.0}
+        s2 = GenSeries.from_tails(s2.graded, 4, {k2: {(1,): 1.0, (2,): 1.0}})
         inv = s2.pow(-1)
         got = {e.get("z", 0): c for e, _, c in inv.terms()}
         assert got[Fraction(-1)] == 1 and got[Fraction(0)] == -1
@@ -187,24 +196,258 @@ def _loop_tail_mul(t1, t2, order, prune=True):
     return {v: c for v, c in out.items() if c != 0 or not prune}
 
 
-def _loop_mul(a, b):
-    """GenSeries.__mul__ as it was, with its own copy of the loop."""
-    a, b = a._aligned(b)
-    order = min(a.order, b.order)
-    out = GenSeries(a.graded, order)
-    for (l1, u1, b1), t1 in a.sectors.items():
-        for (l2, u2, b2), t2 in b.sectors.items():
-            base = tuple(q1 + q2 for q1, q2 in zip(b1, b2))
-            tail = _loop_tail_mul(t1, t2, order, prune=False)
-            if tail:
-                key = (series._merge_counts(l1, l2), series._merge_fracs(u1, u2), base)
-                out._merge_sector(key, tail)
-    return out._prune()
+def _loop_binomial_tail(u, q, order, nvars):
+    """The tuple-keyed (1+u)^q, without the memo."""
+    zero = tuple([0] * nvars)
+    out = {zero: 1.0 + 0j}
+    power = {zero: 1.0 + 0j}
+    coeff = Fraction(1)
+    for k in range(1, order + 1):
+        power = _loop_tail_mul(power, u, order)
+        if not power:
+            break
+        coeff = coeff * (q - (k - 1)) / k
+        ck = complex(coeff)
+        for vec, c in power.items():
+            out[vec] = out.get(vec, 0) + ck * c
+    return {v: c for v, c in out.items() if c != 0}
+
+
+class _TupleSeries:
+    """GenSeries as it was with tuple-keyed tails, kept as the bit-exact
+    reference for the packed series (the operations the tests compare)."""
+
+    def __init__(self, graded, order, sectors=None):
+        self.graded = tuple(graded)
+        self.order = int(order)
+        self.sectors = {} if sectors is None else sectors
+
+    def _prune(self):
+        for key in list(self.sectors):
+            tail = self.sectors[key]
+            for vec in list(tail):
+                if tail[vec] == 0:
+                    del tail[vec]
+            if not tail:
+                del self.sectors[key]
+        return self
+
+    def _aligned(self, other):
+        if self.graded == other.graded:
+            return self, other
+        union = tuple(sorted(set(self.graded) | set(other.graded)))
+        return self._embed(union), other._embed(union)
+
+    def _embed(self, union):
+        if union == self.graded:
+            return self
+        idx = [self.graded.index(g) if g in self.graded else None for g in union]
+        out = _TupleSeries(union, self.order)
+        for (logs, ungraded, base), tail in self.sectors.items():
+            ung = dict(ungraded)
+            newbase = tuple(
+                base[i] if i is not None else Fraction(ung.pop(union[k], 0))
+                for k, i in enumerate(idx)
+            )
+            newtail = {}
+            for vec, c in tail.items():
+                nv = tuple(vec[i] if i is not None else 0 for i in idx)
+                newtail[nv] = newtail.get(nv, 0) + c
+            key = (logs, tuple(sorted(ung.items())), newbase)
+            out._merge_sector(key, newtail)
+        return out._prune()
+
+    def _merge_sector(self, key, tail):
+        logs, ungraded, base = key
+        target = None
+        if key in self.sectors:
+            target = key
+        else:
+            for (l2, u2, b2) in self.sectors:
+                if l2 == logs and u2 == ungraded and all(
+                    (q1 - q2).denominator == 1 for q1, q2 in zip(base, b2)
+                ):
+                    target = (l2, u2, b2)
+                    break
+        if target is None:
+            self.sectors[key] = dict(tail)
+            return
+        _, _, b2 = target
+        common = tuple(min(q1, q2) for q1, q2 in zip(base, b2))
+        if common != b2:
+            old = self.sectors.pop(target)
+            shift = tuple(int(q2 - qc) for q2, qc in zip(b2, common))
+            moved = {}
+            for vec, c in old.items():
+                nv = tuple(v + s for v, s in zip(vec, shift))
+                if sum(nv) <= self.order:
+                    moved[nv] = moved.get(nv, 0) + c
+            target = (logs, ungraded, common)
+            self.sectors[target] = moved
+        dest = self.sectors[target]
+        shift = tuple(int(q1 - qc) for q1, qc in zip(base, target[2]))
+        for vec, c in tail.items():
+            nv = tuple(v + s for v, s in zip(vec, shift))
+            if sum(nv) <= self.order:
+                dest[nv] = dest.get(nv, 0) + c
+
+    def __add__(self, other):
+        a, b = self._aligned(other)
+        out = _TupleSeries(a.graded, min(a.order, b.order))
+        for key, tail in a.sectors.items():
+            out._merge_sector(key, tail)
+        for key, tail in b.sectors.items():
+            out._merge_sector(key, tail)
+        return out._prune()
+
+    def __mul__(self, other):
+        a, b = self._aligned(other)
+        order = min(a.order, b.order)
+        out = _TupleSeries(a.graded, order)
+        for (l1, u1, b1), t1 in a.sectors.items():
+            for (l2, u2, b2), t2 in b.sectors.items():
+                logs = series._merge_counts(l1, l2)
+                ungraded = series._merge_fracs(u1, u2)
+                base = tuple(q1 + q2 for q1, q2 in zip(b1, b2))
+                tail = _loop_tail_mul(t1, t2, order, prune=False)
+                if tail:
+                    out._merge_sector((logs, ungraded, base), tail)
+        return out._prune()
+
+    def truncate(self, order):
+        out = _TupleSeries(self.graded, min(self.order, order))
+        for key, tail in self.sectors.items():
+            kept = {v: c for v, c in tail.items() if sum(v) <= out.order}
+            if kept:
+                out._merge_sector(key, kept)
+        return out._prune()
+
+    def _leading(self):
+        if len(self.sectors) != 1:
+            raise SeriesError("operation needs a single-sector series")
+        (key,) = self.sectors
+        logs, ungraded, base = key
+        tail = self.sectors[key]
+        if not tail:
+            raise SeriesError("zero series has no leading term")
+        minimal = [
+            v
+            for v in tail
+            if not any(w != v and all(a <= b for a, b in zip(w, v)) for w in tail)
+        ]
+        zero = tuple([0] * len(self.graded))
+        if len(minimal) != 1:
+            raise SeriesError("leading term is not an invertible monomial")
+        m0 = minimal[0]
+        if m0 != zero:
+            base = tuple(b + n for b, n in zip(base, m0))
+            key = (logs, ungraded, base)
+            tail = {tuple(v - n for v, n in zip(vec, m0)): c for vec, c in tail.items()}
+        c = tail[zero]
+        if c == 0:
+            raise SeriesError("zero leading coefficient")
+        u = {v: coeff / c for v, coeff in tail.items() if v != zero}
+        return key, c, u
+
+    def pow(self, q):
+        q = Fraction(q)
+        key, c, u = self._leading()
+        logs, ungraded, base = key
+        if logs:
+            raise SeriesError("cannot exponentiate a series with log factors")
+        if series.on_cut(c) and q.denominator != 1:
+            raise SeriesError("leading coefficient on the cut")
+        cq = c ** int(q) if q.denominator == 1 else cmath.exp(q * cmath.log(c))
+        newkey = ((), tuple((v, e * q) for v, e in ungraded), tuple(e * q for e in base))
+        tail = _loop_binomial_tail(u, q, self.order, len(self.graded))
+        for vec in tail:
+            tail[vec] *= cq
+        out = _TupleSeries(self.graded, self.order)
+        out._merge_sector(newkey, tail)
+        return out._prune()
+
+    def log1p(self):
+        key, c, u = self._leading()
+        logs, ungraded, base = key
+        if logs or ungraded or any(base) or c != 1:
+            raise SeriesError("log1p needs a series of the form 1 + u")
+        zero = tuple([0] * len(self.graded))
+        tail = {}
+        power = {zero: 1.0 + 0j}
+        for k in range(1, self.order + 1):
+            power = _loop_tail_mul(power, u, self.order)
+            if not power:
+                break
+            sign = (-1.0) ** (k + 1) / k
+            for vec, coeff in power.items():
+                tail[vec] = tail.get(vec, 0) + sign * coeff
+        out = _TupleSeries(self.graded, self.order)
+        if tail:
+            out._merge_sector(((), (), zero), tail)
+        return out._prune()
+
+    def terms(self):
+        flat = []
+        for (logs, ungraded, base), tail in self.sectors.items():
+            for vec, c in tail.items():
+                exps = {v: q for v, q in ungraded}
+                for g, b, n in zip(self.graded, base, vec):
+                    q = b + n
+                    if q:
+                        exps[g] = q
+                key = (tuple(sorted(exps.items())), logs)
+                flat.append((key, exps, dict(logs), c))
+        flat.sort(key=lambda it: it[0])
+        return [(exps, logs, c) for _, exps, logs, c in flat]
+
+
+def _pair(graded, order, sectors):
+    """The same tuple-keyed sectors as a packed series and as the reference.
+
+    Terms above the order are left out of both, as from_tails drops them."""
+    kept = {
+        key: {v: c for v, c in tail.items() if sum(v) <= order}
+        for key, tail in sectors.items()
+    }
+    ref = _TupleSeries(graded, order, {k: dict(t) for k, t in kept.items()})
+    return GenSeries.from_tails(graded, order, sectors), ref
+
+
+def _restricted(ref):
+    """The reference without terms above its order (and empty sectors)."""
+    out = _TupleSeries(ref.graded, ref.order)
+    for key, tail in ref.sectors.items():
+        kept = {v: c for v, c in tail.items() if sum(v) <= ref.order}
+        if kept:
+            out.sectors[key] = kept
+    return out
 
 
 def _bits(tail):
     """Terms in dict order with the exact bits of each coefficient."""
     return [(v, struct.pack("<dd", c.real, c.imag)) for v, c in tail.items()]
+
+
+def _term_bits(s):
+    return [(repr(e), repr(l), struct.pack("<dd", c.real, c.imag)) for e, l, c in s.terms()]
+
+
+def _assert_same(got, want):
+    """A packed series and a reference agree bit for bit: sector keys in
+    order, each tail's terms in dict order, and terms()."""
+    assert (got.graded, got.order) == (want.graded, want.order)
+    assert repr(list(got.sectors)) == repr(list(want.sectors))
+    for key, tail in want.sectors.items():
+        assert _bits(_decoded(got.sectors[key], got.order, len(got.graded))) == _bits(tail)
+    assert _term_bits(got) == _term_bits(want)
+
+
+def _result(fn, *args):
+    """A series result, or the exception it raised."""
+    try:
+        return fn(*args)
+    except SeriesError as err:
+        return type(err), str(err)
 
 
 # Parts that cancel exactly, signed zeros, and arbitrary doubles.
@@ -218,19 +461,46 @@ _coeffs = st.one_of(
 )
 
 
+def _vecs(nvars, order):
+    """Exponent vectors, some above the order; small entries are common so
+    that many vectors fit even at large orders."""
+    entry = st.one_of(st.integers(0, 2), st.integers(0, order + 1))
+    return st.tuples(*[entry] * nvars)
+
+
 @st.composite
 def _tails(draw, nvars, order):
     """Tails whose terms may exceed the order; they must be skipped."""
-    vecs = st.tuples(*[st.integers(0, order + 1)] * nvars)
-    return draw(st.dictionaries(vecs, _coeffs, max_size=12))
+    return draw(st.dictionaries(_vecs(nvars, order), _coeffs, max_size=12))
+
+
+_orders = st.one_of(st.integers(0, 12), st.integers(13, 200))
 
 
 @st.composite
 def _tail_pairs(draw):
-    # 5-7 variables take three digit-pair chunks; odd counts end on one digit
+    # 1-7 variables, orders up to 200
     nvars = draw(st.integers(1, 7))
-    order = draw(st.integers(0, 12))
+    order = draw(_orders)
     return nvars, order, draw(_tails(nvars, order)), draw(_tails(nvars, order))
+
+
+_HALF_OR_ZERO = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)])
+
+
+@st.composite
+def _series_pair(draw, nvars, order, graded=None, ungraded=()):
+    """A multi-sector series over ``graded``: bases 0, 1/2 and 1 on the
+    first variable (so sectors merge by integer shifts), optional ungraded
+    factors; returned packed and as the reference."""
+    graded = graded or tuple(f"z{k}" for k in range(nvars))
+    sectors = {}
+    for _ in range(draw(st.integers(1, 3))):
+        base = (draw(_HALF_OR_ZERO),) + tuple([Fraction(0)] * (len(graded) - 1))
+        names = draw(st.lists(st.sampled_from(ungraded), unique=True, max_size=1)) if ungraded else []
+        ung = tuple(sorted((v, draw(_HALF_OR_ZERO.filter(bool))) for v in names))
+        sectors[((), ung, base)] = draw(_tails(len(graded), order))
+    return _pair(graded, order, sectors)
 
 
 class TestPackedKernel:
@@ -238,8 +508,9 @@ class TestPackedKernel:
     @settings(max_examples=200, deadline=None)
     def test_tail_mul_bit_identical_to_loop(self, case, prune):
         nvars, order, t1, t2 = case
-        got = _tail_mul(t1, t2, order, prune=prune)
-        assert _bits(got) == _bits(_loop_tail_mul(t1, t2, order, prune=prune))
+        got = _tail_mul(_packed(t1, order), _packed(t2, order), order, prune=prune)
+        want = _loop_tail_mul(t1, t2, order, prune=prune)
+        assert _bits(_decoded(got, order, nvars)) == _bits(want)
 
     @given(case=_tail_pairs(), extra=st.data())
     @settings(max_examples=150, deadline=None)
@@ -252,26 +523,24 @@ class TestPackedKernel:
         graded = tuple(f"z{k}" for k in range(nvars))
         zero = tuple([Fraction(0)] * nvars)
         half = tuple([Fraction(1, 2)] + [Fraction(0)] * (nvars - 1))
-        a = GenSeries(graded, order, {((), (), zero): t1, ((), (), half): t3})
-        b = GenSeries(
+        a, ref_a = _pair(graded, order, {((), (), zero): t1, ((), (), half): t3})
+        b, ref_b = _pair(
             graded,
             extra.draw(st.integers(order, order + 2)),
             {((), (), half): t2, ((), (), zero): t4},
         )
-        got, want = a * b, _loop_mul(a, b)
-        assert list(got.sectors) == list(want.sectors)
-        for key in want.sectors:
-            assert _bits(got.sectors[key]) == _bits(want.sectors[key])
+        _assert_same(a * b, ref_a * ref_b)
 
     def test_zero_order_keeps_constants_only(self):
         t = {(0, 0): 2 + 0j, (1, 0): 1 + 0j, (0, 1): 3 + 0j}
-        assert _tail_mul(t, t, 0) == {(0, 0): 4 + 0j}
+        assert _tail_mul(_packed(t, 0), _packed(t, 0), 0) == {0: 4 + 0j}
+        s = GenSeries.from_tails(("a", "b"), 0, {((), (), (ZERO, ZERO)): t})
+        assert (s * s).terms() == [({}, {}, 4 + 0j)]
 
     @pytest.mark.parametrize("order", [62, 63, 64, 200])
     def test_large_orders_bit_identical_to_loop(self, order):
-        # base order + 1 above 64 decodes one digit per lookup, not pairs
+        # keys in base order + 1 with up to six digits, decoded back
         rng = random.Random(order)
-        series._digit_table.cache_clear()
         for nvars in (1, 2, 3, 6):
             tails = [
                 {
@@ -282,12 +551,82 @@ class TestPackedKernel:
                 }
                 for _ in range(2)
             ]
-            got = _tail_mul(*tails, order)
-            assert _bits(got) == _bits(_loop_tail_mul(*tails, order))
-        if order >= 64:
-            # only the order + 1 one-digit tuples, no (order + 1)**2 pairs
-            assert series._digit_table.cache_info().currsize == 1
-            assert len(series._digit_table(order + 1, 1)) == order + 1
+            got = _tail_mul(*[_packed(t, order) for t in tails], order)
+            assert _bits(_decoded(got, order, nvars)) == _bits(_loop_tail_mul(*tails, order))
+            assert all(0 <= k < (order + 1) ** nvars for k in got)
+
+    @pytest.mark.parametrize("order", [1, 2, 7, 30, 200])
+    def test_degree_is_digit_sum(self, order):
+        rng = random.Random(order)
+        for nvars in (1, 3, 7):
+            for _ in range(200):
+                vec = [0] * nvars
+                for _ in range(rng.randint(0, order)):
+                    vec[rng.randrange(nvars)] += 1
+                assert series._degree(series._pack(vec, order + 1), order) == sum(vec)
+        assert series._degree(0, 0) == 0
+
+
+class TestPackedSeries:
+    """Packed GenSeries against the tuple-keyed reference, bit for bit."""
+
+    @given(data=st.data(), nvars=st.integers(1, 7), order=_orders)
+    @settings(max_examples=120, deadline=None)
+    def test_add_and_truncate(self, data, nvars, order):
+        a, ref_a = data.draw(_series_pair(nvars, order))
+        b, ref_b = data.draw(_series_pair(nvars, order))
+        _assert_same(a + b, ref_a + ref_b)
+        cut = data.draw(st.integers(0, order + 2))
+        _assert_same(a.truncate(cut), ref_a.truncate(cut))
+
+    @given(data=st.data(), nvars=st.integers(1, 7), order=_orders)
+    @settings(max_examples=60, deadline=None)
+    def test_add_at_unequal_orders_drops_terms_above_the_order(self, data, nvars, order):
+        # the reference keeps the longer operand's higher terms in a sector
+        # it stores whole; the packed series cannot hold them
+        a, ref_a = data.draw(_series_pair(nvars, order + data.draw(st.integers(1, 3))))
+        b, ref_b = data.draw(_series_pair(nvars, order))
+        got = a + b
+        assert got.order == order
+        _assert_same(got, _restricted(ref_a + ref_b))
+        _assert_same(b * a, ref_b * ref_a)
+
+    @given(data=st.data(), order=_orders)
+    @settings(max_examples=120, deadline=None)
+    def test_embed_across_variable_sets(self, data, order):
+        # z3 is graded on one side and an ungraded factor on the other, so
+        # embedding moves it into the sector base
+        names = ("z0", "z1", "z2", "z3", "z4", "z5", "z6")
+        ga = tuple(sorted(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))))
+        gb = tuple(sorted(data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=4, unique=True))))
+        a, ref_a = data.draw(_series_pair(len(ga), order, ga, ("z3",) if "z3" not in ga else ()))
+        b, ref_b = data.draw(_series_pair(len(gb), order, gb, ("z3",) if "z3" not in gb else ()))
+        union = tuple(sorted(set(ga) | set(gb)))
+        _assert_same(a._embed(union), ref_a._embed(union))
+        _assert_same(a + b, ref_a + ref_b)
+        _assert_same(a * b, ref_a * ref_b)
+
+    @given(data=st.data(), nvars=st.integers(1, 7))
+    @settings(max_examples=150, deadline=None)
+    def test_pow_and_log1p(self, data, nvars):
+        # a single sector, its leading monomial possibly off the origin;
+        # high orders only with few variables, as (1+u)^q fills every degree
+        order = data.draw(st.integers(0, {1: 200, 2: 30, 3: 12}.get(nvars, 6)))
+        graded = tuple(f"z{k}" for k in range(nvars))
+        base = (data.draw(_HALF_OR_ZERO),) + tuple([Fraction(0)] * (nvars - 1))
+        small = st.tuples(*[st.integers(0, 2)] * nvars)
+        tail = data.draw(st.dictionaries(small, _coeffs, min_size=1, max_size=5))
+        if data.draw(st.booleans()):
+            tail[tuple([0] * nvars)] = 1 + 0j
+        s, ref = _pair(graded, order, {((), (), base): tail})
+        q = data.draw(st.fractions(Fraction(-3), Fraction(3), max_denominator=4))
+        for op, args in (("pow", (q,)), ("log1p", ())):
+            got = _result(getattr(s, op), *args)
+            want = _result(getattr(ref, op), *args)
+            if isinstance(want, _TupleSeries):
+                _assert_same(got, want)
+            else:
+                assert got == want
 
 
 class TestBinomialTail:
@@ -307,7 +646,8 @@ class TestBinomialTail:
             if not u:
                 continue
             q = Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 6, 7]))
-            got = _binomial_tail({v: complex(c) for v, c in u.items()}, q, order, nvars)
+            packed = _binomial_tail(_packed({v: complex(c) for v, c in u.items()}, order), q, order)
+            got = _decoded(packed, order, nvars)
             zero = tuple([0] * nvars)
             exact, power = {zero: Fraction(1)}, {zero: Fraction(1)}
             for k in range(1, order + 1):
@@ -341,20 +681,22 @@ class TestBinomialTail:
         for vec, c in tail.items():
             assert abs(scaled.sectors[key][vec] - ratio * c) <= 1e-14 * abs(ratio * c)
         # a caller mutating its tail leaves the memo intact
-        mine = _binomial_tail(u, q, 8, 2)
+        mine = _binomial_tail(_packed(u, 8), q, 8)
         want = _bits(mine)
-        mine[(0, 0)] = 99.0 + 0j
-        assert _bits(_binomial_tail(u, q, 8, 2)) == want
+        mine[0] = 99.0 + 0j
+        assert _bits(_binomial_tail(_packed(u, 8), q, 8)) == want
 
     def test_memo_exact_across_signed_zeros(self):
         # the memo key merges 0.0 and -0.0 parts; the tail it returns must
         # still be the one computed from the tail asked for
-        plus = {(1,): complex(0.5, 0.0), (2,): complex(-1.0, 0.0), (3,): 0j}
-        minus = {(1,): complex(0.5, -0.0), (2,): complex(-1.0, -0.0), (3,): -0j}
+        plus = {1: complex(0.5, 0.0), 2: complex(-1.0, 0.0), 3: 0j}
+        minus = {1: complex(0.5, -0.0), 2: complex(-1.0, -0.0), 3: -0j}
         for q in (Fraction(1, 2), Fraction(-3), Fraction(2)):
             for u in (plus, minus):
-                fresh = series._binomial_tail_memo.__wrapped__(tuple(u.items()), q, 6, 1)
-                assert _bits(_binomial_tail(u, q, 6, 1)) == _bits(fresh)
+                fresh = series._binomial_tail_memo.__wrapped__(tuple(u.items()), q, 6)
+                assert _bits(_binomial_tail(u, q, 6)) == _bits(fresh)
+                want = _loop_binomial_tail({(k,): c for k, c in u.items()}, q, 6, 1)
+                assert _bits(_decoded(fresh, 6, 1)) == _bits(want)
 
 
 class TestExpand:
@@ -533,12 +875,12 @@ def _outcome(fn, *args):
     """Exact bits of a complex result, or the exception it raised."""
     try:
         z = fn(*args)
-    except (SeriesError, ZeroDivisionError) as err:
+    except (SeriesError, ZeroDivisionError, OverflowError) as err:
         return type(err), str(err)
     return z.real.hex(), z.imag.hex()
 
 
-_GRADED = ("a", "b", "c")
+_GRADED = ("a", "b", "c", "d", "e", "f", "g")
 _UNGRADED = ("x", "y")
 # exactly zero, or at least 0.1 in size, so no power overflows
 _value_parts = st.one_of(
@@ -553,14 +895,22 @@ _exponents = st.one_of(
 )
 
 
+# moduli 0.5-1.5 or exactly zero: no power up to 203 overflows
+_unit_parts = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]), st.floats(0.5, 1.0), st.floats(-1.0, -0.5)
+)
+_unit_values = st.builds(complex, _unit_parts, _unit_parts)
+
+
 @st.composite
-def _series_and_values(draw):
-    """Multi-sector series over three graded variables with negative and
-    fractional bases, ungraded factors and log factors, and values that
-    may be zero, on the cut or missing."""
-    nvars = draw(st.integers(1, 3))
+def _series_and_values(draw, max_vars=3, orders=st.integers(0, 8), values=_values):
+    """Multi-sector series over up to ``max_vars`` graded variables with
+    negative and fractional bases, ungraded factors and log factors, and
+    values that may be zero, on the cut or missing.  Returns the packed
+    series, the tuple-keyed reference and the values."""
+    nvars = draw(st.integers(1, max_vars))
     graded = _GRADED[:nvars]
-    order = draw(st.integers(0, 8))
+    order = draw(orders)
     sectors = {}
     for _ in range(draw(st.integers(1, 4))):
         base = tuple(draw(_exponents) for _ in graded)
@@ -568,21 +918,43 @@ def _series_and_values(draw):
         ungraded = tuple(sorted((v, draw(_exponents.filter(bool))) for v in names))
         log_names = draw(st.lists(st.sampled_from(graded + _UNGRADED), unique=True, max_size=2))
         logs = tuple(sorted((v, draw(st.integers(1, 2))) for v in log_names))
-        vecs = st.tuples(*[st.integers(0, order)] * nvars)
+        vecs = _vecs(nvars, order)
         sectors[(logs, ungraded, base)] = draw(
             st.dictionaries(vecs, _coeffs, min_size=1, max_size=10)
         )
-    s = GenSeries(graded, order, sectors)
+    s, ref = _pair(graded, order, sectors)
     missing = draw(st.lists(st.sampled_from(graded + _UNGRADED), max_size=1))
-    return s, {v: draw(_values) for v in graded + _UNGRADED if v not in missing}
+    return s, ref, {v: draw(values) for v in graded + _UNGRADED if v not in missing}
 
 
 class TestEvaluate:
     @given(case=_series_and_values())
     @settings(max_examples=250, deadline=None)
     def test_bit_identical_to_loop(self, case):
-        s, values = case
-        assert _outcome(evaluate_series, s, values) == _outcome(_loop_evaluate, s, values)
+        s, ref, values = case
+        assert _outcome(evaluate_series, s, values) == _outcome(_loop_evaluate, ref, values)
+
+    @given(case=_series_and_values(7, _orders, _unit_values))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_loop_wide(self, case):
+        # 1-7 variables and orders up to 200: keys of up to seven digits
+        s, ref, values = case
+        assert _outcome(evaluate_series, s, values) == _outcome(_loop_evaluate, ref, values)
+
+    def test_long_tail_bit_identical_to_loop(self):
+        # tails of every length from 1 to 40 at orders 12 and 60
+        rng = random.Random(47)
+        graded = _GRADED[:4]
+        values = {g: complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)) for g in graded}
+        for order in (12, 60):
+            for size in range(1, 41):
+                tail = {}
+                while len(tail) < size:
+                    vec = tuple(rng.randint(0, order // 4) for _ in graded)
+                    tail[vec] = complex(rng.uniform(-1, 1), rng.choice([0.0, -0.0, rng.uniform(-1, 1)]))
+                base = (Fraction(-1), ZERO, Fraction(2), ZERO)
+                s, ref = _pair(graded, order, {((), (), base): tail})
+                assert _outcome(evaluate_series, s, values) == _outcome(_loop_evaluate, ref, values)
 
     def test_constant(self):
         s = GenSeries.constant(1.0, ("z",), 3)
@@ -591,29 +963,32 @@ class TestEvaluate:
 
     def test_unused_missing_variable(self):
         # every exponent of b is zero, so b needs no value
-        s = GenSeries(("a", "b"), 4, {((), (), (Fraction(-1), ZERO)): {(1, 0): 2j, (3, 0): 1 + 0j}})
+        s = GenSeries.from_tails(("a", "b"), 4, {((), (), (Fraction(-1), ZERO)): {(1, 0): 2j, (3, 0): 1 + 0j}})
         assert evaluate_series(s, {"a": 2.0}) == 2j + 4
         with pytest.raises(SeriesError, match="no value for variable b"):
             evaluate_series(
-                GenSeries(("a", "b"), 4, {((), (), (ZERO, ZERO)): {(0, 1): 1 + 0j}}), {"a": 2.0}
+                GenSeries.from_tails(("a", "b"), 4, {((), (), (ZERO, ZERO)): {(0, 1): 1 + 0j}}),
+                {"a": 2.0},
             )
 
     def test_zero_value_with_nonnegative_exponents(self):
         # base -1 with tail exponents >= 1: a^0 and a^2 at a = 0; the
         # negative powers no term uses are never computed
-        s = GenSeries(("a",), 4, {((), (), (Fraction(-1),)): {(1,): 3 + 0j, (3,): 5 + 0j}})
+        s = GenSeries.from_tails(("a",), 4, {((), (), (Fraction(-1),)): {(1,): 3 + 0j, (3,): 5 + 0j}})
         assert evaluate_series(s, {"a": 0j}) == 3
         with pytest.raises(ZeroDivisionError):
             evaluate_series(
-                GenSeries(("a",), 4, {((), (), (Fraction(-1),)): {(0,): 1 + 0j}}), {"a": 0j}
+                GenSeries.from_tails(("a",), 4, {((), (), (Fraction(-1),)): {(0,): 1 + 0j}}),
+                {"a": 0j},
             )
 
     def test_cut_variable_with_integer_power(self):
-        s = GenSeries(("a",), 4, {((), (("x", Fraction(3)),), (Fraction(-2),)): {(0,): 1 + 0j, (3,): 1 + 0j}})
+        sectors = {((), (("x", Fraction(3)),), (Fraction(-2),)): {(0,): 1 + 0j, (3,): 1 + 0j}}
+        s, ref = _pair(("a",), 4, sectors)
         got = evaluate_series(s, {"a": -2.0, "x": -1.0})
         assert got == -(0.25 - 2)
         assert _outcome(evaluate_series, s, {"a": -2.0, "x": -1.0}) == _outcome(
-            _loop_evaluate, s, {"a": -2.0, "x": -1.0}
+            _loop_evaluate, ref, {"a": -2.0, "x": -1.0}
         )
 
     def test_cut_error(self):
