@@ -72,40 +72,7 @@ _LAZY = {
     **dict.fromkeys(("latticecft", "NarainModel", "build_boundary"), "latticecft"),
 }
 
-__all__ = [
-    "EMPTY",
-    "ClosedLeaf",
-    "Leaf",
-    "Node",
-    "OpenLeaf",
-    "Tau",
-    "compose",
-    "compose_colored",
-    "doubling",
-    "format_tree",
-    "parse_tree",
-    "permute",
-    "CoordSystem",
-    "CoordValues",
-    "a_coordinates",
-    "admissibility_certificate",
-    "pair_difference",
-    "psi",
-    "region_membership",
-    "region_membership_open",
-    "GenSeries",
-    "PowerProduct",
-    "evaluate_closed",
-    "evaluate_series",
-    "expand",
-    "BraidWord",
-    "braid_permutation",
-    "cable_compose",
-    "mirror",
-    "papb_generator",
-    "NarainModel",
-    "build_boundary",
-]
+__all__ = [name for name, submodule in _LAZY.items() if name != submodule]
 
 
 def __getattr__(name):

@@ -232,36 +232,15 @@ class BoundaryData:
         if alpha in self.sigma_table:
             return self.sigma_table[alpha]
         n, m = alpha
-        # greedy coboundary solve, reducing n first, then m:
-        # sigma(x + y) = sigma(x) sigma(y) / eps'(x, y)
-        if n > 0:
-            prev = (n - 1, m)
-            k = (
-                self.sigma_num(prev)
-                + self.sigma_num((1, 0))
-                - self.epsilon_prime_num(prev, (1, 0))
-            )
-        elif n < 0:
-            nxt = (n + 1, m)
-            k = (
-                self.epsilon_prime_num(alpha, (1, 0))
-                + self.sigma_num(nxt)
-                - self.sigma_num((1, 0))
-            )
-        elif m > 0:
-            prev = (0, m - 1)
-            k = (
-                self.sigma_num(prev)
-                + self.sigma_num((0, 1))
-                - self.epsilon_prime_num(prev, (0, 1))
-            )
+        # greedy coboundary solve, reducing n first, then m, one step g
+        # towards 0: sigma(x + g) = sigma(x) sigma(g) / eps'(x, g)
+        g = (1, 0) if n else (0, 1)
+        if (n or m) > 0:
+            x = (n - g[0], m - g[1])
+            k = self.sigma_num(x) + self.sigma_num(g) - self.epsilon_prime_num(x, g)
         else:
-            nxt = (0, m + 1)
-            k = (
-                self.epsilon_prime_num(alpha, (0, 1))
-                + self.sigma_num(nxt)
-                - self.sigma_num((0, 1))
-            )
+            x = (n + g[0], m + g[1])
+            k = self.epsilon_prime_num(alpha, g) + self.sigma_num(x) - self.sigma_num(g)
         k %= 2 * self.model.D
         self.sigma_table[alpha] = k
         return k
@@ -285,7 +264,10 @@ class BoundaryData:
         return BoundaryData(self.model, self.rho, table)
 
 
-def build_boundary(model: NarainModel, rho: int, check_box: int = 6) -> BoundaryData:
+CHECK_BOX = 6  # half-width of the charge box checked and materialized
+
+
+def build_boundary(model: NarainModel, rho: int) -> BoundaryData:
     """Construct boundary data for the reflection sign rho.
 
     Verifies that eps' is symmetric (the precondition for the coboundary
@@ -293,13 +275,13 @@ def build_boundary(model: NarainModel, rho: int, check_box: int = 6) -> Boundary
     """
     bd = BoundaryData(model, rho)
     gens = [(1, 0), (0, 1), (1, 1), (-1, 2)]
-    for n in range(-check_box, check_box + 1):
-        for m in range(-check_box, check_box + 1):
+    for n in range(-CHECK_BOX, CHECK_BOX + 1):
+        for m in range(-CHECK_BOX, CHECK_BOX + 1):
             a = (n, m)
             for b in gens:
                 if bd.epsilon_prime_num(a, b) != bd.epsilon_prime_num(b, a):
                     raise LatticeError(f"eps' not symmetric at {a}, {b}")
-    bd.materialize(check_box)
+    bd.materialize(CHECK_BOX)
     return bd
 
 
@@ -318,8 +300,8 @@ class VerifyReport:
     runtime: float
     notes: list = field(default_factory=list)
 
-    def to_obj(self, include_runtime: bool = False) -> dict:
-        out = {
+    def to_obj(self) -> dict:
+        return {
             "check": self.name,
             "params": self.params,
             "samples": self.samples,
@@ -328,9 +310,6 @@ class VerifyReport:
             "passed": self.passed,
             "notes": self.notes,
         }
-        if include_runtime:
-            out["runtime_s"] = self.runtime
-        return out
 
     def text(self) -> str:
         lines = [
@@ -677,18 +656,35 @@ def bootstrap_check(
 # Region samplers
 
 
-def _sample_bulk_points(tree, rng, count, margin_min=0.45, shrink_range=(0.12, 0.3)):
+MARGIN_MIN = 0.45  # default certificate margin of a sampled point
+SHRINK_RANGE = (0.12, 0.3)  # nesting shrink factor, resampled per point
+
+
+def _rejection_sample(propose, count, tries, message):
+    """``count`` points from ``propose()``, which returns a point or None
+    for a rejected proposal, in at most ``tries * count`` proposals."""
+    out = []
+    attempts = 0
+    while len(out) < count and attempts < tries * count:
+        attempts += 1
+        pt = propose()
+        if pt is not None:
+            out.append(pt)
+    if len(out) < count:
+        raise LatticeError(message)
+    return out
+
+
+def _sample_bulk_points(tree, rng, count, margin_min=MARGIN_MIN):
     """Scaled/rotated/jittered copies of the nested base configuration,
     inside the cut region with the requested certificate margin and with
     all tree coordinates (and conjugates) off the cut.  The nesting
     shrink factor is resampled per point so depths spread from near the
     margin up to very deep."""
     cs = a_coordinates(tree)
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < 500 * count:
-        attempts += 1
-        base = nested_configuration(tree, shrink=rng.uniform(*shrink_range))
+
+    def propose():
+        base = nested_configuration(tree, shrink=rng.uniform(*SHRINK_RANGE))
         spread = {
             k: min(abs(base[k] - base[j]) for j in range(len(base)) if j != k)
             for k in range(len(base))
@@ -708,28 +704,27 @@ def _sample_bulk_points(tree, rng, count, margin_min=0.45, shrink_range=(0.12, 0
         )
         memb = region_membership(cs, pt)
         if not memb.in_u or memb.margin < margin_min:
-            continue
+            return None
         cv = psi(cs, pt)
         cvb = psi(cs, [z.conjugate() for z in pt])
         if any(on_cut(v) for v in (cv.x, cvb.x) + cv.zeta + cvb.zeta):
-            continue
-        out.append(pt)
-    if len(out) < count:
-        raise LatticeError("bulk sampler failed to reach the requested margin")
-    return out
+            return None
+        return pt
+
+    return _rejection_sample(
+        propose, count, 500, "bulk sampler failed to reach the requested margin"
+    )
 
 
-def _sample_open_points(e, rng, count, margin_min=0.45, shrink_range=(0.12, 0.3)):
+def _sample_open_points(e, rng, count, margin_min=MARGIN_MIN):
     """Jittered nested configurations in the leaf-order component of the
     open tree region, with per-point nesting depth."""
     r, s, _ = validate_colored(e)
     working = doubling(e)
     cs = a_coordinates(working)
-    out = []
-    attempts = 0
-    while len(out) < count and attempts < 1000 * count:
-        attempts += 1
-        base = nested_configuration_open(e, shrink=rng.uniform(*shrink_range))
+
+    def propose():
+        base = nested_configuration_open(e, shrink=rng.uniform(*SHRINK_RANGE))
         heights = [complex(base[k]).imag for k in range(r)]
         gaps = []
         for k in range(r + s):
@@ -742,7 +737,6 @@ def _sample_open_points(e, rng, count, margin_min=0.45, shrink_range=(0.12, 0.3)
         shift = rng.uniform(-1.0, 1.0)
         mag = rng.uniform(0.6, 1.8)
         pt = []
-        ok = True
         for k in range(r + s):
             b = complex(base[k])
             dre = rng.gauss(0, 0.08) * gaps[k]
@@ -750,32 +744,33 @@ def _sample_open_points(e, rng, count, margin_min=0.45, shrink_range=(0.12, 0.3)
                 dim = rng.gauss(0, 0.15) * heights[k]
                 im = mag * (b.imag + dim)
                 if im <= 0:
-                    ok = False
-                    break
+                    return None
                 pt.append(complex(mag * (b.real + dre) + shift, im))
             else:
                 pt.append(complex(mag * (b.real + dre) + shift, 0.0))
-        if not ok:
-            continue
         try:
             validate_halfplane_point(pt, r, s)
         except CoordError:
-            continue
+            return None
         doubled = phi_embedding(pt, r, s)
         memb = region_membership(cs, doubled)
         if not memb.in_ubar or memb.margin < margin_min:
-            continue
+            return None
         cv = psi(cs, doubled)
         if on_cut(cv.x) or any(on_cut(v) for v in cv.zeta):
-            continue
-        out.append(tuple(pt))
-    if len(out) < count:
-        raise LatticeError("open-region sampler failed; loosen the margin")
-    return out
+            return None
+        return tuple(pt)
+
+    return _rejection_sample(
+        propose, count, 1000, "open-region sampler failed; loosen the margin"
+    )
 
 
 # ---------------------------------------------------------------------------
 # Consistency of per-tree expansions with the closed forms
+
+
+PHASE_TOL = 1e-10  # inter-region phase tolerance
 
 
 def expansion_consistency_check(
@@ -788,8 +783,6 @@ def expansion_consistency_check(
     seed: int,
     bd: BoundaryData | None = None,
     bdry_charges=(),
-    margin_min: float = 0.45,
-    phase_tol: float = 1e-10,
 ) -> VerifyReport:
     """Per-tree expansions converge to the single correlator.
 
@@ -816,7 +809,7 @@ def expansion_consistency_check(
         if colored:
             r, s, _ = validate_colored(tree)
             base_pt = nested_configuration_open(tree)
-            pts = _sample_open_points(tree, rng, n_points, margin_min)
+            pts = _sample_open_points(tree, rng, n_points)
             dual = sum(bd.t_coeff(a) for a in charges) + sum(
                 int(k) for k in bdry_charges
             )
@@ -835,7 +828,7 @@ def expansion_consistency_check(
 
         else:
             base_pt = nested_configuration(tree)
-            pts = _sample_bulk_points(tree, rng, n_points, margin_min)
+            pts = _sample_bulk_points(tree, rng, n_points)
             dual = (sum(n for n, _ in charges), sum(m for _, m in charges))
 
             def closed(pt):
@@ -869,7 +862,7 @@ def expansion_consistency_check(
         samples[idx]["phase_measured"] = [measured.real, measured.imag]
         samples[idx]["phase_predicted"] = [predicted.real, predicted.imag]
         samples[idx]["phase_error"] = err
-    passed = worst <= tol and phase_worst <= phase_tol
+    passed = worst <= tol and phase_worst <= PHASE_TOL
     return VerifyReport(
         name="expansion-consistency",
         params={
@@ -886,7 +879,7 @@ def expansion_consistency_check(
         tolerance=tol,
         passed=passed,
         runtime=time.perf_counter() - t0,
-        notes=[f"worst inter-region phase error {phase_worst:.3e} (tol {phase_tol:.0e})"],
+        notes=[f"worst inter-region phase error {phase_worst:.3e} (tol {PHASE_TOL:.0e})"],
     )
 
 

@@ -22,7 +22,9 @@ Every truncated tail product goes through one kernel, :func:`_tail_mul`.
 It keeps the tuple-keyed loop's order (left operand outer, right operand
 inner, both in dict order, first-touch insertion), and a packed key only
 renames a term, so every coefficient comes out bit for bit as that loop
-gives it.  Binomial tails (1+u)^q are memoized on (u in dict order, q, N).
+gives it.  :func:`_powers` is the one loop making repeated powers u, u^2,
+... (memoized binomial tails, ``log1p``, :func:`expand`'s plain powers),
+and :func:`expand` builds its difference product as one packed tail chain.
 
 :func:`evaluate_series` is table-driven.  For each graded variable and
 integer base b of a sector it keeps one lazily filled power table, keyed
@@ -47,7 +49,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import compress, repeat
+from itertools import chain, compress, islice, repeat
 from operator import add, floordiv, mod, mul
 from typing import Mapping, Sequence
 
@@ -130,10 +132,7 @@ class GenSeries:
 
     @classmethod
     def constant(cls, c, graded: Sequence[str], order: int) -> "GenSeries":
-        s = cls(graded, order)
-        if c != 0:
-            s.sectors[((), (), tuple([ZERO] * len(s.graded)))] = {0: complex(c)}
-        return s
+        return cls.monomial(c, {}, graded, order)
 
     @classmethod
     def monomial(
@@ -351,13 +350,13 @@ class GenSeries:
             raise SeriesError("cannot exponentiate a series with log factors")
         if on_cut(c) and q.denominator != 1:
             raise SeriesError("leading coefficient on the cut")
-        cq = c ** int(q) if q.denominator == 1 else cmath.exp(q * cmath.log(c))
+        try:
+            cq = c ** int(q) if q.denominator == 1 else cmath.exp(q * cmath.log(c))
+        except (ZeroDivisionError, OverflowError):
+            raise SeriesError("leading coefficient to this power out of range") from None
         newkey = ((), tuple((v, e * q) for v, e in ungraded), tuple(e * q for e in base))
-        tail = _binomial_tail(u, q, self.order)
-        for k in tail:
-            tail[k] *= cq
         out = GenSeries(self.graded, self.order)
-        out._merge_sector(newkey, tail)
+        out._merge_sector(newkey, _scale_tail(_binomial_tail(u, q, self.order), cq))
         return out._prune()
 
     def log1p(self) -> "GenSeries":
@@ -367,17 +366,12 @@ class GenSeries:
         if logs or ungraded or any(base) or c != 1:
             raise SeriesError("log1p needs a series of the form 1 + u")
         tail = {}
-        power = {0: 1.0 + 0j}
-        for k in range(1, self.order + 1):
-            power = _tail_mul(power, u, self.order)
-            if not power:
-                break
+        for k, power in enumerate(islice(_powers(u, self.order), self.order), start=1):
             sign = (-1.0) ** (k + 1) / k
             for vec, coeff in power.items():
                 tail[vec] = tail.get(vec, 0) + sign * coeff
         out = GenSeries(self.graded, self.order)
-        if tail:
-            out._merge_sector(((), (), tuple([0] * len(self.graded))), tail)
+        out._merge_sector(((), (), tuple([0] * len(self.graded))), tail)
         return out._prune()
 
     # -- introspection ------------------------------------------------------
@@ -470,6 +464,14 @@ def _tail_mul(t1, t2, order, prune=True):
     return out
 
 
+def _powers(u, order):
+    """u, u^2, ... truncated at degree ``order`` until a power vanishes; a u
+    with a constant term never does, so the caller bounds the count."""
+    power = {0: 1.0 + 0j}
+    while power := _tail_mul(power, u, order):
+        yield power
+
+
 def _binomial_tail(u, q, order):
     """(1+u)^q truncated: sum_k C(q,k) u^k with u of positive degree.
 
@@ -477,21 +479,16 @@ def _binomial_tail(u, q, order):
     The key's complex equality does not tell 0.0 from -0.0, and need not:
     every sum starts from int 0 or 1+0j, so a part that sums to zero comes
     out +0.0 and no other bit depends on the sign of a zero.  Returns a
-    fresh dict: callers scale it in place.
+    fresh dict, so a caller may change it.
     """
     return dict(_binomial_tail_memo(tuple(u.items()), Fraction(q), order))
 
 
 @lru_cache(maxsize=4096)
 def _binomial_tail_memo(items, q, order):
-    u = dict(items)
     out = {0: 1.0 + 0j}
-    power = {0: 1.0 + 0j}
     coeff = Fraction(1)
-    for k in range(1, order + 1):
-        power = _tail_mul(power, u, order)
-        if not power:
-            break
+    for k, power in enumerate(islice(_powers(dict(items), order), order), start=1):
         # C(q, k) from C(q, k-1): the steps binomial(q, k) takes
         coeff = coeff * (q - (k - 1)) / k
         ck = complex(coeff)
@@ -608,7 +605,6 @@ class ExpandedProduct:
     """Result of expanding a power product in tree coordinates."""
 
     series: GenSeries
-    factors: tuple  # FactoredDifference per difference factor
     negative_pairs: tuple  # (i, j) factors whose leading sign was -1
 
 
@@ -632,46 +628,34 @@ def expand(
         raise SeriesError("negative_branch must be 'upper' or 'lower'")
     names = cs.var_names(conjugate=conjugate)
     graded = names["zeta"]
-    out = GenSeries.constant(f.constant, graded, order)
-    facs = []
-    negative = []
+    out = GenSeries(graded, order)
+    zero_base = tuple([ZERO] * len(graded))
+    tail = {0: complex(f.constant)} if f.constant != 0 else {}
+    x_exp, base, negative = ZERO, list(zero_base), []
+    # one packed tail, the product so far on the left as in GenSeries.__mul__
     for (i, j), s in f.diffs:
         fac = pair_difference(cs, i, j)
-        facs.append(fac)
-        exps = {names["x"]: s}
+        x_exp += s
         for idx, m in enumerate(fac.monomial):
-            if m:
-                exps[graded[idx]] = s * m
+            base[idx] += s * m
         coeff = 1.0 + 0j
         if fac.sign == -1:
             negative.append((i, j))
             coeff = phase_pi(s if negative_branch == "upper" else -s)
-        piece = GenSeries.monomial(coeff, exps, graded, order)
-        (key,) = piece.sectors
-        tail_u = _packed_poly(fac.tail, order)
-        piece.sectors[key] = _scale_tail(_binomial_tail(tail_u, s, order), coeff)
-        out = out * piece
+        factor = _binomial_tail(_packed_poly(fac.tail, order), s, order)
+        tail = _tail_mul(tail, _scale_tail(factor, coeff), order)
+    if tail:
+        out.sectors[((), _ungraded_key({names["x"]: x_exp}), tuple(base))] = tail
     for i, k in f.powers:
-        # z_i = z_A + x_A Q_i, expanded binomially in the two summands
-        qi = cs.q_polys[i]
+        # z_i^k = sum_m C(k, m) z_A^(k-m) x_A^m Q_i^m; the ungraded keys all
+        # differ, so no two sectors fold.  Q_i has a constant term: take k powers.
+        qpows = islice(_powers(_packed_poly(cs.q_polys[i], order), order), k)
         piece = GenSeries(graded, order)
-        for m in range(k + 1):
-            coeff = complex(math.comb(k, m))
-            exps = {names["z"]: Fraction(k - m), names["x"]: Fraction(m)}
-            mono = GenSeries.monomial(coeff, exps, graded, order)
-            if m:
-                qpow, dense_qi = {0: 1.0 + 0j}, _packed_poly(qi, order)
-                for _ in range(m):
-                    qpow = _tail_mul(qpow, dense_qi, order)
-                term = GenSeries(graded, order)
-                if qpow:
-                    (key,) = mono.sectors
-                    term.sectors[key] = _scale_tail(qpow, coeff)
-                piece = piece + term
-            else:
-                piece = piece + mono
+        for m, qpow in enumerate(chain([{0: 1.0 + 0j}], qpows)):
+            ungraded = _ungraded_key({names["z"]: k - m, names["x"]: m})
+            piece.sectors[((), ungraded, zero_base)] = _scale_tail(qpow, complex(math.comb(k, m)))
         out = out * piece
-    return ExpandedProduct(series=out, factors=tuple(facs), negative_pairs=tuple(negative))
+    return ExpandedProduct(series=out, negative_pairs=tuple(negative))
 
 
 def _packed_poly(poly, order):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opetree import series
-from opetree.coords import a_coordinates, psi
+from opetree.coords import a_coordinates, pair_difference, psi
 from opetree.series import (
     ZERO,
     BranchPlan,
@@ -121,6 +121,12 @@ class TestArithmetic:
         got = {int(e.get("z", 0)): c for e, _, c in lg.terms()}
         for k in range(1, 7):
             assert abs(got[k] - (-1) ** (k + 1) / k) < 1e-14
+
+    def test_pow_of_out_of_range_leading_coefficient(self):
+        # c^q under- or overflows: a SeriesError, not an arithmetic error
+        for c, q in ((1.2e-196j, -2), (1e200, 2), (1e200, Fraction(5, 2))):
+            with pytest.raises(SeriesError, match="out of range"):
+                GenSeries.monomial(c, {}, ("z",), 3).pow(q)
 
     def test_negative_order_rejected(self):
         with pytest.raises(SeriesError):
@@ -357,7 +363,10 @@ class _TupleSeries:
             raise SeriesError("cannot exponentiate a series with log factors")
         if series.on_cut(c) and q.denominator != 1:
             raise SeriesError("leading coefficient on the cut")
-        cq = c ** int(q) if q.denominator == 1 else cmath.exp(q * cmath.log(c))
+        try:
+            cq = c ** int(q) if q.denominator == 1 else cmath.exp(q * cmath.log(c))
+        except (ZeroDivisionError, OverflowError):
+            raise SeriesError("leading coefficient to this power out of range") from None
         newkey = ((), tuple((v, e * q) for v, e in ungraded), tuple(e * q for e in base))
         tail = _loop_binomial_tail(u, q, self.order, len(self.graded))
         for vec in tail:
@@ -670,7 +679,7 @@ class TestBinomialTail:
         q = Fraction(-5, 3)
         first = one_plus(("a", "b"), 8, u).pow(q)
         before = series._binomial_tail_memo.cache_info().hits
-        # same tail, other leading constant: pow scales its copy in place
+        # same tail, other leading constant: pow scales a copy
         scaled = (one_plus(("a", "b"), 8, u) * 3.0).pow(q)
         assert series._binomial_tail_memo.cache_info().hits == before + 1
         again = one_plus(("a", "b"), 8, u).pow(q)
@@ -697,6 +706,54 @@ class TestBinomialTail:
                 assert _bits(_binomial_tail(u, q, 6)) == _bits(fresh)
                 want = _loop_binomial_tail({(k,): c for k, c in u.items()}, q, 6, 1)
                 assert _bits(_decoded(fresh, 6, 1)) == _bits(want)
+
+
+def _per_factor_expand(cs, f, order, conjugate, negative_branch):
+    """expand as it was, kept as the bit-exact reference: each difference
+    factor a monomial with its binomial tail through GenSeries.__mul__,
+    each plain power a GenSeries.__add__ chain with Q_i^m rebuilt per m."""
+    names = cs.var_names(conjugate=conjugate)
+    graded = names["zeta"]
+    out = GenSeries.constant(f.constant, graded, order)
+    negative = []
+    for (i, j), s in f.diffs:
+        fac = pair_difference(cs, i, j)
+        exps = {names["x"]: s}
+        for idx, m in enumerate(fac.monomial):
+            if m:
+                exps[graded[idx]] = s * m
+        coeff = 1.0 + 0j
+        if fac.sign == -1:
+            negative.append((i, j))
+            coeff = phase_pi(s if negative_branch == "upper" else -s)
+        piece = GenSeries.monomial(coeff, exps, graded, order)
+        (key,) = piece.sectors
+        tail_u = series._packed_poly(fac.tail, order)
+        piece.sectors[key] = series._scale_tail(_binomial_tail(tail_u, s, order), coeff)
+        out = out * piece
+    for i, k in f.powers:
+        qi = series._packed_poly(cs.q_polys[i], order)
+        piece = GenSeries(graded, order)
+        for m in range(k + 1):
+            coeff = complex(math.comb(k, m))
+            exps = {names["z"]: Fraction(k - m), names["x"]: Fraction(m)}
+            mono = GenSeries.monomial(coeff, exps, graded, order)
+            if m:
+                qpow = {0: 1.0 + 0j}
+                for _ in range(m):
+                    qpow = _tail_mul(qpow, qi, order)
+                term = GenSeries(graded, order)
+                if qpow:
+                    (key,) = mono.sectors
+                    term.sectors[key] = series._scale_tail(qpow, coeff)
+                piece = piece + term
+            else:
+                piece = piece + mono
+        out = out * piece
+    return out, tuple(negative)
+
+
+_DIFF_EXPONENTS = [Fraction(v) for v in ("-2", "-1", "-1/2", "1/2", "3/2", "1/3", "-2/3", "2")]
 
 
 class TestExpand:
@@ -791,6 +848,26 @@ class TestExpand:
             got = evaluate_series(ex.series, vals)
             want = pt[1] ** 2
             assert abs(got - want) <= 1e-8 * abs(want)
+
+    @given(data=st.data(), r=st.integers(2, 6), order=st.integers(0, 14))
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_per_factor_path(self, data, r, order):
+        cs = a_coordinates(random_tree(random.Random(data.draw(st.integers(0, 2**32))), range(1, r + 1)))
+        leaves = st.integers(1, r)
+        pairs = st.tuples(leaves, leaves).filter(lambda p: p[0] != p[1])
+        diffs = data.draw(st.lists(st.tuples(pairs, st.sampled_from(_DIFF_EXPONENTS)), max_size=3))
+        powers = data.draw(st.lists(st.tuples(leaves, st.integers(0, 3)), max_size=2))
+        constant = data.draw(st.sampled_from([1 + 0j, 0j, 2.5 - 1j, -1 + 0j]))
+        conjugate = data.draw(st.booleans())
+        branch = data.draw(st.sampled_from(["upper", "lower"]))
+        f = PowerProduct(diffs=tuple(diffs), powers=tuple(powers), constant=constant)
+        ex = expand(cs, f, order, conjugate=conjugate, negative_branch=branch)
+        want, negative = _per_factor_expand(cs, f, order, conjugate, branch)
+        assert ex.negative_pairs == negative
+        assert repr(list(ex.series.sectors)) == repr(list(want.sectors))
+        for key, tail in want.sectors.items():
+            assert _bits(ex.series.sectors[key]) == _bits(tail)
+        assert _term_bits(ex.series) == _term_bits(want)
 
 
 def _random_product(rng, r):
