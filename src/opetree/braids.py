@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from opetree.trees import (
+    ClosedLeaf,
     Tree,
-    _map_colored_plain,
     compose,
     compose_colored,
     doubled_labels,
     leaf_order,
+    map_leaves,
     parse_tree,
     validate_colored,
     validate_tree,
@@ -367,30 +368,29 @@ def papb_compose(mu: PaPBMorphism, slot: int, nu) -> PaPBMorphism:
         word = cable_compose(mu.word, i1, nu.word)
         word = cable_compose(word, i2 + (t - 1 if i2 > i1 else 0), mirror(nu.word))
 
-        def expand_frame(frame, tree_z, tree_zbar):
+        def expand_frame(frame, tree):
+            # the z and the zbar copy of the slot both follow tree's leaf order
             out = []
-            for tag in frame:
-                kind, k = tag
-                if kind == "x":
-                    out.append(tag)
-                elif k < slot:
-                    out.append(tag)
+            for kind, k in frame:
+                if kind == "x" or k < slot:
+                    out.append((kind, k))
                 elif k == slot:
-                    seq = leaf_order(tree_z if kind == "z" else tree_zbar)
-                    out.extend((kind, slot - 1 + lbl) for lbl in seq)
+                    out.extend((kind, slot - 1 + lbl) for lbl in leaf_order(tree))
                 else:
                     out.append((kind, k + t - 1))
             return tuple(out)
 
-        source = compose_colored(mu.source, slot, _map_colored_plain(nu.source, closed=True))
-        target = compose_colored(mu.target, slot, _map_colored_plain(nu.target, closed=True))
+        source, target = (
+            compose_colored(m, slot, map_leaves(n, lambda lf: ClosedLeaf(lf.label)))
+            for m, n in ((mu.source, nu.source), (mu.target, nu.target))
+        )
         return _validate_papb(
             PaPBMorphism(
                 source,
                 target,
                 word,
-                expand_frame(mu.source_frame, nu.source, nu.source),
-                expand_frame(mu.target_frame, nu.target, nu.target),
+                expand_frame(mu.source_frame, nu.source),
+                expand_frame(mu.target_frame, nu.target),
             )
         )
 

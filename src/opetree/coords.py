@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from opetree.trees import Tree, doubling, tree_meta, validate_colored
+from opetree.trees import Node, Tau, Tree, doubling, tree_meta, validate_colored
 
 CUT_TOL = 1e-14
 
@@ -354,25 +354,32 @@ def region_membership_open(e: Tree, point) -> bool:
 # Canonical nested base configurations, deep inside the regions
 
 
-def nested_configuration(a: Tree, scale: float = 1.0, shrink: float = 0.125) -> tuple:
+def _place_nested(t, center, radius, shrink, height, out):
+    """Nested layout, the one placement behind both base configurations:
+    a leaf sits at complex(center, height); a Node places its children at
+    center +- radius/2 with the radius scaled by ``shrink``; a Tau block
+    puts its closed tree at the common height radius * shrink / 2 with
+    real offsets from radius height * shrink."""
+    if isinstance(t, Tau):
+        height = radius * shrink / 2
+        _place_nested(t.child, center, height * shrink, shrink, height, out)
+    elif isinstance(t, Node):
+        _place_nested(t.left, center + radius / 2, radius * shrink, shrink, height, out)
+        _place_nested(t.right, center - radius / 2, radius * shrink, shrink, height, out)
+    else:
+        out[t.label] = complex(center, height)
+
+
+def nested_configuration(a: Tree, shrink: float = 0.125) -> tuple:
     """A point deep in the no-cut region: nested real positions, leaf order
     mapped to decreasing real part, block diameters shrinking by ``shrink``
     per level."""
-    meta = tree_meta(a)
-    pos = {}
-
-    def place(t, center, radius):
-        if hasattr(t, "label"):
-            pos[t.label] = center
-            return
-        place(t.left, center + radius / 2, radius * shrink)
-        place(t.right, center - radius / 2, radius * shrink)
-
-    place(a, 0.0, float(scale))
-    return tuple(complex(pos[i]) for i in range(1, meta.r + 1))
+    r, pos = tree_meta(a).r, {}
+    _place_nested(a, 0.0, 1.0, shrink, 0.0, pos)
+    return tuple(pos[i] for i in range(1, r + 1))
 
 
-def nested_configuration_open(e: Tree, scale: float = 1.0, shrink: float = 0.125) -> tuple:
+def nested_configuration_open(e: Tree, shrink: float = 0.125) -> tuple:
     """A point in the leaf-order component of the open tree region.
 
     Boundary leaves and Tau blocks follow the same nested layout; a Tau
@@ -383,27 +390,8 @@ def nested_configuration_open(e: Tree, scale: float = 1.0, shrink: float = 0.125
     r, s, color = validate_colored(e)
     if color != "o":
         raise CoordError("open configurations need an o-colored tree")
-    bulk, bdry = {}, {}
-
-    def place_closed(t, center, radius, height):
-        if hasattr(t, "label") and not hasattr(t, "child"):
-            bulk[t.label] = complex(center, height)
-            return
-        place_closed(t.left, center + radius / 2, radius * shrink, height)
-        place_closed(t.right, center - radius / 2, radius * shrink, height)
-
-    def place(t, center, radius):
-        if hasattr(t, "child"):  # Tau block
-            height = radius * shrink / 2
-            place_closed(t.child, center, height * shrink, height)
-            return
-        if hasattr(t, "label"):
-            bdry[t.label] = center
-            return
-        place(t.left, center + radius / 2, radius * shrink)
-        place(t.right, center - radius / 2, radius * shrink)
-
-    place(e, 0.0, float(scale))
-    point = [bulk[k] for k in range(1, r + 1)]
-    point += [bdry[r + j] for j in range(1, s + 1)]
-    return tuple(point)
+    pos = {}
+    _place_nested(e, 0.0, 1.0, shrink, 0.0, pos)
+    return tuple(pos[k] for k in range(1, r + 1)) + tuple(
+        pos[r + j].real for j in range(1, s + 1)
+    )

@@ -705,9 +705,9 @@ def _sample_bulk_points(tree, rng, count, margin_min=MARGIN_MIN):
         memb = region_membership(cs, pt)
         if not memb.in_u or memb.margin < margin_min:
             return None
+        # on_cut(conj v) == on_cut(v): the conjugate point needs no check
         cv = psi(cs, pt)
-        cvb = psi(cs, [z.conjugate() for z in pt])
-        if any(on_cut(v) for v in (cv.x, cvb.x) + cv.zeta + cvb.zeta):
+        if on_cut(cv.x) or any(on_cut(v) for v in cv.zeta):
             return None
         return pt
 
@@ -796,7 +796,32 @@ def expansion_consistency_check(
     t0 = time.perf_counter()
     rng = random.Random(seed)
     charges = [tuple(a) for a in charges]
-    colored = is_colored(trees[0])
+    # base points, sampler, embedding and closed form depend on the coloring only
+    if is_colored(trees[0]):
+        if bd is None:
+            raise LatticeError("colored expansion needs boundary data")
+        r, s = len(charges), len(bdry_charges)
+        base_point, sample = nested_configuration_open, _sample_open_points
+        dual = sum(bd.t_coeff(a) for a in charges) + sum(int(k) for k in bdry_charges)
+
+        def embed(pt):
+            return phi_embedding(pt, r, s)
+
+        def closed(pt):
+            return mixed_correlator(
+                model, bd, dual, list(zip(charges, pt[:r])), list(zip(bdry_charges, pt[r:]))
+            )
+
+    else:
+        base_point, sample = nested_configuration, _sample_bulk_points
+        dual = (sum(n for n, _ in charges), sum(m for _, m in charges))
+
+        def embed(pt):
+            return pt
+
+        def closed(pt):
+            return bulk_correlator(model, dual, list(zip(charges, pt)))
+
     samples = []
     texps = []
     base_ratios = []
@@ -806,45 +831,16 @@ def expansion_consistency_check(
             model, tree, charges, order, bd=bd, bdry_charges=bdry_charges
         )
         texps.append(texp)
-        if colored:
-            r, s, _ = validate_colored(tree)
-            base_pt = nested_configuration_open(tree)
-            pts = _sample_open_points(tree, rng, n_points)
-            dual = sum(bd.t_coeff(a) for a in charges) + sum(
-                int(k) for k in bdry_charges
-            )
-
-            def closed(pt):
-                return mixed_correlator(
-                    model,
-                    bd,
-                    dual,
-                    list(zip(charges, pt[:r])),
-                    list(zip(bdry_charges, pt[r:])),
-                )
-
-            def raw_eval(pt, te=texp, r=r, s=s):
-                return te.evaluate_raw(phi_embedding(pt, r, s))
-
-        else:
-            base_pt = nested_configuration(tree)
-            pts = _sample_bulk_points(tree, rng, n_points)
-            dual = (sum(n for n, _ in charges), sum(m for _, m in charges))
-
-            def closed(pt):
-                return bulk_correlator(model, dual, list(zip(charges, pt)))
-
-            def raw_eval(pt, te=texp):
-                return te.evaluate_raw(pt)
-
+        base_pt = base_point(tree)
+        pts = sample(tree, rng, n_points)
         errs = []
         pre = texp.prefactor
         for pt in pts:
             want = closed(pt)
-            got = pre * raw_eval(pt)
+            got = pre * texp.evaluate_raw(embed(pt))
             errs.append(abs(got - want) / max(abs(want), 1e-300))
         worst = max(worst, max(errs))
-        base_ratios.append(closed(base_pt) / raw_eval(base_pt))
+        base_ratios.append(closed(base_pt) / texp.evaluate_raw(embed(base_pt)))
         samples.append(
             {
                 "tree": format_tree(tree),
@@ -917,13 +913,16 @@ def continue_bulk(model: NarainModel, dual, charges, path) -> complex:
     return model.phase(nu * model.D) * cmath.exp(total)
 
 
-def _loop_path(points, mover: int, around: int, turns: float, segments: int = 64):
+LOOP_SEGMENTS = 64  # steps of a numeric continuation loop
+
+
+def _loop_path(points, mover: int, around: int, turns: float):
     pts = [complex(z) for z in points]
     center = pts[around]
     offset = pts[mover] - center
     out = []
-    for k in range(segments + 1):
-        ang = 2 * math.pi * turns * k / segments
+    for k in range(LOOP_SEGMENTS + 1):
+        ang = 2 * math.pi * turns * k / LOOP_SEGMENTS
         cur = list(pts)
         cur[mover] = center + offset * cmath.exp(1j * ang)
         out.append(tuple(cur))

@@ -31,7 +31,8 @@ integer base b of a sector it keeps one lazily filled power table, keyed
 by the tail exponent n and holding value ** (b + n), shared by the
 sectors with that base.  Each term is its coefficient times the entries
 picked by the key's digits, in graded order, as the per-term loop that
-skipped zero exponents multiplied them.  A zero total exponent reads
+skipped zero exponents multiplied them; one summation path, lazy maps
+summed left to right, serves every tail.  A zero total exponent reads
 1+0j instead of being skipped.  Times 1+0j a finite complex keeps its
 nonzero parts and at most flips the sign of a zero part, and the sector
 sum starts at +0j, so a zero part of either sign adds as +0.0: the sum
@@ -288,13 +289,11 @@ class GenSeries:
         out = GenSeries(a.graded, a.order)
         for (l1, u1, b1), t1 in a.sectors.items():
             for (l2, u2, b2), t2 in b.sectors.items():
-                logs = _merge_counts(l1, l2)
-                ungraded = _merge_fracs(u1, u2)
                 base = tuple(q1 + q2 for q1, q2 in zip(b1, b2))
                 # zeros stay until out._prune(): _merge_sector adds them
                 tail = _tail_mul(t1, t2, a.order, prune=False)
                 if tail:
-                    out._merge_sector((logs, ungraded, base), tail)
+                    out._merge_sector((_merge_keys(l1, l2), _merge_keys(u1, u2), base), tail)
         return out._prune()
 
     __rmul__ = __mul__
@@ -357,7 +356,7 @@ class GenSeries:
         newkey = ((), tuple((v, e * q) for v, e in ungraded), tuple(e * q for e in base))
         out = GenSeries(self.graded, self.order)
         out._merge_sector(newkey, _scale_tail(_binomial_tail(u, q, self.order), cq))
-        return out._prune()
+        return _finite_result(self, out._prune())
 
     def log1p(self) -> "GenSeries":
         """log of a series with unit constant term and trivial base."""
@@ -372,7 +371,7 @@ class GenSeries:
                 tail[vec] = tail.get(vec, 0) + sign * coeff
         out = GenSeries(self.graded, self.order)
         out._merge_sector(((), (), tuple([0] * len(self.graded))), tail)
-        return out._prune()
+        return _finite_result(self, out._prune())
 
     # -- introspection ------------------------------------------------------
 
@@ -407,20 +406,25 @@ class GenSeries:
         )
 
 
-def _merge_counts(l1, l2):
-    d = dict(l1)
-    for v, k in l2:
-        d[v] = d.get(v, 0) + k
-    return tuple(sorted(d.items()))
+def _finite_result(arg, out):
+    """``out``, computed from ``arg``; a coefficient that is not finite
+    although every coefficient of ``arg`` is raises :class:`SeriesError`."""
+
+    def finite(s):
+        return all(cmath.isfinite(c) for t in s.sectors.values() for c in t.values())
+
+    if not finite(out) and finite(arg):
+        raise SeriesError("series coefficient out of floating-point range")
+    return out
 
 
-def _merge_fracs(u1, u2):
-    d = dict(u1)
-    for v, q in u2:
-        d[v] = d.get(v, ZERO) + q
-        if d[v] == 0:
-            del d[v]
-    return tuple(sorted(d.items()))
+def _merge_keys(k1, k2):
+    """Sum two sorted ``(variable, power)`` keys of a sector, log counts or
+    ungraded exponents, dropping the variables whose powers cancel."""
+    d = dict(k1)
+    for v, q in k2:
+        d[v] = d.get(v, 0) + q
+    return tuple(sorted((v, q) for v, q in d.items() if q))
 
 
 def _pack(vec, base) -> int:
@@ -724,17 +728,9 @@ def evaluate_series(s: GenSeries, values: Mapping) -> complex:
 def _tail_sum(tail, row, base):
     """Sum over the tail, from +0j, of c * row[0][digit 0] * row[1][digit 1]...
 
-    A few terms decode their keys one by one; more run through lazy maps,
-    one chain per variable, so no Python code runs per term.
+    Lazy maps, one chain per variable, decode the digits and multiply, so
+    no Python code runs per term.
     """
-    if len(tail) < 8:
-        acc = 0j
-        for key, c in tail.items():
-            for tab in row:
-                key, d = divmod(key, base)
-                c *= tab[d]
-            acc += c
-        return acc
     terms = iter(tail.values())
     for i, tab in enumerate(row):
         digits = map(floordiv, tail, repeat(base**i)) if i else iter(tail)

@@ -422,12 +422,17 @@ def tree_meta(t: Tree) -> TreeMeta:
 # Operad structure on plain trees
 
 
-def _relabel(t: Tree, f) -> Tree:
-    if isinstance(t, Leaf):
-        return Leaf(f(t.label))
+def map_leaves(t: Tree, f) -> Tree:
+    """Replace every leaf of a plain or colored tree by ``f(leaf)``, a leaf
+    or a subtree, keeping the Node and Tau structure: the one leaf walk
+    behind relabeling, recoloring and colored insertion."""
+    if isinstance(t, (Leaf, ClosedLeaf, OpenLeaf)):
+        return f(t)
+    if isinstance(t, Tau):
+        return Tau(map_leaves(t.child, f))
     if isinstance(t, Node):
-        return Node(_relabel(t.left, f), _relabel(t.right, f))
-    raise TreeError(f"not a plain tree: {t!r}")
+        return Node(map_leaves(t.left, f), map_leaves(t.right, f))
+    raise TreeError(f"not a tree: {t!r}")
 
 
 def compose(a: Tree, p: int, b: Tree) -> Tree:
@@ -458,19 +463,16 @@ def compose(a: Tree, p: int, b: Tree) -> Tree:
                 return left
             return Node(left, right)
 
-        pruned = erase(a)
-        return _relabel(pruned, lambda k: k - 1 if k > p else k)
+        return map_leaves(erase(a), lambda x: Leaf(x.label - 1) if x.label > p else x)
 
-    shifted_b = _relabel(b, lambda k: k + p - 1)
+    shifted_b = map_leaves(b, lambda x: Leaf(x.label + p - 1))
 
     def insert(x):
-        if isinstance(x, Leaf):
-            if x.label == p:
-                return shifted_b
-            return Leaf(x.label + m - 1) if x.label > p else x
-        return Node(insert(x.left), insert(x.right))
+        if x.label == p:
+            return shifted_b
+        return Leaf(x.label + m - 1) if x.label > p else x
 
-    return insert(a)
+    return map_leaves(a, insert)
 
 
 def permute(a: Tree, g: Sequence[int] | dict) -> Tree:
@@ -489,7 +491,7 @@ def permute(a: Tree, g: Sequence[int] | dict) -> Tree:
         range(1, r + 1)
     ):
         raise TreeError(f"not a permutation of 1..{r}: {mapping}")
-    return _relabel(a, lambda k: mapping[k])
+    return map_leaves(a, lambda x: Leaf(mapping[x.label]))
 
 
 def leaf_order(a: Tree) -> list[int]:
@@ -499,17 +501,6 @@ def leaf_order(a: Tree) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Colored composition
-
-
-def _map_colored(t, f):
-    """Apply f(leaf)->leaf-or-subtree to every leaf, keeping structure."""
-    if isinstance(t, (ClosedLeaf, OpenLeaf)):
-        return f(t)
-    if isinstance(t, Tau):
-        return Tau(_map_colored(t.child, f))
-    if isinstance(t, Node):
-        return Node(_map_colored(t.left, f), _map_colored(t.right, f))
-    raise TreeError(f"not a colored tree: {t!r}")
 
 
 def compose_colored(e: Tree, p: int, x: Tree) -> Tree:
@@ -526,9 +517,9 @@ def compose_colored(e: Tree, p: int, x: Tree) -> Tree:
         # plain magma composition on bold labels
         if not 1 <= p <= re_:
             raise TreeError(f"closed slot {p} out of range 1..{re_}")
-        plain = compose(_map_colored(e, lambda lf: Leaf(lf.label)), p,
-                        _map_colored(x, lambda lf: Leaf(lf.label)))
-        return _map_colored_plain(plain, closed=True)
+        plain = compose(map_leaves(e, lambda lf: Leaf(lf.label)), p,
+                        map_leaves(x, lambda lf: Leaf(lf.label)))
+        return map_leaves(plain, lambda lf: ClosedLeaf(lf.label))
 
     if p <= re_:
         if xcol != "c":
@@ -537,11 +528,11 @@ def compose_colored(e: Tree, p: int, x: Tree) -> Tree:
         def repl(lf):
             if isinstance(lf, ClosedLeaf):
                 if lf.label == p:
-                    return _map_colored(x, lambda y: ClosedLeaf(y.label + p - 1))
+                    return map_leaves(x, lambda y: ClosedLeaf(y.label + p - 1))
                 return ClosedLeaf(lf.label + rx - 1) if lf.label > p else lf
             return lf
 
-        merged = _map_colored(e, repl)
+        merged = map_leaves(e, repl)
         return _renumber_opens(merged, re_ + rx - 1)
 
     if p <= re_ + se:
@@ -550,7 +541,7 @@ def compose_colored(e: Tree, p: int, x: Tree) -> Tree:
 
         def repl(lf):
             if isinstance(lf, OpenLeaf) and lf.label == p:
-                return _map_colored(
+                return map_leaves(
                     x,
                     lambda y: ClosedLeaf(y.label + re_)
                     if isinstance(y, ClosedLeaf)
@@ -558,16 +549,10 @@ def compose_colored(e: Tree, p: int, x: Tree) -> Tree:
                 )
             return lf
 
-        merged = _map_colored(e, repl)
+        merged = map_leaves(e, repl)
         return _renumber_opens(merged, re_ + rx)
 
     raise TreeError(f"leaf reference {p} out of range for (r,s)=({re_},{se})")
-
-
-def _map_colored_plain(t, closed):
-    if isinstance(t, Leaf):
-        return ClosedLeaf(t.label) if closed else OpenLeaf(t.label)
-    return Node(_map_colored_plain(t.left, closed), _map_colored_plain(t.right, closed))
 
 
 def _renumber_opens(t, r_new):
@@ -579,7 +564,7 @@ def _renumber_opens(t, r_new):
             return OpenLeaf(next(counter))
         return lf
 
-    out = _map_colored(t, repl)
+    out = map_leaves(t, repl)
     validate_colored(out)
     return out
 
@@ -621,8 +606,8 @@ def doubling(e: Tree) -> Tree:
             return Leaf(2 * r + (x.label - r))
         if isinstance(x, Tau):
             return Node(
-                _map_colored(x.child, lambda lf: Leaf(2 * lf.label - 1)),
-                _map_colored(x.child, lambda lf: Leaf(2 * lf.label)),
+                map_leaves(x.child, lambda lf: Leaf(2 * lf.label - 1)),
+                map_leaves(x.child, lambda lf: Leaf(2 * lf.label)),
             )
         if isinstance(x, Node):
             return Node(build(x.left), build(x.right))
@@ -649,7 +634,7 @@ def doubled_compose(e: Tree, p: int, x: Tree) -> Tree:
         if xcol != "c":
             raise TreeError("closed slot needs a c-colored argument")
         t = rx
-        plain_x = _map_colored(x, lambda lf: Leaf(lf.label))
+        plain_x = map_leaves(x, lambda lf: Leaf(lf.label))
         step1 = compose(etil, 2 * p - 1, plain_x)
         step2 = compose(step1, 2 * p + t - 1, plain_x)
         # interleave the two contiguous copies back into z/zbar pairs
@@ -657,7 +642,7 @@ def doubled_compose(e: Tree, p: int, x: Tree) -> Tree:
         for i in range(1, t + 1):
             relabel[2 * p - 2 + i] = 2 * p + 2 * i - 3
             relabel[2 * p + t - 2 + i] = 2 * p + 2 * i - 2
-        return _relabel(step2, lambda k: relabel.get(k, k))
+        return map_leaves(step2, lambda lf: Leaf(relabel.get(lf.label, lf.label)))
 
     if xcol != "o":
         raise TreeError("open slot needs an o-colored argument")
@@ -676,7 +661,7 @@ def doubled_compose(e: Tree, p: int, x: Tree) -> Tree:
         relabel[q - 1 + 2 * rx + jpp] = 2 * r_new + j + jpp - 1
     for jp in range(j + 1, se + 1):  # later open leaves of e, already shifted
         relabel[2 * re_ + jp + 2 * rx + sx - 1] = 2 * r_new + jp + sx - 1
-    return _relabel(plain, lambda k: relabel.get(k, k))
+    return map_leaves(plain, lambda lf: Leaf(relabel.get(lf.label, lf.label)))
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +723,7 @@ def all_colored_trees(r: int, s: int) -> Iterator[Tree]:
             return
         if not opens and closed:
             for ct in all_trees(closed):
-                yield Tau(_map_colored_plain(ct, closed=True))
+                yield Tau(map_leaves(ct, lambda lf: ClosedLeaf(lf.label)))
         for cl, cr in _subsets(closed):
             for ol, orr in _splits(opens):
                 if (not cl and not ol) or (not cr and not orr):

@@ -26,6 +26,9 @@ def child_env():
     return {**os.environ, "PYTHONPATH": path}
 
 
+_SUITES = ("bootstrap", "boundary-consistency", "bulk-consistency", "skew", "regions")
+
+
 class TestTreeCommands:
     def test_compose(self, capsys):
         code, out, _ = run_cli(["tree", "compose", "3((12)4)", "2", "2(13)"], capsys)
@@ -310,6 +313,36 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("suite", _SUITES)
+    def test_unknown_config_field_exit_2(self, capsys, tmp_path, suite):
+        # a misspelled field must not run the suite at its default value
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"points": 1, "truncaton": 5}))
+        code, out, err = run_cli(["verify", suite, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown config field 'truncaton'\n"
+
+    @given(case=st.data())
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_valid_config_fuzz(self, capsys, tmp_path, case):
+        # valid, small configs: a verdict (exit 0 or 1) or one error line
+        suite = case.draw(st.sampled_from(_SUITES))
+        config = case.draw(_valid_config(suite))
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(["verify", suite, "--config", str(cfg)], capsys)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert json.loads(out)["passed"] is (code == 0)
+
     @pytest.mark.parametrize("sign", ["+1", "-1"])
     def test_integer_reflection(self, capsys, tmp_path, sign):
         # the JSON integers 1 and -1 run exactly like the strings "+1", "-1"
@@ -409,6 +442,28 @@ def _invalid(key, suite):
     if key in _MINIMUM:
         return _not_int | st.integers(max_value=_MINIMUM[key] - 1)
     return _not_int
+
+
+def _valid_config(suite):
+    """Small valid configs for ``suite``; the fields it does not read are
+    valid too, and the optional ones fall back to their defaults."""
+    pair = st.lists(st.integers(-2, 2), min_size=2, max_size=2)
+    most = {"boundary-consistency": 2, "bulk-consistency": 4}.get(suite, 2)
+    return st.fixed_dictionaries(
+        {
+            "truncation": st.integers(0, 6),
+            "points": st.integers(1, 20 if suite == "regions" else 2),
+            "pairs": st.integers(1, 2),
+            "box": st.integers(0, 2),
+        },
+        optional={
+            "R_squared": st.sampled_from(["1/2", "2", "3", "2/3", 1, 0.5]),
+            "reflection": st.sampled_from(["+1", "-1", 1, -1]),
+            "charges": st.lists(pair, min_size=suite == "boundary-consistency", max_size=most),
+            "tolerance": st.floats(),
+            "seed": st.integers(),
+        },
+    )
 
 
 def _invalid_charges(suite):

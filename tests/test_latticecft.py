@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opetree.coords import phi_embedding
 from opetree.latticecft import (
     BoundaryData,
     LatticeError,
@@ -802,6 +803,30 @@ class TestConsistency:
             errs[order] = rep.max_rel_err
         assert errs[20] <= errs[10] * 1.1
         assert errs[30] <= errs[20] * 1.1
+
+    def test_truncation_dominates_near_the_margin(self):
+        # A sampler point of certificate margin 0.479 (criterion 9 draws at
+        # margin >= 0.45) where R^2 = 3, rho = +1 and the charges (0,2),
+        # (0,2) make N = 30 far too low on t(c1c2): the relative error is
+        # about 9 there and falls to ~4e-12 at N = 80, so the gap is
+        # truncation, not a branch choice.
+        model = NarainModel(Fraction(3))
+        bd = build_boundary(model, 1)
+        point = (
+            0.9248007496166556 + 0.08164621604528477j,
+            0.9166560194572417 + 0.05447271028226874j,
+        )
+        charges = [(0, 2), (0, 2)]
+        dual = sum(bd.t_coeff(a) for a in charges)
+        want = mixed_correlator(model, bd, dual, list(zip(charges, point)), [])
+        errs = []
+        for order in (30, 40, 60, 80):
+            texp = tree_expansion(model, parse_tree("t(c1c2)"), charges, order, bd=bd)
+            got = texp.evaluate(phi_embedding(point, 2, 0))
+            errs.append(abs(got - want) / abs(want))
+        assert errs[0] > 1.0
+        assert all(later < earlier for earlier, later in zip(errs, errs[1:]))
+        assert errs[-1] < 1e-10
 
     def test_determinism(self, model, boundaries):
         bd = boundaries[1]

@@ -128,6 +128,18 @@ class TestArithmetic:
             with pytest.raises(SeriesError, match="out of range"):
                 GenSeries.monomial(c, {}, ("z",), 3).pow(q)
 
+    def test_pow_and_log1p_overflow_raise(self):
+        # finite inputs whose result coefficients overflow to nan/inf
+        base = ((), (), (ZERO,))
+        tiny_lead = GenSeries.from_tails(("z",), 3, {base: {(0,): 1e-300, (1,): 1e10}})
+        with pytest.raises(SeriesError, match="out of floating-point range"):
+            tiny_lead.pow(Fraction(1, 2))
+        with pytest.raises(SeriesError, match="out of floating-point range"):
+            one_plus(("z",), 3, {(1,): 1e200}).log1p()
+        # a non-finite input may give a non-finite result
+        lg = one_plus(("z",), 2, {(1,): complex("inf")}).log1p()
+        assert not all(cmath.isfinite(c) for _, _, c in lg.terms())
+
     def test_negative_order_rejected(self):
         with pytest.raises(SeriesError):
             GenSeries(("z",), -1)
@@ -312,8 +324,8 @@ class _TupleSeries:
         out = _TupleSeries(a.graded, order)
         for (l1, u1, b1), t1 in a.sectors.items():
             for (l2, u2, b2), t2 in b.sectors.items():
-                logs = series._merge_counts(l1, l2)
-                ungraded = series._merge_fracs(u1, u2)
+                logs = series._merge_keys(l1, l2)
+                ungraded = series._merge_keys(u1, u2)
                 base = tuple(q1 + q2 for q1, q2 in zip(b1, b2))
                 tail = _loop_tail_mul(t1, t2, order, prune=False)
                 if tail:
