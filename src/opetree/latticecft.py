@@ -31,6 +31,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from opetree.coords import (
     CoordError,
@@ -169,6 +170,10 @@ class BoundaryData:
     model: NarainModel
     rho: int
     sigma_table: dict = field(default_factory=dict)
+    # (model, bulk charges, boundary charges) -> mixed_correlator's
+    # (product, plan, prefactor phase); sigma_table only grows, so an
+    # entry never goes stale, and perturbed() copies start empty
+    closed_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rho not in (1, -1):
@@ -452,7 +457,9 @@ def mixed_correlator(
 
     Normalized by the OPE prefactor of the right-comb reference tree;
     the value is the doubled pair product under the fixed branch plan.
-    Zero unless the boundary charge is conserved.
+    Zero unless the boundary charge is conserved.  The product, plan and
+    prefactor phase are built once per charge set and kept in
+    ``bd.closed_forms``; each call evaluates them at its point.
     """
     bulk_charges = [tuple(a) for a, _ in bulk_insertions]
     bdry_charges = [int(k) for k, _ in bdry_insertions]
@@ -461,12 +468,16 @@ def mixed_correlator(
     validate_halfplane_point(zs + xs, len(zs), len(xs))
     if sum(bd.t_coeff(a) for a in bulk_charges) + sum(bdry_charges) != int(dual):
         return 0j
-    product, plan = mixed_power_product(bd, bulk_charges, bdry_charges)
+    key = (model, tuple(bulk_charges), tuple(bdry_charges))
+    if key not in bd.closed_forms:
+        product, plan = mixed_power_product(bd, bulk_charges, bdry_charges)
+        pref = ope_prefactor_num(
+            bd, reference_tree(len(zs), len(xs)), bulk_charges, bdry_charges
+        )
+        bd.closed_forms[key] = product, plan, model.phase(pref)
+    product, plan, phase = bd.closed_forms[key]
     point = phi_embedding(zs + xs, len(zs), len(xs))
-    pref = ope_prefactor_num(
-        bd, reference_tree(len(zs), len(xs)), bulk_charges, bdry_charges
-    )
-    return model.phase(pref) * evaluate_closed(product, point, plan)
+    return phase * evaluate_closed(product, point, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +489,8 @@ class TreeExpansion:
     """A per-tree OPE expansion: the raw series in the (doubled) tree's
     coordinates and the tree's OPE prefactor, kept separate so region
     phases can be measured against the raw expansion.  The prefactor is
-    the integer phase ``prefactor_num`` mod 2D of ``model``."""
+    the integer phase ``prefactor_num`` mod 2D of ``model``; its complex
+    value ``prefactor`` is computed once."""
 
     model: NarainModel
     tree: Tree
@@ -487,7 +499,7 @@ class TreeExpansion:
     prefactor_num: int
     colored: bool
 
-    @property
+    @cached_property
     def prefactor(self) -> complex:
         return self.model.phase(self.prefactor_num)
 

@@ -557,47 +557,78 @@ class BranchPlan:
     are evaluated jointly as the single-valued combination
     |z|^{2*s2} * z^{s1-s2} (requires the second value conjugate to the
     first and s1 - s2 an integer).  All other factors use the principal
-    branch.
+    branch.  Each index names a factor of the product, at most once.
     """
 
     paired: tuple = ()
 
+    def __post_init__(self):
+        object.__setattr__(self, "paired", tuple(tuple(pair) for pair in self.paired))
+
 
 def evaluate_closed(f: PowerProduct, point: Sequence[complex], plan: BranchPlan | None = None) -> complex:
-    """Evaluate a power product at a configuration point."""
-    plan = plan or BranchPlan()
+    """Evaluate a power product at a configuration point.
+
+    What depends only on ``f`` and ``plan``, the plan's check included,
+    is prepared once by :func:`_closed_table`.
+    """
+    variables, paired, single, powers = _closed_table(f, plan)
     z = {}
-    for v in f.variables():
-        if v - 1 >= len(point):
-            raise SeriesError(f"point has no coordinate z{v}")
-        z[v] = complex(point[v - 1])
-    paired_idx = set()
-    for a, b in plan.paired:
-        paired_idx |= {a, b}
+    for k in variables:
+        if k >= len(point):
+            raise SeriesError(f"point has no coordinate z{k + 1}")
+        z[k] = complex(point[k])
     total = complex(f.constant)
-    for a, b in plan.paired:
-        (i1, j1), s1 = f.diffs[a]
-        (i2, j2), s2 = f.diffs[b]
-        v1 = z[i1] - z[j1]
-        v2 = z[i2] - z[j2]
+    for a1, b1, a2, b2, two_s2, k in paired:
+        v1 = z[a1] - z[b1]
+        v2 = z[a2] - z[b2]
         if abs(v2 - v1.conjugate()) > 1e-12 * (1 + abs(v1)):
             raise SeriesError("paired factors are not complex conjugates")
-        if (s1 - s2).denominator != 1:
-            raise SeriesError("paired exponents must differ by an integer")
-        total *= abs(v1) ** float(2 * s2) * v1 ** int(s1 - s2)
-    for idx, ((i, j), s) in enumerate(f.diffs):
-        if idx in paired_idx:
-            continue
-        v = z[i] - z[j]
-        if s.denominator == 1:
-            total *= v ** int(s)
+        total *= abs(v1) ** two_s2 * v1 ** k
+    for a, b, k, s, mult in single:
+        v = z[a] - z[b]
+        if k is not None:
+            total *= v ** k
             continue
         if on_cut(v):
-            raise SeriesError(f"factor (z{i} - z{j}) on the cut with exponent {s}")
-        total *= cmath.exp(s * cmath.log(v))
-    for i, k in f.powers:
-        total *= z[i] ** k
+            raise SeriesError(f"factor (z{a + 1} - z{b + 1}) on the cut with exponent {s}")
+        total *= cmath.exp(mult * cmath.log(v))
+    for a, k in powers:
+        total *= z[a] ** k
     return total
+
+
+@lru_cache(maxsize=4096)
+def _closed_table(f, plan):
+    """The per-(product, plan) part of :func:`evaluate_closed` in 0-based
+    coordinates: variables in ``f.variables()`` order (the first missing
+    one is named), paired factors with float(2*s2) and int(s1-s2), other
+    factors with int(s) or s and complex(s) (what ``Fraction * complex``
+    multiplies by), plain powers.  A bad plan raises :class:`SeriesError`.
+    """
+    used = set()
+    paired = []
+    for a, b in plan.paired if plan else ():
+        for idx in (a, b):
+            if idx not in range(len(f.diffs)):
+                raise SeriesError(f"branch plan index {idx} out of range for {len(f.diffs)} factors")
+        if a == b:
+            raise SeriesError(f"branch plan pairs factor {a} with itself")
+        if a in used or b in used:
+            raise SeriesError(f"branch plan uses factor {a if a in used else b} twice")
+        used |= {a, b}
+        (i1, j1), s1 = f.diffs[a]
+        (i2, j2), s2 = f.diffs[b]
+        if (s1 - s2).denominator != 1:
+            raise SeriesError("paired exponents must differ by an integer")
+        paired.append((i1 - 1, j1 - 1, i2 - 1, j2 - 1, float(2 * s2), int(s1 - s2)))
+    single = tuple(
+        (i - 1, j - 1, int(s) if s.denominator == 1 else None, s, complex(s))
+        for idx, ((i, j), s) in enumerate(f.diffs)
+        if idx not in used
+    )
+    powers = tuple((i - 1, k) for i, k in f.powers)
+    return tuple(v - 1 for v in f.variables()), tuple(paired), single, powers
 
 
 # ---------------------------------------------------------------------------
@@ -638,15 +669,14 @@ def expand(
     x_exp, base, negative = ZERO, list(zero_base), []
     # one packed tail, the product so far on the left as in GenSeries.__mul__
     for (i, j), s in f.diffs:
-        fac = pair_difference(cs, i, j)
+        sign, shift, factor = _difference_factor(cs.tree, i, j, s, order)
         x_exp += s
-        for idx, m in enumerate(fac.monomial):
-            base[idx] += s * m
+        for idx, q in shift:
+            base[idx] += q
         coeff = 1.0 + 0j
-        if fac.sign == -1:
+        if sign == -1:
             negative.append((i, j))
             coeff = phase_pi(s if negative_branch == "upper" else -s)
-        factor = _binomial_tail(_packed_poly(fac.tail, order), s, order)
         tail = _tail_mul(tail, _scale_tail(factor, coeff), order)
     if tail:
         out.sectors[((), _ungraded_key({names["x"]: x_exp}), tuple(base))] = tail
@@ -660,6 +690,20 @@ def expand(
             piece.sectors[((), ungraded, zero_base)] = _scale_tail(qpow, complex(math.comb(k, m)))
         out = out * piece
     return ExpandedProduct(series=out, negative_pairs=tuple(negative))
+
+
+@lru_cache(maxsize=4096)
+def _difference_factor(tree, i, j, s, order):
+    """The factor (z_i - z_j)^s in the tree's coordinates as (sign, shift,
+    (1 + P)^s truncated): the base shift s*m of the monomial m lists
+    (graded index, exponent) where m is nonzero.  The tail is the binomial
+    memo's own dict, so it is stored once; a caller copies it
+    (:func:`_scale_tail`) before use.
+    """
+    fac = pair_difference(tree, i, j)
+    shift = tuple((idx, s * m) for idx, m in enumerate(fac.monomial) if m)
+    items = tuple(_packed_poly(fac.tail, order).items())
+    return fac.sign, shift, _binomial_tail_memo(items, s, order)
 
 
 def _packed_poly(poly, order):

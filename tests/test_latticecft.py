@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opetree.coords import phi_embedding
+from opetree.coords import CoordError, on_cut, phi_embedding, validate_halfplane_point
 from opetree.latticecft import (
     BoundaryData,
     LatticeError,
@@ -29,7 +29,7 @@ from opetree.latticecft import (
     tree_expansion,
     _loop_path,
 )
-from opetree.series import phase_pi
+from opetree.series import SeriesError, phase_pi
 from opetree.trees import (
     ClosedLeaf,
     OpenLeaf,
@@ -424,7 +424,96 @@ class TestIntegerPrefactor:
             assert repr(texp.prefactor) == repr(phase_pi(want))
 
 
+def _per_call_closed(f, point, plan):
+    """evaluate_closed before prepared tables: every call walks the
+    product's Fractions; kept as the bit-exact reference."""
+    z = {}
+    for v in f.variables():
+        if v - 1 >= len(point):
+            raise SeriesError(f"point has no coordinate z{v}")
+        z[v] = complex(point[v - 1])
+    paired_idx = {idx for pair in plan.paired for idx in pair}
+    total = complex(f.constant)
+    for a, b in plan.paired:
+        (i1, j1), s1 = f.diffs[a]
+        (i2, j2), s2 = f.diffs[b]
+        v1 = z[i1] - z[j1]
+        v2 = z[i2] - z[j2]
+        if abs(v2 - v1.conjugate()) > 1e-12 * (1 + abs(v1)):
+            raise SeriesError("paired factors are not complex conjugates")
+        if (s1 - s2).denominator != 1:
+            raise SeriesError("paired exponents must differ by an integer")
+        total *= abs(v1) ** float(2 * s2) * v1 ** int(s1 - s2)
+    for idx, ((i, j), s) in enumerate(f.diffs):
+        if idx in paired_idx:
+            continue
+        v = z[i] - z[j]
+        if s.denominator == 1:
+            total *= v ** int(s)
+            continue
+        if on_cut(v):
+            raise SeriesError(f"factor (z{i} - z{j}) on the cut with exponent {s}")
+        total *= cmath.exp(s * cmath.log(v))
+    for i, k in f.powers:
+        total *= z[i] ** k
+    return total
+
+
+def _per_call_mixed(model, bd, dual, bulk_insertions, bdry_insertions):
+    """mixed_correlator before its per-charge-set memo: product, plan and
+    prefactor rebuilt on every call; kept as the bit-exact reference."""
+    bulk_charges = [tuple(a) for a, _ in bulk_insertions]
+    bdry_charges = [int(k) for k, _ in bdry_insertions]
+    zs = [complex(z) for _, z in bulk_insertions]
+    xs = [complex(x) for _, x in bdry_insertions]
+    validate_halfplane_point(zs + xs, len(zs), len(xs))
+    if sum(bd.t_coeff(a) for a in bulk_charges) + sum(bdry_charges) != int(dual):
+        return 0j
+    product, plan = mixed_power_product(bd, bulk_charges, bdry_charges)
+    point = phi_embedding(zs + xs, len(zs), len(xs))
+    pref = ope_prefactor_num(bd, reference_tree(len(zs), len(xs)), bulk_charges, bdry_charges)
+    return model.phase(pref) * _per_call_closed(product, point, plan)
+
+
+def _outcome(fn, *args):
+    """repr of a result, or the type and message of the error it raised."""
+    try:
+        return repr(fn(*args))
+    except (ArithmeticError, CoordError, SeriesError) as err:
+        return type(err).__name__, str(err)
+
+
 class TestMixedCorrelator:
+    @given(
+        data=st.data(),
+        p=st.integers(1, 7),
+        q=st.integers(1, 7),
+        rho=st.sampled_from((1, -1)),
+        rs=st.sampled_from([(r, s) for r in range(3) for s in range(3) if r + s]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_prepared_matches_per_call_path(self, data, p, q, rho, rs):
+        # first and repeated calls at new points, under two model arguments,
+        # on the boundary data and on a perturbed copy of it
+        r, s = rs
+        model = NarainModel(Fraction(p, q))
+        bd = BoundaryData(model, rho)
+        charge = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+        bulk = data.draw(st.lists(charge, min_size=r, max_size=r))
+        bdry = data.draw(st.lists(st.integers(-2, 2), min_size=s, max_size=s))
+        dual = sum(bd.t_coeff(a) for a in bulk) + sum(bdry) + data.draw(st.sampled_from((0, 0, 1)))
+        control = bd.perturbed(bulk[0] if bulk else (1, 0), 2)
+        models = (model, NarainModel(Fraction(p, q) + 1))
+        upper = st.builds(complex, st.floats(-3, 3), st.floats(0.01, 3))
+        real = st.lists(st.floats(-3, 3), min_size=s, max_size=s)
+        for _ in range(2):
+            for b in (bd, control):
+                for m in models:
+                    zs = data.draw(st.lists(upper, min_size=r, max_size=r))
+                    xs = sorted(data.draw(real), reverse=True)
+                    args = (m, b, dual, list(zip(bulk, zs)), list(zip(bdry, xs)))
+                    assert _outcome(mixed_correlator, *args) == _outcome(_per_call_mixed, *args)
+
     def test_reproduces_G(self, model, boundaries):
         # (r,s) = (1,1): sigma eta (z1-zb1)^{(pa,phi pba)} (z1-x2)^{(pa,tb)}
         # (zb1-x2)^{(phi pba, tb)}

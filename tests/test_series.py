@@ -644,7 +644,11 @@ class TestPackedSeries:
         for op, args in (("pow", (q,)), ("log1p", ())):
             got = _result(getattr(s, op), *args)
             want = _result(getattr(ref, op), *args)
-            if isinstance(want, _TupleSeries):
+            if got == (SeriesError, "series coefficient out of floating-point range"):
+                # the input is finite, and the reference has no overflow
+                # check: it must have produced a non-finite coefficient
+                assert not all(cmath.isfinite(c) for t in want.sectors.values() for c in t.values())
+            elif isinstance(want, _TupleSeries):
                 _assert_same(got, want)
             else:
                 assert got == want
@@ -880,6 +884,32 @@ class TestExpand:
         for key, tail in want.sectors.items():
             assert _bits(ex.series.sectors[key]) == _bits(tail)
         assert _term_bits(ex.series) == _term_bits(want)
+
+
+    @given(data=st.data(), r=st.integers(2, 5), order=st.integers(0, 10))
+    @settings(max_examples=60, deadline=None)
+    def test_factor_memo_is_bit_exact_and_unaliased(self, data, r, order):
+        # repeated expansions read the memoized factors; what a caller does
+        # to a returned series (negate, scale, change its tails in place)
+        # must not reach a later expansion of the same inputs
+        cs = a_coordinates(random_tree(random.Random(data.draw(st.integers(0, 2**32))), range(1, r + 1)))
+        leaves = st.integers(1, r)
+        pairs = st.tuples(leaves, leaves).filter(lambda p: p[0] != p[1])
+        diffs = data.draw(st.lists(st.tuples(pairs, st.sampled_from(_DIFF_EXPONENTS)), min_size=1, max_size=3))
+        f = PowerProduct(diffs=tuple(diffs))
+        want, negative = _per_factor_expand(cs, f, order, False, "upper")
+        hits = series._difference_factor.cache_info().hits
+        for _ in range(3):
+            ex = expand(cs, f, order)
+            assert ex.negative_pairs == negative
+            assert repr(list(ex.series.sectors)) == repr(list(want.sectors))
+            for key, tail in want.sectors.items():
+                assert _bits(ex.series.sectors[key]) == _bits(tail)
+            for returned in [ex.series, -ex.series, ex.series * (2.5 - 1j)]:
+                for tail in returned.sectors.values():
+                    for k in tail:
+                        tail[k] = -3 * tail[k]
+        assert series._difference_factor.cache_info().hits >= hits + 2 * len(diffs)
 
 
 def _random_product(rng, r):
@@ -1154,6 +1184,39 @@ class TestEvaluateClosed:
         )
         with pytest.raises(SeriesError):
             evaluate_closed(f, [1j, -1j, 0], BranchPlan(paired=((0, 1),)))
+
+    @pytest.mark.parametrize(
+        "paired, message",
+        [
+            (((0, 5),), "index 5 out of range"),
+            (((-1, 0),), "index -1 out of range"),
+            (((1, 1),), "pairs factor 1 with itself"),
+            (((0, 1), (1, 0)), "uses factor 1 twice"),
+        ],
+    )
+    def test_bad_plan_rejected(self, paired, message):
+        # ((z1 - z2)(z3 - z4))^(1/2) with z3 - z4 the conjugate of z1 - z2:
+        # the pair evaluated twice read 1.2500000000000002
+        f = PowerProduct(diffs=(((1, 2), Fraction(1, 2)), ((3, 4), Fraction(1, 2))))
+        point = [1 + 1j, 2 + 0.5j, 1 - 1j, 2 - 0.5j]
+        with pytest.raises(SeriesError, match=message):
+            evaluate_closed(f, point, BranchPlan(paired=paired))
+        assert evaluate_closed(f, point, BranchPlan(paired=((0, 1),))) == 1.118033988749895
+
+    def test_point_checks_in_order(self):
+        f = PowerProduct(
+            diffs=(((1, 2), Fraction(1, 2)), ((3, 4), Fraction(1, 2)), ((5, 6), Fraction(1, 3)))
+        )
+        plan = BranchPlan(paired=[(0, 1)])
+        checks = [
+            ([1j, 0, -1j, 0, -1], "point has no coordinate z6"),
+            ([1j, 0, 1j, 0, -1, 0], "paired factors are not complex conjugates"),
+            ([1j, 0, -1j, 0, -1, 0], r"factor \(z5 - z6\) on the cut with exponent 1/3"),
+        ]
+        for point, message in checks:
+            for _ in range(2):  # the prepared table checks every point alike
+                with pytest.raises(SeriesError, match=message):
+                    evaluate_closed(f, point, plan)
 
 
 class TestSerialization:
