@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 
@@ -174,12 +175,19 @@ def _is_int(value) -> bool:
 
 
 def _tolerance(cfg) -> float:
-    """``cfg["tolerance"]`` as a float; it must be a JSON number (no
-    boolean or string)."""
+    """``cfg["tolerance"]`` as a float; it must be a finite JSON number
+    (no boolean, string, inf or nan: reports hold the tolerance, and JSON
+    has no non-finite number)."""
     value = cfg["tolerance"]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CliError(f"tolerance must be a number, got {value!r}")
-    return float(value)
+    try:
+        tol = float(value)
+    except OverflowError:  # an integer beyond the largest double
+        tol = math.inf
+    if not math.isfinite(tol):
+        raise CliError(f"tolerance must be finite, got {tol!r}")
+    return tol
 
 
 def _int_field(cfg, key, default=None, minimum=None, name=None) -> int:

@@ -171,8 +171,9 @@ class BoundaryData:
     rho: int
     sigma_table: dict = field(default_factory=dict)
     # (model, bulk charges, boundary charges) -> mixed_correlator's
-    # (product, plan, prefactor phase); sigma_table only grows, so an
-    # entry never goes stale, and perturbed() copies start empty
+    # (product, plan, prefactor phase), at most 4096 of them; sigma_table
+    # only grows, so an entry never goes stale, and perturbed() copies
+    # start empty
     closed_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -470,6 +471,8 @@ def mixed_correlator(
         return 0j
     key = (model, tuple(bulk_charges), tuple(bdry_charges))
     if key not in bd.closed_forms:
+        if len(bd.closed_forms) >= 4096:
+            bd.closed_forms.clear()
         product, plan = mixed_power_product(bd, bulk_charges, bdry_charges)
         pref = ope_prefactor_num(
             bd, reference_tree(len(zs), len(xs)), bulk_charges, bdry_charges

@@ -562,73 +562,54 @@ class BranchPlan:
 
     paired: tuple = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "paired", tuple(tuple(pair) for pair in self.paired))
-
 
 def evaluate_closed(f: PowerProduct, point: Sequence[complex], plan: BranchPlan | None = None) -> complex:
     """Evaluate a power product at a configuration point.
 
-    What depends only on ``f`` and ``plan``, the plan's check included,
-    is prepared once by :func:`_closed_table`.
+    The plan is checked before the point: an index out of range, a factor
+    paired with itself or used twice, or paired exponents that do not
+    differ by an integer raise :class:`SeriesError`.
     """
-    variables, paired, single, powers = _closed_table(f, plan)
-    z = {}
-    for k in variables:
-        if k >= len(point):
-            raise SeriesError(f"point has no coordinate z{k + 1}")
-        z[k] = complex(point[k])
-    total = complex(f.constant)
-    for a1, b1, a2, b2, two_s2, k in paired:
-        v1 = z[a1] - z[b1]
-        v2 = z[a2] - z[b2]
-        if abs(v2 - v1.conjugate()) > 1e-12 * (1 + abs(v1)):
-            raise SeriesError("paired factors are not complex conjugates")
-        total *= abs(v1) ** two_s2 * v1 ** k
-    for a, b, k, s, mult in single:
-        v = z[a] - z[b]
-        if k is not None:
-            total *= v ** k
-            continue
-        if on_cut(v):
-            raise SeriesError(f"factor (z{a + 1} - z{b + 1}) on the cut with exponent {s}")
-        total *= cmath.exp(mult * cmath.log(v))
-    for a, k in powers:
-        total *= z[a] ** k
-    return total
-
-
-@lru_cache(maxsize=4096)
-def _closed_table(f, plan):
-    """The per-(product, plan) part of :func:`evaluate_closed` in 0-based
-    coordinates: variables in ``f.variables()`` order (the first missing
-    one is named), paired factors with float(2*s2) and int(s1-s2), other
-    factors with int(s) or s and complex(s) (what ``Fraction * complex``
-    multiplies by), plain powers.  A bad plan raises :class:`SeriesError`.
-    """
-    used = set()
-    paired = []
-    for a, b in plan.paired if plan else ():
+    plan = plan or BranchPlan()
+    paired_idx = set()
+    for a, b in plan.paired:
         for idx in (a, b):
             if idx not in range(len(f.diffs)):
                 raise SeriesError(f"branch plan index {idx} out of range for {len(f.diffs)} factors")
         if a == b:
             raise SeriesError(f"branch plan pairs factor {a} with itself")
-        if a in used or b in used:
-            raise SeriesError(f"branch plan uses factor {a if a in used else b} twice")
-        used |= {a, b}
+        if a in paired_idx or b in paired_idx:
+            raise SeriesError(f"branch plan uses factor {a if a in paired_idx else b} twice")
+        if (f.diffs[a][1] - f.diffs[b][1]).denominator != 1:
+            raise SeriesError("paired exponents must differ by an integer")
+        paired_idx |= {a, b}
+    z = {}
+    for v in f.variables():
+        if v - 1 >= len(point):
+            raise SeriesError(f"point has no coordinate z{v}")
+        z[v] = complex(point[v - 1])
+    total = complex(f.constant)
+    for a, b in plan.paired:
         (i1, j1), s1 = f.diffs[a]
         (i2, j2), s2 = f.diffs[b]
-        if (s1 - s2).denominator != 1:
-            raise SeriesError("paired exponents must differ by an integer")
-        paired.append((i1 - 1, j1 - 1, i2 - 1, j2 - 1, float(2 * s2), int(s1 - s2)))
-    single = tuple(
-        (i - 1, j - 1, int(s) if s.denominator == 1 else None, s, complex(s))
-        for idx, ((i, j), s) in enumerate(f.diffs)
-        if idx not in used
-    )
-    powers = tuple((i - 1, k) for i, k in f.powers)
-    return tuple(v - 1 for v in f.variables()), tuple(paired), single, powers
+        v1 = z[i1] - z[j1]
+        v2 = z[i2] - z[j2]
+        if abs(v2 - v1.conjugate()) > 1e-12 * (1 + abs(v1)):
+            raise SeriesError("paired factors are not complex conjugates")
+        total *= abs(v1) ** float(2 * s2) * v1 ** int(s1 - s2)
+    for idx, ((i, j), s) in enumerate(f.diffs):
+        if idx in paired_idx:
+            continue
+        v = z[i] - z[j]
+        if s.denominator == 1:
+            total *= v ** int(s)
+            continue
+        if on_cut(v):
+            raise SeriesError(f"factor (z{i} - z{j}) on the cut with exponent {s}")
+        total *= cmath.exp(s * cmath.log(v))
+    for i, k in f.powers:
+        total *= z[i] ** k
+    return total
 
 
 # ---------------------------------------------------------------------------

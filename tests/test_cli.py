@@ -286,6 +286,10 @@ class TestVerifyCommand:
             ("bulk-consistency", {"R_squared": True}, "error: bad R_squared True"),
             ("boundary-consistency", {"R_squared": False}, "error: bad R_squared False"),
             ("skew", {"R_squared": True}, "error: bad R_squared True"),
+            # the report would hold a non-finite number, which JSON has not
+            ("boundary-consistency", {"tolerance": float("inf")}, "error: tolerance must be finite, got inf"),
+            ("bulk-consistency", {"tolerance": float("nan")}, "error: tolerance must be finite, got nan"),
+            ("boundary-consistency", {"tolerance": 10**400}, "error: tolerance must be finite, got inf"),
         ],
     )
     def test_consistency_bad_config_exit_2(self, capsys, tmp_path, suite, config, message):

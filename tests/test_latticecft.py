@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opetree.coords import CoordError, on_cut, phi_embedding, validate_halfplane_point
+from opetree.coords import CoordError, phi_embedding, validate_halfplane_point
 from opetree.latticecft import (
     BoundaryData,
     LatticeError,
@@ -29,7 +29,7 @@ from opetree.latticecft import (
     tree_expansion,
     _loop_path,
 )
-from opetree.series import SeriesError, phase_pi
+from opetree.series import SeriesError, evaluate_closed, phase_pi
 from opetree.trees import (
     ClosedLeaf,
     OpenLeaf,
@@ -424,43 +424,8 @@ class TestIntegerPrefactor:
             assert repr(texp.prefactor) == repr(phase_pi(want))
 
 
-def _per_call_closed(f, point, plan):
-    """evaluate_closed before prepared tables: every call walks the
-    product's Fractions; kept as the bit-exact reference."""
-    z = {}
-    for v in f.variables():
-        if v - 1 >= len(point):
-            raise SeriesError(f"point has no coordinate z{v}")
-        z[v] = complex(point[v - 1])
-    paired_idx = {idx for pair in plan.paired for idx in pair}
-    total = complex(f.constant)
-    for a, b in plan.paired:
-        (i1, j1), s1 = f.diffs[a]
-        (i2, j2), s2 = f.diffs[b]
-        v1 = z[i1] - z[j1]
-        v2 = z[i2] - z[j2]
-        if abs(v2 - v1.conjugate()) > 1e-12 * (1 + abs(v1)):
-            raise SeriesError("paired factors are not complex conjugates")
-        if (s1 - s2).denominator != 1:
-            raise SeriesError("paired exponents must differ by an integer")
-        total *= abs(v1) ** float(2 * s2) * v1 ** int(s1 - s2)
-    for idx, ((i, j), s) in enumerate(f.diffs):
-        if idx in paired_idx:
-            continue
-        v = z[i] - z[j]
-        if s.denominator == 1:
-            total *= v ** int(s)
-            continue
-        if on_cut(v):
-            raise SeriesError(f"factor (z{i} - z{j}) on the cut with exponent {s}")
-        total *= cmath.exp(s * cmath.log(v))
-    for i, k in f.powers:
-        total *= z[i] ** k
-    return total
-
-
 def _per_call_mixed(model, bd, dual, bulk_insertions, bdry_insertions):
-    """mixed_correlator before its per-charge-set memo: product, plan and
+    """mixed_correlator without its per-charge-set memo: product, plan and
     prefactor rebuilt on every call; kept as the bit-exact reference."""
     bulk_charges = [tuple(a) for a, _ in bulk_insertions]
     bdry_charges = [int(k) for k, _ in bdry_insertions]
@@ -472,7 +437,7 @@ def _per_call_mixed(model, bd, dual, bulk_insertions, bdry_insertions):
     product, plan = mixed_power_product(bd, bulk_charges, bdry_charges)
     point = phi_embedding(zs + xs, len(zs), len(xs))
     pref = ope_prefactor_num(bd, reference_tree(len(zs), len(xs)), bulk_charges, bdry_charges)
-    return model.phase(pref) * _per_call_closed(product, point, plan)
+    return model.phase(pref) * evaluate_closed(product, point, plan)
 
 
 def _outcome(fn, *args):
@@ -513,6 +478,16 @@ class TestMixedCorrelator:
                     xs = sorted(data.draw(real), reverse=True)
                     args = (m, b, dual, list(zip(bulk, zs)), list(zip(bdry, xs)))
                     assert _outcome(mixed_correlator, *args) == _outcome(_per_call_mixed, *args)
+
+    def test_closed_forms_memo_is_bounded(self, model):
+        # a sweep over many charge sets on one BoundaryData keeps at most
+        # 4096 prepared closed forms
+        bd = BoundaryData(model, 1)
+        bd.closed_forms.update((("filler", n), None) for n in range(4096))
+        args = (bd.t_coeff((1, 0)), [((1, 0), 0.5 + 0.5j)], [])
+        got = mixed_correlator(model, bd, *args)
+        assert list(bd.closed_forms) == [(model, ((1, 0),), ())]
+        assert repr(got) == repr(_per_call_mixed(model, bd, *args))
 
     def test_reproduces_G(self, model, boundaries):
         # (r,s) = (1,1): sigma eta (z1-zb1)^{(pa,phi pba)} (z1-x2)^{(pa,tb)}
