@@ -16,10 +16,9 @@ permutation and the signed crossing counts per strand pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from opetree.trees import (
     ClosedLeaf,
+    Frozen,
     Tree,
     compose,
     compose_colored,
@@ -36,16 +35,15 @@ class BraidError(ValueError):
     """Invalid braid word or morphism data."""
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(Frozen):
     """A word in the braid group on ``strands`` strands.
 
     ``word`` is a tuple of signed generator indices: +i for s_i, -i for
     its inverse, 1 <= i <= strands-1.
     """
 
-    strands: int
-    word: tuple = ()
+    __slots__ = _fields = ("strands", "word")
+    _defaults = {"word": ()}
 
     def __post_init__(self):
         if self.strands < 0:
@@ -172,17 +170,14 @@ def block_substitution(pg: tuple, p: int, ph: tuple) -> tuple:
 # Parenthesized braid morphisms (plain trees)
 
 
-@dataclass(frozen=True)
-class PaBMorphism:
+class PaBMorphism(Frozen):
     """A braid word between two r-leaf trees.
 
     Valid when the strand starting at source position i carries the leaf
     label found at its ending position in the target leaf order.
     """
 
-    source: Tree
-    target: Tree
-    word: BraidWord
+    __slots__ = _fields = ("source", "target", "word")
 
     def then(self, other: "PaBMorphism") -> "PaBMorphism":
         if self.target != other.source:
@@ -241,8 +236,7 @@ def rank_frame(e: Tree) -> tuple:
     return tuple(tags[k] for k in order)
 
 
-@dataclass(frozen=True)
-class PaPBMorphism:
+class PaPBMorphism(Frozen):
     """A doubled braid word between o-colored trees.
 
     ``source_frame``/``target_frame`` give the coordinate tag carried by
@@ -251,11 +245,7 @@ class PaPBMorphism:
     target frame.
     """
 
-    source: Tree
-    target: Tree
-    word: BraidWord
-    source_frame: tuple
-    target_frame: tuple
+    __slots__ = _fields = ("source", "target", "word", "source_frame", "target_frame")
 
     def invariants(self) -> tuple:
         """Equality is not decided up to homotopy; these are the stored

@@ -12,8 +12,10 @@ invocations are byte-identical.
 Start-up: the module level imports only ``argparse``, ``json`` and
 ``sys``.  Each subcommand imports the opetree modules it uses (``tree``
 only :mod:`opetree.trees`, ``braid perm`` adds :mod:`opetree.braids`),
-so a one-shot call compiles and runs nothing else; ``tests/test_cli.py``
-pins the set per subcommand.
+so a one-shot call compiles and runs nothing else.  The records are
+plain classes (:class:`opetree.trees.Record`), so no module generates
+per-class code at import or loads ``inspect``; ``tests/test_cli.py``
+pins the modules per subcommand.
 """
 
 from __future__ import annotations

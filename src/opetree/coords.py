@@ -15,11 +15,10 @@ cut along the closed negative real axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from opetree.trees import Node, Tau, Tree, doubling, tree_meta, validate_colored
+from opetree.trees import Frozen, Node, Tau, Tree, doubling, tree_meta, validate_colored
 
 CUT_TOL = 1e-14
 
@@ -40,24 +39,17 @@ def on_cut(z: complex) -> bool:
     return z.real <= 0 and abs(z.imag) <= CUT_TOL * (1 + abs(z.real))
 
 
-@dataclass(frozen=True)
-class FactoredDifference:
+class FactoredDifference(Frozen):
     """z_i - z_j = x_A * sign * zeta^monomial * (1 + tail)."""
 
-    i: int
-    j: int
-    monomial: tuple
-    sign: int
-    tail: Poly
+    __slots__ = _fields = ("i", "j", "monomial", "sign", "tail")
 
 
-@dataclass(frozen=True)
-class CoordSystem:
-    """Symbolic A-coordinates plus the polynomial inverse."""
+class CoordSystem(Frozen):
+    """Symbolic A-coordinates plus the polynomial inverse; ``q_polys`` maps
+    each leaf label to its Poly in the edge variables."""
 
-    tree: Tree
-    meta: object
-    q_polys: dict  # leaf label -> Poly in the edge variables
+    __slots__ = _fields = ("tree", "meta", "q_polys")
 
     @property
     def r(self) -> int:
@@ -90,13 +82,10 @@ class CoordSystem:
         return out
 
 
-@dataclass(frozen=True)
-class CoordValues:
+class CoordValues(Frozen):
     """Numeric A-coordinate values at a configuration point."""
 
-    x: complex
-    z: complex
-    zeta: tuple
+    __slots__ = _fields = ("x", "z", "zeta")
 
     def as_dict(self, names: Mapping) -> dict:
         vals = {names["x"]: self.x, names["z"]: self.z}
@@ -154,7 +143,7 @@ def psi(a: Tree | CoordSystem, point: Sequence[complex]) -> CoordValues:
 
     x = vertex_value(m.root_vertex)
     zetas = tuple(vertex_value(e) / vertex_value(m.upper(e)) for e in m.edges)
-    return CoordValues(x=x, z=z[m.rightmost_leaf - 1], zeta=zetas)
+    return CoordValues(x, z[m.rightmost_leaf - 1], zetas)
 
 
 def eval_poly(poly: Poly, zeta: Sequence[complex]) -> complex:
@@ -218,15 +207,12 @@ def pair_difference(a: Tree | CoordSystem, i: int, j: int) -> FactoredDifference
             continue
         shifted = tuple(e - f for e, f in zip(exps, m0))
         tail[shifted] = coeff * c  # divide by c = +-1
-    return FactoredDifference(i=i, j=j, monomial=m0, sign=c, tail=tail)
+    return FactoredDifference(i, j, m0, c, tail)
 
 
-@dataclass(frozen=True)
-class Certificate:
-    admissible: bool
-    margin: float
-    worst_pair: tuple | None
-    failures: tuple = ()
+class Certificate(Frozen):
+    __slots__ = _fields = ("admissible", "margin", "worst_pair", "failures")
+    _defaults = {"failures": ()}
 
 
 def _tail_bound(tail: Poly, radii: Sequence[float]) -> float:
@@ -269,11 +255,8 @@ def admissibility_certificate(a: Tree | CoordSystem, radii: Sequence[float]) -> 
     return Certificate(worst < 1.0, 1.0 - worst, worst_pair)
 
 
-@dataclass(frozen=True)
-class RegionMembership:
-    in_ubar: bool
-    in_u: bool
-    margin: float
+class RegionMembership(Frozen):
+    __slots__ = _fields = ("in_ubar", "in_u", "margin")
 
 
 def region_membership(a: Tree | CoordSystem, point: Sequence[complex]) -> RegionMembership:

@@ -29,9 +29,9 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 
 from opetree.coords import (
     CoordError,
@@ -46,7 +46,6 @@ from opetree.coords import (
 )
 from opetree.series import (
     BranchPlan,
-    GenSeries,
     PowerProduct,
     evaluate_closed,
     evaluate_series,
@@ -57,6 +56,8 @@ from opetree.trees import (
     ClosedLeaf,
     Node,
     OpenLeaf,
+    Record,
+    Stored,
     Tau,
     Tree,
     doubling,
@@ -94,23 +95,26 @@ def epsilon_cocycle(alpha: Charge, beta: Charge) -> int:
     return -1 if epsilon_exponent(alpha, beta) else 1
 
 
-@dataclass(frozen=True)
-class NarainModel:
+class NarainModel(Stored):
     """Compactified free boson on the (1,1) lattice, R^2 = p/q rational.
 
     ``D = 2pq`` clears the denominator of every frame product, so
     ``D * frame_product`` is the integer bilinear form
-    :meth:`frame_product_num`.
+    :meth:`frame_product_num`.  A model keys the closed-form memos, so it
+    stores its hash.
     """
 
-    r_squared: Fraction
+    __slots__ = ("r_squared", "D", "_gram_num", "_key", "_hash")
+    _fields = ("r_squared",)
 
-    def __post_init__(self):
-        rsq = Fraction(self.r_squared)
+    def __init__(self, r_squared: Fraction):
+        rsq = Fraction(r_squared)
         if rsq <= 0:
             raise LatticeError("R^2 must be a positive rational")
         p, q = rsq.numerator, rsq.denominator
         object.__setattr__(self, "r_squared", rsq)
+        object.__setattr__(self, "_key", (rsq,))
+        object.__setattr__(self, "_hash", hash(self._key))
         object.__setattr__(self, "D", 2 * p * q)
         # D * (u^2, uw, w^2) = (q^2, pq, p^2)
         object.__setattr__(self, "_gram_num", (q * q, p * q, p * p))
@@ -153,8 +157,7 @@ class NarainModel:
 # Boundary data: reflection, boundary charge map, cocycles
 
 
-@dataclass
-class BoundaryData:
+class BoundaryData(Record):
     """Reflection sign, boundary charges, and the cocycles eta and sigma.
 
     Every phase is an integer k mod 2D, value ``model.phase(k)`` =
@@ -167,18 +170,19 @@ class BoundaryData:
     the trivial eta (basis table has no off-diagonal entries).
     """
 
-    model: NarainModel
-    rho: int
-    sigma_table: dict = field(default_factory=dict)
-    # (model, bulk charges, boundary charges) -> mixed_correlator's
-    # (product, plan, prefactor phase), at most 4096 of them; sigma_table
-    # only grows, so an entry never goes stale, and perturbed() copies
-    # start empty
-    closed_forms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("model", "rho", "sigma_table")
+    _defaults = {"sigma_table": None}  # a new empty table
 
     def __post_init__(self):
         if self.rho not in (1, -1):
             raise LatticeError("reflection sign must be +1 or -1")
+        if self.sigma_table is None:
+            self.sigma_table = {}
+        # (model, bulk charges, boundary charges) -> mixed_correlator's
+        # (product, plan, prefactor phase), at most 4096 of them; not a
+        # field, so not compared or shown.  sigma_table only grows, so an
+        # entry never goes stale, and perturbed() copies start empty
+        self.closed_forms = {}
         self.sigma_table.setdefault((0, 0), 0)
         self.sigma_table.setdefault((1, 0), 0)
         self.sigma_table.setdefault((0, 1), 0)
@@ -295,16 +299,15 @@ def build_boundary(model: NarainModel, rho: int) -> BoundaryData:
 # Verification reports
 
 
-@dataclass
-class VerifyReport:
-    name: str
-    params: dict
-    samples: list
-    max_rel_err: float
-    tolerance: float
-    passed: bool
-    runtime: float
-    notes: list = field(default_factory=list)
+class VerifyReport(Record):
+    _fields = (
+        "name", "params", "samples", "max_rel_err", "tolerance", "passed", "runtime", "notes"
+    )
+    _defaults = {"notes": None}  # a new empty list
+
+    def __post_init__(self):
+        if self.notes is None:
+            self.notes = []
 
     def to_obj(self) -> dict:
         return {
@@ -343,10 +346,7 @@ def bulk_correlator(model: NarainModel, dual: Charge, insertions) -> complex:
     points = [complex(z) for _, z in insertions]
     if (sum(n for n, _ in charges), sum(m for _, m in charges)) != tuple(dual):
         return 0j
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if points[i] == points[j]:
-                raise LatticeError("coincident insertion points")
+    _check_distinct(points)
     nu = 0
     value = 1.0 + 0j
     for i in range(len(charges)):
@@ -359,6 +359,19 @@ def bulk_correlator(model: NarainModel, dual: Charge, insertions) -> complex:
                 raise LatticeError("bulk pair exponents differ non-integrally")
             value *= abs(v) ** float(2 * bb) * v ** int(k)
     return model.phase(nu * model.D) * value
+
+
+def _check_distinct(points) -> None:
+    if len(set(points)) != len(points):
+        raise LatticeError("coincident insertion points")
+
+
+def _int_charges(charges) -> list:
+    """Boundary charges as ints; a non-integer charge raises, never truncates."""
+    ints = [int(k) for k in charges]
+    if ints != list(charges):
+        raise LatticeError(f"boundary charges must be integers, got {list(charges)}")
+    return ints
 
 
 def reference_tree(r: int, s: int) -> Tree:
@@ -418,8 +431,8 @@ def _doubled_charge_frames(bd: BoundaryData, bulk_charges, bdry_charges) -> dict
     for i, alpha in enumerate(bulk_charges, start=1):
         frames[2 * i - 1] = model.a_vec(alpha)
         frames[2 * i] = bd.phi_abar_vec(alpha)
-    for j, k in enumerate(bdry_charges, start=1):
-        frames[2 * r + j] = bd.t_vec(int(k))
+    for j, k in enumerate(_int_charges(bdry_charges), start=1):
+        frames[2 * r + j] = bd.t_vec(k)
     return frames
 
 
@@ -460,25 +473,30 @@ def mixed_correlator(
     the value is the doubled pair product under the fixed branch plan.
     Zero unless the boundary charge is conserved.  The product, plan and
     prefactor phase are built once per charge set and kept in
-    ``bd.closed_forms``; each call evaluates them at its point.
+    ``bd.closed_forms``; each call evaluates them at its point.  The
+    boundary charges are checked to be integers once per charge set.
     """
-    bulk_charges = [tuple(a) for a, _ in bulk_insertions]
-    bdry_charges = [int(k) for k, _ in bdry_insertions]
+    bulk_charges = tuple(tuple(a) for a, _ in bulk_insertions)
+    bdry_charges = tuple(k for k, _ in bdry_insertions)
     zs = [complex(z) for _, z in bulk_insertions]
     xs = [complex(x) for _, x in bdry_insertions]
     validate_halfplane_point(zs + xs, len(zs), len(xs))
+    _check_distinct(zs)
+    key = (model, bulk_charges, bdry_charges)
+    prepared = bd.closed_forms.get(key)
+    if prepared is None:
+        bdry_charges = _int_charges(bdry_charges)
     if sum(bd.t_coeff(a) for a in bulk_charges) + sum(bdry_charges) != int(dual):
         return 0j
-    key = (model, tuple(bulk_charges), tuple(bdry_charges))
-    if key not in bd.closed_forms:
+    if prepared is None:
         if len(bd.closed_forms) >= 4096:
             bd.closed_forms.clear()
         product, plan = mixed_power_product(bd, bulk_charges, bdry_charges)
         pref = ope_prefactor_num(
             bd, reference_tree(len(zs), len(xs)), bulk_charges, bdry_charges
         )
-        bd.closed_forms[key] = product, plan, model.phase(pref)
-    product, plan, phase = bd.closed_forms[key]
+        prepared = bd.closed_forms[key] = product, plan, model.phase(pref)
+    product, plan, phase = prepared
     point = phi_embedding(zs + xs, len(zs), len(xs))
     return phase * evaluate_closed(product, point, plan)
 
@@ -487,20 +505,14 @@ def mixed_correlator(
 # Per-tree expansions
 
 
-@dataclass
-class TreeExpansion:
+class TreeExpansion(Record):
     """A per-tree OPE expansion: the raw series in the (doubled) tree's
     coordinates and the tree's OPE prefactor, kept separate so region
     phases can be measured against the raw expansion.  The prefactor is
     the integer phase ``prefactor_num`` mod 2D of ``model``; its complex
     value ``prefactor`` is computed once."""
 
-    model: NarainModel
-    tree: Tree
-    working_tree: Tree
-    series: GenSeries
-    prefactor_num: int
-    colored: bool
+    _fields = ("model", "tree", "working_tree", "series", "prefactor_num", "colored")
 
     @cached_property
     def prefactor(self) -> complex:
@@ -817,7 +829,7 @@ def expansion_consistency_check(
             raise LatticeError("colored expansion needs boundary data")
         r, s = len(charges), len(bdry_charges)
         base_point, sample = nested_configuration_open, _sample_open_points
-        dual = sum(bd.t_coeff(a) for a in charges) + sum(int(k) for k in bdry_charges)
+        dual = sum(bd.t_coeff(a) for a in charges) + sum(_int_charges(bdry_charges))
 
         def embed(pt):
             return phi_embedding(pt, r, s)
@@ -861,7 +873,8 @@ def expansion_consistency_check(
                 "tree": format_tree(tree),
                 "n_points": len(pts),
                 "max_rel_err": max(errs),
-                "mean_rel_err": sum(errs) / len(errs),
+                # a left fold: sum() rounds differently from Python 3.12
+                "mean_rel_err": reduce(add, errs) / len(errs),
             }
         )
     phase_worst = 0.0

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, compress, islice, repeat
@@ -61,7 +60,7 @@ from opetree.coords import (
     on_cut,
     pair_difference,
 )
-from opetree.trees import Tree
+from opetree.trees import Frozen, Tree
 
 ZERO = Fraction(0)
 
@@ -505,17 +504,15 @@ def _binomial_tail_memo(items, q, order):
 # Formal products of configuration-space functions
 
 
-@dataclass(frozen=True)
-class PowerProduct:
+class PowerProduct(Frozen):
     """constant * prod (z_i - z_j)^{s_ij} * prod z_i^{k_i}.
 
     ``diffs`` lists ((i, j), exponent) factors with exact rational
     exponents; ``powers`` lists (i, k) with nonnegative integer k.
     """
 
-    diffs: tuple = ()
-    powers: tuple = ()
-    constant: complex = 1.0 + 0j
+    __slots__ = _fields = ("diffs", "powers", "constant")
+    _defaults = {"diffs": (), "powers": (), "constant": 1.0 + 0j}
 
     def __post_init__(self):
         object.__setattr__(
@@ -549,8 +546,7 @@ class PowerProduct:
         )
 
 
-@dataclass(frozen=True)
-class BranchPlan:
+class BranchPlan(Frozen):
     """Branch assignment for closed evaluation.
 
     ``paired`` lists pairs of indices into the difference factors that
@@ -560,7 +556,8 @@ class BranchPlan:
     branch.  Each index names a factor of the product, at most once.
     """
 
-    paired: tuple = ()
+    __slots__ = _fields = ("paired",)
+    _defaults = {"paired": ()}
 
 
 def evaluate_closed(f: PowerProduct, point: Sequence[complex], plan: BranchPlan | None = None) -> complex:
@@ -616,12 +613,11 @@ def evaluate_closed(f: PowerProduct, point: Sequence[complex], plan: BranchPlan 
 # The expansion homomorphism into tree coordinates
 
 
-@dataclass(frozen=True)
-class ExpandedProduct:
-    """Result of expanding a power product in tree coordinates."""
+class ExpandedProduct(Frozen):
+    """Result of expanding a power product in tree coordinates;
+    ``negative_pairs`` lists the (i, j) factors whose leading sign was -1."""
 
-    series: GenSeries
-    negative_pairs: tuple  # (i, j) factors whose leading sign was -1
+    __slots__ = _fields = ("series", "negative_pairs")
 
 
 def expand(
@@ -670,7 +666,7 @@ def expand(
             ungraded = _ungraded_key({names["z"]: k - m, names["x"]: m})
             piece.sectors[((), ungraded, zero_base)] = _scale_tail(qpow, complex(math.comb(k, m)))
         out = out * piece
-    return ExpandedProduct(series=out, negative_pairs=tuple(negative))
+    return ExpandedProduct(out, tuple(negative))
 
 
 @lru_cache(maxsize=4096)

@@ -13,7 +13,6 @@ All values are immutable; every operation returns fresh trees.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
 
@@ -30,53 +29,148 @@ class ParseError(TreeError):
 
 
 # ---------------------------------------------------------------------------
+# Records.  Every opetree value type derives from Record; the bases live
+# here because the other modules all import this one.
+
+
+class Record:
+    """A record with the fields named in ``_fields``, built positionally or
+    by keyword; a field in ``_defaults`` may be omitted.  After
+    construction ``__post_init__`` checks or normalizes the fields.  Equal
+    when of the same class with equal field tuples; unhashable."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            try:  # complete args by keyword, then by default
+                rest = [kwargs.pop(f) if f in kwargs else self._defaults[f] for f in fields[len(args):]]
+            except KeyError as err:
+                raise TypeError(f"{type(self).__name__}() missing field {err}") from None
+            if kwargs or len(args) > len(fields):
+                raise TypeError(f"{type(self).__name__}() takes {fields}, got {args} and {kwargs}")
+            args += tuple(rest)
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({body})"
+
+
+class Frozen(Record):
+    """An immutable :class:`Record`, hashed as its field tuple."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class Stored(Frozen):
+    """A :class:`Frozen` record with ``__slots__`` whose written-out
+    ``__init__`` also keeps the field tuple in ``_key`` and its hash in
+    ``_hash``: the hot memo and dict keys."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+
+# ---------------------------------------------------------------------------
 # Node types.  Plain and colored trees share `Node`; a tree is colored as
-# soon as it contains a ClosedLeaf, OpenLeaf or Tau.
+# soon as it contains a ClosedLeaf, OpenLeaf or Tau.  Trees key memos and
+# dicts on hot paths, so nodes are Stored records.
 
 
-@dataclass(frozen=True)
-class Leaf:
-    label: int
+class _Leaf(Stored):
+    __slots__ = ("label", "_key", "_hash")
+    _fields = ("label",)
 
-    def __repr__(self):
-        return f"Leaf({self.label})"
-
-
-@dataclass(frozen=True)
-class ClosedLeaf:
-    label: int
+    def __init__(self, label: int):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "_key", (label,))
+        object.__setattr__(self, "_hash", hash(self._key))
 
     def __repr__(self):
-        return f"ClosedLeaf({self.label})"
+        return f"{type(self).__name__}({self.label})"
 
 
-@dataclass(frozen=True)
-class OpenLeaf:
-    label: int
-
-    def __repr__(self):
-        return f"OpenLeaf({self.label})"
+class Leaf(_Leaf):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Node:
-    left: "Tree"
-    right: "Tree"
+class ClosedLeaf(_Leaf):
+    __slots__ = ()
+
+
+class OpenLeaf(_Leaf):
+    __slots__ = ()
+
+
+class Node(Stored):
+    __slots__ = ("left", "right", "_key", "_hash")
+    _fields = ("left", "right")
+
+    def __init__(self, left: "Tree", right: "Tree"):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_key", (left, right))
+        object.__setattr__(self, "_hash", hash(self._key))
 
     def __repr__(self):
         return f"Node({self.left!r}, {self.right!r})"
 
 
-@dataclass(frozen=True)
-class Tau:
-    child: "Tree"
+class Tau(Stored):
+    __slots__ = ("child", "_key", "_hash")
+    _fields = ("child",)
+
+    def __init__(self, child: "Tree"):
+        object.__setattr__(self, "child", child)
+        object.__setattr__(self, "_key", (child,))
+        object.__setattr__(self, "_hash", hash(self._key))
 
     def __repr__(self):
         return f"Tau({self.child!r})"
 
 
-@dataclass(frozen=True)
-class _Empty:
+class _Empty(Frozen):
+    __slots__ = ()
+
     def __repr__(self):
         return "EMPTY"
 
@@ -356,8 +450,7 @@ def format_tree(t: Tree) -> str:
 # from the root ('l'/'r' steps) since structurally equal subtrees may repeat.
 
 
-@dataclass(frozen=True)
-class TreeMeta:
+class TreeMeta(Frozen):
     """Vertex/edge data of a plain tree with r >= 2 leaves.
 
     ``vertices`` are root paths of internal nodes in pre-order; ``edges``
@@ -367,14 +460,10 @@ class TreeMeta:
     of v itself.
     """
 
-    tree: Tree
-    r: int
-    vertices: tuple
-    edges: tuple
-    left_leaf: dict
-    right_leaf: dict
-    leaf_path: dict
-    root_vertex: tuple = ()
+    __slots__ = _fields = (
+        "tree", "r", "vertices", "edges", "left_leaf", "right_leaf", "leaf_path", "root_vertex"
+    )
+    _defaults = {"root_vertex": ()}
 
     @property
     def rightmost_leaf(self) -> int:

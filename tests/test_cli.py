@@ -512,7 +512,8 @@ class TestCanonicalJson:
 
 
 # Each subcommand imports only the opetree modules it uses, so a one-shot
-# call compiles nothing else; a new top-level import shows up here.
+# call compiles nothing else; a new top-level import shows up here.  None
+# imports dataclasses or inspect (about 9 ms of a call's start-up).
 _BASE = {"opetree", "opetree.cli", "opetree.trees"}
 _LATTICE = _BASE | {"opetree.coords", "opetree.series", "opetree.latticecft"}
 
@@ -538,7 +539,8 @@ def test_import_footprint(argv, code, loaded):
         "from opetree import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.main(json.loads(sys.argv[1]))\n"
-        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'opetree')]))\n"
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'opetree'),\n"
+        "                  sorted({'dataclasses', 'inspect'} & set(sys.modules))]))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", child, json.dumps(argv)],
@@ -547,4 +549,4 @@ def test_import_footprint(argv, code, loaded):
         env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [code, sorted(loaded)]
+    assert json.loads(proc.stdout) == [code, sorted(loaded), []]

@@ -432,6 +432,8 @@ def _per_call_mixed(model, bd, dual, bulk_insertions, bdry_insertions):
     zs = [complex(z) for _, z in bulk_insertions]
     xs = [complex(x) for _, x in bdry_insertions]
     validate_halfplane_point(zs + xs, len(zs), len(xs))
+    if len(set(zs)) != len(zs):
+        raise LatticeError("coincident insertion points")
     if sum(bd.t_coeff(a) for a in bulk_charges) + sum(bdry_charges) != int(dual):
         return 0j
     product, plan = mixed_power_product(bd, bulk_charges, bdry_charges)
@@ -444,7 +446,7 @@ def _outcome(fn, *args):
     """repr of a result, or the type and message of the error it raised."""
     try:
         return repr(fn(*args))
-    except (ArithmeticError, CoordError, SeriesError) as err:
+    except (ArithmeticError, CoordError, LatticeError, SeriesError) as err:
         return type(err).__name__, str(err)
 
 
@@ -545,6 +547,30 @@ class TestMixedCorrelator:
     def test_charge_conservation(self, model, boundaries):
         bd = boundaries[1]
         assert mixed_correlator(model, bd, 5, [((1, 0), 1j)], [(0, 0.0)]) == 0
+
+    def test_coincident_bulk_points(self, model, boundaries):
+        # at R^2 = 2 these charges once divided by zero in the closed form
+        bd = boundaries[1]
+        for charges in (((1, 0), (-1, 0)), ((1, 0), (1, 0))):
+            dual = sum(bd.t_coeff(a) for a in charges)
+            with pytest.raises(LatticeError, match="coincident insertion points"):
+                mixed_correlator(model, bd, dual, [(a, 0.5j) for a in charges], [])
+
+    def test_non_integer_boundary_charge(self, model, boundaries):
+        # 1.5 was read as int(1.5) = 1; it is rejected whether or not the
+        # charges are conserved, and whether or not charge 1 is prepared
+        bd = BoundaryData(model, 1)
+        assert mixed_correlator(model, bd, 1, [], [(1, 0.0)]) == 1
+        for dual in (1, 2):
+            with pytest.raises(LatticeError, match="boundary charges must be integers"):
+                mixed_correlator(model, bd, dual, [], [(1.5, 0.0)])
+        assert mixed_correlator(model, bd, 1, [], [(1.0, 0.0)]) == 1
+        with pytest.raises(LatticeError, match="boundary charges must be integers"):
+            tree_expansion(model, parse_tree("t(c1)o2"), [(1, 0)], 2, bd=bd, bdry_charges=[0.5])
+        with pytest.raises(LatticeError, match="boundary charges must be integers"):
+            expansion_consistency_check(
+                model, [parse_tree("t(c1)o2")], [(1, 0)], 2, 1e-6, 1, 0, bd=bd, bdry_charges=["1"]
+            )
 
     def test_F_single_valued_in_bulk_pair(self, model, boundaries):
         # continuing z1 around z2 inside H returns the same value
