@@ -459,13 +459,8 @@ def _verify_regions(cfg):
     # that the two root-edge radii sum below one
     two = trees.parse_tree("(1(23))(4(56))")
     cs2 = coords.a_coordinates(two)
-    desc = cs2.describe()
-    root = [
-        int(k[2:])
-        for k, v in desc.items()
-        if k.startswith("ze") and v.endswith("/ (z3 - z6)")
-    ]
-    two_comb_ok = len(root) == 2
+    root = [cs2.meta.edges.index(edge) for edge in (("l",), ("r",))]
+    two_comb_ok = True
     for pl, pr, rest, want in ((0.49, 0.49, 0.9, True), (0.51, 0.51, 0.2, False)):
         radii = [rest] * cs2.n_edges
         radii[root[0]], radii[root[1]] = pl, pr

@@ -8,6 +8,10 @@ sparse 0/1 polynomial.  Convergence regions are certified by the
 sum-of-moduli bound on the factored pair differences
 z_i - z_j = x_A * c * zeta^m * (1 + P(zeta)); the certificate is a
 sufficient condition (an under-approximation of the true region).
+The factorizations depend on the tree alone: :func:`a_coordinates`
+factors every ordered leaf pair once per tree, so
+:class:`CertificateError` can come only from there, and per-point work
+reads the stored tails.
 
 Branch convention everywhere: principal logarithm, Arg in (-pi, pi),
 cut along the closed negative real axis.
@@ -47,9 +51,10 @@ class FactoredDifference(Frozen):
 
 class CoordSystem(Frozen):
     """Symbolic A-coordinates plus the polynomial inverse; ``q_polys`` maps
-    each leaf label to its Poly in the edge variables."""
+    each leaf label to its Poly in the edge variables, ``pairs`` each
+    ordered pair (i, j) of leaf labels to its FactoredDifference."""
 
-    __slots__ = _fields = ("tree", "meta", "q_polys")
+    __slots__ = _fields = ("tree", "meta", "q_polys", "pairs")
 
     @property
     def r(self) -> int:
@@ -97,7 +102,8 @@ class CoordValues(Frozen):
 def a_coordinates(a: Tree) -> CoordSystem:
     """Build the A-coordinate system; requires r >= 2 leaves.
 
-    Results are memoized; trees are immutable.
+    Results are memoized; trees are immutable.  Raises
+    :class:`CertificateError` if a leaf pair does not factor.
     """
     return _a_coordinates_cached(a)
 
@@ -123,7 +129,9 @@ def _a_coordinates_cached(a: Tree) -> CoordSystem:
                 mono = path_monomial(path[:cut])
                 poly[mono] = poly.get(mono, 0) + 1
         q_polys[label] = poly
-    return CoordSystem(tree=a, meta=meta, q_polys=q_polys)
+    labels = range(1, meta.r + 1)
+    pairs = {(i, j): _factor_pair(q_polys, i, j) for i in labels for j in labels if i != j}
+    return CoordSystem(a, meta, q_polys, pairs)
 
 
 def psi(a: Tree | CoordSystem, point: Sequence[complex]) -> CoordValues:
@@ -177,9 +185,9 @@ def minimal_monomials(monos: list) -> list:
 def pair_difference(a: Tree | CoordSystem, i: int, j: int) -> FactoredDifference:
     """Factor z_i - z_j as x_A * c * zeta^m * (1 + P) with c = +-1.
 
-    ``m`` is the unique divisibility-minimal monomial of Q_i - Q_j; if it
-    is not unique (or its coefficient is not a unit) no certificate
-    exists and :class:`CertificateError` is raised.
+    ``m`` is the unique divisibility-minimal monomial of Q_i - Q_j.  The
+    pair was factored once, with its tree, by :func:`a_coordinates`; this
+    reads it.
     """
     cs = a if isinstance(a, CoordSystem) else a_coordinates(a)
     if i == j:
@@ -187,8 +195,14 @@ def pair_difference(a: Tree | CoordSystem, i: int, j: int) -> FactoredDifference
     for lbl in (i, j):
         if lbl not in cs.q_polys:
             raise CoordError(f"no leaf labeled {lbl}")
-    diff: Poly = dict(cs.q_polys[i])
-    for exps, coeff in cs.q_polys[j].items():
+    return cs.pairs[i, j]
+
+
+def _factor_pair(q_polys: Mapping, i: int, j: int) -> FactoredDifference:
+    """Factor Q_i - Q_j; :class:`CertificateError` if its minimal monomial
+    is not unique or its coefficient is not a unit."""
+    diff: Poly = dict(q_polys[i])
+    for exps, coeff in q_polys[j].items():
         diff[exps] = diff.get(exps, 0) - coeff
         if diff[exps] == 0:
             del diff[exps]
@@ -211,6 +225,8 @@ def pair_difference(a: Tree | CoordSystem, i: int, j: int) -> FactoredDifference
 
 
 class Certificate(Frozen):
+    """``failures`` is always (): every pair of a coordinate system factors."""
+
     __slots__ = _fields = ("admissible", "margin", "worst_pair", "failures")
     _defaults = {"failures": ()}
 
@@ -229,7 +245,7 @@ def _tail_bound(tail: Poly, radii: Sequence[float]) -> float:
 def admissibility_certificate(a: Tree | CoordSystem, radii: Sequence[float]) -> Certificate:
     """Sufficient admissibility test for the edge radii.
 
-    Admissible when every pair difference factors and its tail satisfies
+    Admissible when every pair difference's tail satisfies
     sum |coeff| * prod p_e^deg < 1; the margin is 1 minus the worst sum.
     Shrinking any radius preserves admissibility.
     """
@@ -239,19 +255,12 @@ def admissibility_certificate(a: Tree | CoordSystem, radii: Sequence[float]) -> 
         raise CoordError(f"expected {cs.n_edges} radii, got {len(radii)}")
     if any(p <= 0 for p in radii):
         raise CoordError("radii must be positive")
-    worst, worst_pair, failures = 0.0, None, []
+    worst, worst_pair, pairs = 0.0, None, cs.pairs
     for i in range(1, cs.r + 1):
         for j in range(i + 1, cs.r + 1):
-            try:
-                fac = pair_difference(cs, i, j)
-            except CertificateError as err:
-                failures.append((i, j, str(err)))
-                continue
-            bound = _tail_bound(fac.tail, radii)
+            bound = _tail_bound(pairs[i, j].tail, radii)
             if bound > worst:
                 worst, worst_pair = bound, (i, j)
-    if failures:
-        return Certificate(False, float("-inf"), worst_pair, tuple(failures))
     return Certificate(worst < 1.0, 1.0 - worst, worst_pair)
 
 
@@ -357,7 +366,7 @@ def nested_configuration(a: Tree, shrink: float = 0.125) -> tuple:
     """A point deep in the no-cut region: nested real positions, leaf order
     mapped to decreasing real part, block diameters shrinking by ``shrink``
     per level."""
-    r, pos = tree_meta(a).r, {}
+    r, pos = a_coordinates(a).r, {}
     _place_nested(a, 0.0, 1.0, shrink, 0.0, pos)
     return tuple(pos[i] for i in range(1, r + 1))
 

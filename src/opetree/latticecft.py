@@ -38,7 +38,6 @@ from opetree.coords import (
     a_coordinates,
     nested_configuration,
     nested_configuration_open,
-    on_cut,
     phi_embedding,
     psi,
     region_membership,
@@ -568,16 +567,16 @@ def tree_expansion(
             raise LatticeError(f"tree {format_tree(e)} doubles to one leaf: no pair to expand")
         if len(charges) != r or len(bdry_charges) != s:
             raise LatticeError("charge count mismatch")
-        working = doubling(e)
+        cs = a_coordinates(doubling(e))
         frames = _doubled_charge_frames(bd, [tuple(a) for a in charges], bdry_charges)
-        diffs = _frame_diffs(model, frames, _ordered_pairs(working))
-        ex = expand(working, PowerProduct(diffs=diffs), order)
+        diffs = _frame_diffs(model, frames, _ordered_pairs(cs.tree))
+        ex = expand(cs, PowerProduct(diffs=diffs), order)
         if ex.negative_pairs:
             raise LatticeError(
                 f"leaf-ordered factor with negative leading sign: {ex.negative_pairs}"
             )
         pref = ope_prefactor_num(bd, e, charges, bdry_charges)
-        return TreeExpansion(model, e, working, ex.series, pref, colored=True)
+        return TreeExpansion(model, e, cs.tree, ex.series, pref, colored=True)
 
     r = validate_tree(e)
     if r == 1:
@@ -729,12 +728,9 @@ def _sample_bulk_points(tree, rng, count, margin_min=MARGIN_MIN):
             + shift
             for k in range(len(base))
         )
+        # in_u: x_A and every zeta_e off the cut, so their conjugates too
         memb = region_membership(cs, pt)
         if not memb.in_u or memb.margin < margin_min:
-            return None
-        # on_cut(conj v) == on_cut(v): the conjugate point needs no check
-        cv = psi(cs, pt)
-        if on_cut(cv.x) or any(on_cut(v) for v in cv.zeta):
             return None
         return pt
 
@@ -747,8 +743,7 @@ def _sample_open_points(e, rng, count, margin_min=MARGIN_MIN):
     """Jittered nested configurations in the leaf-order component of the
     open tree region, with per-point nesting depth."""
     r, s, _ = validate_colored(e)
-    working = doubling(e)
-    cs = a_coordinates(working)
+    cs = a_coordinates(doubling(e))
 
     def propose():
         base = nested_configuration_open(e, shrink=rng.uniform(*SHRINK_RANGE))
@@ -781,10 +776,7 @@ def _sample_open_points(e, rng, count, margin_min=MARGIN_MIN):
             return None
         doubled = phi_embedding(pt, r, s)
         memb = region_membership(cs, doubled)
-        if not memb.in_ubar or memb.margin < margin_min:
-            return None
-        cv = psi(cs, doubled)
-        if on_cut(cv.x) or any(on_cut(v) for v in cv.zeta):
+        if not memb.in_u or memb.margin < margin_min:
             return None
         return tuple(pt)
 
@@ -867,7 +859,13 @@ def expansion_consistency_check(
             got = pre * texp.evaluate_raw(embed(pt))
             errs.append(abs(got - want) / max(abs(want), 1e-300))
         worst = max(worst, max(errs))
-        base_ratios.append(closed(base_pt) / texp.evaluate_raw(embed(base_pt)))
+        raw = texp.evaluate_raw(embed(base_pt))
+        if raw == 0:
+            raise LatticeError(
+                f"expansion on {format_tree(tree)} vanishes at its base point at order {order}: "
+                "no phase to measure"
+            )
+        base_ratios.append(closed(base_pt) / raw)
         samples.append(
             {
                 "tree": format_tree(tree),

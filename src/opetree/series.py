@@ -25,6 +25,9 @@ renames a term, so every coefficient comes out bit for bit as that loop
 gives it.  :func:`_powers` is the one loop making repeated powers u, u^2,
 ... (memoized binomial tails, ``log1p``, :func:`expand`'s plain powers),
 and :func:`expand` builds its difference product as one packed tail chain.
+It reads each factor's factorization from the tree's coordinate system
+and its (1 + P)^s from the one binomial memo, keyed on the packed tail,
+s and N: there is no memo per tree and pair.
 
 :func:`evaluate_series` is table-driven.  For each graded variable and
 integer base b of a sector it keeps one lazily filled power table, keyed
@@ -644,14 +647,17 @@ def expand(
     zero_base = tuple([ZERO] * len(graded))
     tail = {0: complex(f.constant)} if f.constant != 0 else {}
     x_exp, base, negative = ZERO, list(zero_base), []
-    # one packed tail, the product so far on the left as in GenSeries.__mul__
+    # one packed tail, the product so far on the left as in GenSeries.__mul__;
+    # a factor's tail is the binomial memo's own dict, copied by _scale_tail
     for (i, j), s in f.diffs:
-        sign, shift, factor = _difference_factor(cs.tree, i, j, s, order)
+        fac = pair_difference(cs, i, j)
+        factor = _binomial_tail_memo(tuple(_packed_poly(fac.tail, order).items()), s, order)
         x_exp += s
-        for idx, q in shift:
-            base[idx] += q
+        for idx, m in enumerate(fac.monomial):
+            if m:
+                base[idx] += s * m
         coeff = 1.0 + 0j
-        if sign == -1:
+        if fac.sign == -1:
             negative.append((i, j))
             coeff = phase_pi(s if negative_branch == "upper" else -s)
         tail = _tail_mul(tail, _scale_tail(factor, coeff), order)
@@ -667,20 +673,6 @@ def expand(
             piece.sectors[((), ungraded, zero_base)] = _scale_tail(qpow, complex(math.comb(k, m)))
         out = out * piece
     return ExpandedProduct(out, tuple(negative))
-
-
-@lru_cache(maxsize=4096)
-def _difference_factor(tree, i, j, s, order):
-    """The factor (z_i - z_j)^s in the tree's coordinates as (sign, shift,
-    (1 + P)^s truncated): the base shift s*m of the monomial m lists
-    (graded index, exponent) where m is nonzero.  The tail is the binomial
-    memo's own dict, so it is stored once; a caller copies it
-    (:func:`_scale_tail`) before use.
-    """
-    fac = pair_difference(tree, i, j)
-    shift = tuple((idx, s * m) for idx, m in enumerate(fac.monomial) if m)
-    items = tuple(_packed_poly(fac.tail, order).items())
-    return fac.sign, shift, _binomial_tail_memo(items, s, order)
 
 
 def _packed_poly(poly, order):

@@ -290,6 +290,12 @@ class TestVerifyCommand:
             ("boundary-consistency", {"tolerance": float("inf")}, "error: tolerance must be finite, got inf"),
             ("bulk-consistency", {"tolerance": float("nan")}, "error: tolerance must be finite, got nan"),
             ("boundary-consistency", {"tolerance": 10**400}, "error: tolerance must be finite, got inf"),
+            # an order-1 expansion that sums to 0 at the base point: no phase ratio
+            (
+                "bulk-consistency",
+                {"truncation": 1, "points": 1, "charges": [[0, 0], [0, 2], [0, 2]]},
+                "error: expansion on (12)(34) vanishes at its base point at order 1: no phase to measure",
+            ),
         ],
     )
     def test_consistency_bad_config_exit_2(self, capsys, tmp_path, suite, config, message):

@@ -1,8 +1,10 @@
 import cmath
 import random
+from fractions import Fraction
 
 import pytest
 
+from opetree import coords
 from opetree.coords import (
     CertificateError,
     CoordError,
@@ -19,7 +21,8 @@ from opetree.coords import (
     region_membership_open,
     validate_halfplane_point,
 )
-from opetree.trees import parse_tree
+from opetree.series import PowerProduct, expand
+from opetree.trees import all_colored_trees, all_trees, doubling, parse_tree
 from tests.test_trees import random_tree
 
 
@@ -173,6 +176,38 @@ class TestPairDifference:
         assert fac.tail == {}
         fac2 = pair_difference(comb, 2, 4)
         assert list(fac2.tail.values()) == [-1]
+
+    def test_every_pair_factors(self):
+        # a_coordinates factors every ordered pair with a unit sign, so no
+        # certificate can fail on a pair that does not factor
+        plain = [t for r in range(2, 6) for t in all_trees(range(1, r + 1))]
+        doubled = [
+            doubling(e)
+            for r in range(3)
+            for s in range(4)
+            if 2 * r + s >= 2
+            for e in all_colored_trees(r, s)
+        ]
+        for t in plain + doubled:
+            cs = a_coordinates(t)
+            labels = range(1, cs.r + 1)
+            assert len(cs.pairs) == cs.r * (cs.r - 1)
+            for i in labels:
+                for j in labels:
+                    if i != j:
+                        fac = cs.pairs[i, j]
+                        assert (fac.i, fac.j) == (i, j) and fac.sign in (1, -1)
+
+    def test_no_factoring_per_point(self, monkeypatch):
+        cs = a_coordinates(parse_tree("1(2(3(45)))"))
+        calls = []
+        factor = coords._factor_pair
+        monkeypatch.setattr(coords, "_factor_pair", lambda *args: calls.append(args) or factor(*args))
+        rng = random.Random(4)
+        for _ in range(100):
+            region_membership(cs, _random_point(rng, 5))
+        expand(cs, PowerProduct(diffs=(((1, 2), Fraction(1, 2)), ((5, 3), -1))), 4)
+        assert calls == []
 
 
 class TestCertificate:

@@ -904,7 +904,7 @@ class TestExpand:
         diffs = data.draw(st.lists(st.tuples(pairs, st.sampled_from(_DIFF_EXPONENTS)), min_size=1, max_size=3))
         f = PowerProduct(diffs=tuple(diffs))
         want, negative = _per_factor_expand(cs, f, order, False, "upper")
-        hits = series._difference_factor.cache_info().hits
+        hits = series._binomial_tail_memo.cache_info().hits
         for _ in range(3):
             ex = expand(cs, f, order)
             assert ex.negative_pairs == negative
@@ -915,7 +915,7 @@ class TestExpand:
                 for tail in returned.sectors.values():
                     for k in tail:
                         tail[k] = -3 * tail[k]
-        assert series._difference_factor.cache_info().hits >= hits + 2 * len(diffs)
+        assert series._binomial_tail_memo.cache_info().hits >= hits + 2 * len(diffs)
 
 
 def _random_product(rng, r):
