@@ -204,6 +204,30 @@ def _int_field(cfg, key, default=None, minimum=None, name=None) -> int:
     return value
 
 
+def _point(text: str) -> list:
+    """``coords --at``: a JSON list of finite numbers (no boolean) or strings
+    that ``complex()`` reads; the output is JSON, which has no inf or nan."""
+    values = json.loads(text)
+    if not isinstance(values, list):
+        raise CliError(f"--at must be a JSON list, got {values!r}")
+    point = []
+    for k, value in enumerate(values, start=1):
+        try:
+            if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+                raise TypeError
+            z = complex(value)
+        except (TypeError, ValueError):
+            raise CliError(
+                f"--at entry {k} must be a number or a complex string, got {value!r}"
+            ) from None
+        except OverflowError:  # an integer beyond the largest double
+            z = complex(math.inf)
+        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+            raise CliError(f"--at entry {k} must be finite")
+        point.append(z)
+    return point
+
+
 def _charges(cfg, most, suite) -> list:
     """The config's charges as tuples: at most ``most`` [n, m] integer pairs."""
     charges = cfg["charges"]
@@ -258,8 +282,7 @@ def cmd_coords(args) -> int:
     desc = cs.describe()
     obj = {"tree": trees.format_tree(a), "coordinates": desc}
     if args.at:
-        point = [complex(w) for w in json.loads(args.at)]
-        cv = coords.psi(cs, point)
+        cv = coords.psi(cs, _point(args.at))
         obj["values"] = {
             "zA": cv.z,
             "xA": cv.x,
@@ -459,7 +482,7 @@ def _verify_regions(cfg):
     # that the two root-edge radii sum below one
     two = trees.parse_tree("(1(23))(4(56))")
     cs2 = coords.a_coordinates(two)
-    root = [cs2.meta.edges.index(edge) for edge in (("l",), ("r",))]
+    root = [cs2.edges.index(edge) for edge in (("l",), ("r",))]
     two_comb_ok = True
     for pl, pr, rest, want in ((0.49, 0.49, 0.9, True), (0.51, 0.51, 0.2, False)):
         radii = [rest] * cs2.n_edges

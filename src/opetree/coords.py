@@ -8,10 +8,10 @@ sparse 0/1 polynomial.  Convergence regions are certified by the
 sum-of-moduli bound on the factored pair differences
 z_i - z_j = x_A * c * zeta^m * (1 + P(zeta)); the certificate is a
 sufficient condition (an under-approximation of the true region).
-The factorizations depend on the tree alone: :func:`a_coordinates`
-factors every ordered leaf pair once per tree, so
-:class:`CertificateError` can come only from there, and per-point work
-reads the stored tails.
+All of it depends on the tree alone: the memoized :func:`a_coordinates`
+builds one :class:`CoordSystem` per tree, with its vertex/edge data, the
+Q_i and every ordered leaf pair factored, so :class:`CertificateError`
+can come only from there, and per-point work reads the stored tails.
 
 Branch convention everywhere: principal logarithm, Arg in (-pi, pi),
 cut along the closed negative real axis.
@@ -22,7 +22,9 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from opetree.trees import Frozen, Node, Tau, Tree, doubling, tree_meta, validate_colored
+from opetree.trees import (
+    Frozen, Leaf, Node, Tau, Tree, TreeError, doubling, validate_colored, validate_tree
+)
 
 CUT_TOL = 1e-14
 
@@ -50,19 +52,19 @@ class FactoredDifference(Frozen):
 
 
 class CoordSystem(Frozen):
-    """Symbolic A-coordinates plus the polynomial inverse; ``q_polys`` maps
-    each leaf label to its Poly in the edge variables, ``pairs`` each
-    ordered pair (i, j) of leaf labels to its FactoredDifference."""
+    """A-coordinates of a tree with r >= 2 leaves.  Internal vertices are named
+    by their path from the root ('l'/'r' steps), since structurally equal
+    subtrees may repeat; ``edges`` are the internal edges in pre-order, named by
+    their lower vertex d(e), with upper vertex u(e) = ``e[:-1]``.
+    ``left_leaf``/``right_leaf`` give L(v) and R(v), the rightmost leaf below
+    v's left child and below v.  ``q_polys`` maps each leaf label to its Poly
+    Q_i, ``pairs`` each ordered pair (i, j) to its FactoredDifference."""
 
-    __slots__ = _fields = ("tree", "meta", "q_polys", "pairs")
-
-    @property
-    def r(self) -> int:
-        return self.meta.r
+    __slots__ = _fields = ("tree", "r", "edges", "left_leaf", "right_leaf", "q_polys", "pairs")
 
     @property
     def n_edges(self) -> int:
-        return len(self.meta.edges)
+        return len(self.edges)
 
     def var_names(self, conjugate: bool = False) -> dict:
         """Series variable names: x_A, z_A and one name per edge ratio."""
@@ -73,17 +75,10 @@ class CoordSystem(Frozen):
 
     def describe(self) -> dict:
         """Human-readable coordinate functions, for reports and the CLI."""
-        m = self.meta
-        root = m.root_vertex
-        out = {
-            "zA": f"z{m.rightmost_leaf}",
-            "xA": f"z{m.left_leaf[root]} - z{m.right_leaf[root]}",
-        }
-        for k, e in enumerate(m.edges):
-            d_num = f"z{m.left_leaf[e]} - z{m.right_leaf[e]}"
-            u = m.upper(e)
-            u_num = f"z{m.left_leaf[u]} - z{m.right_leaf[u]}"
-            out[f"ze{k}"] = f"({d_num}) / ({u_num})"
+        ll, rl = self.left_leaf, self.right_leaf
+        out = {"zA": f"z{rl[()]}", "xA": f"z{ll[()]} - z{rl[()]}"}
+        for k, e in enumerate(self.edges):
+            out[f"ze{k}"] = f"(z{ll[e]} - z{rl[e]}) / (z{ll[e[:-1]]} - z{rl[e[:-1]]})"
         return out
 
 
@@ -99,59 +94,59 @@ class CoordValues(Frozen):
         return vals
 
 
-def a_coordinates(a: Tree) -> CoordSystem:
-    """Build the A-coordinate system; requires r >= 2 leaves.
-
-    Results are memoized; trees are immutable.  Raises
-    :class:`CertificateError` if a leaf pair does not factor.
-    """
-    return _a_coordinates_cached(a)
-
-
 @lru_cache(maxsize=4096)
-def _a_coordinates_cached(a: Tree) -> CoordSystem:
-    meta = tree_meta(a)
-    nedges = len(meta.edges)
-    zero = tuple([0] * nedges)
+def a_coordinates(a: Tree) -> CoordSystem:
+    """Build the A-coordinate system of a tree with r >= 2 leaves; memoized,
+    as trees are immutable.  Raises :class:`CertificateError` if a leaf pair
+    does not factor."""
+    r = validate_tree(a)
+    if r < 2:
+        raise TreeError(f"tree metadata needs r >= 2, got r = {r}")
+    edges, left_leaf, right_leaf, leaf_path = [], {}, {}, {}
 
-    def path_monomial(v):
-        # product of zeta_e over the edges on the root path of v
-        exps = list(zero)
-        for k in range(1, len(v) + 1):
-            exps[meta.edges.index(v[:k])] += 1
-        return tuple(exps)
+    def walk(x, path):
+        if isinstance(x, Leaf):
+            leaf_path[x.label] = path
+            return x.label
+        if path:
+            edges.append(path)
+        lo, hi = walk(x.left, path + ("l",)), walk(x.right, path + ("r",))
+        left_leaf[path], right_leaf[path] = lo, hi
+        return hi
 
-    q_polys = {}
-    for label, path in meta.leaf_path.items():
-        poly: Poly = {}
-        for cut in range(len(path)):
-            if path[cut] == "l":
-                mono = path_monomial(path[:cut])
-                poly[mono] = poly.get(mono, 0) + 1
-        q_polys[label] = poly
-    labels = range(1, meta.r + 1)
+    walk(a, ())
+    # Q_i: a term per left step on leaf i's root path, the product of zeta_e
+    # over the edges above that step
+    q_polys = {
+        label: {
+            tuple(int(len(e) <= cut and path[: len(e)] == e) for e in edges): 1
+            for cut, step in enumerate(path)
+            if step == "l"
+        }
+        for label, path in leaf_path.items()
+    }
+    labels = range(1, r + 1)
     pairs = {(i, j): _factor_pair(q_polys, i, j) for i in labels for j in labels if i != j}
-    return CoordSystem(a, meta, q_polys, pairs)
+    return CoordSystem(a, r, tuple(edges), left_leaf, right_leaf, q_polys, pairs)
 
 
 def psi(a: Tree | CoordSystem, point: Sequence[complex]) -> CoordValues:
     """Evaluate the A-coordinates at a configuration point."""
     cs = a if isinstance(a, CoordSystem) else a_coordinates(a)
-    m = cs.meta
     z = [complex(w) for w in point]
-    if len(z) != m.r:
-        raise CoordError(f"expected {m.r} coordinates, got {len(z)}")
+    if len(z) != cs.r:
+        raise CoordError(f"expected {cs.r} coordinates, got {len(z)}")
     for i in range(len(z)):
         for j in range(i + 1, len(z)):
             if z[i] == z[j]:
                 raise CoordError(f"coincident points z{i+1} = z{j+1}")
+    ll, rl = cs.left_leaf, cs.right_leaf
 
     def vertex_value(v):
-        return z[m.left_leaf[v] - 1] - z[m.right_leaf[v] - 1]
+        return z[ll[v] - 1] - z[rl[v] - 1]
 
-    x = vertex_value(m.root_vertex)
-    zetas = tuple(vertex_value(e) / vertex_value(m.upper(e)) for e in m.edges)
-    return CoordValues(x, z[m.rightmost_leaf - 1], zetas)
+    zetas = tuple(vertex_value(e) / vertex_value(e[:-1]) for e in cs.edges)
+    return CoordValues(vertex_value(()), z[rl[()] - 1], zetas)
 
 
 def eval_poly(poly: Poly, zeta: Sequence[complex]) -> complex:

@@ -505,13 +505,13 @@ def mixed_correlator(
 
 
 class TreeExpansion(Record):
-    """A per-tree OPE expansion: the raw series in the (doubled) tree's
-    coordinates and the tree's OPE prefactor, kept separate so region
-    phases can be measured against the raw expansion.  The prefactor is
-    the integer phase ``prefactor_num`` mod 2D of ``model``; its complex
-    value ``prefactor`` is computed once."""
+    """A per-tree OPE expansion: the raw series in ``coords``, the (doubled)
+    tree's coordinate system, and the tree's OPE prefactor, kept separate
+    so region phases can be measured against the raw expansion.  The
+    prefactor is the integer phase ``prefactor_num`` mod 2D of ``model``;
+    its complex value ``prefactor`` is computed once."""
 
-    _fields = ("model", "tree", "working_tree", "series", "prefactor_num", "colored")
+    _fields = ("model", "tree", "coords", "series", "prefactor_num", "colored")
 
     @cached_property
     def prefactor(self) -> complex:
@@ -520,9 +520,8 @@ class TreeExpansion(Record):
     def coordinate_values(self, point) -> dict:
         """Series variable values; ``point`` uses doubled coordinates for a
         colored tree and plain bulk coordinates otherwise."""
-        cs = a_coordinates(self.working_tree)  # memoized
-        cv = psi(cs, point)
-        vals = cv.as_dict(cs.var_names())
+        cs = self.coords
+        vals = psi(cs, point).as_dict(cs.var_names())
         if not self.colored:
             cvb = psi(cs, [complex(z).conjugate() for z in point])
             vals.update(cvb.as_dict(cs.var_names(conjugate=True)))
@@ -576,7 +575,7 @@ def tree_expansion(
                 f"leaf-ordered factor with negative leading sign: {ex.negative_pairs}"
             )
         pref = ope_prefactor_num(bd, e, charges, bdry_charges)
-        return TreeExpansion(model, e, cs.tree, ex.series, pref, colored=True)
+        return TreeExpansion(model, e, cs, ex.series, pref, colored=True)
 
     r = validate_tree(e)
     if r == 1:
@@ -604,7 +603,7 @@ def tree_expansion(
         for j in range(i + 1, r)
     )
     return TreeExpansion(
-        model, e, e, ex_z.series * ex_zb.series, (nu % 2) * model.D, colored=False
+        model, e, cs, ex_z.series * ex_zb.series, (nu % 2) * model.D, colored=False
     )
 
 

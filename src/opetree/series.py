@@ -57,6 +57,7 @@ from operator import add, floordiv, mod, mul
 from typing import Mapping, Sequence
 
 from opetree.coords import (
+    CoordError,
     CoordSystem,
     a_coordinates,
     minimal_monomials,
@@ -664,6 +665,8 @@ def expand(
     if tail:
         out.sectors[((), _ungraded_key({names["x"]: x_exp}), tuple(base))] = tail
     for i, k in f.powers:
+        if i not in cs.q_polys:
+            raise CoordError(f"no leaf labeled {i}")
         # z_i^k = sum_m C(k, m) z_A^(k-m) x_A^m Q_i^m; the ungraded keys all
         # differ, so no two sectors fold.  Q_i has a constant term: take k powers.
         qpows = islice(_powers(_packed_poly(cs.q_polys[i], order), order), k)

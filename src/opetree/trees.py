@@ -7,12 +7,14 @@ color-change `Tau`; an o-colored tree is a binary combination of open
 leaves and Tau-wrapped closed trees, with open labels increasing left
 to right.
 
-All values are immutable; every operation returns fresh trees.
+All values are immutable; :func:`doubling` is memoized, so equal trees
+double to the same object and every other operation returns fresh trees.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
 
@@ -446,68 +448,6 @@ def format_tree(t: Tree) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Combinatorial metadata.  Internal vertices are identified by their path
-# from the root ('l'/'r' steps) since structurally equal subtrees may repeat.
-
-
-class TreeMeta(Frozen):
-    """Vertex/edge data of a plain tree with r >= 2 leaves.
-
-    ``vertices`` are root paths of internal nodes in pre-order; ``edges``
-    are the internal edges, named by their lower vertex d(e) (the upper
-    vertex u(e) is the parent path).  ``left_leaf``/``right_leaf`` give
-    L(v) and R(v): the rightmost descendant leaf of v's left child and
-    of v itself.
-    """
-
-    __slots__ = _fields = (
-        "tree", "r", "vertices", "edges", "left_leaf", "right_leaf", "leaf_path", "root_vertex"
-    )
-    _defaults = {"root_vertex": ()}
-
-    @property
-    def rightmost_leaf(self) -> int:
-        return self.right_leaf[self.root_vertex]
-
-    def upper(self, edge):
-        return edge[:-1]
-
-
-def tree_meta(t: Tree) -> TreeMeta:
-    r = validate_tree(t)
-    if r < 2:
-        raise TreeError(f"tree metadata needs r >= 2, got r = {r}")
-    vertices, edges = [], []
-    left_leaf, right_leaf, leaf_path = {}, {}, {}
-
-    def walk(x, path):
-        if isinstance(x, Leaf):
-            leaf_path[x.label] = path
-            return x.label
-        vertices.append(path)
-        if path != ():
-            edges.append(path)
-        rl_left = walk(x.left, path + ("l",))
-        rl_right = walk(x.right, path + ("r",))
-        left_leaf[path] = rl_left
-        right_leaf[path] = rl_right
-        return rl_right
-
-    walk(t, ())
-    # keep only edges whose lower vertex is internal (they all are, by
-    # construction) -- edges touching leaves never enter `edges`
-    return TreeMeta(
-        tree=t,
-        r=r,
-        vertices=tuple(vertices),
-        edges=tuple(edges),
-        left_leaf=left_leaf,
-        right_leaf=right_leaf,
-        leaf_path=leaf_path,
-    )
-
-
-# ---------------------------------------------------------------------------
 # Operad structure on plain trees
 
 
@@ -680,6 +620,7 @@ def doubled_labels(e: Tree) -> dict[int, tuple[str, int]]:
     return out
 
 
+@lru_cache(maxsize=4096)
 def doubling(e: Tree) -> Tree:
     """Double the Tau blocks: each Tau subtree T becomes Node(T, T-bar).
 

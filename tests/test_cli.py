@@ -78,6 +78,33 @@ class TestCoordsCommand:
         assert obj["values"]["xA"] == [2.0, 0.0]
         assert obj["values"]["ze0"] == [0.5, 0.0]
 
+    def test_complex_string_entries(self, capsys):
+        code, out, _ = run_cli(["coords", "(12)3", "--at", '["3+2j", 2, 1.0]'], capsys)
+        assert code == 0
+        assert json.loads(out)["values"]["ze0"] == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "at, message",
+        [
+            ("[[1], 2, 3]", "error: --at entry 1 must be a number or a complex string, got [1]"),
+            ("[1, 2, null]", "error: --at entry 3 must be a number or a complex string, got None"),
+            ("[true, 2, 3]", "error: --at entry 1 must be a number or a complex string, got True"),
+            ('["z", 2, 3]', "error: --at entry 1 must be a number or a complex string, got 'z'"),
+            ("5", "error: --at must be a JSON list, got 5"),
+            ("[" + "9" * 400 + ", 2, 3]", "error: --at entry 1 must be finite"),
+            ("[1, 1e400, 3]", "error: --at entry 2 must be finite"),
+            ('[1, 2, "inf"]', "error: --at entry 3 must be finite"),
+            ('["nan", 2, 3]', "error: --at entry 1 must be finite"),
+            ('[1, "1+infj", 3]', "error: --at entry 2 must be finite"),
+        ],
+        ids=["list", "null", "bool", "string", "scalar", "huge-int", "1e400", "inf", "nan", "infj"],
+    )
+    def test_bad_at_exit_2(self, capsys, at, message):
+        code, out, err = run_cli(["coords", "(12)3", "--at", at], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == message
+
 
 class TestExpandCommand:
     def test_worked_expansion(self, capsys):
@@ -99,6 +126,7 @@ class TestExpandCommand:
         [
             (["(12)3", "(z1-z2)^1", "--N", "-5"], "error: truncation order must be >= 0, got -5"),
             (["(12)3", "(z1-z2)^1/0"], "error: zero denominator in factor '(z1-z2)^1/0'"),
+            (["(12)3", "z9^2"], "error: no leaf labeled 9"),
         ],
     )
     def test_bad_input_exit_2(self, capsys, argv, message):

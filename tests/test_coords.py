@@ -22,7 +22,7 @@ from opetree.coords import (
     validate_halfplane_point,
 )
 from opetree.series import PowerProduct, expand
-from opetree.trees import all_colored_trees, all_trees, doubling, parse_tree
+from opetree.trees import TreeError, all_colored_trees, all_trees, doubling, leaf_order, parse_tree
 from tests.test_trees import random_tree
 
 
@@ -58,7 +58,7 @@ class TestCoordinateSystem:
         assert cv.x == 1 and cv.z == 0
 
     def test_r1_rejected(self):
-        with pytest.raises(Exception):
+        with pytest.raises(TreeError, match=r"tree metadata needs r >= 2, got r = 1"):
             a_coordinates(parse_tree("1"))
 
     def test_root_identity_zv_equals_x_times_path(self):
@@ -87,19 +87,16 @@ class TestCoordinateSystem:
         # symbolic: for every internal vertex v, Q_{L(v)} - Q_{R(v)} equals
         # the root-path monomial of v, for all labeled trees with r <= 5
         # and all shapes at r = 6
-        from opetree.trees import all_trees, tree_meta
-
         def check(t):
             cs = a_coordinates(t)
-            m = cs.meta
-            for v in m.vertices:
-                diff = dict(cs.q_polys[m.left_leaf[v]])
-                for e, c in cs.q_polys[m.right_leaf[v]].items():
+            for v in ((),) + cs.edges:
+                diff = dict(cs.q_polys[cs.left_leaf[v]])
+                for e, c in cs.q_polys[cs.right_leaf[v]].items():
                     diff[e] = diff.get(e, 0) - c
                 diff = {k: c for k, c in diff.items() if c}
                 path = [0] * cs.n_edges
                 for cut in range(1, len(v) + 1):
-                    path[m.edges.index(v[:cut])] += 1
+                    path[cs.edges.index(v[:cut])] += 1
                 assert diff == {tuple(path): 1}, (t, v)
 
         for r in range(2, 6):
@@ -108,6 +105,26 @@ class TestCoordinateSystem:
         rng = random.Random(77)
         for _ in range(300):
             check(random_tree(rng, range(1, 7)))
+
+
+class TestTreeData:
+    def test_seven_leaf_vertex_data(self):
+        cs = a_coordinates(parse_tree("(5(23))((17)(64))"))
+        assert cs.r == 7
+        assert len(cs.left_leaf) == len(cs.right_leaf) == 6
+        assert cs.edges == (("l",), ("l", "r"), ("r",), ("r", "l"), ("r", "r"))
+        assert cs.left_leaf[()] == 3
+        assert cs.right_leaf[()] == 4
+
+    def test_counts(self):
+        rng = random.Random(9)
+        for _ in range(50):
+            r = rng.randint(2, 8)
+            cs = a_coordinates(random_tree(rng, range(1, r + 1)))
+            assert len(cs.left_leaf) == r - 1
+            assert len(cs.edges) == r - 2
+            assert set(cs.edges) | {()} == set(cs.left_leaf)
+            assert list(cs.q_polys) == leaf_order(cs.tree)
 
 
 def _random_point(rng, r):
@@ -161,8 +178,7 @@ class TestPairDifference:
             r = rng.randint(2, 7)
             t = random_tree(rng, range(1, r + 1))
             cs = a_coordinates(t)
-            m = cs.meta
-            i, j = m.left_leaf[m.root_vertex], m.right_leaf[m.root_vertex]
+            i, j = cs.left_leaf[()], cs.right_leaf[()]
             fac = pair_difference(cs, i, j)
             assert fac.sign == 1
             assert not any(fac.monomial)
@@ -225,18 +241,14 @@ class TestCertificate:
         # (1(23))(4(56)): admissible iff chains < 1 and p_l + p_r < 1
         t = parse_tree("(1(23))(4(56))")
         cs = a_coordinates(t)
-        # identify the two edges meeting the root by their describe() text
-        desc = cs.describe()
-        root_edges = [k for k, v in desc.items() if v.endswith("/ (z3 - z6)") and k != "zA"]
-        assert len(root_edges) == 2
-        radii = {k: 0.4 for k in desc if k.startswith("ze")}
+        # the two edges meeting the root, by their paths
+        root_edges = [cs.edges.index(("l",)), cs.edges.index(("r",))]
+        vec = [0.4] * cs.n_edges
         for k in root_edges:
-            radii[k] = 0.45
-        vec = [radii[f"ze{i}"] for i in range(cs.n_edges)]
+            vec[k] = 0.45
         assert admissibility_certificate(cs, vec).admissible
         for k in root_edges:
-            radii[k] = 0.55
-        vec = [radii[f"ze{i}"] for i in range(cs.n_edges)]
+            vec[k] = 0.55
         assert not admissibility_certificate(cs, vec).admissible
 
     def test_r2_empty_radii(self):

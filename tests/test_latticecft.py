@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opetree.coords import CoordError, phi_embedding, validate_halfplane_point
+from opetree.coords import (
+    CoordError,
+    a_coordinates,
+    nested_configuration_open,
+    phi_embedding,
+    validate_halfplane_point,
+)
 from opetree.latticecft import (
     BoundaryData,
     LatticeError,
@@ -28,13 +34,16 @@ from opetree.latticecft import (
     skew_symmetry_check,
     tree_expansion,
     _loop_path,
+    _sample_open_points,
 )
 from opetree.series import SeriesError, evaluate_closed, phase_pi
 from opetree.trees import (
     ClosedLeaf,
+    Node,
     OpenLeaf,
     Tau,
     all_colored_trees,
+    doubling,
     format_tree,
     parse_tree,
 )
@@ -763,6 +772,24 @@ class TestOpePrefactor:
 
 
 class TestTreeExpansion:
+    def test_repeated_colored_expansion_compares_no_trees(self, model, boundaries, monkeypatch):
+        # doubling and a_coordinates are memoized and an expansion keeps
+        # its coordinate system: once a colored tree is expanded, expanding,
+        # evaluating and sampling it again looks no tree up by value.  The
+        # memos are cleared first, as an equal tree cached by an earlier
+        # test would be a key found by value.
+        doubling.cache_clear()
+        a_coordinates.cache_clear()
+        e, charges, bd = parse_tree("t(c1c2)o3"), [(1, 0), (0, 1)], boundaries[1]
+        tree_expansion(model, e, charges, 4, bd=bd, bdry_charges=[1])
+        calls = []
+        eq = Node.__eq__
+        monkeypatch.setattr(Node, "__eq__", lambda self, other: calls.append(1) or eq(self, other))
+        texp = tree_expansion(model, e, charges, 4, bd=bd, bdry_charges=[1])
+        texp.evaluate_raw(phi_embedding(nested_configuration_open(e), 2, 1))
+        _sample_open_points(e, random.Random(5), 2)
+        assert calls == []
+
     def test_two_point_closed_form_no_zeta(self, model):
         # r = 2: no edge variables; the expansion is the closed form
         charges = [(1, 0), (0, 1)]

@@ -11,7 +11,7 @@ from opetree.braids import BraidWord
 from opetree.coords import Certificate, CoordValues
 from opetree.latticecft import BoundaryData, NarainModel, VerifyReport, tree_expansion
 from opetree.series import BranchPlan, PowerProduct
-from opetree.trees import EMPTY, ClosedLeaf, Leaf, Node, OpenLeaf, Tau, parse_tree, tree_meta
+from opetree.trees import EMPTY, ClosedLeaf, Leaf, Node, OpenLeaf, Tau, parse_tree
 
 
 def test_separately_built_trees_are_equal_keys():
@@ -73,11 +73,6 @@ def test_repr_is_unchanged():
         "Certificate(admissible=True, margin=0.5, worst_pair=(1, 2), failures=())"
     )
     assert repr(BraidWord(3, [1, -2])) == "BraidWord(strands=3, word=(1, -2))"
-    assert repr(tree_meta(parse_tree("12"))) == (
-        "TreeMeta(tree=Node(Leaf(1), Leaf(2)), r=2, vertices=((),), edges=(), "
-        "left_leaf={(): 1}, right_leaf={(): 2}, leaf_path={1: ('l',), 2: ('r',)}, "
-        "root_vertex=())"
-    )
 
 
 def test_keyword_construction_and_defaults():

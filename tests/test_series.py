@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opetree import series
-from opetree.coords import a_coordinates, pair_difference, psi
+from opetree.coords import CoordError, a_coordinates, pair_difference, psi
 from opetree.series import (
     ZERO,
     BranchPlan,
@@ -779,6 +779,12 @@ _DIFF_EXPONENTS = [Fraction(v) for v in ("-2", "-1", "-1/2", "1/2", "3/2", "1/3"
 
 
 class TestExpand:
+    def test_missing_leaf_raises_coord_error(self):
+        a = parse_tree("(12)3")
+        for f in (PowerProduct(powers=((9, 2),)), PowerProduct(diffs=(((9, 1), 2),))):
+            with pytest.raises(CoordError, match="no leaf labeled 9"):
+                expand(a, f, 4)
+
     def test_worked_expansion_against_oracle(self):
         # (z2 - z1)^{-1} on (23)((15)4) equals x^{-1} sum (-za+zc+zb*zc)^l
         a = parse_tree("(23)((15)4)")
@@ -813,8 +819,7 @@ class TestExpand:
             r = rng.randint(2, 6)
             t = random_tree(rng, range(1, r + 1))
             cs = a_coordinates(t)
-            m = cs.meta
-            i, j = m.left_leaf[m.root_vertex], m.right_leaf[m.root_vertex]
+            i, j = cs.left_leaf[()], cs.right_leaf[()]
             ex = expand(cs, PowerProduct(diffs=(((i, j), 1),)), 5)
             terms = ex.series.terms()
             assert len(terms) == 1

@@ -26,7 +26,6 @@ from opetree.trees import (
     leaf_order,
     parse_tree,
     permute,
-    tree_meta,
     validate_colored,
     validate_tree,
 )
@@ -247,28 +246,6 @@ class TestShapes:
 
     def test_t3_has_twelve_elements(self):
         assert len(set(all_trees([1, 2, 3]))) == 12
-
-
-class TestMeta:
-    def test_seven_leaf_metadata(self):
-        m = tree_meta(parse_tree("(5(23))((17)(64))"))
-        assert m.r == 7
-        assert len(m.vertices) == 6
-        assert len(m.edges) == 5
-        root = m.root_vertex
-        assert m.left_leaf[root] == 3
-        assert m.right_leaf[root] == 4
-        assert m.rightmost_leaf == 4
-
-    def test_counts(self):
-        rng = random.Random(9)
-        for _ in range(50):
-            r = rng.randint(2, 8)
-            t = random_tree(rng, range(1, r + 1))
-            m = tree_meta(t)
-            assert len(m.vertices) == r - 1
-            assert len(m.edges) == r - 2
-            assert m.rightmost_leaf == m.right_leaf[m.root_vertex]
 
 
 class TestColoredCompose:
