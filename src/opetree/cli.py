@@ -129,6 +129,10 @@ DEFAULT_CONFIG = {
     "seed": 1,
 }
 SUITE_FIELDS = {"points", "pairs", "box"}  # read by some suites, with their own defaults
+# (attribute, flag, config field) of the verify flags; a suite that does
+# not read a flag rejects it, so a requested value is never dropped
+FLAGS = (("order", "--N", "truncation"), ("tol", "--tol", "tolerance"), ("seed", "--seed", "seed"))
+SUITE_FLAGS = {"bootstrap": (), "skew": ("--seed",), "regions": ("--seed",)}
 
 
 def load_config(args) -> dict:
@@ -142,12 +146,13 @@ def load_config(args) -> dict:
             if key not in DEFAULT_CONFIG and key not in SUITE_FIELDS:
                 raise CliError(f"unknown config field {key!r}")
         cfg.update(loaded)
-    if getattr(args, "order", None) is not None:
-        cfg["truncation"] = args.order
-    if getattr(args, "tol", None) is not None:
-        cfg["tolerance"] = args.tol
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
+    for attr, flag, key in FLAGS:
+        value = getattr(args, attr)
+        if value is None:
+            continue
+        if flag not in SUITE_FLAGS.get(args.suite, (flag,)):
+            raise CliError(f"verify {args.suite} does not read {flag}")
+        cfg[key] = value
     return cfg
 
 
@@ -288,8 +293,9 @@ def cmd_coords(args) -> int:
             "xA": cv.x,
             **{f"ze{k}": z for k, z in enumerate(cv.zeta)},
         }
-    text = "\n".join(f"{k} = {v}" for k, v in desc.items())
-    _emit(args, obj, text)
+    lines = [f"{k} = {v}" for k, v in desc.items()]
+    lines += [f"value of {k} = {v}" for k, v in obj.get("values", {}).items()]
+    _emit(args, obj, "\n".join(lines))
     return 0
 
 

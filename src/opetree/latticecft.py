@@ -791,6 +791,62 @@ def _sample_open_points(e, rng, count, margin_min=MARGIN_MIN):
 PHASE_TOL = 1e-10  # inter-region phase tolerance
 
 
+def consistency_sweep(model, trees, charge_sets, order, points, bases, bd=None) -> list:
+    """Tree expansions against the closed form, for many charge sets on
+    shared points.
+
+    ``charge_sets`` lists ``(bulk charges, boundary charges)`` pairs;
+    ``points[t]`` and ``bases[t]`` are tree t's sample points and base
+    point.  The result holds, per charge set, ``(errors, measured,
+    predicted)``: each tree's relative errors at its points (expansion
+    with its OPE prefactor against the closed form), the inter-region
+    phases measured at the base points (closed form over raw expansion,
+    tree t over tree 0, for t >= 1), and the phases that the trees' OPE
+    prefactors predict.
+    """
+    colored = is_colored(trees[0])
+    if colored and bd is None:
+        raise LatticeError("colored expansion needs boundary data")
+    out = []
+    for charges, bdry in charge_sets:
+        charges = [tuple(a) for a in charges]
+        r, s = len(charges), len(bdry)
+        if colored:
+            dual = sum(bd.t_coeff(a) for a in charges) + sum(_int_charges(bdry))
+        else:
+            dual = (sum(n for n, _ in charges), sum(m for _, m in charges))
+
+        def closed(pt):
+            if colored:
+                bulk, bdry_ins = list(zip(charges, pt[:r])), list(zip(bdry, pt[r:]))
+                return mixed_correlator(model, bd, dual, bulk, bdry_ins)
+            return bulk_correlator(model, dual, list(zip(charges, pt)))
+
+        def raw(texp, pt):
+            return texp.evaluate_raw(phi_embedding(pt, r, s) if colored else pt)
+
+        errors, ratios, nums = [], [], []
+        for tree, pts, base in zip(trees, points, bases):
+            texp = tree_expansion(model, tree, charges, order, bd=bd, bdry_charges=bdry)
+            pre = texp.prefactor
+            errs = []
+            for pt in pts:
+                want = closed(pt)
+                errs.append(abs(pre * raw(texp, pt) - want) / max(abs(want), 1e-300))
+            errors.append(errs)
+            value = raw(texp, base)
+            if value == 0:
+                raise LatticeError(
+                    f"expansion on {format_tree(tree)} vanishes at its base point at order {order}: "
+                    "no phase to measure"
+                )
+            ratios.append(closed(base) / value)
+            nums.append(texp.prefactor_num)
+        measured = [ratio / ratios[0] for ratio in ratios[1:]]
+        out.append((errors, measured, [model.phase(k - nums[0]) for k in nums[1:]]))
+    return out
+
+
 def expansion_consistency_check(
     model: NarainModel,
     trees,
@@ -809,80 +865,35 @@ def expansion_consistency_check(
     between the raw expansions of consecutive trees measure the
     inter-region phases; they must equal the OPE prefactor ratios, which
     for the canonical (1,1) and (2,0) tree pairs are the boundary and
-    bulk exchange phase factors.
+    bulk exchange phase factors.  See :func:`consistency_sweep`.
     """
     t0 = time.perf_counter()
     rng = random.Random(seed)
-    charges = [tuple(a) for a in charges]
-    # base points, sampler, embedding and closed form depend on the coloring only
-    if is_colored(trees[0]):
-        if bd is None:
-            raise LatticeError("colored expansion needs boundary data")
-        r, s = len(charges), len(bdry_charges)
-        base_point, sample = nested_configuration_open, _sample_open_points
-        dual = sum(bd.t_coeff(a) for a in charges) + sum(_int_charges(bdry_charges))
-
-        def embed(pt):
-            return phi_embedding(pt, r, s)
-
-        def closed(pt):
-            return mixed_correlator(
-                model, bd, dual, list(zip(charges, pt[:r])), list(zip(bdry_charges, pt[r:]))
-            )
-
-    else:
-        base_point, sample = nested_configuration, _sample_bulk_points
-        dual = (sum(n for n, _ in charges), sum(m for _, m in charges))
-
-        def embed(pt):
-            return pt
-
-        def closed(pt):
-            return bulk_correlator(model, dual, list(zip(charges, pt)))
-
-    samples = []
-    texps = []
-    base_ratios = []
-    worst = 0.0
-    for tree in trees:
-        texp = tree_expansion(
-            model, tree, charges, order, bd=bd, bdry_charges=bdry_charges
-        )
-        texps.append(texp)
-        base_pt = base_point(tree)
-        pts = sample(tree, rng, n_points)
-        errs = []
-        pre = texp.prefactor
-        for pt in pts:
-            want = closed(pt)
-            got = pre * texp.evaluate_raw(embed(pt))
-            errs.append(abs(got - want) / max(abs(want), 1e-300))
-        worst = max(worst, max(errs))
-        raw = texp.evaluate_raw(embed(base_pt))
-        if raw == 0:
-            raise LatticeError(
-                f"expansion on {format_tree(tree)} vanishes at its base point at order {order}: "
-                "no phase to measure"
-            )
-        base_ratios.append(closed(base_pt) / raw)
-        samples.append(
-            {
-                "tree": format_tree(tree),
-                "n_points": len(pts),
-                "max_rel_err": max(errs),
-                # a left fold: sum() rounds differently from Python 3.12
-                "mean_rel_err": reduce(add, errs) / len(errs),
-            }
-        )
-    phase_worst = 0.0
-    for idx in range(1, len(trees)):
-        measured = base_ratios[idx] / base_ratios[0]
-        predicted = model.phase(texps[idx].prefactor_num - texps[0].prefactor_num)
-        err = abs(measured - predicted)
-        phase_worst = max(phase_worst, err)
-        samples[idx]["phase_measured"] = [measured.real, measured.imag]
-        samples[idx]["phase_predicted"] = [predicted.real, predicted.imag]
-        samples[idx]["phase_error"] = err
+    colored = is_colored(trees[0])
+    sample = _sample_open_points if colored else _sample_bulk_points
+    base_point = nested_configuration_open if colored else nested_configuration
+    points = [sample(tree, rng, n_points) for tree in trees]
+    bases = [base_point(tree) for tree in trees]
+    ((errors, measured, predicted),) = consistency_sweep(
+        model, trees, [(charges, bdry_charges)], order, points, bases, bd
+    )
+    samples = [
+        {
+            "tree": format_tree(tree),
+            "n_points": len(errs),
+            "max_rel_err": max(errs),
+            # a left fold: sum() rounds differently from Python 3.12
+            "mean_rel_err": reduce(add, errs) / len(errs),
+        }
+        for tree, errs in zip(trees, errors)
+    ]
+    phase_errs = [abs(m - p) for m, p in zip(measured, predicted)]
+    for entry, m, p, err in zip(samples[1:], measured, predicted, phase_errs):
+        entry["phase_measured"] = [m.real, m.imag]
+        entry["phase_predicted"] = [p.real, p.imag]
+        entry["phase_error"] = err
+    worst = max([0.0] + [max(errs) for errs in errors])
+    phase_worst = max([0.0] + phase_errs)
     passed = worst <= tol and phase_worst <= PHASE_TOL
     return VerifyReport(
         name="expansion-consistency",

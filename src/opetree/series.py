@@ -637,7 +637,8 @@ def expand(
     x_A^s c^s zeta^{s m} (1 + P)^s and expanded binomially; plain powers
     use z_i = z_A + x_A Q_i.  A leading sign c = -1 contributes
     exp(i pi s) for the upper convention, exp(-i pi s) for the lower;
-    affected factors are reported in ``negative_pairs``.
+    affected factors are reported in ``negative_pairs``.  Plain powers
+    whose coefficients leave the double range raise :class:`SeriesError`.
     """
     cs = a if isinstance(a, CoordSystem) else a_coordinates(a)
     if negative_branch not in ("upper", "lower"):
@@ -673,8 +674,12 @@ def expand(
         piece = GenSeries(graded, order)
         for m, qpow in enumerate(chain([{0: 1.0 + 0j}], qpows)):
             ungraded = _ungraded_key({names["z"]: k - m, names["x"]: m})
-            piece.sectors[((), ungraded, zero_base)] = _scale_tail(qpow, complex(math.comb(k, m)))
-        out = out * piece
+            try:
+                binom = complex(math.comb(k, m))
+            except OverflowError:
+                raise SeriesError("series coefficient out of floating-point range") from None
+            piece.sectors[((), ungraded, zero_base)] = _scale_tail(qpow, binom)
+        out = _finite_result(out, out * piece)
     return ExpandedProduct(out, tuple(negative))
 
 

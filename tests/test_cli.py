@@ -83,6 +83,18 @@ class TestCoordsCommand:
         assert code == 0
         assert json.loads(out)["values"]["ze0"] == [1.0, 2.0]
 
+    def test_text_values(self, capsys):
+        code, out, _ = run_cli(["--format", "text", "coords", "(12)3", "--at", "[1,2,3]"], capsys)
+        assert code == 0
+        assert out.splitlines() == [
+            "zA = z3",
+            "xA = z2 - z3",
+            "ze0 = (z1 - z2) / (z2 - z3)",
+            "value of zA = (3+0j)",
+            "value of xA = (-1+0j)",
+            "value of ze0 = (1-0j)",
+        ]
+
     @pytest.mark.parametrize(
         "at, message",
         [
@@ -127,6 +139,13 @@ class TestExpandCommand:
             (["(12)3", "(z1-z2)^1", "--N", "-5"], "error: truncation order must be >= 0, got -5"),
             (["(12)3", "(z1-z2)^1/0"], "error: zero denominator in factor '(z1-z2)^1/0'"),
             (["(12)3", "z9^2"], "error: no leaf labeled 9"),
+            # a binomial C(2000, m) beyond the largest double
+            (["(12)3", "z1^2000", "--N", "2"], "error: series coefficient out of floating-point range"),
+            # every factor fits, but their product does not
+            (
+                ["(12)3", "(z1-z2)^-400 * z1^1020", "--N", "3"],
+                "error: series coefficient out of floating-point range",
+            ),
         ],
     )
     def test_bad_input_exit_2(self, capsys, argv, message):
@@ -236,6 +255,25 @@ class TestVerifyCommand:
             ["verify", "bulk-consistency", "--config", str(cfg)], capsys
         )
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "suite, flag",
+        [
+            ("bootstrap", ["--tol", "1e-30"]),
+            ("bootstrap", ["--N", "3"]),
+            ("bootstrap", ["--seed", "2"]),
+            ("skew", ["--tol", "1e-30"]),
+            ("skew", ["--N", "3"]),
+            ("regions", ["--tol", "1e-30"]),
+            ("regions", ["--N", "3"]),
+        ],
+    )
+    def test_unread_flag_exit_2(self, capsys, suite, flag):
+        # the suite would run with its own value and pass
+        code, out, err = run_cli(["verify", suite, *flag], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: verify {suite} does not read {flag[0]}\n"
 
     @pytest.mark.parametrize("box", [-1, 2.7, 3.0, True, "3", None])
     def test_bootstrap_rejects_bad_box(self, capsys, tmp_path, box):

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,7 @@ from opetree.latticecft import (
     bootstrap_check,
     build_boundary,
     bulk_correlator,
+    consistency_sweep,
     continue_bulk,
     epsilon_cocycle,
     epsilon_exponent,
@@ -770,6 +772,36 @@ class TestOpePrefactor:
             nu2 = ope_prefactor_num(bd, parse_tree("o2t(c1)"), [a], [k])
             assert nu2 == bd.sigma_num(a) % (2 * model.D)  # eta trivial here
 
+    def test_predicted_phases_are_the_exchange_factors(self):
+        # The inter-region phases that consistency_sweep predicts from the
+        # OPE prefactors, against the exchange factors that criterion 9
+        # measures, as integers mod 2D: exp(i pi ((a, b) + (a, phi b)))
+        # for (1,1) and exp(-i pi (phibar a, b)) for (2,0).
+        box = range(-2, 3)
+        tree_11, tree_11_swapped = parse_tree("t(c1)o2"), parse_tree("o2t(c1)")
+        tree_20, tree_20_joined = parse_tree("(t(c1))(t(c2))"), parse_tree("t(c1c2)")
+        combos = 0
+        for rsq in (Fraction(1, 2), Fraction(2), Fraction(3), Fraction(5, 7)):
+            model = NarainModel(rsq)
+            d = model.D
+            for rho in (1, -1):
+                bd = build_boundary(model, rho)
+                for alpha in itertools.product(box, box):
+                    for k in box:
+                        beta = (k * bd.m_generator[0], k * bd.m_generator[1])
+                        got = ope_prefactor_num(bd, tree_11_swapped, [alpha], [k])
+                        got -= ope_prefactor_num(bd, tree_11, [alpha], [k])
+                        want = d * (lattice_pairing(alpha, beta) + bd.alpha_phi_beta(alpha, beta))
+                        assert (got - want) % (2 * d) == 0, (rsq, rho, alpha, k)
+                        combos += 1
+                    for beta in itertools.product(box, box):
+                        got = ope_prefactor_num(bd, tree_20_joined, [alpha, beta], [])
+                        got -= ope_prefactor_num(bd, tree_20, [alpha, beta], [])
+                        want = -model.frame_product_num(bd.phi_abar_vec(alpha), model.a_vec(beta))
+                        assert (got - want) % (2 * d) == 0, (rsq, rho, alpha, beta)
+                        combos += 1
+        assert combos == 6000
+
 
 class TestTreeExpansion:
     def test_repeated_colored_expansion_compares_no_trees(self, model, boundaries, monkeypatch):
@@ -944,6 +976,23 @@ class TestConsistency:
         assert errs[0] > 1.0
         assert all(later < earlier for earlier, later in zip(errs, errs[1:]))
         assert errs[-1] < 1e-10
+
+    def test_sweep_phases_need_no_points(self, model, boundaries):
+        # the phases come from the base points alone; a colored sweep needs
+        # boundary data
+        bd = boundaries[-1]
+        trees = [parse_tree("(t(c1))(t(c2))"), parse_tree("t(c1c2)")]
+        bases = [nested_configuration_open(t) for t in trees]
+        points = [_sample_open_points(t, random.Random(3), 2) for t in trees]
+        sets = [([(1, 1), (0, 1)], []), ([(2, -1), (1, 0)], [])]
+        with_points = consistency_sweep(model, trees, sets, 12, points, bases, bd)
+        without = consistency_sweep(model, trees, sets, 12, [[], []], bases, bd)
+        for (errs, measured, predicted), (none, measured2, predicted2) in zip(with_points, without):
+            assert [len(e) for e in errs] == [2, 2] and none == [[], []]
+            assert measured == measured2 and predicted == predicted2
+            assert abs(measured[0] - predicted[0]) <= 1e-10
+        with pytest.raises(LatticeError, match="colored expansion needs boundary data"):
+            consistency_sweep(model, trees, sets, 12, [[], []], bases)
 
     def test_determinism(self, model, boundaries):
         bd = boundaries[1]
