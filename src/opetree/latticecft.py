@@ -100,10 +100,11 @@ class NarainModel(Stored):
     ``D = 2pq`` clears the denominator of every frame product, so
     ``D * frame_product`` is the integer bilinear form
     :meth:`frame_product_num`.  A model keys the closed-form memos, so it
-    stores its hash.
+    stores its hash.  ``_phases`` is not a field: equality, hash, repr and
+    pickling see only ``r_squared``, and a copy starts with an empty table.
     """
 
-    __slots__ = ("r_squared", "D", "_gram_num", "_key", "_hash")
+    __slots__ = ("r_squared", "D", "_gram_num", "_phases", "_key", "_hash")
     _fields = ("r_squared",)
 
     def __init__(self, r_squared: Fraction):
@@ -117,6 +118,8 @@ class NarainModel(Stored):
         object.__setattr__(self, "D", 2 * p * q)
         # D * (u^2, uw, w^2) = (q^2, pq, p^2)
         object.__setattr__(self, "_gram_num", (q * q, p * q, p * p))
+        # k mod 2D -> phase(k); D can be in the thousands, so filled on use
+        object.__setattr__(self, "_phases", {})
 
     def frame_product_num(self, v1, v2) -> int:
         """D times the product of two left-mover frame vectors x*u + y*w."""
@@ -131,8 +134,19 @@ class NarainModel(Stored):
 
     def phase(self, k: int) -> complex:
         """exp(i pi k/D): the one conversion of an integer phase to a
-        complex number."""
-        return phase_pi(Fraction(k, self.D))
+        complex number.
+
+        The value depends only on k mod 2D, so it is read from a per-model
+        table filled on first use: entry k % 2D is ``phase_pi(Fraction(k %
+        2D, D))``, bit for bit what ``phase_pi(Fraction(k, D))`` returns,
+        since phase_pi reduces its argument mod 2 first.
+        """
+        k %= 2 * self.D
+        try:
+            return self._phases[k]
+        except KeyError:
+            value = self._phases[k] = phase_pi(Fraction(k, self.D))
+            return value
 
     @staticmethod
     def a_vec(alpha: Charge):
@@ -160,7 +174,8 @@ class BoundaryData(Record):
     """Reflection sign, boundary charges, and the cocycles eta and sigma.
 
     Every phase is an integer k mod 2D, value ``model.phase(k)`` =
-    exp(i pi k/D) with D = model.D, and the ``*_num`` methods return k.
+    exp(i pi k/D) with D = model.D, read from the model's table of at
+    most 2D entries; the ``*_num`` methods return k.
     sigma_table holds sigma's integers, solved greedily along the
     lexicographic spanning tree of the lattice with
     sigma(0) = sigma(e1) = sigma(e2) = 1.  ``sigma_exponent``, the
@@ -629,6 +644,15 @@ def bootstrap_check(
 
     Both sides are compared exactly, as integers mod 2D; only a pair
     that differs is evaluated in floating point, for the reported error.
+
+    Every exponent but sigma's is bilinear in (a, b) mod 2D: eps(a, b) D
+    = (m n2 mod 2) D is congruent to m n2 D, and the frame product
+    (phi pbar a, p b) and the commutator are linear in b.  So each ``a``
+    evaluates them once on b = (1, 0) and (0, 1), and the loop over b
+    takes two multiply-adds per identity from a row (n2, m2, sigma(b),
+    t_b).  The integers compared are congruent mod 2D to the per-pair
+    ones, and ``model.phase`` depends only on k mod 2D, so the verdict
+    and every error are the same bit for bit.
     """
     t0 = time.perf_counter()
     d = model.D
@@ -639,24 +663,23 @@ def bootstrap_check(
     kernel_worst = 0.0
     rng_box = range(-box, box + 1)
     eta = {(k1, k2): bd.eta_num(k1, k2) for k1 in rng_box for k2 in rng_box}
-    charges = [((n, m), bd.t_coeff((n, m))) for n in rng_box for m in rng_box]
-    for a, ta in charges:
-        n, m = a
-        sigma_a = sigma[a]
+    rows = [(n, m, sigma[(n, m)], bd.t_coeff((n, m))) for n in rng_box for m in rng_box]
+    basis = ((1, 0), (0, 1))
+    for n, m, sigma_a, ta in rows:
+        a = (n, m)
         phi_a = bd.phi_abar_vec(a)
+        # (2) without sigma, and (3)'s commutator, at b = e1 and b = e2
+        x1, x2 = [epsilon_exponent(a, e) * d + model.frame_product_num(phi_a, e) for e in basis]
+        c1, c2 = [bd.commutator_num(a, e) for e in basis]
         in_kernel = ta == 0
-        for b, tb in charges:
-            n2, m2 = b
-            lhs2 = (
-                epsilon_exponent(a, b) * d
-                + sigma[(n + n2, m + m2)]
-                + model.frame_product_num(phi_a, b)
-            )
-            rhs2 = sigma_a + sigma[b] + eta[(ta, tb)]
+        for n2, m2, sigma_b, tb in rows:
+            eta_ab = eta[(ta, tb)]
+            lhs2 = x1 * n2 + x2 * m2 + sigma[(n + n2, m + m2)]
+            rhs2 = sigma_a + sigma_b + eta_ab
             if (lhs2 - rhs2) % two_d:
                 worst = max(worst, _phase_error(model, lhs2, rhs2))
-            lhs3 = eta[(ta, tb)] - eta[(tb, ta)]
-            rhs3 = bd.commutator_num(a, b)
+            lhs3 = eta_ab - eta[(tb, ta)]
+            rhs3 = c1 * n2 + c2 * m2
             if (lhs3 - rhs3) % two_d:
                 worst = max(worst, _phase_error(model, lhs3, rhs3))
             if in_kernel and rhs3 % two_d:

@@ -1,6 +1,8 @@
 import cmath
+import copy
 import itertools
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -365,6 +367,43 @@ class TestExactPhases:
                     rep = self._compare(model, bad, ref, 2)
                     assert not rep.passed
                     assert abs(rep.max_rel_err - 2) < 1e-12  # a sign flip
+
+    # the models and boxes of perfbench's cocycles workload: a box-2 check
+    # and (1, 0) control for every model, box-4 pairs at R^2 = 2
+    COCYCLE_RADII = ("1/2", "2", "3", "5/7", "7/5", "11/6")
+
+    @pytest.mark.parametrize("rsq", COCYCLE_RADII)
+    def test_reports_match_fraction_loop_on_cocycle_models(self, rsq):
+        model = NarainModel(Fraction(rsq))
+        cases = [(2, (2, -1)), (2, (-1, -2))]
+        if rsq not in self.RADII:  # else test_reports_match_fraction_loop has them
+            cases += [(2, None), (2, (1, 0))]
+        if rsq == "2":
+            cases += [(4, None), (4, (1, 0))]
+        for rho in (1, -1):
+            bd = build_boundary(model, rho)
+            for box, alpha in cases:
+                if alpha is None:
+                    rep = self._compare(model, bd, _FractionBoundary(bd), box)
+                    assert rep.passed and rep.max_rel_err == 0
+                else:
+                    bad = bd.perturbed(alpha, box)
+                    ref = _FractionBoundary(bad, self._as_fractions(bad))
+                    assert not self._compare(model, bad, ref, box).passed
+
+    @pytest.mark.parametrize("rsq", (*COCYCLE_RADII, "3/8"))
+    def test_phase_table_is_bit_exact(self, rsq):
+        model = NarainModel(Fraction(rsq))
+        d = model.D
+        for k in range(-6 * d, 6 * d):
+            got, want = model.phase(k), phase_pi(Fraction(k, d))
+            assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+        assert len(model._phases) <= 2 * d
+        for clone in (copy.copy(model), copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+            assert clone == model and hash(clone) == hash(model)
+            assert [clone.phase(k) for k in range(-2 * d, 2 * d)] == [
+                model.phase(k) for k in range(-2 * d, 2 * d)
+            ]
 
     def test_perturbed_flips_by_d(self, boundaries):
         bd = boundaries[1]
