@@ -175,11 +175,13 @@ class BoundaryData(Record):
 
     Every phase is an integer k mod 2D, value ``model.phase(k)`` =
     exp(i pi k/D) with D = model.D, read from the model's table of at
-    most 2D entries; the ``*_num`` methods return k.
-    sigma_table holds sigma's integers, solved greedily along the
-    lexicographic spanning tree of the lattice with
-    sigma(0) = sigma(e1) = sigma(e2) = 1.  ``sigma_exponent``, the
-    Fraction k/D, is kept only for perfbench's tracer.  The boundary
+    most 2D entries; the ``*_num`` methods return k.  sigma solves
+    sigma(x + g) = sigma(x) sigma(g) / eps'(x, g), stepping n first, with
+    sigma(0) = sigma(e1) = sigma(e2) = 1; eps' is bilinear mod 2D, so with
+    Mij = eps'(e_i, e_j) that is -(C(n,2) M11 + C(m,2) M22 + n m M21) mod
+    2D.  sigma_table holds explicit overrides only (a :meth:`perturbed`
+    control's); it is empty after :func:`build_boundary`.  ``sigma_exponent``,
+    the Fraction k/D, is kept only for perfbench's tracer.  The boundary
     charge group is rank one, so the commutator-map construction yields
     the trivial eta (basis table has no off-diagonal entries).
     """
@@ -194,12 +196,11 @@ class BoundaryData(Record):
             self.sigma_table = {}
         # (model, bulk charges, boundary charges) -> mixed_correlator's
         # (product, plan, prefactor phase), at most 4096 of them; not a
-        # field, so not compared or shown.  sigma_table only grows, so an
-        # entry never goes stale, and perturbed() copies start empty
+        # field, so not compared or shown.  sigma_table is not changed after
+        # construction, so an entry never goes stale; perturbed() copies start empty
         self.closed_forms = {}
-        self.sigma_table.setdefault((0, 0), 0)
-        self.sigma_table.setdefault((1, 0), 0)
-        self.sigma_table.setdefault((0, 1), 0)
+        e1, e2 = (1, 0), (0, 1)  # sigma's closed form reads (M11, M21, M22)
+        self._sigma_form = tuple(self.epsilon_prime_num(a, b) for a, b in ((e1, e1), (e2, e1), (e2, e2)))
 
     def t_coeff(self, alpha: Charge) -> int:
         """Boundary charge of alpha in units of the group generator."""
@@ -252,60 +253,39 @@ class BoundaryData(Record):
         ) % (2 * d)
 
     def sigma_num(self, alpha: Charge) -> int:
-        alpha = (int(alpha[0]), int(alpha[1]))
+        """sigma(alpha)'s integer: its override in sigma_table, if any, else
+        the closed form in [0, 2D)."""
+        n, m = alpha = (int(alpha[0]), int(alpha[1]))
         if alpha in self.sigma_table:
             return self.sigma_table[alpha]
-        n, m = alpha
-        # greedy coboundary solve, reducing n first, then m, one step g
-        # towards 0: sigma(x + g) = sigma(x) sigma(g) / eps'(x, g)
-        g = (1, 0) if n else (0, 1)
-        if (n or m) > 0:
-            x = (n - g[0], m - g[1])
-            k = self.sigma_num(x) + self.sigma_num(g) - self.epsilon_prime_num(x, g)
-        else:
-            x = (n + g[0], m + g[1])
-            k = self.epsilon_prime_num(alpha, g) + self.sigma_num(x) - self.sigma_num(g)
-        k %= 2 * self.model.D
-        self.sigma_table[alpha] = k
-        return k
+        m11, m21, m22 = self._sigma_form
+        return -(n * (n - 1) // 2 * m11 + m * (m - 1) // 2 * m22 + n * m * m21) % (2 * self.model.D)
 
     # Kept only for perfbench's tracer; a benchmark change can drop both together.
     def sigma_exponent(self, alpha: Charge) -> Fraction:
         return Fraction(self.sigma_num(alpha), self.model.D)
 
-    def materialize(self, box: int) -> None:
-        for n in range(-box, box + 1):
-            for m in range(-box, box + 1):
-                self.sigma_num((n, m))
-
     def perturbed(self, alpha: Charge, box: int) -> "BoundaryData":
-        """Negative control: copy with sigma(alpha) sign-flipped after the
-        box is materialized; no other entry is recomputed."""
-        self.materialize(box)
-        table = dict(self.sigma_table)
+        """Negative control: a copy whose overrides add sigma(alpha)
+        sign-flipped, k + D mod 2D; every other charge keeps its value.
+        ``box`` does not change the result (kept for existing callers)."""
         d = self.model.D
-        table[tuple(alpha)] = (table[tuple(alpha)] + d) % (2 * d)
+        table = {**self.sigma_table, tuple(alpha): (self.sigma_num(alpha) + d) % (2 * d)}
         return BoundaryData(self.model, self.rho, table)
-
-
-CHECK_BOX = 6  # half-width of the charge box checked and materialized
 
 
 def build_boundary(model: NarainModel, rho: int) -> BoundaryData:
     """Construct boundary data for the reflection sign rho.
 
-    Verifies that eps' is symmetric (the precondition for the coboundary
-    solve) before solving; asymmetry is reported, never patched.
+    sigma's closed form needs eps' symmetric mod 2D.  eps' is bilinear mod
+    2D (its eps part (m n2 mod 2) D is congruent to m n2 D, the frame
+    product is integer-bilinear and eta is trivial), so one comparison
+    decides it.  Asymmetry is reported, never patched.
     """
     bd = BoundaryData(model, rho)
-    gens = [(1, 0), (0, 1), (1, 1), (-1, 2)]
-    for n in range(-CHECK_BOX, CHECK_BOX + 1):
-        for m in range(-CHECK_BOX, CHECK_BOX + 1):
-            a = (n, m)
-            for b in gens:
-                if bd.epsilon_prime_num(a, b) != bd.epsilon_prime_num(b, a):
-                    raise LatticeError(f"eps' not symmetric at {a}, {b}")
-    bd.materialize(CHECK_BOX)
+    e1, e2 = (1, 0), (0, 1)
+    if bd.epsilon_prime_num(e1, e2) != bd.epsilon_prime_num(e2, e1):
+        raise LatticeError(f"eps' not symmetric at {e1}, {e2}")
     return bd
 
 
@@ -649,32 +629,43 @@ def bootstrap_check(
     = (m n2 mod 2) D is congruent to m n2 D, and the frame product
     (phi pbar a, p b) and the commutator are linear in b.  So each ``a``
     evaluates them once on b = (1, 0) and (0, 1), and the loop over b
-    takes two multiply-adds per identity from a row (n2, m2, sigma(b),
-    t_b).  The integers compared are congruent mod 2D to the per-pair
-    ones, and ``model.phase`` depends only on k mod 2D, so the verdict
-    and every error are the same bit for bit.
+    takes two multiply-adds per identity from a row (n2, m2, lin_b,
+    sigma(b), t_b).  sigma_num over |n|, |m| <= 2 box is one flat list
+    with lin = n w + m, so sigma(a + b) is ``flat[centre + lin_a + lin_b]``.
+    The integers compared are congruent mod 2D to the per-pair ones, and
+    ``model.phase`` depends only on k mod 2D, so the verdict and every
+    error are the same bit for bit.
     """
     t0 = time.perf_counter()
     d = model.D
     two_d = 2 * d
-    bd.materialize(2 * box)  # sigma at every a, b and a + b
-    sigma = bd.sigma_table
-    worst = _phase_error(model, sigma[(0, 0)], 0)
+    r = 2 * box  # sigma at every a, b and a + b
+    w, centre, span = 2 * r + 1, r * (2 * r + 2), range(-r, r + 1)
+    m11, m21, m22 = bd._sigma_form  # sigma_num's closed form, then its overrides
+    flat = [
+        -(n * (n - 1) // 2 * m11 + m * (m - 1) // 2 * m22 + n * m * m21) % two_d
+        for n in span for m in span
+    ]
+    for (n, m), k in bd.sigma_table.items():
+        if abs(n) <= r and abs(m) <= r:
+            flat[centre + n * w + m] = k
+    worst = _phase_error(model, flat[centre], 0)
     kernel_worst = 0.0
     rng_box = range(-box, box + 1)
     eta = {(k1, k2): bd.eta_num(k1, k2) for k1 in rng_box for k2 in rng_box}
-    rows = [(n, m, sigma[(n, m)], bd.t_coeff((n, m))) for n in rng_box for m in rng_box]
+    rows = [(n, m, n * w + m, flat[centre + n * w + m], bd.t_coeff((n, m))) for n in rng_box for m in rng_box]
     basis = ((1, 0), (0, 1))
-    for n, m, sigma_a, ta in rows:
+    for n, m, lin_a, sigma_a, ta in rows:
         a = (n, m)
         phi_a = bd.phi_abar_vec(a)
         # (2) without sigma, and (3)'s commutator, at b = e1 and b = e2
         x1, x2 = [epsilon_exponent(a, e) * d + model.frame_product_num(phi_a, e) for e in basis]
         c1, c2 = [bd.commutator_num(a, e) for e in basis]
         in_kernel = ta == 0
-        for n2, m2, sigma_b, tb in rows:
+        at_a = centre + lin_a
+        for n2, m2, lin_b, sigma_b, tb in rows:
             eta_ab = eta[(ta, tb)]
-            lhs2 = x1 * n2 + x2 * m2 + sigma[(n + n2, m + m2)]
+            lhs2 = x1 * n2 + x2 * m2 + flat[at_a + lin_b]
             rhs2 = sigma_a + sigma_b + eta_ab
             if (lhs2 - rhs2) % two_d:
                 worst = max(worst, _phase_error(model, lhs2, rhs2))

@@ -569,7 +569,8 @@ def evaluate_closed(f: PowerProduct, point: Sequence[complex], plan: BranchPlan 
 
     The plan is checked before the point: an index out of range, a factor
     paired with itself or used twice, or paired exponents that do not
-    differ by an integer raise :class:`SeriesError`.
+    differ by an integer raise :class:`SeriesError`; so does a power
+    beyond the double range.
     """
     plan = plan or BranchPlan()
     paired_idx = set()
@@ -590,26 +591,29 @@ def evaluate_closed(f: PowerProduct, point: Sequence[complex], plan: BranchPlan 
             raise SeriesError(f"point has no coordinate z{v}")
         z[v] = complex(point[v - 1])
     total = complex(f.constant)
-    for a, b in plan.paired:
-        (i1, j1), s1 = f.diffs[a]
-        (i2, j2), s2 = f.diffs[b]
-        v1 = z[i1] - z[j1]
-        v2 = z[i2] - z[j2]
-        if abs(v2 - v1.conjugate()) > 1e-12 * (1 + abs(v1)):
-            raise SeriesError("paired factors are not complex conjugates")
-        total *= abs(v1) ** float(2 * s2) * v1 ** int(s1 - s2)
-    for idx, ((i, j), s) in enumerate(f.diffs):
-        if idx in paired_idx:
-            continue
-        v = z[i] - z[j]
-        if s.denominator == 1:
-            total *= v ** int(s)
-            continue
-        if on_cut(v):
-            raise SeriesError(f"factor (z{i} - z{j}) on the cut with exponent {s}")
-        total *= cmath.exp(s * cmath.log(v))
-    for i, k in f.powers:
-        total *= z[i] ** k
+    try:
+        for a, b in plan.paired:
+            (i1, j1), s1 = f.diffs[a]
+            (i2, j2), s2 = f.diffs[b]
+            v1 = z[i1] - z[j1]
+            v2 = z[i2] - z[j2]
+            if abs(v2 - v1.conjugate()) > 1e-12 * (1 + abs(v1)):
+                raise SeriesError("paired factors are not complex conjugates")
+            total *= abs(v1) ** float(2 * s2) * v1 ** int(s1 - s2)
+        for idx, ((i, j), s) in enumerate(f.diffs):
+            if idx in paired_idx:
+                continue
+            v = z[i] - z[j]
+            if s.denominator == 1:
+                total *= v ** int(s)
+                continue
+            if on_cut(v):
+                raise SeriesError(f"factor (z{i} - z{j}) on the cut with exponent {s}")
+            total *= cmath.exp(s * cmath.log(v))
+        for i, k in f.powers:
+            total *= z[i] ** k
+    except OverflowError:  # a power beyond the largest double
+        raise SeriesError("closed-form value out of floating-point range") from None
     return total
 
 
@@ -700,8 +704,9 @@ def _scale_tail(tail, c):
 def evaluate_series(s: GenSeries, values: Mapping) -> complex:
     """Sum the series at numeric variable values, principal branches.
 
-    Raises :class:`SeriesError` for a missing variable or a variable on
-    the cut raised to a non-integer power or carrying a log factor.  A
+    Raises :class:`SeriesError` for a missing variable, a variable on
+    the cut raised to a non-integer power or carrying a log factor, or a
+    power beyond the double range.  A
     value is looked up, a power computed and a cut checked only when some
     term needs it.
     """
@@ -729,20 +734,23 @@ def evaluate_series(s: GenSeries, values: Mapping) -> complex:
 
     total = 0j
     base = s.order + 1
-    for (logs, ungraded, offsets), tail in s.sectors.items():
-        sector_val = 1.0 + 0j
-        for v, k in logs:
-            sector_val *= log_of(v) ** k
-        for v, q in ungraded:
-            sector_val *= power(v, q)
-        row = []
-        for g, q in zip(s.graded, offsets):
-            if q.denominator == 1:
-                row.append(table(g, int(q)))
-            else:
-                sector_val *= power(g, q)
-                row.append(table(g))
-        total += sector_val * _tail_sum(tail, row, base)
+    try:
+        for (logs, ungraded, offsets), tail in s.sectors.items():
+            sector_val = 1.0 + 0j
+            for v, k in logs:
+                sector_val *= log_of(v) ** k
+            for v, q in ungraded:
+                sector_val *= power(v, q)
+            row = []
+            for g, q in zip(s.graded, offsets):
+                if q.denominator == 1:
+                    row.append(table(g, int(q)))
+                else:
+                    sector_val *= power(g, q)
+                    row.append(table(g))
+            total += sector_val * _tail_sum(tail, row, base)
+    except OverflowError:  # a power beyond the largest double, here or in a _PowerTable
+        raise SeriesError("series value out of floating-point range") from None
     return total
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -439,6 +440,55 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "bulk-consistency", "--config", str(cfg)], capsys)
         assert code == 0
         assert json.loads(out)["checks"][0]["tolerance"] == 1.0
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"charges": [[1200, 0]], "truncation": 2, "points": 1},
+            {"charges": [[200, 0]], "truncation": 2, "points": 1},
+            {"charges": [[0, 200]], "truncation": 4, "points": 2},
+            {"R_squared": 3, "charges": [[300, 1]], "truncation": 2, "points": 1},
+        ],
+    )
+    def test_power_out_of_range_exit_2(self, capsys, tmp_path, config):
+        # a coordinate power beyond the largest double, integer or not, in
+        # the series or in the closed form: one error line, no traceback
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps(config))
+        code, out, err = run_cli(["verify", "boundary-consistency", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.rstrip().endswith("out of floating-point range") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (None, "ada03591d4c5588b02b63888dee69063c1052534bedf8e43a387fdea94940dca"),
+            (
+                {"R_squared": "11/6", "reflection": -1, "box": 4},
+                "16ba58a4c85b59c698531d0b344235c609232bda3c2841cf6748f717d4781433",
+            ),
+            (
+                {"R_squared": "5/7", "reflection": 1, "box": 3},
+                "286c3c767f1fa57c18d18d70107cba30916f84cb2d6c2e09e248c0b66fa6b282",
+            ),
+            (
+                {"R_squared": 3, "reflection": "-1", "box": 2},
+                "0c35d177ec3ec10d37b4945a21e0ccf093e55c5c4b7c7ed3c6bf68e6995af392",
+            ),
+        ],
+    )
+    def test_bootstrap_stdout_bytes(self, capsys, tmp_path, config, digest):
+        # sha256 of stdout as the greedy sigma solve printed it
+        argv = ["verify", "bootstrap"]
+        if config is not None:
+            cfg = tmp_path / "model.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_config_directory_exit_2(self, capsys, tmp_path):
         code, out, err = run_cli(["verify", "bootstrap", "--config", str(tmp_path)], capsys)

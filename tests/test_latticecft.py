@@ -224,14 +224,15 @@ def _ref_frame_product(rsq, v1, v2):
 
 class _FractionBoundary:
     """Reference cocycles in Fraction exponents mod 2 (value exp(i pi nu)):
-    the same greedy sigma solve, written against the rational frame form."""
+    sigma solved greedily, one lattice step at a time (n first, then m),
+    written against the rational frame form."""
 
-    def __init__(self, bd, table=None):
+    def __init__(self, bd):
         self.rho = bd.rho
         self.rsq = bd.model.r_squared
         self.t_coeff = bd.t_coeff
         self.phi_abar_vec = bd.phi_abar_vec
-        self.table = table or {(0, 0): Fraction(0), (1, 0): Fraction(0), (0, 1): Fraction(0)}
+        self.table = {(0, 0): Fraction(0), (1, 0): Fraction(0), (0, 1): Fraction(0)}
 
     def eta(self, k1, k2):
         """Trivial: the boundary charge group is rank one."""
@@ -265,6 +266,31 @@ class _FractionBoundary:
             nu = self.epsilon_prime(a, (0, 1)) + self.sigma((0, m + 1)) - self.sigma((0, 1))
         self.table[a] = nu % 2
         return self.table[a]
+
+
+class _FlippedReference:
+    """A negative control's reference: the greedy oracle with sigma(alpha)
+    sign-flipped and every other entry as solved."""
+
+    def __init__(self, bd, alpha):
+        self.ref, self.alpha = _FractionBoundary(bd), alpha
+
+    def __getattr__(self, name):
+        return getattr(self.ref, name)
+
+    def sigma(self, a):
+        return (self.ref.sigma(a) + (a == self.alpha)) % 2
+
+
+def _eps_prime_symmetric_on_box(bd, box=6):
+    """eps'(a, b) = eps'(b, a) for |n|, |m| <= box and four generators b."""
+    gens = [(1, 0), (0, 1), (1, 1), (-1, 2)]
+    return all(
+        bd.epsilon_prime_num((n, m), b) == bd.epsilon_prime_num(b, (n, m))
+        for n in range(-box, box + 1)
+        for m in range(-box, box + 1)
+        for b in gens
+    )
 
 
 def _reference_prefactor(ref, e, bulk_charges, bdry_charges):
@@ -322,10 +348,7 @@ class TestExactPhases:
     """The integer phases mod 2D against a Fraction reference."""
 
     RADII = ("2", "5/7", "11/6", "3/8")
-
-    @staticmethod
-    def _as_fractions(bd):
-        return {k: Fraction(v, bd.model.D) for k, v in bd.sigma_table.items()}
+    SIGMA_RADII = ("1/2", "2", "3", "5/7", "7/5", "11/6", "3/8", "1", "13/4")
 
     def _compare(self, model, bd, ref, box):
         want = _reference_bootstrap(ref, box)
@@ -333,16 +356,50 @@ class TestExactPhases:
         assert (rep.passed, rep.max_rel_err, rep.samples) == want
         return rep
 
+    def _compare_control(self, model, bd, alpha, box):
+        bad = bd.perturbed(alpha, box)
+        assert bad.sigma_table == {alpha: (bd.sigma_num(alpha) + model.D) % (2 * model.D)}
+        return self._compare(model, bad, _FlippedReference(bd, alpha), box)
+
     def test_sigma_matches_fraction_solve(self):
-        for rsq in self.RADII:
+        # the closed form against the greedy solve, entry by entry
+        for rsq in self.SIGMA_RADII:
             model = NarainModel(Fraction(rsq))
             for rho in (1, -1):
                 bd = build_boundary(model, rho)
+                assert bd.sigma_table == {}
                 ref = _FractionBoundary(bd)
-                assert bd.sigma_table.keys() == {
-                    (n, m) for n in range(-6, 7) for m in range(-6, 7)
-                }
-                assert self._as_fractions(bd) == {k: ref.sigma(k) for k in bd.sigma_table}
+                for n in range(-12, 13):
+                    for m in range(-12, 13):
+                        assert Fraction(bd.sigma_num((n, m)), model.D) == ref.sigma((n, m))
+                assert bd.sigma_table == {}
+
+    def test_sigma_far_from_origin(self):
+        model = NarainModel(Fraction(2))
+        bd = build_boundary(model, 1)
+        two_d, e1 = 2 * model.D, (1, 0)
+        assert 0 <= bd.sigma_num((1004, 0)) < two_d
+        for n, m in ((1003, 0), (-700, 450)):
+            want = bd.sigma_num((n, m)) + bd.sigma_num(e1) - bd.epsilon_prime_num((n, m), e1)
+            assert (bd.sigma_num((n + 1, m)) - want) % two_d == 0
+
+    def test_symmetry_check_matches_box_sweep(self, monkeypatch):
+        for rsq in self.SIGMA_RADII:
+            model = NarainModel(Fraction(rsq))
+            for rho in (1, -1):
+                assert _eps_prime_symmetric_on_box(build_boundary(model, rho))
+        exact = BoundaryData.epsilon_prime_num
+        monkeypatch.setattr(
+            BoundaryData,
+            "epsilon_prime_num",
+            lambda bd, a, b: (exact(bd, a, b) + a[0] * b[1] * bd.model.D) % (2 * bd.model.D),
+        )
+        for rsq in self.SIGMA_RADII:
+            model = NarainModel(Fraction(rsq))
+            for rho in (1, -1):
+                assert not _eps_prime_symmetric_on_box(BoundaryData(model, rho))
+                with pytest.raises(LatticeError, match="not symmetric"):
+                    build_boundary(model, rho)
 
     def test_reports_match_fraction_loop(self):
         for rsq in self.RADII:
@@ -352,9 +409,7 @@ class TestExactPhases:
                     bd = build_boundary(model, rho)
                     rep = self._compare(model, bd, _FractionBoundary(bd), box)
                     assert rep.passed and rep.max_rel_err == 0
-                    bad = bd.perturbed((1, 0), box)
-                    ref = _FractionBoundary(bad, self._as_fractions(bad))
-                    assert not self._compare(model, bad, ref, box).passed
+                    assert not self._compare_control(model, bd, (1, 0), box).passed
 
     def test_controls_fail_at_several_charges(self):
         for rsq in ("1/2", "5/7"):
@@ -362,9 +417,7 @@ class TestExactPhases:
             for rho in (1, -1):
                 bd = build_boundary(model, rho)
                 for alpha in ((0, 0), (0, 1), (1, 1), (-2, 1), (2, -2)):
-                    bad = bd.perturbed(alpha, 2)
-                    ref = _FractionBoundary(bad, self._as_fractions(bad))
-                    rep = self._compare(model, bad, ref, 2)
+                    rep = self._compare_control(model, bd, alpha, 2)
                     assert not rep.passed
                     assert abs(rep.max_rel_err - 2) < 1e-12  # a sign flip
 
@@ -387,9 +440,7 @@ class TestExactPhases:
                     rep = self._compare(model, bd, _FractionBoundary(bd), box)
                     assert rep.passed and rep.max_rel_err == 0
                 else:
-                    bad = bd.perturbed(alpha, box)
-                    ref = _FractionBoundary(bad, self._as_fractions(bad))
-                    assert not self._compare(model, bad, ref, box).passed
+                    assert not self._compare_control(model, bd, alpha, box).passed
 
     @pytest.mark.parametrize("rsq", (*COCYCLE_RADII, "3/8"))
     def test_phase_table_is_bit_exact(self, rsq):
