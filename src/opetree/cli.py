@@ -129,10 +129,9 @@ DEFAULT_CONFIG = {
     "seed": 1,
 }
 SUITE_FIELDS = {"points", "pairs", "box"}  # read by some suites, with their own defaults
-# (attribute, flag, config field) of the verify flags; a suite that does
-# not read a flag rejects it, so a requested value is never dropped
+# (attribute, flag, config field) of the verify flags; SUITES says which
+# suite reads which
 FLAGS = (("order", "--N", "truncation"), ("tol", "--tol", "tolerance"), ("seed", "--seed", "seed"))
-SUITE_FLAGS = {"bootstrap": (), "skew": ("--seed",), "regions": ("--seed",)}
 
 
 def load_config(args) -> dict:
@@ -150,7 +149,7 @@ def load_config(args) -> dict:
         value = getattr(args, attr)
         if value is None:
             continue
-        if flag not in SUITE_FLAGS.get(args.suite, (flag,)):
+        if flag not in SUITES[args.suite][1]:
             raise CliError(f"verify {args.suite} does not read {flag}")
         cfg[key] = value
     return cfg
@@ -250,30 +249,41 @@ def _charges(cfg, most, suite) -> list:
 # Subcommands
 
 
+# The operands of each tree and braid action (PERM: comma separated
+# images; a cable WORD may be '-', the empty word); a call with any other
+# count exits 2, so no operand is silently dropped.
+ACTIONS = {
+    "tree": {"parse": "TREE", "compose": "TREE SLOT TREE", "permute": "TREE PERM", "double": "TREE"},
+    "braid": {"perm": "WORD", "mirror": "WORD", "cable": "WORD SLOT WORD", "generator": "NAME"},
+}
+
+
+def _operands(args) -> list:
+    """``args.expr``, checked against the action's operands in ACTIONS."""
+    usage = ACTIONS[args.command][args.action]
+    if len(args.expr) != len(usage.split()):
+        raise CliError(f"{args.command} {args.action} takes {usage}, got {len(args.expr)} operands")
+    return args.expr
+
+
 def cmd_tree(args) -> int:
     from opetree import trees
 
+    expr = _operands(args)
     if args.action == "parse":
-        out = trees.parse_tree(args.expr[0])
+        out = trees.parse_tree(expr[0])
     elif args.action == "compose":
-        if len(args.expr) != 3:
-            raise CliError("compose needs TREE SLOT TREE")
-        a = trees.parse_tree(args.expr[0])
-        p = int(args.expr[1])
-        b = trees.parse_tree(args.expr[2])
+        a = trees.parse_tree(expr[0])
+        p = int(expr[1])
+        b = trees.parse_tree(expr[2])
         if trees.is_colored(a) or trees.is_colored(b):
             out = trees.compose_colored(a, p, b)
         else:
             out = trees.compose(a, p, b)
     elif args.action == "permute":
-        if len(args.expr) != 2:
-            raise CliError("permute needs TREE PERM (comma separated images)")
-        a = trees.parse_tree(args.expr[0])
-        out = trees.permute(a, [int(x) for x in args.expr[1].split(",")])
-    elif args.action == "double":
-        out = trees.doubling(trees.parse_tree(args.expr[0]))
-    else:
-        raise CliError(f"unknown tree action {args.action!r}")
+        out = trees.permute(trees.parse_tree(expr[0]), [int(x) for x in expr[1].split(",")])
+    else:  # double
+        out = trees.doubling(trees.parse_tree(expr[0]))
     text = trees.format_tree(out)
     _emit(args, {"tree": text}, text)
     return 0
@@ -323,23 +333,20 @@ def cmd_expand(args) -> int:
 def cmd_braid(args) -> int:
     from opetree import braids, trees
 
+    expr = _operands(args)
     if args.action == "perm":
-        w = braids.parse_braid_word(args.expr[0], strands=args.strands)
+        w = braids.parse_braid_word(expr[0], strands=args.strands)
         _emit(args, {"permutation": list(braids.braid_permutation(w))})
         return 0
     if args.action == "mirror":
-        w = braids.parse_braid_word(args.expr[0], strands=args.strands)
+        w = braids.parse_braid_word(expr[0], strands=args.strands)
         out = braids.mirror(w)
         _emit(args, {"word": braids.format_braid_word(out), "strands": out.strands})
         return 0
     if args.action == "cable":
-        if len(args.expr) != 3:
-            raise CliError("cable needs WORD SLOT WORD ('-' for the empty word)")
-        g = braids.parse_braid_word(
-            "" if args.expr[0] == "-" else args.expr[0], strands=args.strands
-        )
-        p = int(args.expr[1])
-        h_text = args.expr[2]
+        g = braids.parse_braid_word("" if expr[0] == "-" else expr[0], strands=args.strands)
+        p = int(expr[1])
+        h_text = expr[2]
         if h_text == "0":
             h = braids.BraidWord(0, ())
         else:
@@ -354,20 +361,21 @@ def cmd_braid(args) -> int:
             },
         )
         return 0
-    if args.action == "generator":
-        g = braids.papb_generator(args.expr[0])
-        _emit(
-            args,
-            {
-                "source": trees.format_tree(g.source),
-                "target": trees.format_tree(g.target),
-                "word": braids.format_braid_word(g.word),
-                "strands": g.word.strands,
-                "coloring": [list(map(str, tag)) for tag in g.source_frame],
-            },
-        )
-        return 0
-    raise CliError(f"unknown braid action {args.action!r}")
+    # generator: the word's strands follow from the tree
+    if args.strands is not None:
+        raise CliError("braid generator does not read --strands")
+    g = braids.papb_generator(expr[0])
+    _emit(
+        args,
+        {
+            "source": trees.format_tree(g.source),
+            "target": trees.format_tree(g.target),
+            "word": braids.format_braid_word(g.word),
+            "strands": g.word.strands,
+            "coloring": [list(map(str, tag)) for tag in g.source_frame],
+        },
+    )
+    return 0
 
 
 def _verify_bootstrap(cfg):
@@ -507,18 +515,20 @@ def _verify_regions(cfg):
     return [rep]
 
 
+# verify suite -> (runner, the FLAGS it reads); a suite rejects the others,
+# so a requested value is never dropped
+SUITES = {
+    "bulk-consistency": (_verify_bulk, ("--N", "--tol", "--seed")),
+    "boundary-consistency": (_verify_boundary, ("--N", "--tol", "--seed")),
+    "bootstrap": (_verify_bootstrap, ()),
+    "skew": (_verify_skew, ("--seed",)),
+    "regions": (_verify_regions, ("--seed",)),
+}
+
+
 def cmd_verify(args) -> int:
     cfg = load_config(args)
-    runner = {
-        "bootstrap": _verify_bootstrap,
-        "boundary-consistency": _verify_boundary,
-        "bulk-consistency": _verify_bulk,
-        "skew": _verify_skew,
-        "regions": _verify_regions,
-    }.get(args.suite)
-    if runner is None:
-        raise CliError(f"unknown verify suite {args.suite!r}")
-    reports = runner(cfg)
+    reports = SUITES[args.suite][0](cfg)
     passed = all(r.passed for r in reports)
     obj = {
         "suite": args.suite,
@@ -543,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_tree = sub.add_parser("tree", help="parse/compose/permute/double trees")
-    p_tree.add_argument("action", choices=("parse", "compose", "permute", "double"))
+    p_tree.add_argument("action", choices=ACTIONS["tree"])
     p_tree.add_argument("expr", nargs="+")
     p_tree.set_defaults(func=cmd_tree)
 
@@ -559,16 +569,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand.set_defaults(func=cmd_expand)
 
     p_braid = sub.add_parser("braid", help="braid word operations")
-    p_braid.add_argument("action", choices=("perm", "mirror", "cable", "generator"))
+    p_braid.add_argument("action", choices=ACTIONS["braid"])
     p_braid.add_argument("expr", nargs="+")
     p_braid.add_argument("--strands", type=int)
     p_braid.set_defaults(func=cmd_braid)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument(
-        "suite",
-        choices=("bulk-consistency", "boundary-consistency", "bootstrap", "skew", "regions"),
-    )
+    p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--config", help="model config JSON path")
     p_verify.add_argument("--N", dest="order", type=int)
     p_verify.add_argument("--tol", type=float)

@@ -7,8 +7,9 @@ abar = (n/R - mR)/sqrt(2); every pairing the correlators need is a
 rational combination of u^2 = 1/(2 R^2), w^2 = R^2/2 and u*w = 1/2, so
 all exponents are exact rationals.  Writing R^2 = p/q in lowest terms,
 every such exponent has a denominator dividing D = 2pq.  Every phase
-(the cocycles epsilon, sigma and eta, the OPE prefactor of a tree and
-the inter-region phase predictions) is an integer k mod 2D with value
+(the cocycles epsilon and sigma, the OPE prefactor of a tree and the
+inter-region phase predictions; the boundary cocycle eta is identically
+1 here, see :class:`BoundaryData`) is an integer k mod 2D with value
 exp(i pi k/D); :meth:`NarainModel.phase` is the one place such an
 integer becomes a complex number.
 
@@ -171,7 +172,7 @@ class NarainModel(Stored):
 
 
 class BoundaryData(Record):
-    """Reflection sign, boundary charges, and the cocycles eta and sigma.
+    """Reflection sign, boundary charges, and the cocycle sigma.
 
     Every phase is an integer k mod 2D, value ``model.phase(k)`` =
     exp(i pi k/D) with D = model.D, read from the model's table of at
@@ -179,11 +180,13 @@ class BoundaryData(Record):
     sigma(x + g) = sigma(x) sigma(g) / eps'(x, g), stepping n first, with
     sigma(0) = sigma(e1) = sigma(e2) = 1; eps' is bilinear mod 2D, so with
     Mij = eps'(e_i, e_j) that is -(C(n,2) M11 + C(m,2) M22 + n m M21) mod
-    2D.  sigma_table holds explicit overrides only (a :meth:`perturbed`
-    control's); it is empty after :func:`build_boundary`.  ``sigma_exponent``,
-    the Fraction k/D, is kept only for perfbench's tracer.  The boundary
-    charge group is rank one, so the commutator-map construction yields
-    the trivial eta (basis table has no off-diagonal entries).
+    2D (:func:`_sigma_closed_form`).  sigma_table holds explicit overrides
+    only (a :meth:`perturbed` control's); it is empty after
+    :func:`build_boundary`.  ``sigma_exponent``, the Fraction k/D, is kept
+    only for perfbench's tracer.  The boundary cocycle eta, built from the
+    commutator map on a basis of the boundary charge group, is identically
+    1: that group is rank one, so the basis table has no off-diagonal
+    entry.  No method carries eta.
     """
 
     _fields = ("model", "rho", "sigma_table")
@@ -231,9 +234,6 @@ class BoundaryData(Record):
         (n, m), (n2, m2) = alpha, beta
         return self.rho * (m * n2 - n * m2)
 
-    def eta_num(self, k1: int, k2: int) -> int:
-        return 0
-
     def commutator_num(self, alpha: Charge, beta: Charge) -> int:
         """c(alpha,beta) = exp(-i pi ((alpha,beta) + (alpha, phi beta))),
         not reduced mod 2D."""
@@ -242,15 +242,11 @@ class BoundaryData(Record):
         ) * self.model.D
 
     def epsilon_prime_num(self, alpha: Charge, beta: Charge) -> int:
-        """eps' = eps * eta(ta,tb)^{-1} * exp(i pi (phi pbar a, p b))."""
-        d = self.model.D
-        return (
-            epsilon_exponent(alpha, beta) * d
-            - self.eta_num(self.t_coeff(alpha), self.t_coeff(beta))
-            + self.model.frame_product_num(
-                self.phi_abar_vec(alpha), self.model.a_vec(beta)
-            )
-        ) % (2 * d)
+        """eps' = eps * exp(i pi (phi pbar a, p b)) in [0, 2D).  The general
+        eps' also divides by eta(ta, tb), which is 1 here."""
+        model = self.model
+        frame = model.frame_product_num(self.phi_abar_vec(alpha), model.a_vec(beta))
+        return (epsilon_exponent(alpha, beta) * model.D + frame) % (2 * model.D)
 
     def sigma_num(self, alpha: Charge) -> int:
         """sigma(alpha)'s integer: its override in sigma_table, if any, else
@@ -258,8 +254,7 @@ class BoundaryData(Record):
         n, m = alpha = (int(alpha[0]), int(alpha[1]))
         if alpha in self.sigma_table:
             return self.sigma_table[alpha]
-        m11, m21, m22 = self._sigma_form
-        return -(n * (n - 1) // 2 * m11 + m * (m - 1) // 2 * m22 + n * m * m21) % (2 * self.model.D)
+        return _sigma_closed_form(self._sigma_form, n, m, 2 * self.model.D)
 
     # Kept only for perfbench's tracer; a benchmark change can drop both together.
     def sigma_exponent(self, alpha: Charge) -> Fraction:
@@ -274,13 +269,20 @@ class BoundaryData(Record):
         return BoundaryData(self.model, self.rho, table)
 
 
+def _sigma_closed_form(form, n: int, m: int, two_d: int) -> int:
+    """sigma(n, m)'s integer in [0, 2D) without overrides, from
+    form = (M11, M21, M22): -(C(n,2) M11 + C(m,2) M22 + n m M21) mod 2D."""
+    m11, m21, m22 = form
+    return -(n * (n - 1) // 2 * m11 + m * (m - 1) // 2 * m22 + n * m * m21) % two_d
+
+
 def build_boundary(model: NarainModel, rho: int) -> BoundaryData:
     """Construct boundary data for the reflection sign rho.
 
     sigma's closed form needs eps' symmetric mod 2D.  eps' is bilinear mod
-    2D (its eps part (m n2 mod 2) D is congruent to m n2 D, the frame
-    product is integer-bilinear and eta is trivial), so one comparison
-    decides it.  Asymmetry is reported, never patched.
+    2D (its eps part (m n2 mod 2) D is congruent to m n2 D, and the
+    frame product is integer-bilinear), so one comparison decides it.
+    Asymmetry is reported, never patched.
     """
     bd = BoundaryData(model, rho)
     e1, e2 = (1, 0), (0, 1)
@@ -341,18 +343,23 @@ def bulk_correlator(model: NarainModel, dual: Charge, insertions) -> complex:
     if (sum(n for n, _ in charges), sum(m for _, m in charges)) != tuple(dual):
         return 0j
     _check_distinct(points)
-    nu = 0
     value = 1.0 + 0j
     for i in range(len(charges)):
         for j in range(i + 1, len(charges)):
-            nu += epsilon_exponent(charges[i], charges[j])
             v = points[i] - points[j]
             bb = model.abarbar(charges[i], charges[j])
             k = model.aa(charges[i], charges[j]) - bb
             if k.denominator != 1:
                 raise LatticeError("bulk pair exponents differ non-integrally")
             value *= abs(v) ** float(2 * bb) * v ** int(k)
-    return model.phase(nu * model.D) * value
+    return model.phase(_epsilon_num(model, charges)) * value
+
+
+def _epsilon_num(model: NarainModel, charges) -> int:
+    """The epsilon prefactor prod_{i<j} eps(c_i, c_j) of charges in
+    insertion order, as an integer: (sum of the exponents mod 2) D."""
+    nu = sum(epsilon_exponent(a, b) for a, b in itertools.combinations(charges, 2))
+    return (nu % 2) * model.D
 
 
 def _check_distinct(points) -> None:
@@ -382,33 +389,28 @@ def reference_tree(r: int, s: int) -> Tree:
 
 def ope_prefactor_num(bd: BoundaryData, e: Tree, bulk_charges, bdry_charges) -> int:
     """Phase of the product of OPE structure constants over the tree, as
-    an integer in [0, 2D): epsilon at closed vertices, sigma at Tau, eta
-    at open vertices."""
-    r = len(bulk_charges)
+    an integer in [0, 2D): epsilon at closed vertices, sigma at Tau.  An
+    open vertex's eta is 1 here, so no phase reads ``bdry_charges``."""
     d = bd.model.D
 
     def walk(t):
         if isinstance(t, ClosedLeaf):
             return 0, "c", tuple(bulk_charges[t.label - 1])
         if isinstance(t, OpenLeaf):
-            return 0, "o", int(bdry_charges[t.label - r - 1])
+            return 0, "o", None
         if isinstance(t, Tau):
             k, kind, ch = walk(t.child)
             if kind != "c":
                 raise LatticeError("Tau over a non-closed subtree")
-            return k + bd.sigma_num(ch), "o", bd.t_coeff(ch)
+            return k + bd.sigma_num(ch), "o", None
         if isinstance(t, Node):
             k1, kind1, c1 = walk(t.left)
             k2, kind2, c2 = walk(t.right)
             if kind1 != kind2:
                 raise LatticeError("mixed colors at a tree vertex")
             if kind1 == "c":
-                return (
-                    k1 + k2 + epsilon_exponent(c1, c2) * d,
-                    "c",
-                    (c1[0] + c2[0], c1[1] + c2[1]),
-                )
-            return k1 + k2 + bd.eta_num(c1, c2), "o", c1 + c2
+                return k1 + k2 + epsilon_exponent(c1, c2) * d, "c", (c1[0] + c2[0], c1[1] + c2[1])
+            return k1 + k2, "o", None
         raise LatticeError(f"unexpected node {t!r}")
 
     k, kind, _ = walk(e)
@@ -591,15 +593,8 @@ def tree_expansion(
     )
     if ex_z.negative_pairs or ex_zb.negative_pairs:
         raise LatticeError("leaf-ordered factor with negative leading sign")
-    seq = leaf_order(e)
-    nu = sum(
-        epsilon_exponent(charges[seq[i] - 1], charges[seq[j] - 1])
-        for i in range(r)
-        for j in range(i + 1, r)
-    )
-    return TreeExpansion(
-        model, e, cs, ex_z.series * ex_zb.series, (nu % 2) * model.D, colored=False
-    )
+    eps = _epsilon_num(model, [charges[k - 1] for k in leaf_order(e)])
+    return TreeExpansion(model, e, cs, ex_z.series * ex_zb.series, eps, colored=False)
 
 
 # ---------------------------------------------------------------------------
@@ -617,10 +612,13 @@ def bootstrap_check(
     """Exhaustively check the cocycle identities on the charge box.
 
     (1) sigma(0) = 1;
-    (2) eps(a,b) sigma(a+b) exp(i pi (phi pbar a, p b))
-        = sigma(a) sigma(b) eta(ta,tb);
-    (3) eta(ta,tb) eta(tb,ta)^{-1} = exp(-i pi ((a,b) + (a, phi b)));
-    plus the kernel property c(a,b) = 1 for a in ker t.
+    (2) eps(a,b) sigma(a+b) exp(i pi (phi pbar a, p b)) = sigma(a) sigma(b);
+    (3) 1 = c(a,b) = exp(-i pi ((a,b) + (a, phi b)));
+    plus the kernel property c(a,b) = 1 for a in ker t.  In general (2)
+    has eta(ta,tb) on its right and (3) reads eta(ta,tb) eta(tb,ta)^{-1}
+    = c(a,b); eta is 1 for the rank-one boundary charge group (see
+    :class:`BoundaryData`), so (3) and the kernel property compare c's
+    exponent with 0, pair by pair.
 
     Both sides are compared exactly, as integers mod 2D; only a pair
     that differs is evaluated in floating point, for the reported error.
@@ -628,53 +626,46 @@ def bootstrap_check(
     Every exponent but sigma's is bilinear in (a, b) mod 2D: eps(a, b) D
     = (m n2 mod 2) D is congruent to m n2 D, and the frame product
     (phi pbar a, p b) and the commutator are linear in b.  So each ``a``
-    evaluates them once on b = (1, 0) and (0, 1), and the loop over b
-    takes two multiply-adds per identity from a row (n2, m2, lin_b,
-    sigma(b), t_b).  sigma_num over |n|, |m| <= 2 box is one flat list
-    with lin = n w + m, so sigma(a + b) is ``flat[centre + lin_a + lin_b]``.
-    The integers compared are congruent mod 2D to the per-pair ones, and
+    evaluates eps' and c once on b = (1, 0) and (0, 1), and the loop over
+    b takes two multiply-adds per identity from a row (n2, m2, lin_b,
+    sigma(b)).  sigma over |n|, |m| <= 2 box is one flat list with lin =
+    n w + m, so sigma(a + b) is ``flat[centre + lin_a + lin_b]``.  The
+    integers compared are congruent mod 2D to the per-pair ones, and
     ``model.phase`` depends only on k mod 2D, so the verdict and every
     error are the same bit for bit.
     """
     t0 = time.perf_counter()
-    d = model.D
-    two_d = 2 * d
+    two_d = 2 * model.D
     r = 2 * box  # sigma at every a, b and a + b
     w, centre, span = 2 * r + 1, r * (2 * r + 2), range(-r, r + 1)
-    m11, m21, m22 = bd._sigma_form  # sigma_num's closed form, then its overrides
-    flat = [
-        -(n * (n - 1) // 2 * m11 + m * (m - 1) // 2 * m22 + n * m * m21) % two_d
-        for n in span for m in span
-    ]
+    # sigma_num's closed form, then its overrides
+    flat = [_sigma_closed_form(bd._sigma_form, n, m, two_d) for n in span for m in span]
     for (n, m), k in bd.sigma_table.items():
         if abs(n) <= r and abs(m) <= r:
             flat[centre + n * w + m] = k
     worst = _phase_error(model, flat[centre], 0)
     kernel_worst = 0.0
     rng_box = range(-box, box + 1)
-    eta = {(k1, k2): bd.eta_num(k1, k2) for k1 in rng_box for k2 in rng_box}
-    rows = [(n, m, n * w + m, flat[centre + n * w + m], bd.t_coeff((n, m))) for n in rng_box for m in rng_box]
+    rows = [(n, m, n * w + m, flat[centre + n * w + m]) for n in rng_box for m in rng_box]
     basis = ((1, 0), (0, 1))
-    for n, m, lin_a, sigma_a, ta in rows:
+    for n, m, lin_a, sigma_a in rows:
         a = (n, m)
-        phi_a = bd.phi_abar_vec(a)
-        # (2) without sigma, and (3)'s commutator, at b = e1 and b = e2
-        x1, x2 = [epsilon_exponent(a, e) * d + model.frame_product_num(phi_a, e) for e in basis]
+        # eps' and the commutator c at b = e1 and b = e2
+        x1, x2 = [bd.epsilon_prime_num(a, e) for e in basis]
         c1, c2 = [bd.commutator_num(a, e) for e in basis]
-        in_kernel = ta == 0
+        in_kernel = bd.t_coeff(a) == 0
         at_a = centre + lin_a
-        for n2, m2, lin_b, sigma_b, tb in rows:
-            eta_ab = eta[(ta, tb)]
+        for n2, m2, lin_b, sigma_b in rows:
             lhs2 = x1 * n2 + x2 * m2 + flat[at_a + lin_b]
-            rhs2 = sigma_a + sigma_b + eta_ab
+            rhs2 = sigma_a + sigma_b
             if (lhs2 - rhs2) % two_d:
                 worst = max(worst, _phase_error(model, lhs2, rhs2))
-            lhs3 = eta_ab - eta[(tb, ta)]
-            rhs3 = c1 * n2 + c2 * m2
-            if (lhs3 - rhs3) % two_d:
-                worst = max(worst, _phase_error(model, lhs3, rhs3))
-            if in_kernel and rhs3 % two_d:
-                kernel_worst = max(kernel_worst, _phase_error(model, rhs3, 0))
+            k3 = c1 * n2 + c2 * m2
+            if k3 % two_d:
+                err = _phase_error(model, 0, k3)
+                worst = max(worst, err)
+                if in_kernel:
+                    kernel_worst = max(kernel_worst, err)
     worst = max(worst, kernel_worst)
     return VerifyReport(
         name="bootstrap",
@@ -952,15 +943,13 @@ def continue_bulk(model: NarainModel, dual, charges, path) -> complex:
                 old = pts[step - 1][i] - pts[step - 1][j]
                 new = pts[step][i] - pts[step][j]
                 logs[(i, j)] += cmath.log(new / old)
-    nu = 0
     total = 0j
     for i in range(npts):
         for j in range(i + 1, npts):
-            nu += epsilon_exponent(charges[i], charges[j])
             aa = model.aa(charges[i], charges[j])
             bb = model.abarbar(charges[i], charges[j])
             total += float(aa) * logs[(i, j)] + float(bb) * logs[(i, j)].conjugate()
-    return model.phase(nu * model.D) * cmath.exp(total)
+    return model.phase(_epsilon_num(model, charges)) * cmath.exp(total)
 
 
 LOOP_SEGMENTS = 64  # steps of a numeric continuation loop

@@ -181,6 +181,28 @@ class TestBraidCommands:
         assert obj["word"] == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # an unquoted braid word: only s1 was read
+        (["braid", "perm", "s1", "s2"], "braid perm takes WORD, got 2 operands"),
+        (["braid", "mirror", "s1", "s2"], "braid mirror takes WORD, got 2 operands"),
+        (["tree", "parse", "(12)3", "junk"], "tree parse takes TREE, got 2 operands"),
+        (["tree", "double", "t(c1)o2", "xx"], "tree double takes TREE, got 2 operands"),
+        (["braid", "generator", "p", "q"], "braid generator takes NAME, got 2 operands"),
+        (["braid", "generator", "p", "--strands", "9"], "braid generator does not read --strands"),
+        (["tree", "compose", "1(23)", "2"], "tree compose takes TREE SLOT TREE, got 2 operands"),
+        (["tree", "permute", "1(23)", "2,1,3", "x"], "tree permute takes TREE PERM, got 3 operands"),
+        (["braid", "cable", "s1", "2"], "braid cable takes WORD SLOT WORD, got 2 operands"),
+    ],
+)
+def test_operand_count_exit_2(capsys, argv, message):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 class TestVerifyCommand:
     def test_bootstrap_passes(self, capsys, tmp_path):
         cfg = tmp_path / "model.json"

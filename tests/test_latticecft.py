@@ -172,12 +172,6 @@ class TestBoundaryData:
         for bd in boundaries.values():
             assert bd.model.phase(bd.sigma_num((0, 0))) == 1
 
-    def test_eta_trivial_rank_one(self, boundaries):
-        for bd in boundaries.values():
-            for k1 in range(-4, 5):
-                for k2 in range(-4, 5):
-                    assert bd.model.phase(bd.eta_num(k1, k2)) == 1
-
     def test_commutator_trivial_on_box(self, boundaries):
         # (alpha,beta) + (alpha,phi beta) is even for the rank-one model
         for bd in boundaries.values():
@@ -421,6 +415,21 @@ class TestExactPhases:
                     assert not rep.passed
                     assert abs(rep.max_rel_err - 2) < 1e-12  # a sign flip
 
+    @pytest.mark.parametrize("alpha", ((4, -4), (-4, 4), (9, 0)))
+    def test_controls_at_sigma_table_edges(self, alpha):
+        # box 2 reads sigma on |n|, |m| <= 4: an override at a corner of
+        # that table is read by one pair only, one outside it never
+        outside = max(map(abs, alpha)) > 4
+        for rsq in ("1/2", "2", "5/7"):
+            model = NarainModel(Fraction(rsq))
+            for rho in (1, -1):
+                rep = self._compare_control(model, build_boundary(model, rho), alpha, 2)
+                if outside:
+                    assert rep.passed and rep.max_rel_err == 0
+                else:
+                    assert not rep.passed
+                    assert abs(rep.max_rel_err - 2) < 1e-12  # a sign flip
+
     # the models and boxes of perfbench's cocycles workload: a box-2 check
     # and (1, 0) control for every model, box-4 pairs at R^2 = 2
     COCYCLE_RADII = ("1/2", "2", "3", "5/7", "7/5", "11/6")
@@ -609,7 +618,7 @@ class TestMixedCorrelator:
                 + float(s2) * cmath.log(z1 - x2)
                 + float(s3) * cmath.log(z1.conjugate() - x2)
             )
-            pref = bd.sigma_num(alpha) + bd.eta_num(bd.t_coeff(alpha), k)
+            pref = bd.sigma_num(alpha)
             want = model.phase(pref) * g
             assert abs(got - want) <= 1e-13 * abs(want)
 
@@ -708,7 +717,7 @@ class TestRegionExpansionOracles:
                 complex(binomial(s2, j)) * (two_iy / w) ** j for j in range(80)
             )
             want = (
-                model.phase(bd.sigma_num(alpha) + bd.eta_num(bd.t_coeff(alpha), k))
+                model.phase(bd.sigma_num(alpha))
                 * cmath.exp(float(s1) * cmath.log(two_iy))
                 * cmath.exp(float(s2 + s3) * cmath.log(w))
                 * series
@@ -736,7 +745,7 @@ class TestRegionExpansionOracles:
                 lattice_pairing(alpha, beta) + bd.alpha_phi_beta(alpha, beta)
             )
             want = (
-                model.phase(bd.sigma_num(alpha) + bd.eta_num(bd.t_coeff(alpha), k))
+                model.phase(bd.sigma_num(alpha))
                 * exchange
                 * cmath.exp(float(s1) * cmath.log(two_iy))
                 * cmath.exp(float(s2 + s3) * cmath.log(w))
@@ -751,11 +760,7 @@ class TestRegionExpansionOracles:
         # two-bulk correlator, with the bulk exchange phase
         for rho, bd in boundaries.items():
             alpha, beta = (1, 1), (2, -1)
-            pref = model.phase(
-                bd.sigma_num(alpha)
-                + bd.sigma_num(beta)
-                + bd.eta_num(bd.t_coeff(alpha), bd.t_coeff(beta))
-            )
+            pref = model.phase(bd.sigma_num(alpha) + bd.sigma_num(beta))
             dual = bd.t_coeff(alpha) + bd.t_coeff(beta)
             # boundary channel: y1, y2 << |zbar12|; the y1 exponent is
             # (p alpha, phi pbar alpha): the separation factors keep their
