@@ -331,17 +331,20 @@ def cmd_expand(args) -> int:
 
 
 def cmd_braid(args) -> int:
+    # text forms: a permutation as PERM operands, a word as WORD ones ('-' if empty)
     from opetree import braids, trees
 
     expr = _operands(args)
     if args.action == "perm":
         w = braids.parse_braid_word(expr[0], strands=args.strands)
-        _emit(args, {"permutation": list(braids.braid_permutation(w))})
+        perm = list(braids.braid_permutation(w))
+        _emit(args, {"permutation": perm}, ",".join(map(str, perm)))
         return 0
     if args.action == "mirror":
         w = braids.parse_braid_word(expr[0], strands=args.strands)
         out = braids.mirror(w)
-        _emit(args, {"word": braids.format_braid_word(out), "strands": out.strands})
+        word = braids.format_braid_word(out)
+        _emit(args, {"word": word, "strands": out.strands}, word or "-")
         return 0
     if args.action == "cable":
         g = braids.parse_braid_word("" if expr[0] == "-" else expr[0], strands=args.strands)
@@ -352,28 +355,33 @@ def cmd_braid(args) -> int:
         else:
             h = braids.parse_braid_word("" if h_text == "-" else h_text)
         out = braids.cable_compose(g, p, h)
+        word = braids.format_braid_word(out)
         _emit(
             args,
             {
-                "word": braids.format_braid_word(out),
+                "word": word,
                 "strands": out.strands,
                 "permutation": list(braids.braid_permutation(out)),
             },
+            word or "-",
         )
         return 0
     # generator: the word's strands follow from the tree
     if args.strands is not None:
         raise CliError("braid generator does not read --strands")
     g = braids.papb_generator(expr[0])
+    source, target = trees.format_tree(g.source), trees.format_tree(g.target)
+    word = braids.format_braid_word(g.word)
     _emit(
         args,
         {
-            "source": trees.format_tree(g.source),
-            "target": trees.format_tree(g.target),
-            "word": braids.format_braid_word(g.word),
+            "source": source,
+            "target": target,
+            "word": word,
             "strands": g.word.strands,
             "coloring": [list(map(str, tag)) for tag in g.source_frame],
         },
+        f"{source} -> {target}: {word or '-'}",
     )
     return 0
 

@@ -387,36 +387,35 @@ def reference_tree(r: int, s: int) -> Tree:
     return out
 
 
-def ope_prefactor_num(bd: BoundaryData, e: Tree, bulk_charges, bdry_charges) -> int:
-    """Phase of the product of OPE structure constants over the tree, as
-    an integer in [0, 2D): epsilon at closed vertices, sigma at Tau.  An
-    open vertex's eta is 1 here, so no phase reads ``bdry_charges``."""
-    d = bd.model.D
+def ope_prefactor_num(bd: BoundaryData, e: Tree, bulk_charges) -> int:
+    """Phase of the product of OPE structure constants over the o-colored
+    tree, as an integer in [0, 2D): epsilon at closed vertices, sigma at
+    Tau (an open vertex's eta is 1 here).  epsilon is bimultiplicative
+    mod 2 and each leaf pair of a Tau block meets at one closed vertex, so
+    a block adds sigma(its total) plus :func:`_epsilon_num` of its charges
+    in leaf order.  A tree that is not o-colored raises LatticeError."""
+    model = bd.model
+
+    def block(t):
+        # a Tau's closed subtree: its charges in leaf order
+        if isinstance(t, ClosedLeaf):
+            return [tuple(bulk_charges[t.label - 1])]
+        if isinstance(t, Node):
+            return block(t.left) + block(t.right)
+        raise LatticeError("Tau over a non-closed subtree")
 
     def walk(t):
-        if isinstance(t, ClosedLeaf):
-            return 0, "c", tuple(bulk_charges[t.label - 1])
         if isinstance(t, OpenLeaf):
-            return 0, "o", None
-        if isinstance(t, Tau):
-            k, kind, ch = walk(t.child)
-            if kind != "c":
-                raise LatticeError("Tau over a non-closed subtree")
-            return k + bd.sigma_num(ch), "o", None
+            return 0
         if isinstance(t, Node):
-            k1, kind1, c1 = walk(t.left)
-            k2, kind2, c2 = walk(t.right)
-            if kind1 != kind2:
-                raise LatticeError("mixed colors at a tree vertex")
-            if kind1 == "c":
-                return k1 + k2 + epsilon_exponent(c1, c2) * d, "c", (c1[0] + c2[0], c1[1] + c2[1])
-            return k1 + k2, "o", None
-        raise LatticeError(f"unexpected node {t!r}")
-
-    k, kind, _ = walk(e)
-    if kind != "o":
+            return walk(t.left) + walk(t.right)
+        if isinstance(t, Tau):
+            charges = block(t.child)
+            total = (sum(n for n, _ in charges), sum(m for _, m in charges))
+            return bd.sigma_num(total) + _epsilon_num(model, charges)
         raise LatticeError("correlator tree must be o-colored")
-    return k % (2 * d)
+
+    return walk(e) % (2 * model.D)
 
 
 def _doubled_charge_frames(bd: BoundaryData, bulk_charges, bdry_charges) -> dict:
@@ -488,9 +487,7 @@ def mixed_correlator(
         if len(bd.closed_forms) >= 4096:
             bd.closed_forms.clear()
         product, plan = mixed_power_product(bd, bulk_charges, bdry_charges)
-        pref = ope_prefactor_num(
-            bd, reference_tree(len(zs), len(xs)), bulk_charges, bdry_charges
-        )
+        pref = ope_prefactor_num(bd, reference_tree(len(zs), len(xs)), bulk_charges)
         prepared = bd.closed_forms[key] = product, plan, model.phase(pref)
     product, plan, phase = prepared
     point = phi_embedding(zs + xs, len(zs), len(xs))
@@ -571,7 +568,7 @@ def tree_expansion(
             raise LatticeError(
                 f"leaf-ordered factor with negative leading sign: {ex.negative_pairs}"
             )
-        pref = ope_prefactor_num(bd, e, charges, bdry_charges)
+        pref = ope_prefactor_num(bd, e, charges)
         return TreeExpansion(model, e, cs, ex.series, pref, colored=True)
 
     r = validate_tree(e)
@@ -609,7 +606,7 @@ def _phase_error(model: NarainModel, k1: int, k2: int) -> float:
 def bootstrap_check(
     model: NarainModel, bd: BoundaryData, box: int, tol: float = 1e-12
 ) -> VerifyReport:
-    """Exhaustively check the cocycle identities on the charge box.
+    """Check the cocycle identities.
 
     (1) sigma(0) = 1;
     (2) eps(a,b) sigma(a+b) exp(i pi (phi pbar a, p b)) = sigma(a) sigma(b);
@@ -618,21 +615,21 @@ def bootstrap_check(
     has eta(ta,tb) on its right and (3) reads eta(ta,tb) eta(tb,ta)^{-1}
     = c(a,b); eta is 1 for the rank-one boundary charge group (see
     :class:`BoundaryData`), so (3) and the kernel property compare c's
-    exponent with 0, pair by pair.
+    exponent with 0.
 
-    Both sides are compared exactly, as integers mod 2D; only a pair
-    that differs is evaluated in floating point, for the reported error.
-
-    Every exponent but sigma's is bilinear in (a, b) mod 2D: eps(a, b) D
-    = (m n2 mod 2) D is congruent to m n2 D, and the frame product
-    (phi pbar a, p b) and the commutator are linear in b.  So each ``a``
-    evaluates eps' and c once on b = (1, 0) and (0, 1), and the loop over
-    b takes two multiply-adds per identity from a row (n2, m2, lin_b,
-    sigma(b)).  sigma over |n|, |m| <= 2 box is one flat list with lin =
-    n w + m, so sigma(a + b) is ``flat[centre + lin_a + lin_b]``.  The
-    integers compared are congruent mod 2D to the per-pair ones, and
-    ``model.phase`` depends only on k mod 2D, so the verdict and every
-    error are the same bit for bit.
+    c's exponent is an integer bilinear form, so it vanishes mod 2D on
+    all pairs iff on the four basis pairs, and on ker t iff at
+    (kernel_generator, e_j): (3) and the kernel property read those, for
+    every charge.  (2) is compared exactly over the box, as integers mod
+    2D; only a pair that differs is evaluated in floating point, for the
+    reported error.  eps'(a, b) is linear in b mod 2D (eps(a, b) D = (m n2
+    mod 2) D is congruent to m n2 D), so each ``a`` evaluates eps' on b =
+    (1, 0) and (0, 1), and the loop over b takes two multiply-adds from a
+    row (n2, m2, lin_b, sigma(b)).  sigma over |n|, |m| <= 2 box is one
+    flat list with lin = n w + m, so sigma(a + b) is ``flat[centre + lin_a
+    + lin_b]``.  The integers compared are congruent mod 2D to the
+    per-pair ones, and ``model.phase`` depends only on k mod 2D, so the
+    verdict and every error are the same bit for bit.
     """
     t0 = time.perf_counter()
     two_d = 2 * model.D
@@ -643,30 +640,21 @@ def bootstrap_check(
     for (n, m), k in bd.sigma_table.items():
         if abs(n) <= r and abs(m) <= r:
             flat[centre + n * w + m] = k
-    worst = _phase_error(model, flat[centre], 0)
-    kernel_worst = 0.0
+    basis = ((1, 0), (0, 1))
+    # (3) and the kernel property on the generators; phase error 0 iff c = 0 mod 2D
+    comm = {(a, b): _phase_error(model, 0, bd.commutator_num(a, b)) for a in basis for b in basis}
+    kernel_worst = max(comm[bd.kernel_generator, b] for b in basis)
+    worst = max(_phase_error(model, flat[centre], 0), *comm.values())
     rng_box = range(-box, box + 1)
     rows = [(n, m, n * w + m, flat[centre + n * w + m]) for n in rng_box for m in rng_box]
-    basis = ((1, 0), (0, 1))
     for n, m, lin_a, sigma_a in rows:
-        a = (n, m)
-        # eps' and the commutator c at b = e1 and b = e2
-        x1, x2 = [bd.epsilon_prime_num(a, e) for e in basis]
-        c1, c2 = [bd.commutator_num(a, e) for e in basis]
-        in_kernel = bd.t_coeff(a) == 0
+        x1, x2 = [bd.epsilon_prime_num((n, m), e) for e in basis]  # eps' at b = e1, e2
         at_a = centre + lin_a
         for n2, m2, lin_b, sigma_b in rows:
-            lhs2 = x1 * n2 + x2 * m2 + flat[at_a + lin_b]
-            rhs2 = sigma_a + sigma_b
-            if (lhs2 - rhs2) % two_d:
-                worst = max(worst, _phase_error(model, lhs2, rhs2))
-            k3 = c1 * n2 + c2 * m2
-            if k3 % two_d:
-                err = _phase_error(model, 0, k3)
-                worst = max(worst, err)
-                if in_kernel:
-                    kernel_worst = max(kernel_worst, err)
-    worst = max(worst, kernel_worst)
+            lhs = x1 * n2 + x2 * m2 + flat[at_a + lin_b]
+            rhs = sigma_a + sigma_b
+            if (lhs - rhs) % two_d:
+                worst = max(worst, _phase_error(model, lhs, rhs))
     return VerifyReport(
         name="bootstrap",
         params={"R^2": str(model.r_squared), "rho": bd.rho, "box": box},
@@ -1059,12 +1047,12 @@ def skew_symmetry_check(
             rel = abs(end - want) / max(abs(want), 1e-300)
             pair_worst = max(pair_worst, rel)
             # power-part continuation phase, epsilon prefactors divided out
-            measured = (end / model.phase(epsilon_exponent(alpha, beta) * d)) / (
-                want / model.phase(epsilon_exponent(beta, alpha) * d)
+            measured = (end / model.phase(_epsilon_num(model, [alpha, beta]))) / (
+                want / model.phase(_epsilon_num(model, [beta, alpha]))
             )
             pair_worst = max(
                 pair_worst,
-                abs(measured - (-1) ** (lattice_pairing(alpha, beta) % 2)),
+                abs(measured - model.phase(lattice_pairing(alpha, beta) * d)),
             )
         worst = max(worst, pair_worst)
         samples.append(

@@ -180,6 +180,23 @@ class TestBraidCommands:
         assert obj["source"] == "t(c1c2)"
         assert obj["word"] == ""
 
+    @pytest.mark.parametrize(
+        "argv, text",
+        [
+            (["braid", "perm", "s1 s2"], "3,1,2"),
+            (["braid", "mirror", "s1 s2^-1"], "s1^-1 s2"),
+            (["braid", "mirror", ""], "-"),
+            (["braid", "cable", "s1", "2", "s1"], "s1 s2 s1"),
+            (["braid", "cable", "-", "1", "0"], "-"),
+            (["braid", "generator", "p"], "t(c1)o2 -> o2t(c1): s2^-1 s1"),
+            (["braid", "generator", "q"], "t(c1c2) -> t(c1)t(c2): -"),
+        ],
+    )
+    def test_text_format(self, capsys, argv, text):
+        code, out, _ = run_cli(["--format", "text", *argv], capsys)
+        assert code == 0
+        assert out == text + "\n"
+
 
 @pytest.mark.parametrize(
     "argv, message",

@@ -209,6 +209,24 @@ class TestBoundaryData:
                     for m2 in range(-5, 6):
                         assert bd.model.phase(bd.commutator_num(a, (n2, m2))) == 1
 
+    @pytest.mark.parametrize("rho", (1, -1))
+    @pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_bootstrap_reads_commutator_on_generators(self, monkeypatch, model, rho, i, j):
+        # a bilinear commutator that is D, not 0 mod 2D, on the basis pair
+        # (e_i, e_j) alone: (3) fails, and the kernel property fails
+        # exactly when e_i generates ker t
+        monkeypatch.setattr(
+            BoundaryData, "commutator_num", lambda self, a, b: a[i] * b[j] * self.model.D
+        )
+        bd = build_boundary(model, rho)
+        e_i = ((1, 0), (0, 1))[i]
+        for box in (0, 1, 2):
+            rep = bootstrap_check(model, bd, box=box)
+            assert not rep.passed
+            assert rep.max_rel_err == 2.0
+            kernel_error = rep.samples[0]["kernel_error"]
+            assert kernel_error == (2.0 if e_i == bd.kernel_generator else 0.0)
+
 
 def _ref_frame_product(rsq, v1, v2):
     """x1 x2 u^2 + y1 y2 w^2 + (x1 y2 + x2 y1) uw in Fractions."""
@@ -525,7 +543,7 @@ class TestIntegerPrefactor:
         bd = BoundaryData(model, rho)
         bulk, bdry = charges[:r], ks[:s]
         want = _reference_prefactor(_FractionBoundary(bd), e, bulk, bdry)
-        got = ope_prefactor_num(bd, e, bulk, bdry)
+        got = ope_prefactor_num(bd, e, bulk)
         assert 0 <= got < 2 * d
         assert got == d * want % (2 * d)
         if 2 * r + s >= 2:  # the doubled tree needs two leaves
@@ -548,7 +566,7 @@ def _per_call_mixed(model, bd, dual, bulk_insertions, bdry_insertions):
         return 0j
     product, plan = mixed_power_product(bd, bulk_charges, bdry_charges)
     point = phi_embedding(zs + xs, len(zs), len(xs))
-    pref = ope_prefactor_num(bd, reference_tree(len(zs), len(xs)), bulk_charges, bdry_charges)
+    pref = ope_prefactor_num(bd, reference_tree(len(zs), len(xs)), bulk_charges)
     return model.phase(pref) * evaluate_closed(product, point, plan)
 
 
@@ -849,23 +867,37 @@ class TestOpePrefactor:
         d = model.D
         for rho, bd in boundaries.items():
             a, b = (1, 0), (1, 1)
-            nu1 = ope_prefactor_num(bd, parse_tree("t(c1c2)"), [a, b], [])
+            nu1 = ope_prefactor_num(bd, parse_tree("t(c1c2)"), [a, b])
             want1 = (
                 (0 if epsilon_cocycle(a, b) == 1 else 1) * d + bd.sigma_num((2, 1))
             ) % (2 * d)
             assert nu1 == want1
-            nu2 = ope_prefactor_num(bd, parse_tree("(t(c1))(t(c2))"), [a, b], [])
+            nu2 = ope_prefactor_num(bd, parse_tree("(t(c1))(t(c2))"), [a, b])
             want2 = (bd.sigma_num(a) + bd.sigma_num(b)) % (2 * d)
             assert nu2 == want2
 
     def test_bb3_channels(self, model, boundaries):
         for rho, bd in boundaries.items():
             a = (2, 1)
-            k = 1
-            nu1 = ope_prefactor_num(bd, parse_tree("t(c1)o2"), [a], [k])
+            nu1 = ope_prefactor_num(bd, parse_tree("t(c1)o2"), [a])
             assert nu1 == bd.sigma_num(a) % (2 * model.D)
-            nu2 = ope_prefactor_num(bd, parse_tree("o2t(c1)"), [a], [k])
+            nu2 = ope_prefactor_num(bd, parse_tree("o2t(c1)"), [a])
             assert nu2 == bd.sigma_num(a) % (2 * model.D)  # eta trivial here
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            parse_tree("c1c2"),  # closed leaves outside any Tau
+            parse_tree("(12)3"),  # a plain tree
+            Tau(OpenLeaf(2)),
+            Tau(Tau(ClosedLeaf(1))),
+            Node(Tau(ClosedLeaf(1)), ClosedLeaf(2)),
+        ],
+        ids=format_tree,
+    )
+    def test_rejects_trees_not_o_colored(self, boundaries, tree):
+        with pytest.raises(LatticeError):
+            ope_prefactor_num(boundaries[1], tree, [(1, 0), (0, 1), (1, 1)])
 
     def test_predicted_phases_are_the_exchange_factors(self):
         # The inter-region phases that consistency_sweep predicts from the
@@ -884,14 +916,14 @@ class TestOpePrefactor:
                 for alpha in itertools.product(box, box):
                     for k in box:
                         beta = (k * bd.m_generator[0], k * bd.m_generator[1])
-                        got = ope_prefactor_num(bd, tree_11_swapped, [alpha], [k])
-                        got -= ope_prefactor_num(bd, tree_11, [alpha], [k])
+                        got = ope_prefactor_num(bd, tree_11_swapped, [alpha])
+                        got -= ope_prefactor_num(bd, tree_11, [alpha])
                         want = d * (lattice_pairing(alpha, beta) + bd.alpha_phi_beta(alpha, beta))
                         assert (got - want) % (2 * d) == 0, (rsq, rho, alpha, k)
                         combos += 1
                     for beta in itertools.product(box, box):
-                        got = ope_prefactor_num(bd, tree_20_joined, [alpha, beta], [])
-                        got -= ope_prefactor_num(bd, tree_20, [alpha, beta], [])
+                        got = ope_prefactor_num(bd, tree_20_joined, [alpha, beta])
+                        got -= ope_prefactor_num(bd, tree_20, [alpha, beta])
                         want = -model.frame_product_num(bd.phi_abar_vec(alpha), model.a_vec(beta))
                         assert (got - want) % (2 * d) == 0, (rsq, rho, alpha, beta)
                         combos += 1
