@@ -177,16 +177,15 @@ class BoundaryData(Record):
     Every phase is an integer k mod 2D, value ``model.phase(k)`` =
     exp(i pi k/D) with D = model.D, read from the model's table of at
     most 2D entries; the ``*_num`` methods return k.  sigma solves
-    sigma(x + g) = sigma(x) sigma(g) / eps'(x, g), stepping n first, with
-    sigma(0) = sigma(e1) = sigma(e2) = 1; eps' is bilinear mod 2D, so with
-    Mij = eps'(e_i, e_j) that is -(C(n,2) M11 + C(m,2) M22 + n m M21) mod
-    2D (:func:`_sigma_closed_form`).  sigma_table holds explicit overrides
-    only (a :meth:`perturbed` control's); it is empty after
-    :func:`build_boundary`.  ``sigma_exponent``, the Fraction k/D, is kept
-    only for perfbench's tracer.  The boundary cocycle eta, built from the
-    commutator map on a basis of the boundary charge group, is identically
-    1: that group is rank one, so the basis table has no off-diagonal
-    entry.  No method carries eta.
+    sigma(x + g) = sigma(x) sigma(g) / eps'(x, g) with sigma(0) =
+    sigma(e1) = sigma(e2) = 1; eps' is bilinear mod 2D, so that is the
+    quadratic form of :meth:`sigma_num`.  sigma_table holds explicit
+    overrides, keyed by int pairs, only (a :meth:`perturbed` control's);
+    it is empty after :func:`build_boundary`.  ``sigma_exponent``, the
+    Fraction k/D, is kept only for perfbench's tracer.  The boundary
+    cocycle eta, built from the commutator map on a basis of the boundary
+    charge group, is identically 1: that group is rank one, so the basis
+    table has no off-diagonal entry.  No method carries eta.
     """
 
     _fields = ("model", "rho", "sigma_table")
@@ -250,11 +249,13 @@ class BoundaryData(Record):
 
     def sigma_num(self, alpha: Charge) -> int:
         """sigma(alpha)'s integer: its override in sigma_table, if any, else
-        the closed form in [0, 2D)."""
-        n, m = alpha = (int(alpha[0]), int(alpha[1]))
+        -(C(n,2) M11 + C(m,2) M22 + n m M21) mod 2D, Mij = eps'(e_i, e_j).
+        A non-integral charge raises LatticeError."""
+        n, m = alpha = _int_charge(alpha)
         if alpha in self.sigma_table:
             return self.sigma_table[alpha]
-        return _sigma_closed_form(self._sigma_form, n, m, 2 * self.model.D)
+        m11, m21, m22 = self._sigma_form
+        return -(n * (n - 1) // 2 * m11 + m * (m - 1) // 2 * m22 + n * m * m21) % (2 * self.model.D)
 
     # Kept only for perfbench's tracer; a benchmark change can drop both together.
     def sigma_exponent(self, alpha: Charge) -> Fraction:
@@ -264,16 +265,16 @@ class BoundaryData(Record):
         """Negative control: a copy whose overrides add sigma(alpha)
         sign-flipped, k + D mod 2D; every other charge keeps its value.
         ``box`` does not change the result (kept for existing callers)."""
-        d = self.model.D
-        table = {**self.sigma_table, tuple(alpha): (self.sigma_num(alpha) + d) % (2 * d)}
+        d, alpha = self.model.D, _int_charge(alpha)
+        table = {**self.sigma_table, alpha: (self.sigma_num(alpha) + d) % (2 * d)}
         return BoundaryData(self.model, self.rho, table)
 
 
-def _sigma_closed_form(form, n: int, m: int, two_d: int) -> int:
-    """sigma(n, m)'s integer in [0, 2D) without overrides, from
-    form = (M11, M21, M22): -(C(n,2) M11 + C(m,2) M22 + n m M21) mod 2D."""
-    m11, m21, m22 = form
-    return -(n * (n - 1) // 2 * m11 + m * (m - 1) // 2 * m22 + n * m * m21) % two_d
+def _int_charge(alpha) -> Charge:
+    """A charge (n, m) as ints; a non-integral one raises, never truncates."""
+    if (charge := (int(alpha[0]), int(alpha[1]))) != tuple(alpha):
+        raise LatticeError(f"charge must be an integer pair, got {tuple(alpha)}")
+    return charge
 
 
 def build_boundary(model: NarainModel, rho: int) -> BoundaryData:
@@ -620,41 +621,40 @@ def bootstrap_check(
     c's exponent is an integer bilinear form, so it vanishes mod 2D on
     all pairs iff on the four basis pairs, and on ker t iff at
     (kernel_generator, e_j): (3) and the kernel property read those, for
-    every charge.  (2) is compared exactly over the box, as integers mod
-    2D; only a pair that differs is evaluated in floating point, for the
-    reported error.  eps'(a, b) is linear in b mod 2D (eps(a, b) D = (m n2
-    mod 2) D is congruent to m n2 D), so each ``a`` evaluates eps' on b =
-    (1, 0) and (0, 1), and the loop over b takes two multiply-adds from a
-    row (n2, m2, lin_b, sigma(b)).  sigma over |n|, |m| <= 2 box is one
-    flat list with lin = n w + m, so sigma(a + b) is ``flat[centre + lin_a
-    + lin_b]``.  The integers compared are congruent mod 2D to the
-    per-pair ones, and ``model.phase`` depends only on k mod 2D, so the
-    verdict and every error are the same bit for bit.
+    every charge.  (2) is compared as integers mod 2D; only a pair that
+    differs is evaluated in floating point.  With sigma = Q + Delta, Q the
+    closed form and Delta zero off O = sigma_table, (2)'s exponent is
+    B(a, b) + Delta(a+b) - Delta(a) - Delta(b), B(a, b) = eps'(a, b) +
+    Q(a+b) - Q(a) - Q(b).  C(n+n2, 2) - C(n, 2) - C(n2, 2) = n n2 exactly,
+    so B is integer-bilinear mod 2D, and by the definition of Mij it is 0
+    on the basis pairs except (e1, e2), where it is 0 iff eps' is
+    symmetric.  So (2) can fail only where a, b or a + b is in O, and
+    only those box pairs are read (none without overrides, whatever the
+    box), unless eps' is asymmetric: then every box pair is.  The verdict
+    and every error are the full sweep's, bit for bit.
     """
     t0 = time.perf_counter()
-    two_d = 2 * model.D
-    r = 2 * box  # sigma at every a, b and a + b
-    w, centre, span = 2 * r + 1, r * (2 * r + 2), range(-r, r + 1)
-    # sigma_num's closed form, then its overrides
-    flat = [_sigma_closed_form(bd._sigma_form, n, m, two_d) for n in span for m in span]
-    for (n, m), k in bd.sigma_table.items():
-        if abs(n) <= r and abs(m) <= r:
-            flat[centre + n * w + m] = k
-    basis = ((1, 0), (0, 1))
+    sigma, eps_prime = bd.sigma_num, bd.epsilon_prime_num
+    e1, e2 = basis = ((1, 0), (0, 1))
     # (3) and the kernel property on the generators; phase error 0 iff c = 0 mod 2D
     comm = {(a, b): _phase_error(model, 0, bd.commutator_num(a, b)) for a in basis for b in basis}
     kernel_worst = max(comm[bd.kernel_generator, b] for b in basis)
-    worst = max(_phase_error(model, flat[centre], 0), *comm.values())
-    rng_box = range(-box, box + 1)
-    rows = [(n, m, n * w + m, flat[centre + n * w + m]) for n in rng_box for m in rng_box]
-    for n, m, lin_a, sigma_a in rows:
-        x1, x2 = [bd.epsilon_prime_num((n, m), e) for e in basis]  # eps' at b = e1, e2
-        at_a = centre + lin_a
-        for n2, m2, lin_b, sigma_b in rows:
-            lhs = x1 * n2 + x2 * m2 + flat[at_a + lin_b]
-            rhs = sigma_a + sigma_b
-            if (lhs - rhs) % two_d:
-                worst = max(worst, _phase_error(model, lhs, rhs))
+    worst = max(_phase_error(model, sigma((0, 0)), 0), *comm.values())
+    symmetric = eps_prime(e1, e2) == eps_prime(e2, e1)
+    pairs = ()  # the box pairs (a, b) on which (2) can fail
+    if bd.sigma_table or not symmetric:
+        span = range(-box, box + 1)
+        charges = [(n, m) for n in span for m in span]
+        pairs = itertools.product(charges, repeat=2)
+        if symmetric:  # (c, x), (x, c) and (x, c - x) for c in O, inside the box
+            pairs = [(a, b) for c in bd.sigma_table for x in charges
+                     for a, b in ((c, x), (x, c), (x, (c[0] - x[0], c[1] - x[1])))
+                     if max(map(abs, a + b)) <= box]
+    for a, b in pairs:
+        lhs = eps_prime(a, b) + sigma((a[0] + b[0], a[1] + b[1]))
+        rhs = sigma(a) + sigma(b)
+        if (lhs - rhs) % (2 * model.D):
+            worst = max(worst, _phase_error(model, lhs, rhs))
     return VerifyReport(
         name="bootstrap",
         params={"R^2": str(model.r_squared), "rho": bd.rho, "box": box},

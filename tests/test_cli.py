@@ -331,6 +331,16 @@ class TestVerifyCommand:
         assert code == 0
         assert json.loads(out)["checks"][0]["params"]["box"] == 0
 
+    def test_bootstrap_large_box(self, capsys, tmp_path):
+        # without sigma overrides the check reads no box pair, so its work
+        # does not grow with the box
+        cfg = tmp_path / "model.json"
+        cfg.write_text(json.dumps({"box": 1000}))
+        code, out, _ = run_cli(["verify", "bootstrap", "--config", str(cfg)], capsys)
+        assert code == 0
+        check = json.loads(out)["checks"][0]
+        assert check["passed"] is True and check["params"]["box"] == 1000
+
     @pytest.mark.parametrize(
         "config, message",
         [

@@ -491,6 +491,31 @@ class TestExactPhases:
         phases = [x.model.phase(x.sigma_num((2, 1))) for x in (bad, bd)]
         assert abs(phases[0] + phases[1]) < 1e-15
 
+    def test_perturbed_keys_overrides_by_ints(self, boundaries):
+        # (1.0, 0) was stored as it came, and the bootstrap check then
+        # indexed a list with a float
+        bd = boundaries[1]
+        want = bd.perturbed((1, 0), 2)
+        want_rep = bootstrap_check(bd.model, want, 2)
+        for alpha in ((1.0, 0), (Fraction(1), 0), (1, 0.0)):
+            bad = bd.perturbed(alpha, 2)
+            assert bad.sigma_table == want.sigma_table
+            assert [type(k) for key in bad.sigma_table for k in key] == [int, int]
+            rep = bootstrap_check(bd.model, bad, 2)
+            assert (rep.passed, rep.max_rel_err, rep.samples) == (
+                want_rep.passed, want_rep.max_rel_err, want_rep.samples
+            )
+
+    def test_non_integral_sigma_charge_raises(self, boundaries):
+        # (1.5, 0) was read as sigma(1, 0)
+        bd = boundaries[1]
+        assert bd.sigma_num((Fraction(1), 0)) == bd.sigma_num((1.0, 0)) == bd.sigma_num((1, 0))
+        for alpha in ((1.5, 0), (0, Fraction(1, 2)), (1, -0.5)):
+            with pytest.raises(LatticeError, match="integer pair"):
+                bd.sigma_num(alpha)
+            with pytest.raises(LatticeError, match="integer pair"):
+                bd.perturbed(alpha, 2)
+
     @given(
         p=st.integers(1, 40),
         q=st.integers(1, 40),
@@ -512,6 +537,121 @@ class TestExactPhases:
         assert bd.commutator_num(v1, v2) == model.D * ref.commutator(v1, v2)
         assert bd.epsilon_prime_num(v1, v2) == model.D * ref.epsilon_prime(v1, v2)
         assert bd.sigma_exponent(v1) == ref.sigma(v1)
+
+
+def _flat_table_bootstrap(model, bd, box, tol=1e-12):
+    """(passed, max_rel_err, samples) of the full-box integer sweep: sigma
+    over |n|, |m| <= 2 box in one flat list, eps' read on the basis per a,
+    and identity (2) compared on every pair of the box."""
+    two_d = 2 * model.D
+    r = 2 * box
+    w, centre, span = 2 * r + 1, r * (2 * r + 2), range(-r, r + 1)
+    flat = [bd.sigma_num((n, m)) for n in span for m in span]
+    basis = ((1, 0), (0, 1))
+    comm = {
+        (a, b): abs(model.phase(0) - model.phase(bd.commutator_num(a, b)))
+        for a in basis
+        for b in basis
+    }
+    kernel_worst = max(comm[bd.kernel_generator, b] for b in basis)
+    worst = max(abs(model.phase(flat[centre]) - model.phase(0)), *comm.values())
+    rng_box = range(-box, box + 1)
+    rows = [(n, m, n * w + m, flat[centre + n * w + m]) for n in rng_box for m in rng_box]
+    for n, m, lin_a, sigma_a in rows:
+        x1, x2 = [bd.epsilon_prime_num((n, m), e) for e in basis]
+        for n2, m2, lin_b, sigma_b in rows:
+            lhs = x1 * n2 + x2 * m2 + flat[centre + lin_a + lin_b]
+            rhs = sigma_a + sigma_b
+            if (lhs - rhs) % two_d:
+                worst = max(worst, abs(model.phase(lhs) - model.phase(rhs)))
+    samples = [{"worst_identity_error": worst, "kernel_error": kernel_worst}]
+    return worst <= tol, worst, samples
+
+
+def _override_controls(bd, box):
+    """Boundary data with no override, one, two, one at the origin, ones
+    that only a + b reaches (box < max(|n|, |m|) <= 2 box) and ones
+    outside 2 box."""
+    out = {"none": bd, "one": bd.perturbed((1, 0), box), "origin": bd.perturbed((0, 0), box)}
+    out["two"] = bd.perturbed((1, -1), box).perturbed((-box, box), box)
+    if box:
+        out["sum only"] = bd.perturbed((2 * box, -box), box).perturbed((-box - 1, 0), box)
+    out["outside"] = bd.perturbed((2 * box + 1, 0), box).perturbed((0, -2 * box - 1), box)
+    return out
+
+
+class TestOverridePairs:
+    """bootstrap_check reads (2) only on pairs through an override when
+    eps' is symmetric, and on every box pair when it is not; both match
+    the full-box sweep bit for bit."""
+
+    RADII = ("1/2", "2", "5/7", "11/6", "3/8")
+
+    def _assert_matches_sweep(self, model, bd, box):
+        rep = bootstrap_check(model, bd, box)
+        want = _flat_table_bootstrap(model, bd, box)
+        assert (rep.passed, rep.max_rel_err, rep.samples) == want
+        assert rep.max_rel_err.hex() == want[1].hex()
+        return rep
+
+    def test_matches_full_box_sweep(self):
+        for rsq in self.RADII:
+            model = NarainModel(Fraction(rsq))
+            for rho in (1, -1):
+                bd = build_boundary(model, rho)
+                for box in range(6):
+                    for name, control in _override_controls(bd, box).items():
+                        rep = self._assert_matches_sweep(model, control, box)
+                        # box 0 reads sigma at (0, 0) only: (1, 0) is outside it
+                        unread = ("none", "outside", "one") if box == 0 else ("none", "outside")
+                        assert rep.passed == (name in unread), (rsq, rho, box, name)
+
+    def test_matches_full_box_sweep_with_asymmetric_eps_prime(self, monkeypatch):
+        exact = BoundaryData.epsilon_prime_num
+        monkeypatch.setattr(
+            BoundaryData,
+            "epsilon_prime_num",
+            lambda bd, a, b: (exact(bd, a, b) + a[0] * b[1] * bd.model.D) % (2 * bd.model.D),
+        )
+        for rsq in self.RADII:
+            model = NarainModel(Fraction(rsq))
+            for rho in (1, -1):
+                bd = BoundaryData(model, rho)
+                for box in range(6):
+                    for control in (bd, bd.perturbed((1, 0), box)):
+                        rep = self._assert_matches_sweep(model, control, box)
+                        assert rep.passed == (box == 0)  # B(a, b) = n m2 D here
+
+    def test_work_without_overrides_does_not_grow_with_box(self, monkeypatch):
+        import opetree.latticecft as lc
+
+        model = NarainModel(Fraction(5, 7))
+        for rho in (1, -1):
+            bd = build_boundary(model, rho)
+            errors, sigmas = [], []
+            phase_error, sigma_num = lc._phase_error, BoundaryData.sigma_num
+            monkeypatch.setattr(lc, "_phase_error", lambda *a: errors.append(a) or phase_error(*a))
+            monkeypatch.setattr(BoundaryData, "sigma_num", lambda *a: sigmas.append(a) or sigma_num(*a))
+            rep = bootstrap_check(model, bd, 50)
+            monkeypatch.undo()
+            assert rep.passed and rep.max_rel_err == 0
+            assert len(errors) <= 5
+            assert [alpha for _, alpha in sigmas] == [(0, 0)]
+
+    def test_one_override_reads_three_box_squares(self, monkeypatch):
+        model = NarainModel(Fraction(2))
+        box = 4
+        for rho in (1, -1):
+            control = build_boundary(model, rho).perturbed((1, 0), box)
+            reads, exact = [], BoundaryData.epsilon_prime_num
+            monkeypatch.setattr(
+                BoundaryData, "epsilon_prime_num", lambda *a: reads.append(a) or exact(*a)
+            )
+            rep = bootstrap_check(model, control, box)
+            monkeypatch.undo()
+            assert not rep.passed
+            # two reads decide the symmetry of eps'; the rest are one per pair
+            assert 0 < len(reads) - 2 <= 3 * (2 * box + 1) ** 2
 
 
 _O_TREES = [
