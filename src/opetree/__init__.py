@@ -10,8 +10,9 @@ Subpackages by topic:
 * :mod:`opetree.series` -- truncated multivariate generalized power
   series (rational exponents, log powers) and the expansion
   homomorphism from power products into tree coordinates.
-* :mod:`opetree.braids` -- braid words, cabling/strand deletion, and
-  colored doubled-braid morphisms with their five generators.
+* :mod:`opetree.braids` -- braid words, cabling/strand deletion, one
+  braid-morphism type for plain and colored trees, and the five colored
+  generators.
 * :mod:`opetree.latticecft` -- the rank-one even unimodular lattice
   free-boson model: cocycles, closed-form correlators, per-tree
   expansions, and the bootstrap/consistency verification suites.

@@ -1,4 +1,4 @@
-"""Braid words, cabling, and colored doubled-braid morphisms.
+"""Braid words, cabling, and braid morphisms between plain and colored trees.
 
 Conventions, fixed once and used consistently with the numeric
 continuation tests: words apply left to right (first letter = first
@@ -7,11 +7,16 @@ over the strand at position i+1, i.e. a counterclockwise half-rotation
 of the two points in the plane; complex conjugation of paths is
 :func:`mirror` (negate every crossing).
 
-Morphisms between doubled trees present their words in the *rank frame*
-of the canonical base configurations: strand order = coordinates sorted
-by decreasing real part, bulk point before its conjugate.  Morphism
-equality is not decided up to homotopy; the stored invariants are the
-permutation and the signed crossing counts per strand pair.
+One record, :class:`PaPBMorphism`, holds a braid word between two trees
+and a *frame* at each end: the tag each strand position carries.  For
+plain trees (PaB) the frame is the leaf labels in leaf order; for
+o-colored trees (PaPB) it is the doubled tags ('z', k), ('zbar', k),
+('x', j), in the *rank frame* of the canonical base configurations:
+coordinates sorted by decreasing real part, bulk point before its
+conjugate.  One operadic composition, :func:`papb_compose`, composes
+both.  Morphism equality is not decided up to homotopy; the stored
+invariants are the permutation and the signed crossing counts per
+strand pair.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from opetree.trees import (
     compose,
     compose_colored,
     doubled_labels,
+    is_colored,
     leaf_order,
     map_leaves,
     parse_tree,
@@ -117,17 +123,6 @@ def cable_compose(g: BraidWord, p: int, h: BraidWord) -> BraidWord:
         raise BraidError(f"strand {p} out of range 1..{n}")
     wide = p
     out = []
-    if m == 0:
-        for x in g.word:
-            i = abs(x)
-            if i == wide:
-                wide = i + 1
-            elif i + 1 == wide:
-                wide = i
-            else:
-                out.append(x if i < wide else (abs(x) - 1) * (1 if x > 0 else -1))
-        return BraidWord(n - 1, tuple(out))
-
     for x in g.word:
         i, sgn = abs(x), (1 if x > 0 else -1)
         if i == wide:
@@ -167,55 +162,7 @@ def block_substitution(pg: tuple, p: int, ph: tuple) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Parenthesized braid morphisms (plain trees)
-
-
-class PaBMorphism(Frozen):
-    """A braid word between two r-leaf trees.
-
-    Valid when the strand starting at source position i carries the leaf
-    label found at its ending position in the target leaf order.
-    """
-
-    __slots__ = _fields = ("source", "target", "word")
-
-    def then(self, other: "PaBMorphism") -> "PaBMorphism":
-        if self.target != other.source:
-            raise BraidError("composition needs matching middle tree")
-        return pab_morphism(self.source, other.target, self.word * other.word)
-
-
-def pab_morphism(a: Tree, b: Tree, w: BraidWord) -> PaBMorphism:
-    ra, rb = validate_tree(a), validate_tree(b)
-    if ra != rb:
-        raise BraidError(f"leaf counts differ: {ra} vs {rb}")
-    if w.strands != ra:
-        raise BraidError(f"word has {w.strands} strands, trees have {ra} leaves")
-    ga, gb = leaf_order(a), leaf_order(b)
-    perm = braid_permutation(w)
-    for i in range(ra):
-        if ga[i] != gb[perm[i] - 1]:
-            raise BraidError(
-                f"permutation mismatch: strand {i+1} carries leaf {ga[i]} "
-                f"but lands on leaf {gb[perm[i]-1]}"
-            )
-    return PaBMorphism(a, b, w)
-
-
-def pab_compose(g: PaBMorphism, p: int, h: PaBMorphism) -> PaBMorphism:
-    """Operadic composition: cable strand of leaf ``p`` by ``h``."""
-    ga = leaf_order(g.source)
-    if p not in ga:
-        raise BraidError(f"no leaf labeled {p}")
-    slot = ga.index(p) + 1
-    word = cable_compose(g.word, slot, h.word)
-    return pab_morphism(
-        compose(g.source, p, h.source), compose(g.target, p, h.target), word
-    )
-
-
-# ---------------------------------------------------------------------------
-# Colored doubled morphisms
+# Braid morphisms between trees
 
 
 def rank_frame(e: Tree) -> tuple:
@@ -237,15 +184,22 @@ def rank_frame(e: Tree) -> tuple:
 
 
 class PaPBMorphism(Frozen):
-    """A doubled braid word between o-colored trees.
+    """A braid word between two trees, plain (PaB) or o-colored (PaPB).
 
-    ``source_frame``/``target_frame`` give the coordinate tag carried by
-    each strand position at the two ends; validity means the word's
+    ``source_frame``/``target_frame`` give the tag carried by each strand
+    position at the two ends: leaf labels in leaf order for plain trees,
+    doubled coordinate tags for colored ones.  Validity means the word's
     permutation transports every source tag to the same tag in the
     target frame.
     """
 
     __slots__ = _fields = ("source", "target", "word", "source_frame", "target_frame")
+
+    def then(self, other: "PaPBMorphism") -> "PaPBMorphism":
+        if (self.target, self.target_frame) != (other.source, other.source_frame):
+            raise BraidError("composition needs matching middle tree and frame")
+        frames = (self.source_frame, other.target_frame)
+        return _validate(PaPBMorphism(self.source, other.target, self.word * other.word, *frames))
 
     def invariants(self) -> tuple:
         """Equality is not decided up to homotopy; these are the stored
@@ -257,12 +211,12 @@ class PaPBMorphism(Frozen):
         )
 
 
-def _validate_papb(m: PaPBMorphism) -> PaPBMorphism:
+def _validate(m: PaPBMorphism) -> PaPBMorphism:
     n = m.word.strands
     if len(m.source_frame) != n or len(m.target_frame) != n:
         raise BraidError("frame length does not match strand count")
     if sorted(m.source_frame) != sorted(m.target_frame):
-        raise BraidError("source and target frames carry different coordinates")
+        raise BraidError("source and target frames carry different tags")
     perm = braid_permutation(m.word)
     for i in range(n):
         if m.source_frame[i] != m.target_frame[perm[i] - 1]:
@@ -273,17 +227,16 @@ def _validate_papb(m: PaPBMorphism) -> PaPBMorphism:
     return m
 
 
+def pab_morphism(a: Tree, b: Tree, w: BraidWord) -> PaPBMorphism:
+    """Build and validate a morphism of plain trees, framed by leaf order."""
+    validate_tree(a)
+    validate_tree(b)
+    return _validate(PaPBMorphism(a, b, w, tuple(leaf_order(a)), tuple(leaf_order(b))))
+
+
 def papb_morphism(e: Tree, e2: Tree, w: BraidWord) -> PaPBMorphism:
     """Build and validate a morphism presented in the rank frames."""
-    re1, se1, _ = validate_colored(e)
-    re2, se2, _ = validate_colored(e2)
-    if (re1, se1) != (re2, se2):
-        raise BraidError("source and target arities differ")
-    if w.strands != 2 * re1 + se1:
-        raise BraidError("word strand count must be 2r+s")
-    return _validate_papb(
-        PaPBMorphism(e, e2, w, rank_frame(e), rank_frame(e2))
-    )
+    return _validate(PaPBMorphism(e, e2, w, rank_frame(e), rank_frame(e2)))
 
 
 def papb_identity(e: Tree) -> PaPBMorphism:
@@ -317,108 +270,94 @@ def papb_generator(name: str) -> PaPBMorphism:
     return papb_morphism(e, e2, BraidWord(2 * r + s, word))
 
 
+_CONJUGATE = {"z": "zbar", "zbar": "z"}
+
+
 def conjugation_swapped(m: PaPBMorphism) -> PaPBMorphism:
     """Swap every z_k/zbar_k tag and negate crossings; validates that the
     result is again a morphism (structural sanity check)."""
 
     def swap(tag):
-        kind, k = tag
-        if kind == "z":
-            return ("zbar", k)
-        if kind == "zbar":
-            return ("z", k)
-        return tag
+        kind, k = _split(tag)
+        return _tag(_CONJUGATE.get(kind, kind), k)
 
-    out = PaPBMorphism(
-        m.source,
-        m.target,
-        mirror(m.word),
-        tuple(swap(t) for t in m.source_frame),
-        tuple(swap(t) for t in m.target_frame),
-    )
-    return _validate_papb(out)
+    frames = (tuple(map(swap, f)) for f in (m.source_frame, m.target_frame))
+    return _validate(PaPBMorphism(m.source, m.target, mirror(m.word), *frames))
 
 
-def papb_compose(mu: PaPBMorphism, slot: int, nu) -> PaPBMorphism:
-    """Colored operadic composition of doubled morphisms.
+def _split(tag) -> tuple:
+    """(kind, index) of a frame tag; a plain leaf label has kind None."""
+    return tag if isinstance(tag, tuple) else (None, tag)
 
-    An open slot takes a PaPBMorphism, cabled at the boundary strand; a
-    closed slot takes a PaBMorphism gamma, doubled as (gamma, mirror
-    gamma) and cabled at the two strands of the bulk pair.  Trees
-    compose via :func:`compose_colored`; the result is revalidated.
+
+def _tag(kind, i):
+    return i if kind is None else (kind, i)
+
+
+def _splice(frame: tuple, hole, inner: tuple, r: int) -> tuple:
+    """``frame`` with the tag ``hole`` replaced by the tags of ``inner``.
+
+    Inner leaf labels and inner tags of the hole's kind count on from the
+    hole's index; other inner tags (the bulk tags of a colored ``inner``)
+    follow the r bulk points of ``frame``.  Later tags of the hole's kind
+    shift past the new ones.
     """
-    r, s, _ = validate_colored(mu.source)
+    kind, k = _split(hole)
+    new = [
+        _tag(kind, k - 1 + i) if ik in (None, kind) else (ik, r + i)
+        for ik, i in map(_split, inner)
+    ]
+    shift = sum(_split(t)[0] == kind for t in new) - 1
+    out = []
+    for tag in frame:
+        tk, i = _split(tag)
+        if tag == hole:
+            out.extend(new)
+        else:
+            out.append(_tag(kind, i + shift) if tk == kind and i > k else tag)
+    return tuple(out)
 
-    if slot <= r:
-        if not isinstance(nu, PaBMorphism):
-            raise BraidError("closed slot needs a PaBMorphism argument")
-        t = validate_tree(nu.source)
-        i1 = mu.source_frame.index(("z", slot)) + 1
-        i2 = mu.source_frame.index(("zbar", slot)) + 1
-        word = cable_compose(mu.word, i1, nu.word)
-        word = cable_compose(word, i2 + (t - 1 if i2 > i1 else 0), mirror(nu.word))
 
-        def expand_frame(frame, tree):
-            # the z and the zbar copy of the slot both follow tree's leaf order
-            out = []
-            for kind, k in frame:
-                if kind == "x" or k < slot:
-                    out.append((kind, k))
-                elif k == slot:
-                    out.extend((kind, slot - 1 + lbl) for lbl in leaf_order(tree))
-                else:
-                    out.append((kind, k + t - 1))
-            return tuple(out)
+def papb_compose(mu: PaPBMorphism, slot: int, nu: PaPBMorphism) -> PaPBMorphism:
+    """Operadic composition: cable the strands of ``mu``'s slot by ``nu``.
 
-        source, target = (
-            compose_colored(m, slot, map_leaves(n, lambda lf: ClosedLeaf(lf.label)))
-            for m, n in ((mu.source, nu.source), (mu.target, nu.target))
-        )
-        return _validate_papb(
-            PaPBMorphism(
-                source,
-                target,
-                word,
-                expand_frame(mu.source_frame, nu.source),
-                expand_frame(mu.target_frame, nu.target),
-            )
-        )
+    A plain ``mu`` takes a plain ``nu`` at the leaf labeled ``slot``
+    (PaB).  A colored ``mu`` takes a plain ``nu`` at a closed slot,
+    doubled as (nu, mirror nu) and cabled at z_slot, then zbar_slot, and
+    a colored ``nu`` at an open slot.  Trees compose via :func:`compose`
+    or :func:`compose_colored`, frames via :func:`_splice`; the result
+    is revalidated.
+    """
+    colored = is_colored(mu.source)
+    if colored:
+        r, s, _ = validate_colored(mu.source)
+    else:
+        r, s = validate_tree(mu.source), 0
+    if not 1 <= slot <= r + s:
+        raise BraidError(f"slot {slot} out of range 1..{r + s}")
+    if is_colored(nu.source) != (slot > r):
+        raise BraidError(f"slot {slot} needs a {'colored' if slot > r else 'plain'} argument")
+    if not colored:
+        holes = ((slot, nu.word),)
+    elif slot > r:
+        holes = ((("x", slot - r), nu.word),)
+    else:
+        holes = ((("z", slot), nu.word), (("zbar", slot), mirror(nu.word)))
 
-    if not isinstance(nu, PaPBMorphism):
-        raise BraidError("open slot needs a PaPBMorphism argument")
-    t, u, _ = validate_colored(nu.source)
-    j = slot - r
-    i1 = mu.source_frame.index(("x", j)) + 1
-    word = cable_compose(mu.word, i1, nu.word)
+    def graft(m, n):
+        if not colored:
+            return compose(m, slot, n)
+        if slot <= r:
+            n = map_leaves(n, lambda lf: ClosedLeaf(lf.label))
+        return compose_colored(m, slot, n)
 
-    def retag(tag):
-        kind, k = tag
-        if kind == "z":
-            return ("z", r + k)
-        return ("x", j + k - 1)
-
-    def splice(frame, inner):
-        out = []
-        for tag in frame:
-            kind, k = tag
-            if tag == ("x", j):
-                out.extend(retag(tg) for tg in inner)
-            elif kind == "x" and k > j:
-                out.append(("x", k + u - 1))
-            else:
-                out.append(tag)
-        return tuple(out)
-
-    source = compose_colored(mu.source, slot, nu.source)
-    target = compose_colored(mu.target, slot, nu.target)
-    return _validate_papb(
-        PaPBMorphism(
-            source,
-            target,
-            word,
-            splice(mu.source_frame, nu.source_frame),
-            splice(mu.target_frame, nu.target_frame),
-        )
+    word, sf, tf = mu.word, mu.source_frame, mu.target_frame
+    for hole, w in holes:
+        word = cable_compose(word, sf.index(hole) + 1, w)
+        sf = _splice(sf, hole, nu.source_frame, r)
+        tf = _splice(tf, hole, nu.target_frame, r)
+    return _validate(
+        PaPBMorphism(graft(mu.source, nu.source), graft(mu.target, nu.target), word, sf, tf)
     )
 
 

@@ -337,9 +337,10 @@ def bulk_correlator(model: NarainModel, dual: Charge, insertions) -> complex:
 
     epsilon prefactor over the insertion order times the single-valued
     pair product |z_ij|^{2 abar_i abar_j} z_ij^{(alpha_i, alpha_j)};
-    zero unless the charges sum to the dual charge.
+    zero unless the charges sum to the dual charge.  A non-integral
+    charge raises LatticeError.
     """
-    charges = [tuple(a) for a, _ in insertions]
+    charges = [_int_charge(a) for a, _ in insertions]
     points = [complex(z) for _, z in insertions]
     if (sum(n for n, _ in charges), sum(m for _, m in charges)) != tuple(dual):
         return 0j
@@ -470,7 +471,8 @@ def mixed_correlator(
     Zero unless the boundary charge is conserved.  The product, plan and
     prefactor phase are built once per charge set and kept in
     ``bd.closed_forms``; each call evaluates them at its point.  The
-    boundary charges are checked to be integers once per charge set.
+    bulk and boundary charges are checked to be integers once per charge
+    set.
     """
     bulk_charges = tuple(tuple(a) for a, _ in bulk_insertions)
     bdry_charges = tuple(k for k, _ in bdry_insertions)
@@ -481,6 +483,7 @@ def mixed_correlator(
     key = (model, bulk_charges, bdry_charges)
     prepared = bd.closed_forms.get(key)
     if prepared is None:
+        bulk_charges = tuple(map(_int_charge, bulk_charges))
         bdry_charges = _int_charges(bdry_charges)
     if sum(bd.t_coeff(a) for a in bulk_charges) + sum(bdry_charges) != int(dual):
         return 0j
@@ -549,8 +552,10 @@ def tree_expansion(
     2i Im z evaluate with the branch exp(i pi/2)).  For a plain tree the
     left-mover part expands in the tree coordinates and the right-mover
     part in their conjugates; for an o-colored tree the doubled tree is
-    used.  The tree's OPE structure constants form the prefactor.
+    used.  The tree's OPE structure constants form the prefactor.  A
+    non-integral charge raises LatticeError.
     """
+    charges = [_int_charge(a) for a in charges]
     if is_colored(e):
         if bd is None:
             raise LatticeError("colored expansion needs boundary data")
@@ -562,7 +567,7 @@ def tree_expansion(
         if len(charges) != r or len(bdry_charges) != s:
             raise LatticeError("charge count mismatch")
         cs = a_coordinates(doubling(e))
-        frames = _doubled_charge_frames(bd, [tuple(a) for a in charges], bdry_charges)
+        frames = _doubled_charge_frames(bd, charges, bdry_charges)
         diffs = _frame_diffs(model, frames, _ordered_pairs(cs.tree))
         ex = expand(cs, PowerProduct(diffs=diffs), order)
         if ex.negative_pairs:
@@ -577,7 +582,6 @@ def tree_expansion(
         raise LatticeError(f"tree {format_tree(e)} has one leaf: no pair to expand")
     if len(charges) != r:
         raise LatticeError("charge count mismatch")
-    charges = [tuple(a) for a in charges]
     cs = a_coordinates(e)
     pairs = _ordered_pairs(e)
     a_frames = {i: model.a_vec(a) for i, a in enumerate(charges, start=1)}

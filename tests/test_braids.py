@@ -6,7 +6,6 @@ import pytest
 from opetree.braids import (
     BraidError,
     BraidWord,
-    PaBMorphism,
     abelianization,
     block_substitution,
     braid_permutation,
@@ -16,7 +15,6 @@ from opetree.braids import (
     identity_braid,
     is_pure,
     mirror,
-    pab_compose,
     pab_morphism,
     papb_compose,
     papb_generator,
@@ -25,7 +23,7 @@ from opetree.braids import (
     parse_braid_word,
     rank_frame,
 )
-from opetree.trees import compose_colored, parse_tree
+from opetree.trees import compose_colored, doubled_labels, parse_tree, validate_colored
 
 
 def all_words(n, max_len):
@@ -155,6 +153,26 @@ class TestCable:
             assert is_pure(cable_compose(g, p, h))
             found += 1
 
+    def test_deletion_matches_strand_removal(self):
+        # the general cabling loop at m = 0 against a direct deletion loop:
+        # the deleted strand's crossings go, higher indices decrement
+        def delete(g, p):
+            wide, out = p, []
+            for x in g.word:
+                i = abs(x)
+                if i == wide:
+                    wide = i + 1
+                elif i + 1 == wide:
+                    wide = i
+                else:
+                    out.append(x if i < wide else (abs(x) - 1) * (1 if x > 0 else -1))
+            return BraidWord(g.strands - 1, tuple(out))
+
+        for n in range(1, 6):
+            for g in all_words(n, 4):
+                for p in range(1, n + 1):
+                    assert cable_compose(g, p, BraidWord(0, ())) == delete(g, p)
+
     def test_deletion_permutation(self):
         rng = random.Random(57)
         for _ in range(200):
@@ -192,9 +210,27 @@ class TestPaB:
     def test_composition(self):
         g = pab_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
         h = pab_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
-        out = pab_compose(g, 2, h)
-        assert out.word.strands == 3
-        assert out.source == parse_tree("1(23)") or out.source is not None
+        out = papb_compose(g, 2, h)
+        assert out.source == parse_tree("1(23)")
+        assert out.target == parse_tree("(32)1")
+        assert out.word == BraidWord(3, (1, 2, 1))
+        # a plain morphism's frames are its trees' leaf orders
+        assert (out.source_frame, out.target_frame) == ((1, 2, 3), (3, 2, 1))
+
+    def test_leaf_out_of_range(self):
+        g = pab_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        for slot in (0, -1, 3):
+            with pytest.raises(BraidError, match=r"out of range 1\.\.2"):
+                papb_compose(g, slot, g)
+
+    def test_then(self):
+        g = pab_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        back = pab_morphism(parse_tree("21"), parse_tree("12"), BraidWord(2, (1,)))
+        assert is_pure(g.then(back).word)
+        with pytest.raises(BraidError):
+            g.then(g)
+        sigma = papb_generator("sigma")
+        assert sigma.then(papb_identity(sigma.target)).invariants() == sigma.invariants()
 
 
 class TestGenerators:
@@ -258,7 +294,6 @@ class TestPaPBCompose:
     def test_block_permutation_oracle(self):
         # brute-force oracle: the composite's permutation is the block
         # substitution of the factors' permutations at the cabled strands
-        from opetree.trees import validate_colored
 
         gens = [papb_generator(n) for n in ("sigma", "p", "q", "alpha_o")]
         gamma = pab_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
@@ -297,6 +332,51 @@ class TestPaPBCompose:
             g.source, g.target, BraidWord(4, (1, -1) + g.word.word)
         )
         assert padded.invariants() == g.invariants()
+
+    def test_frames_carry_every_doubled_tag_once(self):
+        # every composite frame is a permutation of the doubled tags of its
+        # source, over the five generators, every slot and five arguments
+        # per slot kind; an open-slot argument with bulk strands once had
+        # its zbar tags renamed to boundary tags
+        closed = [
+            pab_morphism(parse_tree(a), parse_tree(b), BraidWord(n, w))
+            for a, b, n, w in (
+                ("1", "1", 1, ()),
+                ("12", "21", 2, (1,)),
+                ("12", "12", 2, (1, 1)),
+                ("(12)3", "1(23)", 3, ()),
+                ("12", "21", 2, (-1,)),
+            )
+        ]
+        opened = [
+            papb_identity(parse_tree("o1")),
+            papb_generator("alpha_o"),
+            papb_generator("p"),
+            papb_identity(parse_tree("t(c1)o2")),
+            papb_generator("sigma"),
+        ]
+        count = 0
+        for name in ("alpha_o", "alpha_c", "sigma", "p", "q"):
+            mu = papb_generator(name)
+            r, s, _ = validate_colored(mu.source)
+            for slot in range(1, r + s + 1):
+                for nu in closed if slot <= r else opened:
+                    out = papb_compose(mu, slot, nu)
+                    want = sorted(doubled_labels(out.source).values())
+                    assert sorted(out.source_frame) == want
+                    assert sorted(out.target_frame) == want
+                    count += 1
+        assert count == 60
+
+    def test_open_slot_keeps_conjugate_tags(self):
+        out = papb_compose(papb_generator("p"), 2, papb_identity(parse_tree("t(c1)o2")))
+        assert out.source_frame == (("z", 1), ("zbar", 1), ("z", 2), ("zbar", 2), ("x", 1))
+
+    def test_slot_out_of_range(self):
+        mu = papb_generator("p")  # r = s = 1
+        for slot in (0, -1, 3):
+            with pytest.raises(BraidError, match=r"out of range 1\.\.2"):
+                papb_compose(mu, slot, papb_identity(parse_tree("o1")))
 
     def test_color_mismatch(self):
         mu = papb_generator("p")

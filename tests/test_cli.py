@@ -174,6 +174,12 @@ class TestBraidCommands:
         assert obj["strands"] == 3
         assert obj["permutation"] == [3, 2, 1]
 
+    def test_cable_deletes_strand(self, capsys):
+        # an empty inner word on zero strands deletes the strand
+        code, out, _ = run_cli(["braid", "cable", "s1 s2 s1", "2", "0"], capsys)
+        assert code == 0
+        assert out == '{"permutation": [2, 1], "strands": 2, "word": "s1"}\n'
+
     def test_generator(self, capsys):
         code, out, _ = run_cli(["braid", "generator", "q"], capsys)
         obj = json.loads(out)

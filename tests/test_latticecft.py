@@ -127,6 +127,18 @@ class TestBulkCorrelator:
         with pytest.raises(LatticeError):
             bulk_correlator(model, (1, 1), [((1, 0), 1j), ((0, 1), 1j)])
 
+    def test_non_integer_charge(self, model):
+        # a half-integer charge was once evaluated (and 1.0 raised
+        # TypeError from fractions); an integral value of any type is read
+        # as its integer
+        z1, z2 = 0.7 + 0.2j, -0.1 + 0.9j
+        for pair in (((Fraction(3, 2), 0), (Fraction(-3, 2), 0)), ((1.5, 0), (-1.5, 0))):
+            with pytest.raises(LatticeError, match="integer pair"):
+                bulk_correlator(model, (0, 0), [(pair[0], z1), (pair[1], z2)])
+        want = bulk_correlator(model, (1, 1), [((1, 0), z1), ((0, 1), z2)])
+        got = bulk_correlator(model, (1, 1), [((1.0, 0), z1), ((0, Fraction(1)), z2)])
+        assert got == want
+
     def test_single_valued_under_loop(self, model):
         pts = (1.2 + 0.1j, -0.3 - 0.4j)
         charges = [(2, -1), (-1, 1)]
@@ -840,6 +852,17 @@ class TestMixedCorrelator:
                 model, [parse_tree("t(c1)o2")], [(1, 0)], 2, 1e-6, 1, 0, bd=bd, bdry_charges=["1"]
             )
 
+    def test_non_integer_bulk_charge(self, model):
+        # (1.5, 0) once returned 0j as a non-conserving charge set; it is
+        # rejected before the memo, and (1.0, 0) reads as (1, 0)
+        bd = BoundaryData(model, 1)
+        z = 0.2 + 0.7j
+        with pytest.raises(LatticeError, match="integer pair"):
+            mixed_correlator(model, bd, bd.t_coeff((1, 0)), [((1.5, 0), z)], [])
+        want = mixed_correlator(model, bd, bd.t_coeff((1, 0)), [((1, 0), z)], [])
+        fresh = BoundaryData(model, 1)
+        assert mixed_correlator(model, fresh, bd.t_coeff((1, 0)), [((1.0, 0), z)], []) == want
+
     def test_F_single_valued_in_bulk_pair(self, model, boundaries):
         # continuing z1 around z2 inside H returns the same value
         bd = boundaries[-1]
@@ -1133,6 +1156,19 @@ class TestTreeExpansion:
             assert e2.prefactor == phase_pi(
                 ref.sigma(alpha) + ref.eta(k, bd.t_coeff(alpha))
             )
+
+    def test_non_integer_charge_raises(self, model, boundaries):
+        bd = boundaries[1]
+        with pytest.raises(LatticeError, match="integer pair"):
+            tree_expansion(model, parse_tree("12"), [(1.5, 0), (-1, 0)], 2)
+        with pytest.raises(LatticeError, match="integer pair"):
+            tree_expansion(model, parse_tree("t(c1)o2"), [(Fraction(1, 2), 0)], 2, bd=bd, bdry_charges=[1])
+        tree = parse_tree("(12)3")
+        want = tree_expansion(model, tree, [(1, 0), (0, 1), (-1, 1)], 2)
+        got = tree_expansion(model, tree, [(1.0, 0), (0, Fraction(1)), (-1, 1)], 2)
+        point = [0.31 + 0.1j, 0.3 + 0.12j, -0.2 + 0.4j]
+        assert got.evaluate(point) == want.evaluate(point)
+        assert got.series.n_terms() == want.series.n_terms() > 1
 
     def test_uncertifiable_tree_raises(self, model):
         # no plain tree with distinct leaves fails on the lattice products,
