@@ -2,8 +2,9 @@
 
 Subpackages by topic:
 
-* :mod:`opetree.trees` -- labeled binary trees, 2-colored trees, the
-  (colored) operad structure and the doubling map.
+* :mod:`opetree.trees` -- labeled binary trees, 2-colored trees, one
+  partial composition for both (the empty tree deletes a point) and the
+  doubling map.
 * :mod:`opetree.coords` -- tree-adapted coordinates on configuration
   space, polynomial inverses, admissible-radius certificates and
   convergence-region membership.
@@ -40,7 +41,6 @@ _LAZY = {
             "OpenLeaf",
             "Tau",
             "compose",
-            "compose_colored",
             "doubling",
             "format_tree",
             "parse_tree",

@@ -22,15 +22,12 @@ strand pair.
 from __future__ import annotations
 
 from opetree.trees import (
-    ClosedLeaf,
     Frozen,
     Tree,
     compose,
-    compose_colored,
     doubled_labels,
     is_colored,
     leaf_order,
-    map_leaves,
     parse_tree,
     validate_colored,
     validate_tree,
@@ -324,9 +321,10 @@ def papb_compose(mu: PaPBMorphism, slot: int, nu: PaPBMorphism) -> PaPBMorphism:
     A plain ``mu`` takes a plain ``nu`` at the leaf labeled ``slot``
     (PaB).  A colored ``mu`` takes a plain ``nu`` at a closed slot,
     doubled as (nu, mirror nu) and cabled at z_slot, then zbar_slot, and
-    a colored ``nu`` at an open slot.  Trees compose via :func:`compose`
-    or :func:`compose_colored`, frames via :func:`_splice`; the result
-    is revalidated.
+    a colored ``nu`` at an open slot.  The empty plain ``nu`` deletes the
+    leaf, or the bulk point with both its strands.  Trees compose via
+    :func:`compose`, frames via :func:`_splice`; the result is
+    revalidated.
     """
     colored = is_colored(mu.source)
     if colored:
@@ -344,21 +342,13 @@ def papb_compose(mu: PaPBMorphism, slot: int, nu: PaPBMorphism) -> PaPBMorphism:
     else:
         holes = ((("z", slot), nu.word), (("zbar", slot), mirror(nu.word)))
 
-    def graft(m, n):
-        if not colored:
-            return compose(m, slot, n)
-        if slot <= r:
-            n = map_leaves(n, lambda lf: ClosedLeaf(lf.label))
-        return compose_colored(m, slot, n)
-
     word, sf, tf = mu.word, mu.source_frame, mu.target_frame
     for hole, w in holes:
         word = cable_compose(word, sf.index(hole) + 1, w)
         sf = _splice(sf, hole, nu.source_frame, r)
         tf = _splice(tf, hole, nu.target_frame, r)
-    return _validate(
-        PaPBMorphism(graft(mu.source, nu.source), graft(mu.target, nu.target), word, sf, tf)
-    )
+    ends = (compose(mu.source, slot, nu.source), compose(mu.target, slot, nu.target))
+    return _validate(PaPBMorphism(*ends, word, sf, tf))
 
 
 # ---------------------------------------------------------------------------

@@ -273,13 +273,7 @@ def cmd_tree(args) -> int:
     if args.action == "parse":
         out = trees.parse_tree(expr[0])
     elif args.action == "compose":
-        a = trees.parse_tree(expr[0])
-        p = int(expr[1])
-        b = trees.parse_tree(expr[2])
-        if trees.is_colored(a) or trees.is_colored(b):
-            out = trees.compose_colored(a, p, b)
-        else:
-            out = trees.compose(a, p, b)
+        out = trees.compose(trees.parse_tree(expr[0]), int(expr[1]), trees.parse_tree(expr[2]))
     elif args.action == "permute":
         out = trees.permute(trees.parse_tree(expr[0]), [int(x) for x in expr[1].split(",")])
     else:  # double

@@ -5,7 +5,8 @@ leaves carry the labels {1, ..., r}, plus the distinguished empty tree.
 Colored trees additionally carry closed/open leaf colors and the unary
 color-change `Tau`; an o-colored tree is a binary combination of open
 leaves and Tau-wrapped closed trees, with open labels increasing left
-to right.
+to right.  One partial composition, :func:`compose`, grafts a tree into
+a leaf of a plain or colored tree; the empty tree deletes the point.
 
 All values are immutable; :func:`doubling` is memoized, so equal trees
 double to the same object and every other operation returns fresh trees.
@@ -448,60 +449,74 @@ def format_tree(t: Tree) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Operad structure on plain trees
+# Operad structure
 
 
 def map_leaves(t: Tree, f) -> Tree:
     """Replace every leaf of a plain or colored tree by ``f(leaf)``, a leaf
-    or a subtree, keeping the Node and Tau structure: the one leaf walk
-    behind relabeling, recoloring and colored insertion."""
+    or a subtree, keeping the Node and Tau structure; a leaf mapped to
+    None is erased: a Node keeps its other child, a Tau left empty goes
+    too, and a tree with every leaf erased (or EMPTY) maps to EMPTY.  The
+    one leaf walk behind relabeling, recoloring and composition."""
     if isinstance(t, (Leaf, ClosedLeaf, OpenLeaf)):
-        return f(t)
+        out = f(t)
+        return EMPTY if out is None else out
     if isinstance(t, Tau):
-        return Tau(map_leaves(t.child, f))
+        child = map_leaves(t.child, f)
+        return EMPTY if child is EMPTY else Tau(child)
     if isinstance(t, Node):
-        return Node(map_leaves(t.left, f), map_leaves(t.right, f))
+        left, right = map_leaves(t.left, f), map_leaves(t.right, f)
+        if left is EMPTY:
+            return right
+        return left if right is EMPTY else Node(left, right)
+    if isinstance(t, _Empty):
+        return EMPTY
     raise TreeError(f"not a tree: {t!r}")
 
 
 def compose(a: Tree, p: int, b: Tree) -> Tree:
-    """Partial composition: insert ``b`` into leaf ``p`` of ``a``.
+    """Partial composition: graft ``b`` into the leaf of ``a`` labeled p.
 
-    Labels of ``b`` shift by p-1 and labels of ``a`` above p by m-1
-    where m is b's leaf count.  With b = EMPTY the leaf p is erased and
-    higher labels decrement.
+    The slot's leaf kind decides the argument.  A plain or closed slot
+    takes a plain or c-colored ``b``, whose leaves take the slot's kind
+    and count on from p; later leaves of that kind shift by m-1, where m
+    is b's leaf count.  An open slot (labels r+1..r+s) takes an
+    o-colored ``b``, whose closed leaves follow the r closed leaves of
+    ``a``.  With b = EMPTY the slot leaf is erased (its Tau too, if left
+    empty) and later labels of its kind decrement.  The open leaves of a
+    colored result are numbered left to right after its closed leaves.
     """
-    n = validate_tree(a)
-    m = validate_tree(b)
     if isinstance(a, _Empty):
         raise TreeError("cannot compose into the empty tree")
-    if not 1 <= p <= n:
-        raise TreeError(f"slot {p} out of range 1..{n}")
-
+    colored = is_colored(a)
+    r, s, _ = validate_colored(a) if colored else (validate_tree(a), 0, None)
+    if not 1 <= p <= r + s:
+        raise TreeError(f"slot {p} out of range 1..{r + s}")
+    kind = OpenLeaf if p > r else ClosedLeaf if colored else Leaf
     if isinstance(b, _Empty):
-        if n == 1:
-            return EMPTY
+        m, sub = 0, None
+    else:
+        m, _, color = validate_colored(b) if is_colored(b) else (validate_tree(b), 0, "c")
+        if (color == "o") != (kind is OpenLeaf):
+            want = "an o-colored" if kind is OpenLeaf else "a plain or c-colored"
+            raise TreeError(f"slot {p} needs {want} argument")
+        if kind is OpenLeaf:  # open labels are renumbered below
+            sub = map_leaves(b, lambda y: type(y)(y.label + r))
+        else:
+            sub = map_leaves(b, lambda y: kind(y.label + p - 1))
 
-        def erase(x):
-            if isinstance(x, Leaf):
-                return None if x.label == p else x
-            left, right = erase(x.left), erase(x.right)
-            if left is None:
-                return right
-            if right is None:
-                return left
-            return Node(left, right)
-
-        return map_leaves(erase(a), lambda x: Leaf(x.label - 1) if x.label > p else x)
-
-    shifted_b = map_leaves(b, lambda x: Leaf(x.label + p - 1))
-
-    def insert(x):
+    def graft(x):
+        if type(x) is not kind:
+            return x
         if x.label == p:
-            return shifted_b
-        return Leaf(x.label + m - 1) if x.label > p else x
+            return sub
+        return kind(x.label + m - 1) if x.label > p else x
 
-    return map_leaves(a, insert)
+    out = map_leaves(a, graft)
+    if s:
+        opens = itertools.count(sum(type(x) is ClosedLeaf for x in leaves(out)) + 1)
+        out = map_leaves(out, lambda x: OpenLeaf(next(opens)) if type(x) is OpenLeaf else x)
+    return out
 
 
 def permute(a: Tree, g: Sequence[int] | dict) -> Tree:
@@ -526,76 +541,6 @@ def permute(a: Tree, g: Sequence[int] | dict) -> Tree:
 def leaf_order(a: Tree) -> list[int]:
     """Labels read left to right ('forgetting the parenthesization')."""
     return [lf.label for lf in leaves(a)]
-
-
-# ---------------------------------------------------------------------------
-# Colored composition
-
-
-def compose_colored(e: Tree, p: int, x: Tree) -> Tree:
-    """Colored operad composition at the leaf labeled ``p``.
-
-    Allowed cases: closed slot with c-colored ``x``, open slot with
-    o-colored ``x``, or two c-colored trees.  Closed leaves are
-    referenced by bold label (1..r), open leaves by label r+1..r+s.
-    """
-    re_, se, ecol = validate_colored(e)
-    rx, sx, xcol = validate_colored(x)
-
-    if ecol == "c" and xcol == "c":
-        # plain magma composition on bold labels
-        if not 1 <= p <= re_:
-            raise TreeError(f"closed slot {p} out of range 1..{re_}")
-        plain = compose(map_leaves(e, lambda lf: Leaf(lf.label)), p,
-                        map_leaves(x, lambda lf: Leaf(lf.label)))
-        return map_leaves(plain, lambda lf: ClosedLeaf(lf.label))
-
-    if p <= re_:
-        if xcol != "c":
-            raise TreeError(f"slot {p} is closed but the argument is {xcol}-colored")
-        # insert a c-tree at a closed leaf: standard shift on closed labels
-        def repl(lf):
-            if isinstance(lf, ClosedLeaf):
-                if lf.label == p:
-                    return map_leaves(x, lambda y: ClosedLeaf(y.label + p - 1))
-                return ClosedLeaf(lf.label + rx - 1) if lf.label > p else lf
-            return lf
-
-        merged = map_leaves(e, repl)
-        return _renumber_opens(merged, re_ + rx - 1)
-
-    if p <= re_ + se:
-        if xcol != "o":
-            raise TreeError(f"slot {p} is open but the argument is {xcol}-colored")
-
-        def repl(lf):
-            if isinstance(lf, OpenLeaf) and lf.label == p:
-                return map_leaves(
-                    x,
-                    lambda y: ClosedLeaf(y.label + re_)
-                    if isinstance(y, ClosedLeaf)
-                    else y,
-                )
-            return lf
-
-        merged = map_leaves(e, repl)
-        return _renumber_opens(merged, re_ + rx)
-
-    raise TreeError(f"leaf reference {p} out of range for (r,s)=({re_},{se})")
-
-
-def _renumber_opens(t, r_new):
-    """Renumber open leaves left to right as r_new+1, r_new+2, ..."""
-    counter = itertools.count(r_new + 1)
-
-    def repl(lf):
-        if isinstance(lf, OpenLeaf):
-            return OpenLeaf(next(counter))
-        return lf
-
-    out = map_leaves(t, repl)
-    validate_colored(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -654,10 +599,11 @@ def doubled_compose(e: Tree, p: int, x: Tree) -> Tree:
     This is the image of colored composition under the doubling map,
     computed independently: plain compose at the doubled slot(s), then
     the coordinate-tracking renumbering back to the fixed convention.
-    Used as the second route in the doubling-functoriality tests.
+    ``x`` = EMPTY at a closed slot erases both doubled leaves.  Used as
+    the second route in the doubling-functoriality tests.
     """
     re_, se, _ = validate_colored(e)
-    rx, sx, xcol = validate_colored(x)
+    rx, sx, xcol = (0, 0, "c") if isinstance(x, _Empty) else validate_colored(x)
     etil = doubling(e)
 
     if p <= re_:

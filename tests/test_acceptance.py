@@ -42,14 +42,15 @@ from opetree.latticecft import (
 )
 from opetree.series import PowerProduct, evaluate_closed, evaluate_series, expand
 from opetree.trees import (
+    ClosedLeaf,
     all_colored_trees,
     all_shapes,
     all_trees,
     compose,
-    compose_colored,
     doubled_compose,
     doubling,
     leaf_order,
+    map_leaves,
     parse_tree,
     permute,
 )
@@ -350,7 +351,7 @@ def test_criterion_7_doubling_functoriality():
                 for f in fs:
                     for j in range(1, se + 1):
                         p = re_ + j
-                        assert doubling(compose_colored(e, p, f)) == doubled_compose(
+                        assert doubling(compose(e, p, f)) == doubled_compose(
                             e, p, f
                         )
                         cases += 1
@@ -358,11 +359,9 @@ def test_criterion_7_doubling_functoriality():
                 if re_ == 0 or (re_ + t - 1) + se > 4:
                     continue
                 for a_plain in trees_t:
-                    from tests.test_trees import _closed
-
-                    a = _closed(a_plain)
+                    a = map_leaves(a_plain, lambda lf: ClosedLeaf(lf.label))
                     for p in range(1, re_ + 1):
-                        assert doubling(compose_colored(e, p, a)) == doubled_compose(
+                        assert doubling(compose(e, p, a)) == doubled_compose(
                             e, p, a
                         )
                         cases += 1

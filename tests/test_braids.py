@@ -23,7 +23,7 @@ from opetree.braids import (
     parse_braid_word,
     rank_frame,
 )
-from opetree.trees import compose_colored, doubled_labels, parse_tree, validate_colored
+from opetree.trees import EMPTY, compose, doubled_labels, parse_tree, validate_colored
 
 
 def all_words(n, max_len):
@@ -281,8 +281,8 @@ class TestPaPBCompose:
         mu = papb_generator("p")
         nu = papb_identity(parse_tree("t(c1)o2"))
         out = papb_compose(mu, 2, nu)
-        assert out.source == compose_colored(mu.source, 2, nu.source)
-        assert out.target == compose_colored(mu.target, 2, nu.target)
+        assert out.source == compose(mu.source, 2, nu.source)
+        assert out.target == compose(mu.target, 2, nu.target)
 
     def test_p_with_closed_sigma(self):
         mu = papb_generator("p")
@@ -385,6 +385,36 @@ class TestPaPBCompose:
         gamma = pab_morphism(parse_tree("1"), parse_tree("1"), identity_braid(1))
         with pytest.raises(BraidError):
             papb_compose(mu, 2, gamma)
+        with pytest.raises(BraidError, match="needs a colored argument"):
+            papb_compose(mu, 2, pab_morphism(EMPTY, EMPTY, identity_braid(0)))
+
+    def test_bulk_point_deletion(self):
+        # the empty plain morphism at a closed slot deletes z_slot and
+        # zbar_slot: every generator then reduces to an identity
+        empty = pab_morphism(EMPTY, EMPTY, identity_braid(0))
+        want = {
+            ("alpha_c", 1): ("t(c1c2)", "t(c1c2)"),
+            ("alpha_c", 2): ("t(c1c2)", "t(c1c2)"),
+            ("alpha_c", 3): ("t(c1c2)", "t(c1c2)"),
+            ("sigma", 1): ("t(c1)", "t(c1)"),
+            ("sigma", 2): ("t(c1)", "t(c1)"),
+            ("p", 1): ("o1", "o1"),
+            ("q", 1): ("t(c1)", "t(c1)"),
+            ("q", 2): ("t(c1)", "t(c1)"),
+        }
+        for (name, slot), (source, target) in want.items():
+            mu = papb_generator(name)
+            out = papb_compose(mu, slot, empty)
+            assert (out.source, out.target) == (parse_tree(source), parse_tree(target))
+            assert out.source_frame == rank_frame(out.source)
+            assert out.target_frame == rank_frame(out.target)
+            z, zbar = ("z", slot), ("zbar", slot)
+            rest = tuple(t for t in mu.source_frame if t != z)
+            word = cable_compose(mu.word, mu.source_frame.index(z) + 1, empty.word)
+            assert out.word == cable_compose(word, rest.index(zbar) + 1, empty.word)
+            assert out.word.word == ()
+        sigma = papb_compose(papb_generator("sigma"), 1, empty)
+        assert sigma.source_frame == sigma.target_frame == (("z", 1), ("zbar", 1))
 
 
 class TestTextFormat:

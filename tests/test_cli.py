@@ -41,6 +41,20 @@ class TestTreeCommands:
         assert code == 0
         assert json.loads(out) == {"tree": "2(13)"}
 
+    def test_compose_colored(self, capsys):
+        code, out, _ = run_cli(["tree", "compose", "t(c1)o2", "1", "12"], capsys)
+        assert code == 0
+        assert json.loads(out) == {"tree": "t(c1c2)o3"}
+        code, out, _ = run_cli(["tree", "compose", "t(c1c2)o3", "1", ""], capsys)
+        assert code == 0
+        assert json.loads(out) == {"tree": "t(c1)o2"}
+
+    def test_compose_colored_slot_zero_exit_2(self, capsys):
+        code, out, err = run_cli(["tree", "compose", "t(c1)o2", "0", "c1"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: slot 0 out of range 1..2"
+
     def test_double(self, capsys):
         code, out, _ = run_cli(["tree", "double", "t(c1) o2"], capsys)
         assert code == 0

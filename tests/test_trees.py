@@ -18,12 +18,12 @@ from opetree.trees import (
     all_shapes,
     all_trees,
     compose,
-    compose_colored,
     doubled_compose,
     doubled_labels,
     doubling,
     format_tree,
     leaf_order,
+    map_leaves,
     parse_tree,
     permute,
     validate_colored,
@@ -252,31 +252,60 @@ class TestColoredCompose:
     def test_unit_open(self):
         e = parse_tree("t(c1)o2")
         unit = OpenLeaf(1)
-        assert compose_colored(e, 2, unit) == e
+        assert compose(e, 2, unit) == e
 
     def test_unit_closed(self):
         e = parse_tree("t(c1)o2")
-        assert compose_colored(e, 1, ClosedLeaf(1)) == e
+        assert compose(e, 1, ClosedLeaf(1)) == e
 
     def test_open_closed_relabeling_worked(self):
         e = parse_tree("t(c1)o2")
         x = parse_tree("c2c1")
-        out = compose_colored(e, 1, x)
+        out = compose(e, 1, x)
         assert format_tree(out) == "t(c2c1)o3"
         assert validate_colored(out) == (2, 1, "o")
 
     def test_color_mismatch(self):
         e = parse_tree("t(c1)o2")
         with pytest.raises(TreeError):
-            compose_colored(e, 1, parse_tree("o1"))
+            compose(e, 1, parse_tree("o1"))
         with pytest.raises(TreeError):
-            compose_colored(e, 2, parse_tree("c1c2"))
+            compose(e, 2, parse_tree("c1c2"))
+        with pytest.raises(TreeError):
+            compose(e, 2, parse_tree("12"))
+        with pytest.raises(TreeError):
+            compose(parse_tree("12"), 1, parse_tree("t(c1)o2"))
+
+    @pytest.mark.parametrize("host", ["t(c1)o2", "t(c1c2)", "c1c2", "o1o2"])
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_slot_below_one(self, host, p):
+        with pytest.raises(TreeError, match="out of range"):
+            compose(parse_tree(host), p, ClosedLeaf(1))
+
+    def test_plain_argument_takes_the_slot_kind(self):
+        e = parse_tree("t(c1)o2")
+        assert compose(e, 1, parse_tree("21")) == compose(e, 1, parse_tree("c2c1"))
+        assert compose(parse_tree("12"), 2, parse_tree("c1c2")) == parse_tree("1(23)")
+
+    def test_erase(self):
+        cases = {
+            ("t(c1c2)o3", 1): "t(c1)o2",
+            ("t(c1)o2", 1): "o1",
+            ("t(c1)o2", 2): "t(c1)",
+            ("(t(c2)o4)(t(c3c1)o5)", 3): "(t(c2)o3)(t(c1)o4)",
+            ("(t(c2)o4)(t(c3c1)o5)", 4): "t(c2)(t(c3c1)o4)",
+            ("c1(c2c3)", 2): "c1c2",
+            ("t(c1)", 1): "",
+            ("o1", 1): "",
+        }
+        for (host, p), want in cases.items():
+            assert format_tree(compose(parse_tree(host), p, EMPTY)) == want, (host, p)
 
     def test_figure_composition_shape(self):
         # leaf counts and color pattern survive composition
         e = parse_tree("(t(c2) o4)(t(c3 c1) o5)")
         f = parse_tree("t(c1)o2")
-        out = compose_colored(e, 4, f)
+        out = compose(e, 4, f)
         r, s, color = validate_colored(out)
         assert (r, s, color) == (4, 2, "o")
 
@@ -313,7 +342,7 @@ class TestDoubling:
 
     def test_functoriality_exhaustive(self):
         # doubling(E o_p F) equals the doubled composition, for all
-        # composites with r+s <= 4
+        # composites with 1 <= r+s <= 4; F = EMPTY deletes a point
         cases = 0
         colored = {
             (r, s): list(all_colored_trees(r, s))
@@ -321,7 +350,7 @@ class TestDoubling:
             for s in range(0, 5)
             if 1 <= r + s <= 4
         }
-        closed = {t: list(all_trees(range(1, t + 1))) for t in range(1, 4)}
+        closed = {t: list(all_trees(range(1, t + 1))) for t in range(0, 4)}
         for (re_, se), es in colored.items():
             for e in es:
                 # open slots
@@ -331,25 +360,25 @@ class TestDoubling:
                     for f in fs:
                         for j in range(1, se + 1):
                             p = re_ + j
-                            lhs = doubling(compose_colored(e, p, f))
+                            lhs = doubling(compose(e, p, f))
                             rhs = doubled_compose(e, p, f)
                             assert lhs == rhs
                             cases += 1
-                # closed slots
+                # open-slot deletion
+                if re_ + se > 1:
+                    for j in range(1, se + 1):
+                        lhs = doubling(compose(e, re_ + j, EMPTY))
+                        assert lhs == compose(doubling(e), 2 * re_ + j, EMPTY)
+                        cases += 1
+                # closed slots; t = 0 is the empty tree
                 for t in closed:
-                    if (re_ + t - 1) + se > 4 or re_ == 0:
+                    if not 1 <= (re_ + t - 1) + se <= 4 or re_ == 0:
                         continue
                     for a_plain in closed[t]:
-                        a = _closed(a_plain)
+                        a = map_leaves(a_plain, lambda lf: ClosedLeaf(lf.label))
                         for p in range(1, re_ + 1):
-                            lhs = doubling(compose_colored(e, p, a))
-                            rhs = doubled_compose(e, p, _closed(a_plain))
+                            lhs = doubling(compose(e, p, a))
+                            rhs = doubled_compose(e, p, a)
                             assert lhs == rhs
                             cases += 1
         assert cases > 100
-
-
-def _closed(t):
-    if isinstance(t, Leaf):
-        return ClosedLeaf(t.label)
-    return Node(_closed(t.left), _closed(t.right))
