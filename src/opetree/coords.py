@@ -220,10 +220,7 @@ def _factor_pair(q_polys: Mapping, i: int, j: int) -> FactoredDifference:
 
 
 class Certificate(Frozen):
-    """``failures`` is always (): every pair of a coordinate system factors."""
-
-    __slots__ = _fields = ("admissible", "margin", "worst_pair", "failures")
-    _defaults = {"failures": ()}
+    __slots__ = _fields = ("admissible", "margin", "worst_pair")
 
 
 def _tail_bound(tail: Poly, radii: Sequence[float]) -> float:

@@ -346,14 +346,10 @@ def bulk_correlator(model: NarainModel, dual: Charge, insertions) -> complex:
         return 0j
     _check_distinct(points)
     value = 1.0 + 0j
-    for i in range(len(charges)):
-        for j in range(i + 1, len(charges)):
-            v = points[i] - points[j]
-            bb = model.abarbar(charges[i], charges[j])
-            k = model.aa(charges[i], charges[j]) - bb
-            if k.denominator != 1:
-                raise LatticeError("bulk pair exponents differ non-integrally")
-            value *= abs(v) ** float(2 * bb) * v ** int(k)
+    for i, j in itertools.combinations(range(len(charges)), 2):
+        v = points[i] - points[j]
+        bb = model.abarbar(charges[i], charges[j])
+        value *= abs(v) ** float(2 * bb) * v ** lattice_pairing(charges[i], charges[j])
     return model.phase(_epsilon_num(model, charges)) * value
 
 
@@ -919,28 +915,20 @@ def expansion_consistency_check(
 def continue_bulk(model: NarainModel, dual, charges, path) -> complex:
     """Continue the bulk correlator along a discretized path of
     configurations, tracking each pair logarithm by principal-log
-    increments (valid while single steps stay off the ratio cut)."""
-    charges = [tuple(a) for a in charges]
+    increments (valid while single steps stay off the ratio cut).  A
+    non-integral charge raises LatticeError."""
+    charges = [_int_charge(a) for a in charges]
     if (sum(n for n, _ in charges), sum(m for _, m in charges)) != tuple(dual):
         return 0j
     pts = [list(map(complex, p)) for p in path]
-    npts = len(charges)
-    logs = {}
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            logs[(i, j)] = cmath.log(pts[0][i] - pts[0][j])
-    for step in range(1, len(pts)):
-        for i in range(npts):
-            for j in range(i + 1, npts):
-                old = pts[step - 1][i] - pts[step - 1][j]
-                new = pts[step][i] - pts[step][j]
-                logs[(i, j)] += cmath.log(new / old)
     total = 0j
-    for i in range(npts):
-        for j in range(i + 1, npts):
-            aa = model.aa(charges[i], charges[j])
-            bb = model.abarbar(charges[i], charges[j])
-            total += float(aa) * logs[(i, j)] + float(bb) * logs[(i, j)].conjugate()
+    for i, j in itertools.combinations(range(len(charges)), 2):
+        log = cmath.log(pts[0][i] - pts[0][j])
+        for old, new in zip(pts, pts[1:]):
+            log += cmath.log((new[i] - new[j]) / (old[i] - old[j]))
+        aa = model.aa(charges[i], charges[j])
+        bb = model.abarbar(charges[i], charges[j])
+        total += float(aa) * log + float(bb) * log.conjugate()
     return model.phase(_epsilon_num(model, charges)) * cmath.exp(total)
 
 
@@ -962,21 +950,18 @@ def _loop_path(points, mover: int, around: int, turns: float):
 
 def _random_loop_sample(rng, count):
     """Distinct points where a full loop of one around another stays clear
-    of the remaining points."""
-    while True:
+    of the remaining points; LatticeError after 1000 rejected proposals."""
+
+    def propose():
         pts = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(count)]
         mover, around = rng.sample(range(count), 2)
         radius = abs(pts[mover] - pts[around])
-        ok = radius > 0.1
-        for k in range(count):
-            if k in (mover, around):
-                continue
-            if abs(abs(pts[k] - pts[around]) - radius) < 0.15 or abs(
-                pts[k] - pts[around]
-            ) < 0.1:
-                ok = False
-        if ok:
+        others = [abs(pts[k] - pts[around]) for k in range(count) if k not in (mover, around)]
+        if radius > 0.1 and all(d >= 0.1 and abs(d - radius) >= 0.15 for d in others):
             return tuple(pts), mover, around
+        return None
+
+    return _rejection_sample(propose, 1, 1000, "loop sampler found no clear loop")[0]
 
 
 def single_valuedness_check(

@@ -15,6 +15,7 @@ double to the same object and every other operation returns fresh trees.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
@@ -291,49 +292,30 @@ def validate_colored(t: Tree) -> tuple[int, int, str]:
 # reparsed with maximal multi-digit numbers (so "10 11" works for large
 # trees).  Canonical output is compact for single-digit labels and
 # space-separated otherwise.
+#
+# One _TOKEN match per token; whitespace between tokens matches nothing
+# and is skipped.  Groups: 1 "t(" opens a Tau, 2 a parenthesis, 3 a
+# leaf's "c"/"o" prefix ("" for a plain leaf) and 4 its decimal digit
+# run, 5 a "c"/"o" with no label, 6 any other character.
+_TOKEN = re.compile(r"(t\()|([()])|([co]?)(\d+)|([co])|(\S)")
+_LEAF_KIND = {"": Leaf, "c": ClosedLeaf, "o": OpenLeaf}
 
 
 def _tokenize(text: str, split_digits: bool) -> list:
-    toks = []  # (kind, value, position)
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "(":
-            toks.append(("(", None, i))
-            i += 1
-        elif ch == ")":
-            toks.append((")", None, i))
-            i += 1
-        elif ch == "t" and i + 1 < n and text[i + 1] == "(":
-            toks.append(("tau", None, i))
-            i += 2
-        elif ch in "co":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise ParseError(f"{ch!r} must be followed by a label", i)
-            if split_digits and j - i - 1 > 1:
-                for k in range(i + 1, j):
-                    toks.append((ch, int(text[k]), i))
-            else:
-                toks.append((ch, int(text[i + 1 : j]), i))
-            i = j
-        elif ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            if split_digits:
-                for k in range(i, j):
-                    toks.append(("int", int(text[k]), k))
-            else:
-                toks.append(("int", int(text[i:j]), i))
-            i = j
+    toks = []  # (kind, value, position); kind is "(", ")", "t(" or a leaf class
+    for m in _TOKEN.finditer(text):
+        tau, paren, prefix, digits, bare, other = m.groups()
+        at = m.start()
+        if digits:  # split_digits: one leaf per digit, at the prefix's position or its own
+            kind = _LEAF_KIND[prefix]
+            labels = digits if split_digits else (digits,)
+            toks += [(kind, int(d), at if prefix else at + k) for k, d in enumerate(labels)]
+        elif bare:
+            raise ParseError(f"{bare!r} must be followed by a label", at)
+        elif other:
+            raise ParseError(f"unexpected character {other!r}", at)
         else:
-            raise ParseError(f"unexpected character {ch!r}", i)
+            toks.append((tau or paren, None, at))
     return toks
 
 
@@ -350,36 +332,20 @@ def _parse_tokens(toks: list, text_len: int) -> Tree:
     def parse_item():
         nonlocal pos, depth
         kind, value, at = peek()
-        if kind in ("(", "tau"):
-            depth += 1
-            if depth > MAX_NESTING:
-                raise ParseError(f"nesting deeper than {MAX_NESTING}", at)
-        if kind == "int":
-            pos += 1
-            return Leaf(value)
-        if kind == "c":
-            pos += 1
-            return ClosedLeaf(value)
-        if kind == "o":
-            pos += 1
-            return OpenLeaf(value)
-        if kind == "(":
-            pos += 1
-            inner = parse_juxtaposition(")")
-            if peek()[0] != ")":
-                raise ParseError("missing ')'", peek()[2])
-            pos += 1
-            depth -= 1
-            return inner
-        if kind == "tau":
-            pos += 1
-            inner = parse_juxtaposition(")")
-            if peek()[0] != ")":
-                raise ParseError("missing ')' after Tau", peek()[2])
-            pos += 1
-            depth -= 1
-            return Tau(inner)
-        raise ParseError("expected a leaf or '('", at)
+        if kind is None or kind == ")":
+            raise ParseError("expected a leaf or '('", at)
+        pos += 1
+        if value is not None:
+            return kind(value)
+        depth += 1  # "(" or "t("
+        if depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING}", at)
+        inner = parse_juxtaposition(")")
+        if peek()[0] != ")":
+            raise ParseError("missing ')' after Tau" if kind == "t(" else "missing ')'", peek()[2])
+        pos += 1
+        depth -= 1
+        return Tau(inner) if kind == "t(" else inner
 
     def parse_juxtaposition(closer):
         nonlocal pos
@@ -570,8 +536,10 @@ def doubling(e: Tree) -> Tree:
     """Double the Tau blocks: each Tau subtree T becomes Node(T, T-bar).
 
     The result is a plain tree on 2r+s leaves with the fixed label
-    convention of :func:`doubled_labels`.
+    convention of :func:`doubled_labels`; EMPTY doubles to EMPTY.
     """
+    if isinstance(e, _Empty):
+        return EMPTY
     r, s, color = validate_colored(e)
     if color != "o":
         raise TreeError("doubling is defined for o-colored trees")

@@ -59,6 +59,9 @@ class TestTreeCommands:
         code, out, _ = run_cli(["tree", "double", "t(c1) o2"], capsys)
         assert code == 0
         assert json.loads(out) == {"tree": "(12)3"}
+        code, out, _ = run_cli(["tree", "double", ""], capsys)
+        assert code == 0
+        assert json.loads(out) == {"tree": ""}
 
     def test_parse_error_exit_code(self, capsys):
         code, out, err = run_cli(["tree", "parse", "((12)"], capsys)
@@ -70,6 +73,12 @@ class TestTreeCommands:
         assert code == 2
         assert out == ""
         assert err.strip() == "error: nesting deeper than 256 (at position 256)"
+
+    def test_non_decimal_digit_exit_2(self, capsys):
+        code, out, err = run_cli(["tree", "parse", "1\u00b2"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == "error: unexpected character '\u00b2' (at position 1)"
 
     def test_permute(self, capsys):
         code, out, _ = run_cli(["tree", "permute", "1(23)", "2,1,3"], capsys)

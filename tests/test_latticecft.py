@@ -38,6 +38,7 @@ from opetree.latticecft import (
     skew_symmetry_check,
     tree_expansion,
     _loop_path,
+    _random_loop_sample,
     _sample_open_points,
 )
 from opetree.series import SeriesError, evaluate_closed, phase_pi
@@ -132,12 +133,26 @@ class TestBulkCorrelator:
         # TypeError from fractions); an integral value of any type is read
         # as its integer
         z1, z2 = 0.7 + 0.2j, -0.1 + 0.9j
+        path = _loop_path((z1, z2), 0, 1, turns=1.0)
         for pair in (((Fraction(3, 2), 0), (Fraction(-3, 2), 0)), ((1.5, 0), (-1.5, 0))):
             with pytest.raises(LatticeError, match="integer pair"):
                 bulk_correlator(model, (0, 0), [(pair[0], z1), (pair[1], z2)])
+            with pytest.raises(LatticeError, match="integer pair"):
+                continue_bulk(model, (0, 0), pair, path)
         want = bulk_correlator(model, (1, 1), [((1, 0), z1), ((0, 1), z2)])
         got = bulk_correlator(model, (1, 1), [((1.0, 0), z1), ((0, Fraction(1)), z2)])
         assert got == want
+        want = continue_bulk(model, (1, 1), [(1, 0), (0, 1)], path)
+        assert continue_bulk(model, (1, 1), [(1.0, 0), (0, Fraction(1))], path) == want
+
+    def test_loop_sampler_gives_up(self):
+        # coincident points never give a clear loop; this once looped forever
+        class Stuck(random.Random):
+            def uniform(self, a, b):
+                return 0.0
+
+        with pytest.raises(LatticeError, match="loop sampler"):
+            _random_loop_sample(Stuck(0), 3)
 
     def test_single_valued_under_loop(self, model):
         pts = (1.2 + 0.1j, -0.3 - 0.4j)

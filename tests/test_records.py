@@ -39,7 +39,7 @@ def test_hash_is_the_hash_of_the_field_tuple():
     assert hash(EMPTY) == hash(())
     assert hash(NarainModel(2)) == hash((Fraction(2),))
     assert hash(BraidWord(3, (1, -2))) == hash((3, (1, -2)))
-    assert hash(Certificate(True, 0.5, (1, 2))) == hash((True, 0.5, (1, 2), ()))
+    assert hash(Certificate(True, 0.5, (1, 2))) == hash((True, 0.5, (1, 2)))
 
 
 @pytest.mark.parametrize(
@@ -70,7 +70,7 @@ def test_repr_is_unchanged():
         "PowerProduct(diffs=(((2, 1), Fraction(-1, 1)),), powers=((3, 2),), constant=(1+0j))"
     )
     assert repr(Certificate(True, 0.5, (1, 2))) == (
-        "Certificate(admissible=True, margin=0.5, worst_pair=(1, 2), failures=())"
+        "Certificate(admissible=True, margin=0.5, worst_pair=(1, 2))"
     )
     assert repr(BraidWord(3, [1, -2])) == "BraidWord(strands=3, word=(1, -2))"
 
@@ -79,7 +79,7 @@ def test_keyword_construction_and_defaults():
     assert PowerProduct(powers=((1, 2),)) == PowerProduct((), ((1, 2),), 1.0 + 0j)
     assert PowerProduct(constant=2.0).diffs == ()
     cert = Certificate(admissible=True, margin=0.25, worst_pair=None)
-    assert cert.failures == () and cert == Certificate(True, 0.25, None, ())
+    assert cert == Certificate(True, 0.25, None)
     assert BraidWord(strands=3) == BraidWord(3, ())
     # __post_init__ normalizes keyword arguments too
     assert BraidWord(3, word=[1, -2]).word == (1, -2)

@@ -42,6 +42,52 @@ def random_tree(rng, labels):
     return Node(random_tree(rng, labels[:k]), random_tree(rng, labels[k:]))
 
 
+def _nest(depth, opener, inner):
+    return opener * depth + inner + ")" * depth
+
+
+C1, C2, O2, O3 = ClosedLeaf(1), ClosedLeaf(2), OpenLeaf(2), OpenLeaf(3)
+THREE = "more than two juxtaposed subtrees; parenthesize"
+
+# (id, text, tree) or (id, text, (exception type, message, position)); a
+# TreeError from label validation has no position
+PARSE_CASES = [
+    ("bare-c-start", "c", (ParseError, "'c' must be followed by a label", 0)),
+    ("bare-o-start", "o", (ParseError, "'o' must be followed by a label", 0)),
+    ("bare-c-mid", "1c", (ParseError, "'c' must be followed by a label", 1)),
+    ("bare-o-mid", "12 o", (ParseError, "'o' must be followed by a label", 3)),
+    ("bare-o-in-tau", "t(o)", (ParseError, "'o' must be followed by a label", 2)),
+    ("t-alone", "t", (ParseError, "unexpected character 't'", 0)),
+    ("t-then-label", "tc1", (ParseError, "unexpected character 't'", 0)),
+    ("t-space-paren", "t (c1)", (ParseError, "unexpected character 't'", 0)),
+    ("t-trailing", "(1)t", (ParseError, "unexpected character 't'", 3)),
+    # a prefixed digit run splits into leaves at the prefix's position,
+    # a bare one into leaves at each digit's own position
+    ("split-prefixed", "t(c12)o3", Node(Tau(Node(C1, C2)), O3)),
+    ("split-closed-pos", "c1234", (ParseError, THREE, 0)),
+    ("split-open-pos", "o1234", (ParseError, THREE, 0)),
+    ("split-bare-pos", "1234", (ParseError, THREE, 3)),
+    ("tab", "t(c1)\to2", Node(Tau(C1), O2)),
+    ("tab-newline", "1\n(2\t3)", Node(Leaf(1), Node(Leaf(2), Leaf(3)))),
+    ("tab-pos", "\t(1", (ParseError, "missing ')'", 3)),
+    ("newline-pos", "1\t\n)", (ParseError, "expected a leaf or '('", 3)),
+    ("fullwidth", "\uff11", Leaf(1)),
+    ("fullwidth-split", "\uff11\uff12", Node(Leaf(1), Leaf(2))),
+    ("superscript", "1\u00b2", (ParseError, "unexpected character '\u00b2'", 1)),
+    ("superscript-after-c", "c\u00b2", (ParseError, "'c' must be followed by a label", 0)),
+    ("missing-paren", "(c12", (ParseError, "missing ')'", 4)),
+    ("missing-paren-tau", "t(c1", (ParseError, "missing ')' after Tau", 4)),
+    ("paren-256", _nest(256, "(", "1"), Leaf(1)),
+    ("paren-257", _nest(257, "(", "1"), (ParseError, "nesting deeper than 256", 256)),
+    ("paren-255-tau", _nest(255, "(", "t(c1)"), Tau(C1)),
+    ("paren-256-tau", _nest(256, "(", "t(c1)"), (ParseError, "nesting deeper than 256", 256)),
+    ("tau-255-paren", "t(" + _nest(255, "(", "c1") + ")o2", Node(Tau(C1), O2)),
+    ("tau-256-paren", "t(" + _nest(256, "(", "c1") + ")o2", (ParseError, "nesting deeper than 256", 257)),
+    ("tau-256", _nest(256, "t(", "c1"), (TreeError, "nested Tau", None)),
+    ("tau-257", _nest(257, "t(", "c1"), (ParseError, "nesting deeper than 256", 512)),
+]
+
+
 class TestParseFormat:
     def test_seven_leaf_word(self):
         t = parse_tree("(5(23))((17)(64))")
@@ -63,6 +109,21 @@ class TestParseFormat:
             Node(Tau(Node(ClosedLeaf(3), ClosedLeaf(1))), OpenLeaf(5)),
         )
         assert validate_colored(t) == (3, 2, "o")
+
+    @pytest.mark.parametrize(
+        "text, expected", [case[1:] for case in PARSE_CASES], ids=[case[0] for case in PARSE_CASES]
+    )
+    def test_parse_table(self, text, expected):
+        if not isinstance(expected, tuple):
+            assert parse_tree(text) == expected
+            return
+        kind, message, position = expected
+        with pytest.raises(kind) as err:
+            parse_tree(text)
+        assert type(err.value) is kind
+        suffix = "" if position is None else f" (at position {position})"
+        assert str(err.value) == message + suffix
+        assert getattr(err.value, "position", None) == position
 
     def test_syntax_error_position(self):
         with pytest.raises(ParseError) as err:
@@ -342,7 +403,8 @@ class TestDoubling:
 
     def test_functoriality_exhaustive(self):
         # doubling(E o_p F) equals the doubled composition, for all
-        # composites with 1 <= r+s <= 4; F = EMPTY deletes a point
+        # composites with r+s <= 4; F = EMPTY deletes a point, and deleting
+        # the only point of a host leaves EMPTY, which doubles to EMPTY
         cases = 0
         colored = {
             (r, s): list(all_colored_trees(r, s))
@@ -365,14 +427,13 @@ class TestDoubling:
                             assert lhs == rhs
                             cases += 1
                 # open-slot deletion
-                if re_ + se > 1:
-                    for j in range(1, se + 1):
-                        lhs = doubling(compose(e, re_ + j, EMPTY))
-                        assert lhs == compose(doubling(e), 2 * re_ + j, EMPTY)
-                        cases += 1
+                for j in range(1, se + 1):
+                    lhs = doubling(compose(e, re_ + j, EMPTY))
+                    assert lhs == compose(doubling(e), 2 * re_ + j, EMPTY)
+                    cases += 1
                 # closed slots; t = 0 is the empty tree
                 for t in closed:
-                    if not 1 <= (re_ + t - 1) + se <= 4 or re_ == 0:
+                    if (re_ + t - 1) + se > 4 or re_ == 0:
                         continue
                     for a_plain in closed[t]:
                         a = map_leaves(a_plain, lambda lf: ClosedLeaf(lf.label))
