@@ -26,9 +26,9 @@ from opetree.trees import (
     Tree,
     compose,
     doubled_labels,
-    is_colored,
     leaf_order,
     parse_tree,
+    require_int,
     validate_colored,
     validate_tree,
 )
@@ -49,9 +49,10 @@ class BraidWord(Frozen):
     _defaults = {"word": ()}
 
     def __post_init__(self):
-        if self.strands < 0:
+        if require_int(self.strands, "strand count", BraidError) < 0:
             raise BraidError("negative strand count")
-        object.__setattr__(self, "word", tuple(int(x) for x in self.word))
+        word = tuple(require_int(x, "braid letter", BraidError) for x in self.word)
+        object.__setattr__(self, "word", word)
         for x in self.word:
             if x == 0 or not 1 <= abs(x) <= self.strands - 1:
                 raise BraidError(
@@ -326,16 +327,12 @@ def papb_compose(mu: PaPBMorphism, slot: int, nu: PaPBMorphism) -> PaPBMorphism:
     :func:`compose`, frames via :func:`_splice`; the result is
     revalidated.
     """
-    colored = is_colored(mu.source)
-    if colored:
-        r, s, _ = validate_colored(mu.source)
-    else:
-        r, s = validate_tree(mu.source), 0
-    if not 1 <= slot <= r + s:
+    r, s, color = validate_colored(mu.source)
+    if not 1 <= require_int(slot, "slot", BraidError) <= r + s:
         raise BraidError(f"slot {slot} out of range 1..{r + s}")
-    if is_colored(nu.source) != (slot > r):
+    if (validate_colored(nu.source)[2] != "plain") != (slot > r):
         raise BraidError(f"slot {slot} needs a {'colored' if slot > r else 'plain'} argument")
-    if not colored:
+    if color == "plain":
         holes = ((slot, nu.word),)
     elif slot > r:
         holes = ((("x", slot - r), nu.word),)

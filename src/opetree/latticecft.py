@@ -32,7 +32,7 @@ import random
 import time
 from fractions import Fraction
 from functools import cached_property, reduce
-from operator import add
+from operator import add, mul
 
 from opetree.coords import (
     CoordError,
@@ -62,10 +62,8 @@ from opetree.trees import (
     Tree,
     doubling,
     format_tree,
-    is_colored,
     leaf_order,
     validate_colored,
-    validate_tree,
 )
 
 Charge = tuple  # (n, m) integer pair
@@ -549,50 +547,43 @@ def tree_expansion(
     left-mover part expands in the tree coordinates and the right-mover
     part in their conjugates; for an o-colored tree the doubled tree is
     used.  The tree's OPE structure constants form the prefactor.  A
-    non-integral charge raises LatticeError.
+    non-integral charge, a c-colored tree, an o-colored tree without
+    boundary data and charge counts that do not match the tree (boundary
+    charges on a plain tree included) raise LatticeError.
     """
     charges = [_int_charge(a) for a in charges]
-    if is_colored(e):
-        if bd is None:
-            raise LatticeError("colored expansion needs boundary data")
-        r, s, color = validate_colored(e)
-        if color != "o":
-            raise LatticeError("expansion tree must be o-colored")
-        if 2 * r + s == 1:
-            raise LatticeError(f"tree {format_tree(e)} doubles to one leaf: no pair to expand")
-        if len(charges) != r or len(bdry_charges) != s:
-            raise LatticeError("charge count mismatch")
-        cs = a_coordinates(doubling(e))
-        frames = _doubled_charge_frames(bd, charges, bdry_charges)
-        diffs = _frame_diffs(model, frames, _ordered_pairs(cs.tree))
-        ex = expand(cs, PowerProduct(diffs=diffs), order)
-        if ex.negative_pairs:
-            raise LatticeError(
-                f"leaf-ordered factor with negative leading sign: {ex.negative_pairs}"
-            )
-        pref = ope_prefactor_num(bd, e, charges)
-        return TreeExpansion(model, e, cs, ex.series, pref, colored=True)
-
-    r = validate_tree(e)
-    if r == 1:
-        raise LatticeError(f"tree {format_tree(e)} has one leaf: no pair to expand")
-    if len(charges) != r:
+    r, s, color = validate_colored(e)
+    colored = color == "o"
+    if color == "c":
+        raise LatticeError("expansion tree must be plain or o-colored")
+    if colored and bd is None:
+        raise LatticeError("colored expansion needs boundary data")
+    if (2 * r + s if colored else r) == 1:
+        has = "doubles to" if colored else "has"
+        raise LatticeError(f"tree {format_tree(e)} {has} one leaf: no pair to expand")
+    if len(charges) != r or len(bdry_charges) != s:
         raise LatticeError("charge count mismatch")
-    cs = a_coordinates(e)
-    pairs = _ordered_pairs(e)
-    a_frames = {i: model.a_vec(a) for i, a in enumerate(charges, start=1)}
-    abar_frames = {i: model.abar_vec(a) for i, a in enumerate(charges, start=1)}
-    ex_z = expand(cs, PowerProduct(diffs=_frame_diffs(model, a_frames, pairs)), order)
-    ex_zb = expand(
-        cs,
-        PowerProduct(diffs=_frame_diffs(model, abar_frames, pairs)),
-        order,
-        conjugate=True,
-    )
-    if ex_z.negative_pairs or ex_zb.negative_pairs:
-        raise LatticeError("leaf-ordered factor with negative leading sign")
-    eps = _epsilon_num(model, [charges[k - 1] for k in leaf_order(e)])
-    return TreeExpansion(model, e, cs, ex_z.series * ex_zb.series, eps, colored=False)
+    if colored:  # one part: the doubled frames
+        cs = a_coordinates(doubling(e))
+        parts = [(_doubled_charge_frames(bd, charges, bdry_charges), False)]
+        pref = ope_prefactor_num(bd, e, charges)
+    else:  # left movers in the tree coordinates, right movers in their conjugates
+        cs = a_coordinates(e)
+        parts = [
+            ({i: vec(a) for i, a in enumerate(charges, start=1)}, conjugate)
+            for vec, conjugate in ((model.a_vec, False), (model.abar_vec, True))
+        ]
+        pref = _epsilon_num(model, [charges[k - 1] for k in leaf_order(e)])
+    pairs = _ordered_pairs(cs.tree)
+    expanded = []
+    for frames, conjugate in parts:
+        diffs = _frame_diffs(model, frames, pairs)
+        expanded.append(expand(cs, PowerProduct(diffs=diffs), order, conjugate=conjugate))
+    negative = [pair for ex in expanded for pair in ex.negative_pairs]
+    if negative:
+        raise LatticeError(f"leaf-ordered factor with negative leading sign: {negative}")
+    series = reduce(mul, [ex.series for ex in expanded])
+    return TreeExpansion(model, e, cs, series, pref, colored)
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +775,14 @@ def _sample_open_points(e, rng, count, margin_min=MARGIN_MIN):
 PHASE_TOL = 1e-10  # inter-region phase tolerance
 
 
+def _sweep_colored(trees) -> bool:
+    """Whether the trees of a sweep are colored, read from the first;
+    LatticeError if there are none."""
+    if not trees:
+        raise LatticeError("no trees to compare")
+    return validate_colored(trees[0])[2] != "plain"
+
+
 def consistency_sweep(model, trees, charge_sets, order, points, bases, bd=None) -> list:
     """Tree expansions against the closed form, for many charge sets on
     shared points.
@@ -795,9 +794,9 @@ def consistency_sweep(model, trees, charge_sets, order, points, bases, bd=None) 
     with its OPE prefactor against the closed form), the inter-region
     phases measured at the base points (closed form over raw expansion,
     tree t over tree 0, for t >= 1), and the phases that the trees' OPE
-    prefactors predict.
+    prefactors predict.  An empty tree list raises LatticeError.
     """
-    colored = is_colored(trees[0])
+    colored = _sweep_colored(trees)
     if colored and bd is None:
         raise LatticeError("colored expansion needs boundary data")
     out = []
@@ -862,7 +861,7 @@ def expansion_consistency_check(
     """
     t0 = time.perf_counter()
     rng = random.Random(seed)
-    colored = is_colored(trees[0])
+    colored = _sweep_colored(trees)
     sample = _sample_open_points if colored else _sample_bulk_points
     base_point = nested_configuration_open if colored else nested_configuration
     points = [sample(tree, rng, n_points) for tree in trees]
@@ -971,6 +970,8 @@ def single_valuedness_check(
     t0 = time.perf_counter()
     rng = random.Random(seed)
     charges = [tuple(a) for a in charges]
+    if len(charges) < 2:
+        raise LatticeError(f"a loop needs at least two charges, got {len(charges)}")
     dual = (sum(n for n, _ in charges), sum(m for _, m in charges))
     worst = 0.0
     samples = []

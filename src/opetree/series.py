@@ -64,7 +64,7 @@ from opetree.coords import (
     on_cut,
     pair_difference,
 )
-from opetree.trees import Frozen, Tree
+from opetree.trees import Frozen, Tree, require_int
 
 ZERO = Fraction(0)
 
@@ -519,14 +519,13 @@ class PowerProduct(Frozen):
     _defaults = {"diffs": (), "powers": (), "constant": 1.0 + 0j}
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "diffs",
-            tuple(((int(i), int(j)), Fraction(s)) for (i, j), s in self.diffs),
-        )
-        object.__setattr__(
-            self, "powers", tuple((int(i), int(k)) for i, k in self.powers)
-        )
+        def whole(value, what="leaf label"):
+            return require_int(value, what, SeriesError)
+
+        diffs = tuple(((whole(i), whole(j)), Fraction(s)) for (i, j), s in self.diffs)
+        object.__setattr__(self, "diffs", diffs)
+        powers = tuple((whole(i), whole(k, "power")) for i, k in self.powers)
+        object.__setattr__(self, "powers", powers)
         for (i, j), _ in self.diffs:
             if i == j:
                 raise SeriesError(f"difference factor with i == j == {i}")

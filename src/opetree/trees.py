@@ -5,8 +5,11 @@ leaves carry the labels {1, ..., r}, plus the distinguished empty tree.
 Colored trees additionally carry closed/open leaf colors and the unary
 color-change `Tau`; an o-colored tree is a binary combination of open
 leaves and Tau-wrapped closed trees, with open labels increasing left
-to right.  One partial composition, :func:`compose`, grafts a tree into
-a leaf of a plain or colored tree; the empty tree deletes the point.
+to right.  One walk, :func:`validate_colored`, types every tree: it
+gives a plain tree the color "plain" and a colored one "c" or "o", and
+:func:`validate_tree` only asks that color to be plain.  One partial
+composition, :func:`compose`, grafts a tree into a leaf of a plain or
+colored tree; the empty tree deletes the point.
 
 All values are immutable; :func:`doubling` is memoized, so equal trees
 double to the same object and every other operation returns fresh trees.
@@ -115,9 +118,9 @@ class Stored(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# Node types.  Plain and colored trees share `Node`; a tree is colored as
-# soon as it contains a ClosedLeaf, OpenLeaf or Tau.  Trees key memos and
-# dicts on hot paths, so nodes are Stored records.
+# Node types.  Plain and colored trees share `Node`; :func:`validate_colored`
+# types a tree by its leaves and Taus.  Trees key memos and dicts on hot
+# paths, so nodes are Stored records.
 
 
 class _Leaf(Stored):
@@ -185,99 +188,72 @@ Tree = Union[Leaf, ClosedLeaf, OpenLeaf, Node, Tau, _Empty]
 
 
 # ---------------------------------------------------------------------------
-# Traversal and validation
+# Validation
 
 
-def leaves(t: Tree) -> list:
-    """Leaf nodes of ``t`` in left-to-right order."""
-    out = []
-
-    def walk(x):
-        if isinstance(x, (Leaf, ClosedLeaf, OpenLeaf)):
-            out.append(x)
-        elif isinstance(x, Node):
-            walk(x.left)
-            walk(x.right)
-        elif isinstance(x, Tau):
-            walk(x.child)
-        elif isinstance(x, _Empty):
-            raise TreeError("empty tree inside a node")
-        else:
-            raise TreeError(f"not a tree: {x!r}")
-
-    if not isinstance(t, _Empty):
-        walk(t)
-    return out
+_COLOR = {Leaf: "plain", ClosedLeaf: "c", OpenLeaf: "o"}
 
 
-def is_colored(t: Tree) -> bool:
-    if isinstance(t, (ClosedLeaf, OpenLeaf, Tau)):
-        return True
-    if isinstance(t, Node):
-        return is_colored(t.left) or is_colored(t.right)
-    return False
-
-
-def validate_tree(t: Tree) -> int:
-    """Check plain-tree invariants; return the leaf count r."""
-    if isinstance(t, _Empty):
-        return 0
-    lv = leaves(t)
-    for lf in lv:
-        if not isinstance(lf, Leaf):
-            raise TreeError(f"colored leaf {lf!r} in a plain tree")
-    labels = sorted(lf.label for lf in lv)
-    if labels != list(range(1, len(lv) + 1)):
-        raise TreeError(f"leaf labels {labels} are not exactly 1..{len(lv)}")
-    return len(lv)
+def require_int(value, what: str, error=TreeError) -> int:
+    """``value`` if it is an int (a bool is not); otherwise ``error`` naming
+    it, so a label, slot, strand or power is never truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise error(f"{what} must be an int, got {value!r}")
 
 
 def validate_colored(t: Tree) -> tuple[int, int, str]:
-    """Check colored-tree invariants; return (r, s, output color).
+    """Type any tree in one walk; return (r, s, output color).
 
-    Typing rules: a Node joins two subtrees of equal color; Tau wraps a
-    c-colored subtree.  In an o-colored tree every closed leaf sits below
-    exactly one Tau; open labels increase left to right.
+    A Leaf is "plain", a ClosedLeaf "c" and an OpenLeaf "o"; a Node joins
+    two subtrees of equal color, and a Tau wraps a c-colored subtree into
+    an "o" one.  So in an o-colored tree every closed leaf sits below
+    exactly one Tau.  Labels are ints: the r plain or closed labels are
+    exactly 1..r, the s open ones r+1..r+s, increasing left to right.  A
+    plain tree gives (r, 0, "plain") and EMPTY gives (0, 0, "plain").
     """
     if isinstance(t, _Empty):
-        raise TreeError("the empty tree is not a colored tree")
+        return 0, 0, "plain"
+    closed, opens = [], []  # plain or closed labels; open labels in order
 
-    def check(x, tau_depth):
-        # returns (closed labels, open labels in order, color)
-        if isinstance(x, ClosedLeaf):
-            return [x.label], [], "c"
-        if isinstance(x, OpenLeaf):
-            if tau_depth > 0:
-                raise TreeError("open leaf below a Tau")
-            return [], [x.label], "o"
-        if isinstance(x, Tau):
-            if tau_depth > 0:
-                raise TreeError("nested Tau")
-            cl, op, col = check(x.child, tau_depth + 1)
-            if col != "c":
-                raise TreeError("Tau child must be c-colored")
-            return cl, op, "o"
+    def walk(x, in_tau):
         if isinstance(x, Node):
-            cl1, op1, col1 = check(x.left, tau_depth)
-            cl2, op2, col2 = check(x.right, tau_depth)
-            if col1 != col2:
-                raise TreeError(f"node joins mismatched colors {col1!r} and {col2!r}")
-            return cl1 + cl2, op1 + op2, col1
-        if isinstance(x, Leaf):
-            raise TreeError(f"plain leaf {x!r} in a colored tree")
-        raise TreeError(f"not a tree: {x!r}")
+            left, right = walk(x.left, in_tau), walk(x.right, in_tau)
+            if left != right:
+                raise TreeError(f"node joins mismatched colors {left!r} and {right!r}")
+            return left
+        if isinstance(x, Tau):
+            if in_tau:
+                raise TreeError("nested Tau")
+            if walk(x.child, True) != "c":
+                raise TreeError("Tau child must be c-colored")
+            return "o"
+        color = _COLOR.get(type(x))
+        if color is None:
+            raise TreeError(f"not a tree: {x!r}")
+        if color == "o" and in_tau:
+            raise TreeError("open leaf below a Tau")
+        (opens if color == "o" else closed).append(require_int(x.label, "leaf label"))
+        return color
 
-    closed, opens, color = check(t, 0)
+    color = walk(t, False)
     r, s = len(closed), len(opens)
-    if color == "c" and s:
-        raise TreeError("c-colored tree with open leaves")
     if sorted(closed) != list(range(1, r + 1)):
-        raise TreeError(f"closed labels {sorted(closed)} are not exactly 1..{r}")
+        noun = "leaf" if color == "plain" else "closed"
+        raise TreeError(f"{noun} labels {sorted(closed)} are not exactly 1..{r}")
     if opens != list(range(r + 1, r + s + 1)):
         raise TreeError(
             f"open labels {opens} must be r+1..r+s and increase left to right"
         )
     return r, s, color
+
+
+def validate_tree(t: Tree) -> int:
+    """Check that ``t`` is a plain tree (or EMPTY); return the leaf count r."""
+    r, _, color = validate_colored(t)
+    if color != "plain":
+        raise TreeError(f"{color}-colored tree where a plain tree is needed")
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +355,7 @@ def parse_tree(text: str) -> Tree:
         toks = _tokenize(text, split_digits=split)
         try:
             tree = _parse_tokens(toks, len(text))
-            if is_colored(tree):
-                validate_colored(tree)
-            else:
-                validate_tree(tree)
+            validate_colored(tree)
             return tree
         except TreeError as err:
             if first_err is None:
@@ -394,7 +367,7 @@ def format_tree(t: Tree) -> str:
     """Canonical text for a tree; outermost parentheses omitted."""
     if isinstance(t, _Empty):
         return ""
-    wide = any(lf.label > 9 for lf in leaves(t))
+    wide = any(label > 9 for label in leaf_order(t))
     sep = " " if wide else ""
 
     def fmt(x, root=False):
@@ -422,15 +395,16 @@ def map_leaves(t: Tree, f) -> Tree:
     """Replace every leaf of a plain or colored tree by ``f(leaf)``, a leaf
     or a subtree, keeping the Node and Tau structure; a leaf mapped to
     None is erased: a Node keeps its other child, a Tau left empty goes
-    too, and a tree with every leaf erased (or EMPTY) maps to EMPTY.  The
-    one leaf walk behind relabeling, recoloring and composition."""
+    too, and a tree with every leaf erased (or EMPTY) maps to EMPTY; an
+    EMPTY below a Node or Tau is not a tree.  The one leaf walk behind
+    relabeling, recoloring, composition and leaf order."""
     if isinstance(t, (Leaf, ClosedLeaf, OpenLeaf)):
         out = f(t)
         return EMPTY if out is None else out
-    if isinstance(t, Tau):
+    if isinstance(t, Tau) and not isinstance(t.child, _Empty):
         child = map_leaves(t.child, f)
         return EMPTY if child is EMPTY else Tau(child)
-    if isinstance(t, Node):
+    if isinstance(t, Node) and not isinstance(t.left, _Empty) and not isinstance(t.right, _Empty):
         left, right = map_leaves(t.left, f), map_leaves(t.right, f)
         if left is EMPTY:
             return right
@@ -454,16 +428,15 @@ def compose(a: Tree, p: int, b: Tree) -> Tree:
     """
     if isinstance(a, _Empty):
         raise TreeError("cannot compose into the empty tree")
-    colored = is_colored(a)
-    r, s, _ = validate_colored(a) if colored else (validate_tree(a), 0, None)
-    if not 1 <= p <= r + s:
+    r, s, color = validate_colored(a)
+    if not 1 <= require_int(p, "slot") <= r + s:
         raise TreeError(f"slot {p} out of range 1..{r + s}")
-    kind = OpenLeaf if p > r else ClosedLeaf if colored else Leaf
+    kind = OpenLeaf if p > r else Leaf if color == "plain" else ClosedLeaf
     if isinstance(b, _Empty):
         m, sub = 0, None
     else:
-        m, _, color = validate_colored(b) if is_colored(b) else (validate_tree(b), 0, "c")
-        if (color == "o") != (kind is OpenLeaf):
+        m, _, b_color = validate_colored(b)
+        if (b_color == "o") != (kind is OpenLeaf):
             want = "an o-colored" if kind is OpenLeaf else "a plain or c-colored"
             raise TreeError(f"slot {p} needs {want} argument")
         if kind is OpenLeaf:  # open labels are renumbered below
@@ -479,8 +452,8 @@ def compose(a: Tree, p: int, b: Tree) -> Tree:
         return kind(x.label + m - 1) if x.label > p else x
 
     out = map_leaves(a, graft)
-    if s:
-        opens = itertools.count(sum(type(x) is ClosedLeaf for x in leaves(out)) + 1)
+    if s:  # opens follow the r + m - 1 closed leaves, or r + m after an open slot
+        opens = itertools.count(r + m + (kind is OpenLeaf))
         out = map_leaves(out, lambda x: OpenLeaf(next(opens)) if type(x) is OpenLeaf else x)
     return out
 
@@ -497,6 +470,8 @@ def permute(a: Tree, g: Sequence[int] | dict) -> Tree:
         mapping = dict(g)
     else:
         mapping = {i + 1: v for i, v in enumerate(g)}
+    for v in (*mapping, *mapping.values()):
+        require_int(v, "permutation entry")
     if sorted(mapping) != list(range(1, r + 1)) or sorted(mapping.values()) != list(
         range(1, r + 1)
     ):
@@ -506,7 +481,9 @@ def permute(a: Tree, g: Sequence[int] | dict) -> Tree:
 
 def leaf_order(a: Tree) -> list[int]:
     """Labels read left to right ('forgetting the parenthesization')."""
-    return [lf.label for lf in leaves(a)]
+    out = []
+    map_leaves(a, lambda x: out.append(x.label))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -552,9 +529,7 @@ def doubling(e: Tree) -> Tree:
                 map_leaves(x.child, lambda lf: Leaf(2 * lf.label - 1)),
                 map_leaves(x.child, lambda lf: Leaf(2 * lf.label)),
             )
-        if isinstance(x, Node):
-            return Node(build(x.left), build(x.right))
-        raise TreeError(f"unexpected node {x!r}")
+        return Node(build(x.left), build(x.right))
 
     out = build(e)
     validate_tree(out)

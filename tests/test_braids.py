@@ -60,6 +60,20 @@ class TestPermutation:
         with pytest.raises(BraidError):
             BraidWord(3, (0,))
 
+    @pytest.mark.parametrize(
+        "strands, word, message",
+        [
+            (3, (1.5, -2.7), "braid letter must be an int, got 1.5"),
+            (3, (1, True), "braid letter must be an int, got True"),
+            (2.5, (1,), "strand count must be an int, got 2.5"),
+            (2.0, (), "strand count must be an int, got 2.0"),
+        ],
+    )
+    def test_non_integer_values_raise(self, strands, word, message):
+        with pytest.raises(BraidError) as err:
+            BraidWord(strands, word)
+        assert str(err.value) == message
+
 
 class TestMirror:
     def test_single(self):
@@ -377,6 +391,8 @@ class TestPaPBCompose:
         for slot in (0, -1, 3):
             with pytest.raises(BraidError, match=r"out of range 1\.\.2"):
                 papb_compose(mu, slot, papb_identity(parse_tree("o1")))
+        with pytest.raises(BraidError, match="slot must be an int, got 2.0"):
+            papb_compose(mu, 2.0, papb_identity(parse_tree("o1")))
 
     def test_color_mismatch(self):
         mu = papb_generator("p")

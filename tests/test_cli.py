@@ -63,6 +63,19 @@ class TestTreeCommands:
         assert code == 0
         assert json.loads(out) == {"tree": ""}
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["coords", "t(c1)o2"], "error: o-colored tree where a plain tree is needed"),
+            (["tree", "double", "12"], "error: doubling is defined for o-colored trees"),
+        ],
+    )
+    def test_wrong_color_exit_2(self, capsys, argv, message):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == message
+
     def test_parse_error_exit_code(self, capsys):
         code, out, err = run_cli(["tree", "parse", "((12)"], capsys)
         assert code == 2

@@ -44,9 +44,11 @@ from opetree.latticecft import (
 from opetree.series import SeriesError, evaluate_closed, phase_pi
 from opetree.trees import (
     ClosedLeaf,
+    Leaf,
     Node,
     OpenLeaf,
     Tau,
+    TreeError,
     all_colored_trees,
     doubling,
     format_tree,
@@ -1185,6 +1187,27 @@ class TestTreeExpansion:
         assert got.evaluate(point) == want.evaluate(point)
         assert got.series.n_terms() == want.series.n_terms() > 1
 
+    @pytest.mark.parametrize(
+        "tree, charges, bdry, with_bd, error, message",
+        [
+            (parse_tree("c1c2"), [(1, 0), (0, 1)], [], True, LatticeError, "must be plain or o-colored"),
+            (parse_tree("c1c2"), [(1, 0), (0, 1)], [], False, LatticeError, "must be plain or o-colored"),
+            (parse_tree("t(c1)o2"), [(1, 0)], [1], False, LatticeError, "needs boundary data"),
+            (parse_tree("12"), [(1, 0), (0, 1)], [1], False, LatticeError, "charge count mismatch"),
+            (Node(Tau(Leaf(1)), Leaf(2)), [(1, 0), (0, 1)], [], False, TreeError, "Tau child must be c-colored"),
+        ],
+        ids=["c-colored-bd", "c-colored", "o-colored-no-bd", "plain-bdry-charges", "tau-over-plain"],
+    )
+    def test_tree_and_data_mismatch_raises(self, model, boundaries, tree, charges, bdry, with_bd, error, message):
+        bd = boundaries[1] if with_bd else None
+        with pytest.raises(error, match=message):
+            tree_expansion(model, tree, charges, 4, bd=bd, bdry_charges=bdry)
+
+    def test_plain_tree_needs_no_boundary_data(self, model, boundaries):
+        tree, charges = parse_tree("(12)3"), [(1, 0), (0, 1), (-1, 1)]
+        want = tree_expansion(model, tree, charges, 4)
+        assert tree_expansion(model, tree, charges, 4, bd=boundaries[1]).series.terms() == want.series.terms()
+
     def test_uncertifiable_tree_raises(self, model):
         # no plain tree with distinct leaves fails on the lattice products,
         # but charge mismatch must raise
@@ -1312,6 +1335,12 @@ class TestConsistency:
         with pytest.raises(LatticeError, match="colored expansion needs boundary data"):
             consistency_sweep(model, trees, sets, 12, [[], []], bases)
 
+    def test_sweeps_need_trees(self, model):
+        with pytest.raises(LatticeError, match="no trees to compare"):
+            expansion_consistency_check(model, [], [(1, 0)], 4, 1e-6, 1, 0)
+        with pytest.raises(LatticeError, match="no trees to compare"):
+            consistency_sweep(model, [], [([(1, 0)], [])], 4, [], [])
+
     def test_determinism(self, model, boundaries):
         bd = boundaries[1]
         kwargs = dict(order=12, tol=1e-3, n_points=3, seed=31, bd=bd, bdry_charges=[1])
@@ -1345,6 +1374,11 @@ class TestSkewAndLoops:
         ]
         rep = skew_symmetry_check(model, pairs, n_samples=10, seed=47)
         assert rep.passed, rep.text()
+
+    @pytest.mark.parametrize("charges", [[(0, 0)], []])
+    def test_single_valuedness_needs_two_charges(self, model, charges):
+        with pytest.raises(LatticeError, match="a loop needs at least two charges"):
+            single_valuedness_check(model, charges, 1, 0)
 
     def test_single_valuedness(self, model):
         rep = single_valuedness_check(

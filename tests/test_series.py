@@ -785,6 +785,20 @@ class TestExpand:
             with pytest.raises(CoordError, match="no leaf labeled 9"):
                 expand(a, f, 4)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"diffs": (((1.9, 2), 1),)}, "leaf label must be an int, got 1.9"),
+            ({"diffs": (((1, 2.0), 1),)}, "leaf label must be an int, got 2.0"),
+            ({"powers": ((1, 1.5),)}, "power must be an int, got 1.5"),
+            ({"powers": ((True, 2),)}, "leaf label must be an int, got True"),
+        ],
+    )
+    def test_non_integer_labels_and_powers_raise(self, fields, message):
+        with pytest.raises(SeriesError) as err:
+            PowerProduct(**fields)
+        assert str(err.value) == message
+
     def test_worked_expansion_against_oracle(self):
         # (z2 - z1)^{-1} on (23)((15)4) equals x^{-1} sum (-za+zc+zb*zc)^l
         a = parse_tree("(23)((15)4)")

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opetree.coords import a_coordinates, nested_configuration
 from opetree.trees import (
     EMPTY,
     MAX_NESTING,
@@ -86,6 +87,53 @@ PARSE_CASES = [
     ("tau-256", _nest(256, "t(", "c1"), (TreeError, "nested Tau", None)),
     ("tau-257", _nest(257, "t(", "c1"), (ParseError, "nesting deeper than 256", 512)),
 ]
+
+
+TAU_OVER_PLAIN = Node(Tau(Leaf(1)), Leaf(2))
+
+# (id, call, message): every label, slot and permutation entry must be an int
+NON_INT_CASES = [
+    ("slot-float", lambda: compose(parse_tree("12"), 1.5, Leaf(1)), "slot must be an int, got 1.5"),
+    ("slot-integral-float", lambda: compose(parse_tree("12"), 2.0, parse_tree("12")), "slot must be an int, got 2.0"),
+    ("slot-bool", lambda: compose(parse_tree("12"), True, Leaf(1)), "slot must be an int, got True"),
+    ("image-float", lambda: permute(parse_tree("12"), [2.0, 1.0]), "permutation entry must be an int, got 2.0"),
+    ("key-float", lambda: permute(parse_tree("12"), {1.0: 2, 2: 1}), "permutation entry must be an int, got 1.0"),
+    ("label-float", lambda: validate_tree(Node(Leaf(2.0), Leaf(True))), "leaf label must be an int, got 2.0"),
+    ("label-bool", lambda: validate_tree(Node(Leaf(1), Leaf(True))), "leaf label must be an int, got True"),
+    ("closed-label", lambda: validate_colored(Tau(ClosedLeaf(1.0))), "leaf label must be an int, got 1.0"),
+    ("open-label", lambda: validate_colored(OpenLeaf(1.0)), "leaf label must be an int, got 1.0"),
+]
+
+
+class TestValidate:
+    @pytest.mark.parametrize("r", range(5))
+    def test_plain_trees_type_as_plain(self, r):
+        for t in all_trees(range(1, r + 1)):  # r = 0 is EMPTY alone
+            assert validate_colored(t) == (r, 0, "plain")
+            assert validate_tree(t) == r
+
+    @pytest.mark.parametrize(
+        "check",
+        [validate_tree, a_coordinates, nested_configuration, lambda t: permute(t, [2, 1])],
+        ids=["validate_tree", "a_coordinates", "nested_configuration", "permute"],
+    )
+    def test_tau_over_plain_leaves_raises(self, check):
+        with pytest.raises(TreeError, match="Tau child must be c-colored"):
+            check(TAU_OVER_PLAIN)
+
+    def test_mismatched_colors(self):
+        with pytest.raises(TreeError, match="node joins mismatched colors 'o' and 'plain'"):
+            validate_colored(Node(Tau(ClosedLeaf(1)), Leaf(2)))
+        with pytest.raises(TreeError, match="o-colored tree where a plain tree is needed"):
+            validate_tree(parse_tree("t(c1)o2"))
+
+    @pytest.mark.parametrize(
+        "call, message", [case[1:] for case in NON_INT_CASES], ids=[case[0] for case in NON_INT_CASES]
+    )
+    def test_non_integer_values_raise(self, call, message):
+        with pytest.raises(TreeError) as err:
+            call()
+        assert str(err.value) == message
 
 
 class TestParseFormat:
