@@ -8,29 +8,29 @@ of the two points in the plane; complex conjugation of paths is
 :func:`mirror` (negate every crossing).
 
 One record, :class:`PaPBMorphism`, holds a braid word between two trees
-and a *frame* at each end: the tag each strand position carries.  For
-plain trees (PaB) the frame is the leaf labels in leaf order; for
-o-colored trees (PaPB) it is the doubled tags ('z', k), ('zbar', k),
-('x', j), in the *rank frame* of the canonical base configurations:
-coordinates sorted by decreasing real part, bulk point before its
-conjugate.  One operadic composition, :func:`papb_compose`, composes
-both.  Morphism equality is not decided up to homotopy; the stored
-invariants are the permutation and the signed crossing counts per
-strand pair.
+and a *frame* at each end: the tag each strand position carries.  A
+frame is a function of its tree, :func:`rank_frame`, read in one leaf
+walk: leaf labels for plain trees (PaB), and for o-colored trees (PaPB)
+the doubled tags ('z', k), ('zbar', k), ('x', j) in leaf order, each
+bulk point before its conjugate.  One operadic composition,
+:func:`papb_compose`, composes both, and its composites are framed by
+their trees too, so they chain with :meth:`PaPBMorphism.then`.
+Morphism equality is not decided up to homotopy; the stored invariants
+are the permutation and the signed crossing counts per strand pair.
 """
 
 from __future__ import annotations
 
 from opetree.trees import (
+    ClosedLeaf,
     Frozen,
+    OpenLeaf,
     Tree,
     compose,
-    doubled_labels,
-    leaf_order,
+    map_leaves,
     parse_tree,
     require_int,
     validate_colored,
-    validate_tree,
 )
 
 
@@ -117,7 +117,7 @@ def cable_compose(g: BraidWord, p: int, h: BraidWord) -> BraidWord:
     higher indices decrement.
     """
     n, m = g.strands, h.strands
-    if not 1 <= p <= n:
+    if not 1 <= require_int(p, "strand", BraidError) <= n:
         raise BraidError(f"strand {p} out of range 1..{n}")
     wide = p
     out = []
@@ -164,31 +164,34 @@ def block_substitution(pg: tuple, p: int, ph: tuple) -> tuple:
 
 
 def rank_frame(e: Tree) -> tuple:
-    """Strand order of the doubled coordinates at the canonical base
-    configuration: decreasing real part, bulk point before conjugate.
+    """The tag each strand position of a plain or o-colored tree carries,
+    read in one leaf walk: a plain leaf gives its label, closed leaf k
+    gives ('z', k), ('zbar', k) and open leaf r+j gives ('x', j).  For an
+    o-colored tree this is the rank order of the doubled coordinates at
+    the canonical base configuration: decreasing real part, bulk point
+    before its conjugate.  A c-colored tree has no frame."""
+    r, _, color = validate_colored(e)
+    if color == "c":
+        raise BraidError("a c-colored tree has no braid frame")
+    tags = []
 
-    Returns a tuple of tags ('z', k) / ('zbar', k) / ('x', j).
-    """
-    # coords is needed only here, so braid-word commands never load it
-    from opetree.coords import nested_configuration_open, phi_embedding
+    def tag(x):
+        if isinstance(x, ClosedLeaf):
+            tags.extend((("z", x.label), ("zbar", x.label)))
+        else:
+            tags.append(("x", x.label - r) if isinstance(x, OpenLeaf) else x.label)
 
-    r, s, _ = validate_colored(e)
-    tags = doubled_labels(e)
-    base = phi_embedding(nested_configuration_open(e), r, s)
-    order = sorted(
-        range(1, 2 * r + s + 1), key=lambda k: (-base[k - 1].real, -base[k - 1].imag)
-    )
-    return tuple(tags[k] for k in order)
+    map_leaves(e, tag)
+    return tuple(tags)
 
 
 class PaPBMorphism(Frozen):
     """A braid word between two trees, plain (PaB) or o-colored (PaPB).
 
     ``source_frame``/``target_frame`` give the tag carried by each strand
-    position at the two ends: leaf labels in leaf order for plain trees,
-    doubled coordinate tags for colored ones.  Validity means the word's
-    permutation transports every source tag to the same tag in the
-    target frame.
+    position at the two ends: the trees' :func:`rank_frame`.  Validity
+    means the word's permutation transports every source tag to the same
+    tag in the target frame.
     """
 
     __slots__ = _fields = ("source", "target", "word", "source_frame", "target_frame")
@@ -225,21 +228,14 @@ def _validate(m: PaPBMorphism) -> PaPBMorphism:
     return m
 
 
-def pab_morphism(a: Tree, b: Tree, w: BraidWord) -> PaPBMorphism:
-    """Build and validate a morphism of plain trees, framed by leaf order."""
-    validate_tree(a)
-    validate_tree(b)
-    return _validate(PaPBMorphism(a, b, w, tuple(leaf_order(a)), tuple(leaf_order(b))))
-
-
 def papb_morphism(e: Tree, e2: Tree, w: BraidWord) -> PaPBMorphism:
-    """Build and validate a morphism presented in the rank frames."""
+    """Build and validate a morphism between plain or o-colored trees,
+    framed by their rank frames."""
     return _validate(PaPBMorphism(e, e2, w, rank_frame(e), rank_frame(e2)))
 
 
 def papb_identity(e: Tree) -> PaPBMorphism:
-    r, s, _ = validate_colored(e)
-    return papb_morphism(e, e, identity_braid(2 * r + s))
+    return papb_morphism(e, e, identity_braid(len(rank_frame(e))))
 
 
 _GENERATORS = {
@@ -263,9 +259,8 @@ def papb_generator(name: str) -> PaPBMorphism:
     if key not in _GENERATORS:
         raise BraidError(f"unknown generator {name!r}; choose from {sorted(_GENERATORS)}")
     src, tgt, word = _GENERATORS[key]
-    e, e2 = parse_tree(src), parse_tree(tgt)
-    r, s, _ = validate_colored(e)
-    return papb_morphism(e, e2, BraidWord(2 * r + s, word))
+    e = parse_tree(src)
+    return papb_morphism(e, parse_tree(tgt), BraidWord(len(rank_frame(e)), word))
 
 
 _CONJUGATE = {"z": "zbar", "zbar": "z"}
@@ -276,76 +271,47 @@ def conjugation_swapped(m: PaPBMorphism) -> PaPBMorphism:
     result is again a morphism (structural sanity check)."""
 
     def swap(tag):
-        kind, k = _split(tag)
-        return _tag(_CONJUGATE.get(kind, kind), k)
+        return (_CONJUGATE.get(tag[0], tag[0]), tag[1]) if isinstance(tag, tuple) else tag
 
     frames = (tuple(map(swap, f)) for f in (m.source_frame, m.target_frame))
     return _validate(PaPBMorphism(m.source, m.target, mirror(m.word), *frames))
 
 
-def _split(tag) -> tuple:
-    """(kind, index) of a frame tag; a plain leaf label has kind None."""
-    return tag if isinstance(tag, tuple) else (None, tag)
-
-
-def _tag(kind, i):
-    return i if kind is None else (kind, i)
-
-
-def _splice(frame: tuple, hole, inner: tuple, r: int) -> tuple:
-    """``frame`` with the tag ``hole`` replaced by the tags of ``inner``.
-
-    Inner leaf labels and inner tags of the hole's kind count on from the
-    hole's index; other inner tags (the bulk tags of a colored ``inner``)
-    follow the r bulk points of ``frame``.  Later tags of the hole's kind
-    shift past the new ones.
-    """
-    kind, k = _split(hole)
-    new = [
-        _tag(kind, k - 1 + i) if ik in (None, kind) else (ik, r + i)
-        for ik, i in map(_split, inner)
-    ]
-    shift = sum(_split(t)[0] == kind for t in new) - 1
-    out = []
-    for tag in frame:
-        tk, i = _split(tag)
-        if tag == hole:
-            out.extend(new)
-        else:
-            out.append(_tag(kind, i + shift) if tk == kind and i > k else tag)
-    return tuple(out)
+def _pairing(n: int, p: int, m: int) -> BraidWord:
+    """The positive permutation braid on n strands that takes the block
+    z1..zm zbar1..zbarm at positions p..p+2m-1 to z1 zbar1 ... zm zbarm:
+    each zbar_i moves left past z_(i+1)..z_m."""
+    letters = (p - 1 + j for i in range(1, m) for j in range(m + i - 1, 2 * i - 1, -1))
+    return BraidWord(n, tuple(letters))
 
 
 def papb_compose(mu: PaPBMorphism, slot: int, nu: PaPBMorphism) -> PaPBMorphism:
     """Operadic composition: cable the strands of ``mu``'s slot by ``nu``.
 
     A plain ``mu`` takes a plain ``nu`` at the leaf labeled ``slot``
-    (PaB).  A colored ``mu`` takes a plain ``nu`` at a closed slot,
-    doubled as (nu, mirror nu) and cabled at z_slot, then zbar_slot, and
-    a colored ``nu`` at an open slot.  The empty plain ``nu`` deletes the
-    leaf, or the bulk point with both its strands.  Trees compose via
-    :func:`compose`, frames via :func:`_splice`; the result is
-    revalidated.
+    (PaB), a colored ``mu`` a colored ``nu`` at an open slot, and a plain
+    m-strand ``nu`` at a closed slot: doubled as (nu, mirror nu), cabled
+    at z_slot, then zbar_slot, with the block z1..zm zbar1..zbarm this
+    leaves at each end paired by :func:`_pairing`.  The empty plain ``nu``
+    deletes the leaf, or the bulk point with both its strands.  Trees
+    compose via :func:`compose`; the composite is framed by their rank
+    frames and revalidated.
     """
     r, s, color = validate_colored(mu.source)
     if not 1 <= require_int(slot, "slot", BraidError) <= r + s:
         raise BraidError(f"slot {slot} out of range 1..{r + s}")
     if (validate_colored(nu.source)[2] != "plain") != (slot > r):
         raise BraidError(f"slot {slot} needs a {'colored' if slot > r else 'plain'} argument")
-    if color == "plain":
-        holes = ((slot, nu.word),)
-    elif slot > r:
-        holes = ((("x", slot - r), nu.word),)
-    else:
-        holes = ((("z", slot), nu.word), (("zbar", slot), mirror(nu.word)))
-
-    word, sf, tf = mu.word, mu.source_frame, mu.target_frame
-    for hole, w in holes:
-        word = cable_compose(word, sf.index(hole) + 1, w)
-        sf = _splice(sf, hole, nu.source_frame, r)
-        tf = _splice(tf, hole, nu.target_frame, r)
     ends = (compose(mu.source, slot, nu.source), compose(mu.target, slot, nu.target))
-    return _validate(PaPBMorphism(*ends, word, sf, tf))
+    if color == "plain" or slot > r:
+        hole = slot if color == "plain" else ("x", slot - r)
+        word = cable_compose(mu.word, mu.source_frame.index(hole) + 1, nu.word)
+        return papb_morphism(*ends, word)
+    m = nu.word.strands
+    p, q = (f.index(("z", slot)) + 1 for f in (mu.source_frame, mu.target_frame))
+    word = cable_compose(cable_compose(mu.word, p, nu.word), p + m, mirror(nu.word))
+    n = word.strands
+    return papb_morphism(*ends, _pairing(n, p, m).inverse() * word * _pairing(n, q, m))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +329,7 @@ def parse_braid_word(text: str, strands: int | None = None) -> BraidWord:
             if exp not in ("-1", "1"):
                 raise BraidError(f"unsupported exponent {exp!r} in {tok!r}")
             sign = -1 if exp == "-1" else 1
-        if not body.startswith("s") or not body[1:].isdigit():
+        if not body.startswith("s") or not body[1:].isdecimal():
             raise BraidError(f"bad braid letter {tok!r}")
         i = int(body[1:])
         if i < 1:

@@ -358,6 +358,12 @@ def _epsilon_num(model: NarainModel, charges) -> int:
     return (nu % 2) * model.D
 
 
+def _check_model(model: NarainModel, bd: BoundaryData | None) -> None:
+    """LatticeError unless ``bd``, if given, was built for ``model``."""
+    if bd is not None and bd.model != model:
+        raise LatticeError(f"boundary data for R^2 = {bd.model.r_squared}, not {model.r_squared}")
+
+
 def _check_distinct(points) -> None:
     if len(set(points)) != len(points):
         raise LatticeError("coincident insertion points")
@@ -477,6 +483,7 @@ def mixed_correlator(
     key = (model, bulk_charges, bdry_charges)
     prepared = bd.closed_forms.get(key)
     if prepared is None:
+        _check_model(model, bd)
         bulk_charges = tuple(map(_int_charge, bulk_charges))
         bdry_charges = _int_charges(bdry_charges)
     if sum(bd.t_coeff(a) for a in bulk_charges) + sum(bdry_charges) != int(dual):
@@ -548,9 +555,11 @@ def tree_expansion(
     part in their conjugates; for an o-colored tree the doubled tree is
     used.  The tree's OPE structure constants form the prefactor.  A
     non-integral charge, a c-colored tree, an o-colored tree without
-    boundary data and charge counts that do not match the tree (boundary
-    charges on a plain tree included) raise LatticeError.
+    boundary data, boundary data of another model and charge counts that
+    do not match the tree (boundary charges on a plain tree included)
+    raise LatticeError.
     """
+    _check_model(model, bd)
     charges = [_int_charge(a) for a in charges]
     r, s, color = validate_colored(e)
     colored = color == "o"
@@ -625,6 +634,7 @@ def bootstrap_check(
     and every error are the full sweep's, bit for bit.
     """
     t0 = time.perf_counter()
+    _check_model(model, bd)
     sigma, eps_prime = bd.sigma_num, bd.epsilon_prime_num
     e1, e2 = basis = ((1, 0), (0, 1))
     # (3) and the kernel property on the generators; phase error 0 iff c = 0 mod 2D
@@ -799,6 +809,7 @@ def consistency_sweep(model, trees, charge_sets, order, points, bases, bd=None) 
     colored = _sweep_colored(trees)
     if colored and bd is None:
         raise LatticeError("colored expansion needs boundary data")
+    _check_model(model, bd)
     out = []
     for charges, bdry in charge_sets:
         charges = [tuple(a) for a in charges]

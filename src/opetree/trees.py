@@ -550,8 +550,8 @@ def doubled_compose(e: Tree, p: int, x: Tree) -> Tree:
     etil = doubling(e)
 
     if p <= re_:
-        if xcol != "c":
-            raise TreeError("closed slot needs a c-colored argument")
+        if xcol == "o":
+            raise TreeError("closed slot needs a plain or c-colored argument")
         t = rx
         plain_x = map_leaves(x, lambda lf: Leaf(lf.label))
         step1 = compose(etil, 2 * p - 1, plain_x)

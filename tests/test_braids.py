@@ -15,7 +15,6 @@ from opetree.braids import (
     identity_braid,
     is_pure,
     mirror,
-    pab_morphism,
     papb_compose,
     papb_generator,
     papb_identity,
@@ -23,7 +22,16 @@ from opetree.braids import (
     parse_braid_word,
     rank_frame,
 )
-from opetree.trees import EMPTY, compose, doubled_labels, parse_tree, validate_colored
+from opetree.coords import nested_configuration_open, phi_embedding
+from opetree.trees import (
+    EMPTY,
+    all_colored_trees,
+    compose,
+    doubled_labels,
+    leaf_order,
+    parse_tree,
+    validate_colored,
+)
 
 
 def all_words(n, max_len):
@@ -126,6 +134,19 @@ class TestCable:
         assert all(x > 0 for x in out.word)
         assert braid_permutation(out) == block_substitution((2, 1), 2, (2, 1))
 
+    @pytest.mark.parametrize(
+        "strand, message",
+        [
+            (2.0, "strand must be an int, got 2.0"),
+            (True, "strand must be an int, got True"),
+            (1.5, "strand must be an int, got 1.5"),
+        ],
+    )
+    def test_non_integer_strand_raises(self, strand, message):
+        with pytest.raises(BraidError) as err:
+            cable_compose(BraidWord(2, (1,)), strand, BraidWord(2, (1,)))
+        assert str(err.value) == message
+
     def test_strand_deletion(self):
         out = cable_compose(BraidWord(2, (1, 1)), 1, BraidWord(0, ()))
         assert out == BraidWord(1, ())
@@ -204,26 +225,49 @@ class TestCable:
             assert braid_permutation(out) == want
 
 
+def interleave(n, p, m):
+    """One-line permutation taking the block z1..zm zbar1..zbarm at
+    positions p..p+2m-1 to z1 zbar1 ... zm zbarm."""
+    out = list(range(1, n + 1))
+    for k in range(1, m + 1):
+        out[p + k - 2] = p + 2 * k - 2
+        out[p + m + k - 2] = p + 2 * k - 1
+    return tuple(out)
+
+
+def then_perm(a, b):
+    """The one-line permutation of a word with permutation ``a`` followed
+    by a word with permutation ``b``."""
+    return tuple(b[x - 1] for x in a)
+
+
+def inverse_perm(a):
+    out = [0] * len(a)
+    for i, x in enumerate(a, start=1):
+        out[x - 1] = i
+    return tuple(out)
+
+
 class TestPaB:
     def test_pure_endomorphism(self):
         a = parse_tree("12")
-        m = pab_morphism(a, a, BraidWord(2, (1, 1)))
+        m = papb_morphism(a, a, BraidWord(2, (1, 1)))
         assert is_pure(m.word)
 
     def test_sigma_example(self):
-        m = pab_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        m = papb_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
         assert braid_permutation(m.word) == (2, 1)
 
     def test_alpha_example(self):
-        pab_morphism(parse_tree("(12)3"), parse_tree("1(23)"), identity_braid(3))
+        papb_morphism(parse_tree("(12)3"), parse_tree("1(23)"), identity_braid(3))
 
     def test_permutation_mismatch(self):
         with pytest.raises(BraidError):
-            pab_morphism(parse_tree("12"), parse_tree("21"), identity_braid(2))
+            papb_morphism(parse_tree("12"), parse_tree("21"), identity_braid(2))
 
     def test_composition(self):
-        g = pab_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
-        h = pab_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        g = papb_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        h = papb_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
         out = papb_compose(g, 2, h)
         assert out.source == parse_tree("1(23)")
         assert out.target == parse_tree("(32)1")
@@ -232,14 +276,14 @@ class TestPaB:
         assert (out.source_frame, out.target_frame) == ((1, 2, 3), (3, 2, 1))
 
     def test_leaf_out_of_range(self):
-        g = pab_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        g = papb_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
         for slot in (0, -1, 3):
             with pytest.raises(BraidError, match=r"out of range 1\.\.2"):
                 papb_compose(g, slot, g)
 
     def test_then(self):
-        g = pab_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
-        back = pab_morphism(parse_tree("21"), parse_tree("12"), BraidWord(2, (1,)))
+        g = papb_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        back = papb_morphism(parse_tree("21"), parse_tree("12"), BraidWord(2, (1,)))
         assert is_pure(g.then(back).word)
         with pytest.raises(BraidError):
             g.then(g)
@@ -300,17 +344,18 @@ class TestPaPBCompose:
 
     def test_p_with_closed_sigma(self):
         mu = papb_generator("p")
-        gamma = pab_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        gamma = papb_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
         out = papb_compose(mu, 1, gamma)
         assert out.word.strands == 5
-        assert braid_permutation(out.word) == (3, 2, 5, 4, 1)
+        # the doubled argument's strands end paired: z1 zbar1 z2 zbar2
+        assert braid_permutation(out.word) == (4, 5, 2, 3, 1)
 
     def test_block_permutation_oracle(self):
         # brute-force oracle: the composite's permutation is the block
         # substitution of the factors' permutations at the cabled strands
 
         gens = [papb_generator(n) for n in ("sigma", "p", "q", "alpha_o")]
-        gamma = pab_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        gamma = papb_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
         nu_open = papb_generator("p")  # nontrivial word at an open slot
         for mu in gens:
             r, s, _ = validate_colored(mu.source)
@@ -325,6 +370,10 @@ class TestPaPBCompose:
                     want = block_substitution(
                         want, i2 + 1, braid_permutation(mirror(gamma.word))
                     )
+                    # pair the cabled block z1 z2 zbar1 zbar2 at both ends
+                    n, q = len(want), mu.target_frame.index(("z", slot)) + 1
+                    want = then_perm(inverse_perm(interleave(n, i1, 2)), want)
+                    want = then_perm(want, interleave(n, q, 2))
                 else:
                     out = papb_compose(mu, slot, nu_open)
                     i1 = mu.source_frame.index(("x", slot - r)) + 1
@@ -353,7 +402,7 @@ class TestPaPBCompose:
         # per slot kind; an open-slot argument with bulk strands once had
         # its zbar tags renamed to boundary tags
         closed = [
-            pab_morphism(parse_tree(a), parse_tree(b), BraidWord(n, w))
+            papb_morphism(parse_tree(a), parse_tree(b), BraidWord(n, w))
             for a, b, n, w in (
                 ("1", "1", 1, ()),
                 ("12", "21", 2, (1,)),
@@ -398,16 +447,16 @@ class TestPaPBCompose:
         mu = papb_generator("p")
         with pytest.raises(BraidError):
             papb_compose(mu, 1, papb_identity(parse_tree("o1")))
-        gamma = pab_morphism(parse_tree("1"), parse_tree("1"), identity_braid(1))
+        gamma = papb_morphism(parse_tree("1"), parse_tree("1"), identity_braid(1))
         with pytest.raises(BraidError):
             papb_compose(mu, 2, gamma)
         with pytest.raises(BraidError, match="needs a colored argument"):
-            papb_compose(mu, 2, pab_morphism(EMPTY, EMPTY, identity_braid(0)))
+            papb_compose(mu, 2, papb_morphism(EMPTY, EMPTY, identity_braid(0)))
 
     def test_bulk_point_deletion(self):
         # the empty plain morphism at a closed slot deletes z_slot and
         # zbar_slot: every generator then reduces to an identity
-        empty = pab_morphism(EMPTY, EMPTY, identity_braid(0))
+        empty = papb_morphism(EMPTY, EMPTY, identity_braid(0))
         want = {
             ("alpha_c", 1): ("t(c1c2)", "t(c1c2)"),
             ("alpha_c", 2): ("t(c1c2)", "t(c1c2)"),
@@ -448,6 +497,12 @@ class TestTextFormat:
         with pytest.raises(BraidError):
             parse_braid_word("s1^2")
 
+    @pytest.mark.parametrize("token", ["s²", "s1²", "s²^-1"])
+    def test_non_decimal_digit(self, token):
+        # str.isdigit accepts superscripts that int() rejects
+        with pytest.raises(BraidError, match="bad braid letter"):
+            parse_braid_word(token)
+
 
 class TestRankFrames:
     def test_sorted_tree_is_interleaved(self):
@@ -461,3 +516,112 @@ class TestRankFrames:
     def test_boundary_order(self):
         f = rank_frame(parse_tree("o2t(c1)"))
         assert f == (("x", 1), ("z", 1), ("zbar", 1))
+
+    def test_plain_tree_is_leaf_order(self):
+        e = parse_tree("(31)(42)")
+        assert rank_frame(e) == tuple(leaf_order(e)) == (3, 1, 4, 2)
+        assert rank_frame(EMPTY) == ()
+
+    def test_c_colored_tree_has_no_frame(self):
+        with pytest.raises(BraidError, match="c-colored"):
+            rank_frame(parse_tree("c1c2"))
+
+    def test_float_sort_oracle(self):
+        # the rank order of the canonical base configuration, sorted in
+        # floating point, is the leaf walk on every small o-colored tree
+        def float_rank_frame(e):
+            r, s, _ = validate_colored(e)
+            tags = doubled_labels(e)
+            base = phi_embedding(nested_configuration_open(e), r, s)
+            order = sorted(
+                range(1, 2 * r + s + 1),
+                key=lambda k: (-base[k - 1].real, -base[k - 1].imag),
+            )
+            return tuple(tags[k] for k in order)
+
+        count = 0
+        for r in range(5):
+            for s in range(5 - r):
+                for e in all_colored_trees(r, s):
+                    assert rank_frame(e) == float_rank_frame(e), e
+                    count += 1
+        assert count == 886
+
+    def test_deep_comb_is_interleaved(self):
+        # on the one-block comb t(c1(c2(...c20))) the float offsets of the
+        # base configuration tie; the leaf walk pairs every z_k with zbar_k
+        text = "c20"
+        for k in range(19, 0, -1):
+            text = f"c{k} ({text})"
+        f = rank_frame(parse_tree(f"t({text})"))
+        assert f == tuple(tag for k in range(1, 21) for tag in (("z", k), ("zbar", k)))
+
+
+class TestCompositeFrames:
+    CLOSED = [  # plain arguments, for closed slots
+        ("", "", 0, ()),
+        ("1", "1", 1, ()),
+        ("12", "21", 2, (1,)),
+        ("12", "21", 2, (-1,)),
+        ("12", "12", 2, (1, 1)),
+        ("(12)3", "1(23)", 3, ()),
+        ("(12)3", "3(12)", 3, (2, 1)),
+        ("(12)(34)", "(21)(43)", 4, (1, -3)),
+    ]
+    OPEN = ["o1", "t(c1)", "t(c1)o2"]  # identities, and four generators, for open slots
+
+    def test_cable_into_identity_is_sigma(self):
+        s1 = papb_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        out = papb_compose(papb_identity(parse_tree("t(c1)")), 1, s1)
+        assert out == papb_generator("sigma")
+        assert out.word.word == (-2, 1, -3, 2)
+
+    def test_cable_of_associator_is_alpha_c(self):
+        alpha = papb_morphism(parse_tree("(12)3"), parse_tree("1(23)"), identity_braid(3))
+        out = papb_compose(papb_identity(parse_tree("t(c1)")), 1, alpha)
+        alpha_c = papb_generator("alpha_c")
+        assert (out.source, out.target) == (alpha_c.source, alpha_c.target)
+        assert out.invariants() == alpha_c.invariants()
+
+    def arguments(self, closed_slot):
+        if closed_slot:
+            return [
+                papb_morphism(parse_tree(a), parse_tree(b), BraidWord(n, w))
+                for a, b, n, w in self.CLOSED
+            ]
+        gens = [papb_generator(name) for name in ("alpha_o", "p", "sigma", "q")]
+        return [papb_identity(parse_tree(x)) for x in self.OPEN] + gens
+
+    def test_composites_are_framed_by_their_trees_and_chain(self):
+        # every composite's frames are its trees' rank frames, it chains
+        # with its identities, and the interchange law holds on invariants
+        count = 0
+        for name in ("alpha_o", "alpha_c", "sigma", "p", "q"):
+            mu = papb_generator(name)
+            r, s, _ = validate_colored(mu.source)
+            for slot in range(1, r + s + 1):
+                for nu in self.arguments(slot <= r):
+                    out = papb_compose(mu, slot, nu)
+                    assert out.source_frame == rank_frame(out.source)
+                    assert out.target_frame == rank_frame(out.target)
+                    want = out.invariants()
+                    assert papb_identity(out.source).then(out).invariants() == want
+                    assert out.then(papb_identity(out.target)).invariants() == want
+                    id_mu = (papb_identity(mu.source), papb_identity(mu.target))
+                    id_nu = (papb_identity(nu.source), papb_identity(nu.target))
+                    first = papb_compose(id_mu[0], slot, nu).then(papb_compose(mu, slot, id_nu[1]))
+                    second = papb_compose(mu, slot, id_nu[0]).then(papb_compose(id_mu[1], slot, nu))
+                    assert first.invariants() == second.invariants() == want
+                    count += 1
+        assert count == 8 * 8 + 7 * 4
+
+    def test_pab_composites_chain(self):
+        # plain composites are framed by leaf order and chain too
+        s1 = papb_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        for slot in (1, 2):
+            for a, b, n, w in self.CLOSED[1:]:
+                nu = papb_morphism(parse_tree(a), parse_tree(b), BraidWord(n, w))
+                out = papb_compose(s1, slot, nu)
+                assert out.source_frame == tuple(leaf_order(out.source))
+                back = papb_compose(papb_identity(s1.target), slot, papb_identity(nu.target))
+                assert out.then(back).invariants() == out.invariants()

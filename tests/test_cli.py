@@ -741,7 +741,7 @@ _LATTICE = _BASE | {"opetree.coords", "opetree.series", "opetree.latticecft"}
         (["expand", "(12)3", "(z2-z1)^-1", "--N", "2"], 0, _BASE | {"opetree.coords", "opetree.series"}),
         (["braid", "perm", "s1 s2 s1"], 0, _BASE | {"opetree.braids"}),
         (["braid", "cable", "s1", "2", "s1"], 0, _BASE | {"opetree.braids"}),
-        (["braid", "generator", "sigma"], 0, _BASE | {"opetree.braids", "opetree.coords"}),
+        (["braid", "generator", "sigma"], 0, _BASE | {"opetree.braids"}),
         (["verify", "skew", "--seed", "3"], 0, _LATTICE),
         (["verify", "regions", "--seed", "5"], 0, _LATTICE),
     ],

@@ -216,6 +216,11 @@ class TestBoundaryData:
             rep = bootstrap_check(model, bd, box=3)
             assert rep.passed, rep.text()
 
+    def test_bootstrap_rejects_other_model(self):
+        # valid data of R^2 = 2 read as R^2 = 3 once reported FAIL (error 1.73)
+        with pytest.raises(LatticeError, match=r"boundary data for R\^2 = 2, not 3"):
+            bootstrap_check(NarainModel(3), build_boundary(NarainModel(2), 1), 2)
+
     def test_bootstrap_other_radii(self):
         for rsq in (Fraction(1, 2), Fraction(3)):
             model = NarainModel(rsq)
@@ -731,6 +736,8 @@ def _per_call_mixed(model, bd, dual, bulk_insertions, bdry_insertions):
     validate_halfplane_point(zs + xs, len(zs), len(xs))
     if len(set(zs)) != len(zs):
         raise LatticeError("coincident insertion points")
+    if bd.model != model:
+        raise LatticeError(f"boundary data for R^2 = {bd.model.r_squared}, not {model.r_squared}")
     if sum(bd.t_coeff(a) for a in bulk_charges) + sum(bdry_charges) != int(dual):
         return 0j
     product, plan = mixed_power_product(bd, bulk_charges, bdry_charges)
@@ -757,8 +764,9 @@ class TestMixedCorrelator:
     )
     @settings(max_examples=80, deadline=None)
     def test_prepared_matches_per_call_path(self, data, p, q, rho, rs):
-        # first and repeated calls at new points, under two model arguments,
-        # on the boundary data and on a perturbed copy of it
+        # first and repeated calls at new points, under two model arguments
+        # (boundary data of the other model raises), on the boundary data
+        # and on a perturbed copy of it
         r, s = rs
         model = NarainModel(Fraction(p, q))
         bd = BoundaryData(model, rho)
@@ -852,6 +860,15 @@ class TestMixedCorrelator:
             dual = sum(bd.t_coeff(a) for a in charges)
             with pytest.raises(LatticeError, match="coincident insertion points"):
                 mixed_correlator(model, bd, dual, [(a, 0.5j) for a in charges], [])
+
+    def test_other_model_raises(self, model, boundaries):
+        # the check runs when a charge set is prepared; the memo is keyed by
+        # the model, so a prepared set of the right model is no way round it
+        bd = boundaries[1]
+        bulk = [((1, 0), 0.3 + 0.5j)]
+        assert mixed_correlator(model, bd, bd.t_coeff((1, 0)), bulk, []) != 0
+        with pytest.raises(LatticeError, match=r"boundary data for R\^2 = 2, not 3"):
+            mixed_correlator(NarainModel(3), bd, bd.t_coeff((1, 0)), bulk, [])
 
     def test_non_integer_boundary_charge(self, model, boundaries):
         # 1.5 was read as int(1.5) = 1; it is rejected whether or not the
@@ -1203,6 +1220,16 @@ class TestTreeExpansion:
         with pytest.raises(error, match=message):
             tree_expansion(model, tree, charges, 4, bd=bd, bdry_charges=bdry)
 
+    @pytest.mark.parametrize(
+        "tree, charges, bdry",
+        [("t(c1)o2", [(1, 0)], [1]), ("(12)3", [(1, 0), (0, 1), (-1, 1)], [])],
+    )
+    def test_other_model_boundary_data_raises(self, boundaries, tree, charges, bdry):
+        # the boundary data of one model never expands a tree of another
+        model3, e = NarainModel(3), parse_tree(tree)
+        with pytest.raises(LatticeError, match=r"boundary data for R\^2 = 2, not 3"):
+            tree_expansion(model3, e, charges, 4, bd=boundaries[1], bdry_charges=bdry)
+
     def test_plain_tree_needs_no_boundary_data(self, model, boundaries):
         tree, charges = parse_tree("(12)3"), [(1, 0), (0, 1), (-1, 1)]
         want = tree_expansion(model, tree, charges, 4)
@@ -1274,6 +1301,13 @@ class TestConsistency:
             seed=23,
         )
         assert rep.passed, rep.text()
+
+    def test_sweep_rejects_other_model(self, boundaries):
+        trees = [parse_tree("t(c1)o2"), parse_tree("o2t(c1)")]
+        with pytest.raises(LatticeError, match=r"boundary data for R\^2 = 2, not 3"):
+            consistency_sweep(
+                NarainModel(3), trees, [([(1, 1)], [1])], 4, [[], []], [None, None], bd=boundaries[1]
+            )
 
     def test_errors_decrease_with_order(self, model, boundaries):
         bd = boundaries[-1]

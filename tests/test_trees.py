@@ -479,15 +479,24 @@ class TestDoubling:
                     lhs = doubling(compose(e, re_ + j, EMPTY))
                     assert lhs == compose(doubling(e), 2 * re_ + j, EMPTY)
                     cases += 1
-                # closed slots; t = 0 is the empty tree
+                # closed slots take plain and c-colored arguments; t = 0 is
+                # the empty tree
                 for t in closed:
                     if (re_ + t - 1) + se > 4 or re_ == 0:
                         continue
                     for a_plain in closed[t]:
-                        a = map_leaves(a_plain, lambda lf: ClosedLeaf(lf.label))
-                        for p in range(1, re_ + 1):
-                            lhs = doubling(compose(e, p, a))
-                            rhs = doubled_compose(e, p, a)
-                            assert lhs == rhs
-                            cases += 1
+                        a_closed = map_leaves(a_plain, lambda lf: ClosedLeaf(lf.label))
+                        for a in {a_plain, a_closed}:
+                            for p in range(1, re_ + 1):
+                                lhs = doubling(compose(e, p, a))
+                                rhs = doubled_compose(e, p, a)
+                                assert lhs == rhs
+                                cases += 1
         assert cases > 100
+
+    def test_plain_argument_at_closed_slot(self):
+        e = parse_tree("t(c1)o2")
+        assert format_tree(doubled_compose(e, 1, parse_tree("12"))) == "((13)(24))5"
+        assert doubled_compose(e, 1, parse_tree("12")) == doubled_compose(e, 1, parse_tree("c1c2"))
+        with pytest.raises(TreeError, match="closed slot needs a plain or c-colored argument"):
+            doubled_compose(e, 1, parse_tree("o1"))
