@@ -7,14 +7,14 @@ over the strand at position i+1, i.e. a counterclockwise half-rotation
 of the two points in the plane; complex conjugation of paths is
 :func:`mirror` (negate every crossing).
 
-One record, :class:`PaPBMorphism`, holds a braid word between two trees
-and a *frame* at each end: the tag each strand position carries.  A
-frame is a function of its tree, :func:`rank_frame`, read in one leaf
-walk: leaf labels for plain trees (PaB), and for o-colored trees (PaPB)
-the doubled tags ('z', k), ('zbar', k), ('x', j) in leaf order, each
-bulk point before its conjugate.  One operadic composition,
-:func:`papb_compose`, composes both, and its composites are framed by
-their trees too, so they chain with :meth:`PaPBMorphism.then`.
+A morphism, :class:`PaPBMorphism`, is two trees and a braid word
+between them.  Its *frames*, the tag each strand position carries at
+the two ends, are computed from the trees by :func:`rank_frame` in one
+leaf walk and checked against the word at construction: leaf labels for
+plain trees (PaB), and for o-colored trees (PaPB) the doubled tags
+('z', k), ('zbar', k), ('x', j) in leaf order, each bulk point before
+its conjugate.  One operadic composition, :func:`papb_compose`,
+composes both, and its composites chain with :meth:`PaPBMorphism.then`.
 Morphism equality is not decided up to homotopy; the stored invariants
 are the permutation and the signed crossing counts per strand pair.
 """
@@ -188,19 +188,35 @@ def rank_frame(e: Tree) -> tuple:
 class PaPBMorphism(Frozen):
     """A braid word between two trees, plain (PaB) or o-colored (PaPB).
 
-    ``source_frame``/``target_frame`` give the tag carried by each strand
-    position at the two ends: the trees' :func:`rank_frame`.  Validity
-    means the word's permutation transports every source tag to the same
-    tag in the target frame.
+    The fields are ``source``, ``target`` and ``word``.  Construction
+    computes the trees' :func:`rank_frame`s, the tag carried by each
+    strand position at the two ends, and keeps them as ``source_frame``
+    and ``target_frame``; it raises :class:`BraidError` unless the word's
+    permutation carries every source tag to the same tag in the target
+    frame.  So every morphism, unpickled ones too, is checked when built.
     """
 
-    __slots__ = _fields = ("source", "target", "word", "source_frame", "target_frame")
+    __slots__ = ("source", "target", "word", "source_frame", "target_frame")
+    _fields = ("source", "target", "word")
+
+    def __post_init__(self):
+        src, tgt = rank_frame(self.source), rank_frame(self.target)
+        n = self.word.strands
+        if len(src) != n or len(tgt) != n:
+            raise BraidError("frame length does not match strand count")
+        if sorted(src) != sorted(tgt):
+            raise BraidError("source and target frames carry different tags")
+        perm = braid_permutation(self.word)
+        for i in range(n):
+            if src[i] != tgt[perm[i] - 1]:
+                raise BraidError(f"strand {i+1} carries {src[i]} but lands on {tgt[perm[i]-1]}")
+        object.__setattr__(self, "source_frame", src)
+        object.__setattr__(self, "target_frame", tgt)
 
     def then(self, other: "PaPBMorphism") -> "PaPBMorphism":
-        if (self.target, self.target_frame) != (other.source, other.source_frame):
-            raise BraidError("composition needs matching middle tree and frame")
-        frames = (self.source_frame, other.target_frame)
-        return _validate(PaPBMorphism(self.source, other.target, self.word * other.word, *frames))
+        if self.target != other.source:
+            raise BraidError("composition needs matching middle tree")
+        return PaPBMorphism(self.source, other.target, self.word * other.word)
 
     def invariants(self) -> tuple:
         """Equality is not decided up to homotopy; these are the stored
@@ -212,30 +228,8 @@ class PaPBMorphism(Frozen):
         )
 
 
-def _validate(m: PaPBMorphism) -> PaPBMorphism:
-    n = m.word.strands
-    if len(m.source_frame) != n or len(m.target_frame) != n:
-        raise BraidError("frame length does not match strand count")
-    if sorted(m.source_frame) != sorted(m.target_frame):
-        raise BraidError("source and target frames carry different tags")
-    perm = braid_permutation(m.word)
-    for i in range(n):
-        if m.source_frame[i] != m.target_frame[perm[i] - 1]:
-            raise BraidError(
-                f"strand {i+1} carries {m.source_frame[i]} but lands on "
-                f"{m.target_frame[perm[i]-1]}"
-            )
-    return m
-
-
-def papb_morphism(e: Tree, e2: Tree, w: BraidWord) -> PaPBMorphism:
-    """Build and validate a morphism between plain or o-colored trees,
-    framed by their rank frames."""
-    return _validate(PaPBMorphism(e, e2, w, rank_frame(e), rank_frame(e2)))
-
-
 def papb_identity(e: Tree) -> PaPBMorphism:
-    return papb_morphism(e, e, identity_braid(len(rank_frame(e))))
+    return PaPBMorphism(e, e, identity_braid(len(rank_frame(e))))
 
 
 _GENERATORS = {
@@ -260,21 +254,7 @@ def papb_generator(name: str) -> PaPBMorphism:
         raise BraidError(f"unknown generator {name!r}; choose from {sorted(_GENERATORS)}")
     src, tgt, word = _GENERATORS[key]
     e = parse_tree(src)
-    return papb_morphism(e, parse_tree(tgt), BraidWord(len(rank_frame(e)), word))
-
-
-_CONJUGATE = {"z": "zbar", "zbar": "z"}
-
-
-def conjugation_swapped(m: PaPBMorphism) -> PaPBMorphism:
-    """Swap every z_k/zbar_k tag and negate crossings; validates that the
-    result is again a morphism (structural sanity check)."""
-
-    def swap(tag):
-        return (_CONJUGATE.get(tag[0], tag[0]), tag[1]) if isinstance(tag, tuple) else tag
-
-    frames = (tuple(map(swap, f)) for f in (m.source_frame, m.target_frame))
-    return _validate(PaPBMorphism(m.source, m.target, mirror(m.word), *frames))
+    return PaPBMorphism(e, parse_tree(tgt), BraidWord(len(rank_frame(e)), word))
 
 
 def _pairing(n: int, p: int, m: int) -> BraidWord:
@@ -294,8 +274,8 @@ def papb_compose(mu: PaPBMorphism, slot: int, nu: PaPBMorphism) -> PaPBMorphism:
     at z_slot, then zbar_slot, with the block z1..zm zbar1..zbarm this
     leaves at each end paired by :func:`_pairing`.  The empty plain ``nu``
     deletes the leaf, or the bulk point with both its strands.  Trees
-    compose via :func:`compose`; the composite is framed by their rank
-    frames and revalidated.
+    compose via :func:`compose`, and the composite is checked against
+    their rank frames when built.
     """
     r, s, color = validate_colored(mu.source)
     if not 1 <= require_int(slot, "slot", BraidError) <= r + s:
@@ -306,12 +286,12 @@ def papb_compose(mu: PaPBMorphism, slot: int, nu: PaPBMorphism) -> PaPBMorphism:
     if color == "plain" or slot > r:
         hole = slot if color == "plain" else ("x", slot - r)
         word = cable_compose(mu.word, mu.source_frame.index(hole) + 1, nu.word)
-        return papb_morphism(*ends, word)
+        return PaPBMorphism(*ends, word)
     m = nu.word.strands
     p, q = (f.index(("z", slot)) + 1 for f in (mu.source_frame, mu.target_frame))
     word = cable_compose(cable_compose(mu.word, p, nu.word), p + m, mirror(nu.word))
     n = word.strands
-    return papb_morphism(*ends, _pairing(n, p, m).inverse() * word * _pairing(n, q, m))
+    return PaPBMorphism(*ends, _pairing(n, p, m).inverse() * word * _pairing(n, q, m))
 
 
 # ---------------------------------------------------------------------------

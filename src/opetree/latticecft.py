@@ -679,6 +679,12 @@ MARGIN_MIN = 0.45  # default certificate margin of a sampled point
 SHRINK_RANGE = (0.12, 0.3)  # nesting shrink factor, resampled per point
 
 
+def _require_count(n, name):
+    """LatticeError unless the sample count ``n`` is at least 1."""
+    if n < 1:
+        raise LatticeError(f"{name} must be at least 1, got {n}")
+
+
 def _rejection_sample(propose, count, tries, message):
     """``count`` points from ``propose()``, which returns a point or None
     for a rejected proposal, in at most ``tries * count`` proposals."""
@@ -804,12 +810,18 @@ def consistency_sweep(model, trees, charge_sets, order, points, bases, bd=None) 
     with its OPE prefactor against the closed form), the inter-region
     phases measured at the base points (closed form over raw expansion,
     tree t over tree 0, for t >= 1), and the phases that the trees' OPE
-    prefactors predict.  An empty tree list raises LatticeError.
+    prefactors predict.  An empty tree list, or one that is not matched by
+    one point list and one base point per tree, raises LatticeError.
     """
     colored = _sweep_colored(trees)
     if colored and bd is None:
         raise LatticeError("colored expansion needs boundary data")
     _check_model(model, bd)
+    if not len(trees) == len(points) == len(bases):
+        raise LatticeError(
+            f"{len(trees)} trees need as many point lists and base points, "
+            f"got {len(points)} and {len(bases)}"
+        )
     out = []
     for charges, bdry in charge_sets:
         charges = [tuple(a) for a in charges]
@@ -870,6 +882,7 @@ def expansion_consistency_check(
     for the canonical (1,1) and (2,0) tree pairs are the boundary and
     bulk exchange phase factors.  See :func:`consistency_sweep`.
     """
+    _require_count(n_points, "n_points")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     colored = _sweep_colored(trees)
@@ -978,6 +991,7 @@ def single_valuedness_check(
     model: NarainModel, charges, n_samples: int, seed: int, tol: float = 1e-12
 ) -> VerifyReport:
     """A full numeric loop returns the bulk correlator to its value."""
+    _require_count(n_samples, "n_samples")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     charges = [tuple(a) for a in charges]
@@ -1023,6 +1037,7 @@ def skew_symmetry_check(
     correlator into the one with swapped insertions; the measured phase
     of the power part is (-1)^{(alpha,beta)}, the epsilon ratio.
     """
+    _require_count(n_samples, "n_samples")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     d = model.D

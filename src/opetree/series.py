@@ -586,7 +586,7 @@ def evaluate_closed(f: PowerProduct, point: Sequence[complex], plan: BranchPlan 
         paired_idx |= {a, b}
     z = {}
     for v in f.variables():
-        if v - 1 >= len(point):
+        if not 1 <= v <= len(point):
             raise SeriesError(f"point has no coordinate z{v}")
         z[v] = complex(point[v - 1])
     total = complex(f.constant)

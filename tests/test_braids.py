@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -6,11 +8,11 @@ import pytest
 from opetree.braids import (
     BraidError,
     BraidWord,
+    PaPBMorphism,
     abelianization,
     block_substitution,
     braid_permutation,
     cable_compose,
-    conjugation_swapped,
     format_braid_word,
     identity_braid,
     is_pure,
@@ -18,7 +20,6 @@ from opetree.braids import (
     papb_compose,
     papb_generator,
     papb_identity,
-    papb_morphism,
     parse_braid_word,
     rank_frame,
 )
@@ -251,23 +252,53 @@ def inverse_perm(a):
 class TestPaB:
     def test_pure_endomorphism(self):
         a = parse_tree("12")
-        m = papb_morphism(a, a, BraidWord(2, (1, 1)))
+        m = PaPBMorphism(a, a, BraidWord(2, (1, 1)))
         assert is_pure(m.word)
 
     def test_sigma_example(self):
-        m = papb_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        m = PaPBMorphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
         assert braid_permutation(m.word) == (2, 1)
 
     def test_alpha_example(self):
-        papb_morphism(parse_tree("(12)3"), parse_tree("1(23)"), identity_braid(3))
+        PaPBMorphism(parse_tree("(12)3"), parse_tree("1(23)"), identity_braid(3))
 
     def test_permutation_mismatch(self):
-        with pytest.raises(BraidError):
-            papb_morphism(parse_tree("12"), parse_tree("21"), identity_braid(2))
+        # every morphism is checked when built: its word must carry the
+        # trees' frames
+        cases = [
+            ("12", "21", identity_braid(2), r"strand 1 carries 1 but lands on 2"),
+            ("12", "12", BraidWord(2, (1,)), r"strand 1 carries 1 but lands on 2"),
+            ("t(c1)", "t(c1)", BraidWord(2, (1,)), r"strand 1 carries \('z', 1\)"),
+            ("12", "12", identity_braid(3), "frame length"),
+            ("t(c1)", "o1o2", identity_braid(2), "different tags"),
+            ("t(c1)o2", "t(c1)o2", BraidWord(3, (2,)), r"lands on \('x', 1\)"),
+        ]
+        for a, b, w, message in cases:
+            with pytest.raises(BraidError, match=message):
+                PaPBMorphism(parse_tree(a), parse_tree(b), w)
+
+    def test_record_is_its_trees_and_word(self):
+        g = papb_generator("p")
+        assert PaPBMorphism._fields == ("source", "target", "word")
+        assert repr(g).startswith("PaPBMorphism(source=") and "frame" not in repr(g)
+        assert hash(g) == hash((g.source, g.target, g.word))
+        for clone in (copy.copy(g), pickle.loads(pickle.dumps(g))):
+            assert clone == g and clone is not g
+            assert clone.source_frame == rank_frame(g.source) == g.source_frame
+            assert clone.target_frame == rank_frame(g.target) == g.target_frame
+        with pytest.raises(AttributeError):
+            g.source_frame = ()
+
+        class Forged:  # pickles as p's word on its source at both ends
+            def __reduce__(self):
+                return PaPBMorphism, (g.source, g.source, g.word)
+
+        with pytest.raises(BraidError):  # unpickling builds the morphism again
+            pickle.loads(pickle.dumps(Forged()))
 
     def test_composition(self):
-        g = papb_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
-        h = papb_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        g = PaPBMorphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        h = PaPBMorphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
         out = papb_compose(g, 2, h)
         assert out.source == parse_tree("1(23)")
         assert out.target == parse_tree("(32)1")
@@ -276,26 +307,29 @@ class TestPaB:
         assert (out.source_frame, out.target_frame) == ((1, 2, 3), (3, 2, 1))
 
     def test_leaf_out_of_range(self):
-        g = papb_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        g = PaPBMorphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
         for slot in (0, -1, 3):
             with pytest.raises(BraidError, match=r"out of range 1\.\.2"):
                 papb_compose(g, slot, g)
 
     def test_then(self):
-        g = papb_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
-        back = papb_morphism(parse_tree("21"), parse_tree("12"), BraidWord(2, (1,)))
+        g = PaPBMorphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        back = PaPBMorphism(parse_tree("21"), parse_tree("12"), BraidWord(2, (1,)))
         assert is_pure(g.then(back).word)
         with pytest.raises(BraidError):
             g.then(g)
-        sigma = papb_generator("sigma")
-        assert sigma.then(papb_identity(sigma.target)).invariants() == sigma.invariants()
+        for name in ("alpha_o", "alpha_c", "sigma", "p", "q"):
+            g = papb_generator(name)
+            assert g.then(papb_identity(g.target)) == g == papb_identity(g.source).then(g)
 
 
 class TestGenerators:
     def test_all_five_validate(self):
         for name in ("alpha_o", "alpha_c", "sigma", "p", "q"):
             g = papb_generator(name)
-            conjugation_swapped(g)  # structural sanity: swap bars + mirror
+            assert g == PaPBMorphism(g.source, g.target, g.word)
+            assert g.source_frame == rank_frame(g.source)
+            assert g.target_frame == rank_frame(g.target)
 
     def test_alpha_o(self):
         g = papb_generator("alpha_o")
@@ -344,7 +378,7 @@ class TestPaPBCompose:
 
     def test_p_with_closed_sigma(self):
         mu = papb_generator("p")
-        gamma = papb_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        gamma = PaPBMorphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
         out = papb_compose(mu, 1, gamma)
         assert out.word.strands == 5
         # the doubled argument's strands end paired: z1 zbar1 z2 zbar2
@@ -355,7 +389,7 @@ class TestPaPBCompose:
         # substitution of the factors' permutations at the cabled strands
 
         gens = [papb_generator(n) for n in ("sigma", "p", "q", "alpha_o")]
-        gamma = papb_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        gamma = PaPBMorphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
         nu_open = papb_generator("p")  # nontrivial word at an open slot
         for mu in gens:
             r, s, _ = validate_colored(mu.source)
@@ -391,7 +425,7 @@ class TestPaPBCompose:
         # below (-): four crossings in the doubled half-twist
         assert dict(ab) == {(1, 3): 1, (1, 4): 1, (2, 3): -1, (2, 4): -1}
         # free insertion of a cancelling pair leaves the invariants fixed
-        padded = papb_morphism(
+        padded = PaPBMorphism(
             g.source, g.target, BraidWord(4, (1, -1) + g.word.word)
         )
         assert padded.invariants() == g.invariants()
@@ -402,7 +436,7 @@ class TestPaPBCompose:
         # per slot kind; an open-slot argument with bulk strands once had
         # its zbar tags renamed to boundary tags
         closed = [
-            papb_morphism(parse_tree(a), parse_tree(b), BraidWord(n, w))
+            PaPBMorphism(parse_tree(a), parse_tree(b), BraidWord(n, w))
             for a, b, n, w in (
                 ("1", "1", 1, ()),
                 ("12", "21", 2, (1,)),
@@ -447,16 +481,16 @@ class TestPaPBCompose:
         mu = papb_generator("p")
         with pytest.raises(BraidError):
             papb_compose(mu, 1, papb_identity(parse_tree("o1")))
-        gamma = papb_morphism(parse_tree("1"), parse_tree("1"), identity_braid(1))
+        gamma = PaPBMorphism(parse_tree("1"), parse_tree("1"), identity_braid(1))
         with pytest.raises(BraidError):
             papb_compose(mu, 2, gamma)
         with pytest.raises(BraidError, match="needs a colored argument"):
-            papb_compose(mu, 2, papb_morphism(EMPTY, EMPTY, identity_braid(0)))
+            papb_compose(mu, 2, PaPBMorphism(EMPTY, EMPTY, identity_braid(0)))
 
     def test_bulk_point_deletion(self):
         # the empty plain morphism at a closed slot deletes z_slot and
         # zbar_slot: every generator then reduces to an identity
-        empty = papb_morphism(EMPTY, EMPTY, identity_braid(0))
+        empty = PaPBMorphism(EMPTY, EMPTY, identity_braid(0))
         want = {
             ("alpha_c", 1): ("t(c1c2)", "t(c1c2)"),
             ("alpha_c", 2): ("t(c1c2)", "t(c1c2)"),
@@ -571,13 +605,13 @@ class TestCompositeFrames:
     OPEN = ["o1", "t(c1)", "t(c1)o2"]  # identities, and four generators, for open slots
 
     def test_cable_into_identity_is_sigma(self):
-        s1 = papb_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        s1 = PaPBMorphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
         out = papb_compose(papb_identity(parse_tree("t(c1)")), 1, s1)
         assert out == papb_generator("sigma")
         assert out.word.word == (-2, 1, -3, 2)
 
     def test_cable_of_associator_is_alpha_c(self):
-        alpha = papb_morphism(parse_tree("(12)3"), parse_tree("1(23)"), identity_braid(3))
+        alpha = PaPBMorphism(parse_tree("(12)3"), parse_tree("1(23)"), identity_braid(3))
         out = papb_compose(papb_identity(parse_tree("t(c1)")), 1, alpha)
         alpha_c = papb_generator("alpha_c")
         assert (out.source, out.target) == (alpha_c.source, alpha_c.target)
@@ -586,7 +620,7 @@ class TestCompositeFrames:
     def arguments(self, closed_slot):
         if closed_slot:
             return [
-                papb_morphism(parse_tree(a), parse_tree(b), BraidWord(n, w))
+                PaPBMorphism(parse_tree(a), parse_tree(b), BraidWord(n, w))
                 for a, b, n, w in self.CLOSED
             ]
         gens = [papb_generator(name) for name in ("alpha_o", "p", "sigma", "q")]
@@ -617,10 +651,10 @@ class TestCompositeFrames:
 
     def test_pab_composites_chain(self):
         # plain composites are framed by leaf order and chain too
-        s1 = papb_morphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
+        s1 = PaPBMorphism(parse_tree("12"), parse_tree("21"), BraidWord(2, (1,)))
         for slot in (1, 2):
             for a, b, n, w in self.CLOSED[1:]:
-                nu = papb_morphism(parse_tree(a), parse_tree(b), BraidWord(n, w))
+                nu = PaPBMorphism(parse_tree(a), parse_tree(b), BraidWord(n, w))
                 out = papb_compose(s1, slot, nu)
                 assert out.source_frame == tuple(leaf_order(out.source))
                 back = papb_compose(papb_identity(s1.target), slot, papb_identity(nu.target))

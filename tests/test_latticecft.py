@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from opetree.coords import (
     CoordError,
     a_coordinates,
+    nested_configuration,
     nested_configuration_open,
     phi_embedding,
     validate_halfplane_point,
@@ -1374,6 +1375,26 @@ class TestConsistency:
             expansion_consistency_check(model, [], [(1, 0)], 4, 1e-6, 1, 0)
         with pytest.raises(LatticeError, match="no trees to compare"):
             consistency_sweep(model, [], [([(1, 0)], [])], 4, [], [])
+        # one point list and one base point per tree, none cut off
+        trees = [parse_tree(t) for t in ("1(23)", "(12)3", "(13)2")]
+        bases = [nested_configuration(t) for t in trees]
+        sets = [([(1, 0), (-1, 0), (0, 0)], [])]
+        for points, base in (([[]], bases), ([[]] * 3, bases[:2]), ([[]] * 4, bases)):
+            with pytest.raises(LatticeError, match="3 trees need as many point lists and base"):
+                consistency_sweep(model, trees, sets, 4, points, base)
+
+    def test_sample_counts_below_one(self, model):
+        trees, pair = [parse_tree("12")], [(1, 0), (-1, 0)]
+        checks = [
+            ("n_points", lambda n: expansion_consistency_check(model, trees, pair, 4, 1e-6, n, 0)),
+            ("n_samples", lambda n: single_valuedness_check(model, pair, n, 0)),
+            ("n_samples", lambda n: skew_symmetry_check(model, [pair], n, 0)),
+        ]
+        for name, check in checks:
+            for n in (0, -1):
+                with pytest.raises(LatticeError, match=f"{name} must be at least 1, got {n}"):
+                    check(n)
+            assert check(1).samples
 
     def test_determinism(self, model, boundaries):
         bd = boundaries[1]

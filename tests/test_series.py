@@ -1233,15 +1233,17 @@ class TestEvaluateClosed:
             diffs=(((1, 2), Fraction(1, 2)), ((3, 4), Fraction(1, 2)), ((5, 6), Fraction(1, 3)))
         )
         plan = BranchPlan(paired=[(0, 1)])
+        z0 = PowerProduct(diffs=(((0, 1), 1),))  # label 0 must not index from the end
         checks = [
-            ([1j, 0, -1j, 0, -1], "point has no coordinate z6"),
-            ([1j, 0, 1j, 0, -1, 0], "paired factors are not complex conjugates"),
-            ([1j, 0, -1j, 0, -1, 0], r"factor \(z5 - z6\) on the cut with exponent 1/3"),
+            (f, plan, [1j, 0, -1j, 0, -1], "point has no coordinate z6"),
+            (f, plan, [1j, 0, 1j, 0, -1, 0], "paired factors are not complex conjugates"),
+            (f, plan, [1j, 0, -1j, 0, -1, 0], r"factor \(z5 - z6\) on the cut with exponent 1/3"),
+            (z0, None, [1, 2], "point has no coordinate z0"),
         ]
-        for point, message in checks:
+        for g, g_plan, point, message in checks:
             for _ in range(2):  # the prepared table checks every point alike
                 with pytest.raises(SeriesError, match=message):
-                    evaluate_closed(f, point, plan)
+                    evaluate_closed(g, point, g_plan)
 
 
 class TestSerialization:
