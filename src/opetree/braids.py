@@ -15,8 +15,8 @@ plain trees (PaB), and for o-colored trees (PaPB) the doubled tags
 ('z', k), ('zbar', k), ('x', j) in leaf order, each bulk point before
 its conjugate.  One operadic composition, :func:`papb_compose`,
 composes both, and its composites chain with :meth:`PaPBMorphism.then`.
-Morphism equality is not decided up to homotopy; the stored invariants
-are the permutation and the signed crossing counts per strand pair.
+Morphisms are equal when their trees and words are; equality is not
+decided up to homotopy.
 """
 
 from __future__ import annotations
@@ -84,27 +84,9 @@ def braid_permutation(w: BraidWord) -> tuple:
     return tuple(pos[1:])
 
 
-def is_pure(w: BraidWord) -> bool:
-    return braid_permutation(w) == tuple(range(1, w.strands + 1))
-
-
 def mirror(w: BraidWord) -> BraidWord:
     """Complex conjugation of the underlying paths: negate every crossing."""
     return BraidWord(w.strands, tuple(-x for x in w.word))
-
-
-def abelianization(w: BraidWord) -> dict:
-    """Signed crossing counts per (unordered) strand pair, strands named
-    by their starting positions."""
-    at = list(range(w.strands + 1))
-    counts: dict = {}
-    for x in w.word:
-        i = abs(x)
-        a, b = at[i], at[i + 1]
-        key = (min(a, b), max(a, b))
-        counts[key] = counts.get(key, 0) + (1 if x > 0 else -1)
-        at[i], at[i + 1] = b, a
-    return {k: v for k, v in counts.items() if v}
 
 
 def cable_compose(g: BraidWord, p: int, h: BraidWord) -> BraidWord:
@@ -217,15 +199,6 @@ class PaPBMorphism(Frozen):
         if self.target != other.source:
             raise BraidError("composition needs matching middle tree")
         return PaPBMorphism(self.source, other.target, self.word * other.word)
-
-    def invariants(self) -> tuple:
-        """Equality is not decided up to homotopy; these are the stored
-        discrete invariants: the permutation and the signed crossing
-        counts per strand pair."""
-        return (
-            braid_permutation(self.word),
-            tuple(sorted(abelianization(self.word).items())),
-        )
 
 
 def papb_identity(e: Tree) -> PaPBMorphism:

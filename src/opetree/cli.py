@@ -4,6 +4,10 @@ Subcommands: ``tree`` (parse/compose/permute/double), ``coords``,
 ``expand``, ``braid`` (perm/mirror/cable/generator), ``verify``
 (bulk-consistency / boundary-consistency / bootstrap / skew / regions).
 
+Every verify report is built by a check in :mod:`opetree.latticecft`;
+the CLI validates the config and flags, calls the checks and prints
+their reports.
+
 Exit codes: 0 on success/pass, 1 on a failed verification, 2 on invalid
 input (including unreadable files and a closed stdout pipe).  JSON output
 is canonical: sorted keys, floats at 17 significant digits, so identical
@@ -474,47 +478,11 @@ def _verify_skew(cfg):
 
 
 def _verify_regions(cfg):
-    import random
-    import time
-
-    from opetree import coords, latticecft, trees
+    from opetree import latticecft
 
     seed = _int_field(cfg, "seed")
     n = _int_field(cfg, "points", 1000, minimum=1)
-    t0 = time.perf_counter()
-    rng = random.Random(seed)
-    comb = trees.parse_tree("1(2(3(45)))")
-    cs = coords.a_coordinates(comb)
-    mismatches = 0
-    for _ in range(n):
-        pt = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(5)]
-        chain = all(
-            abs(pt[i] - pt[4]) > abs(pt[i + 1] - pt[4]) for i in range(3)
-        ) and abs(pt[3] - pt[4]) > 0
-        member = coords.region_membership(cs, pt).in_ubar
-        if member != chain:
-            mismatches += 1
-    # two-comb: the certificate reduces to the chain plus the condition
-    # that the two root-edge radii sum below one
-    two = trees.parse_tree("(1(23))(4(56))")
-    cs2 = coords.a_coordinates(two)
-    root = [cs2.edges.index(edge) for edge in (("l",), ("r",))]
-    two_comb_ok = True
-    for pl, pr, rest, want in ((0.49, 0.49, 0.9, True), (0.51, 0.51, 0.2, False)):
-        radii = [rest] * cs2.n_edges
-        radii[root[0]], radii[root[1]] = pl, pr
-        got = coords.admissibility_certificate(cs2, radii).admissible
-        two_comb_ok = two_comb_ok and got is want
-    rep = latticecft.VerifyReport(
-        name="regions",
-        params={"tree": "1(2(3(45)))", "points": n, "seed": seed},
-        samples=[{"mismatches": mismatches, "two_comb_reduction": two_comb_ok}],
-        max_rel_err=float(mismatches),
-        tolerance=0.0,
-        passed=mismatches == 0 and two_comb_ok,
-        runtime=time.perf_counter() - t0,
-    )
-    return [rep]
+    return [latticecft.regions_check(seed, n)]
 
 
 # verify suite -> (runner, the FLAGS it reads); a suite rejects the others,

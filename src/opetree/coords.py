@@ -318,20 +318,21 @@ def validate_halfplane_point(point, r: int, s: int) -> None:
             raise CoordError("boundary points must strictly decrease in label")
 
 
-def region_membership_open(e: Tree, point) -> bool:
+def region_membership_open(e: Tree, point) -> RegionMembership:
     """Membership of an upper half-plane configuration in the tree region.
 
-    Applies the doubling embedding and tests the no-cut criterion on the
-    doubled tree.
+    Checks the point (:class:`CoordError` off the half-plane), applies the
+    doubling embedding and returns :func:`region_membership` on the
+    doubled tree.  A lone boundary point has no coordinates: its region
+    is everything, with margin 1.
     """
     r, s, color = validate_colored(e)
     if color != "o":
         raise CoordError("open regions are defined for o-colored trees")
     validate_halfplane_point(point, r, s)
     if 2 * r + s < 2:
-        return True
-    doubled_point = phi_embedding(point, r, s)
-    return region_membership(doubling(e), doubled_point).in_ubar
+        return RegionMembership(True, True, 1.0)
+    return region_membership(doubling(e), phi_embedding(point, r, s))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ homomorphism in the (doubled) tree's coordinates and carry the OPE
 structure constants of the tree.  The verification suites check the
 bootstrap cocycle identities, per-tree convergence to the single
 correlator with the predicted inter-region phases, single-valuedness
-under numeric loops, and the half-loop skew relation.
+under numeric loops, the half-loop skew relation, and the certified
+convergence regions of the comb trees.
 """
 
 from __future__ import annotations
@@ -37,11 +38,13 @@ from operator import add, mul
 from opetree.coords import (
     CoordError,
     a_coordinates,
+    admissibility_certificate,
     nested_configuration,
     nested_configuration_open,
     phi_embedding,
     psi,
     region_membership,
+    region_membership_open,
     validate_halfplane_point,
 )
 from opetree.series import (
@@ -63,6 +66,8 @@ from opetree.trees import (
     doubling,
     format_tree,
     leaf_order,
+    parse_tree,
+    require_int,
     validate_colored,
 )
 
@@ -631,8 +636,11 @@ def bootstrap_check(
     symmetric.  So (2) can fail only where a, b or a + b is in O, and
     only those box pairs are read (none without overrides, whatever the
     box), unless eps' is asymmetric: then every box pair is.  The verdict
-    and every error are the full sweep's, bit for bit.
+    and every error are the full sweep's, bit for bit.  A ``box`` that is
+    not an int >= 0 raises :class:`LatticeError`.
     """
+    if require_int(box, "box", LatticeError) < 0:
+        raise LatticeError(f"box must be >= 0, got {box}")
     t0 = time.perf_counter()
     _check_model(model, bd)
     sigma, eps_prime = bd.sigma_num, bd.epsilon_prime_num
@@ -742,7 +750,6 @@ def _sample_open_points(e, rng, count, margin_min=MARGIN_MIN):
     """Jittered nested configurations in the leaf-order component of the
     open tree region, with per-point nesting depth."""
     r, s, _ = validate_colored(e)
-    cs = a_coordinates(doubling(e))
 
     def propose():
         base = nested_configuration_open(e, shrink=rng.uniform(*SHRINK_RANGE))
@@ -770,11 +777,9 @@ def _sample_open_points(e, rng, count, margin_min=MARGIN_MIN):
             else:
                 pt.append(complex(mag * (b.real + dre) + shift, 0.0))
         try:
-            validate_halfplane_point(pt, r, s)
+            memb = region_membership_open(e, pt)
         except CoordError:
             return None
-        doubled = phi_embedding(pt, r, s)
-        memb = region_membership(cs, doubled)
         if not memb.in_u or memb.margin < margin_min:
             return None
         return tuple(pt)
@@ -1095,5 +1100,51 @@ def skew_symmetry_check(
         max_rel_err=worst,
         tolerance=tol,
         passed=worst <= tol,
+        runtime=time.perf_counter() - t0,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Convergence regions
+
+
+def regions_check(seed: int, n_points: int) -> VerifyReport:
+    """The certificate reduces to the known regions of two comb trees.
+
+    For the comb 1(2(3(45))) a point is in the no-cut region iff its
+    distances to z5 strictly decrease along the chain z1, z2, z3, z4;
+    ``n_points`` uniform points in the unit square compare the two.  For
+    the two-comb (1(23))(4(56)) the certificate reduces to the chain plus
+    the condition that the two root-edge radii sum below one, checked on
+    either side of that line.
+    """
+    _require_count(n_points, "n_points")
+    t0 = time.perf_counter()
+    rng = random.Random(seed)
+    comb = "1(2(3(45)))"
+    cs = a_coordinates(parse_tree(comb))
+    mismatches = 0
+    for _ in range(n_points):
+        pt = [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(5)]
+        chain = all(
+            abs(pt[i] - pt[4]) > abs(pt[i + 1] - pt[4]) for i in range(3)
+        ) and abs(pt[3] - pt[4]) > 0
+        if region_membership(cs, pt).in_ubar != chain:
+            mismatches += 1
+    cs2 = a_coordinates(parse_tree("(1(23))(4(56))"))
+    root = [cs2.edges.index(edge) for edge in (("l",), ("r",))]
+    two_comb_ok = True
+    for pl, pr, rest, want in ((0.49, 0.49, 0.9, True), (0.51, 0.51, 0.2, False)):
+        radii = [rest] * cs2.n_edges
+        radii[root[0]], radii[root[1]] = pl, pr
+        got = admissibility_certificate(cs2, radii).admissible
+        two_comb_ok = two_comb_ok and got is want
+    return VerifyReport(
+        name="regions",
+        params={"tree": comb, "points": n_points, "seed": seed},
+        samples=[{"mismatches": mismatches, "two_comb_reduction": two_comb_ok}],
+        max_rel_err=float(mismatches),
+        tolerance=0.0,
+        passed=mismatches == 0 and two_comb_ok,
         runtime=time.perf_counter() - t0,
     )

@@ -111,7 +111,7 @@ class GenSeries:
 
     def __init__(self, graded: Sequence[str], order: int):
         self.graded = tuple(graded)
-        self.order = int(order)
+        self.order = require_int(order, "truncation order", SeriesError)
         if self.order < 0:
             raise SeriesError(f"truncation order must be >= 0, got {self.order}")
         # key: (logs, ungraded, base) with base a Fraction tuple over graded
@@ -259,14 +259,12 @@ class GenSeries:
 
     def __add__(self, other):
         if not isinstance(other, GenSeries):
-            other = GenSeries.constant(other, self.graded, self.order)
+            return NotImplemented
         a, b = self._aligned(other)
         out = GenSeries(a.graded, a.order)
         for key, tail in [*a.sectors.items(), *b.sectors.items()]:
             out._merge_sector(key, dict(tail))
         return out._prune()
-
-    __radd__ = __add__
 
     def __neg__(self):
         out = self.copy()
@@ -274,11 +272,6 @@ class GenSeries:
             for vec in tail:
                 tail[vec] = -tail[vec]
         return out
-
-    def __sub__(self, other):
-        if not isinstance(other, GenSeries):
-            other = GenSeries.constant(other, self.graded, self.order)
-        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, GenSeries):

@@ -490,30 +490,14 @@ def leaf_order(a: Tree) -> list[int]:
 # Doubling
 
 
-def doubled_labels(e: Tree) -> dict[int, tuple[str, int]]:
-    """Map each doubled-tree label to its coordinate meaning.
-
-    Closed label k of the colored tree becomes ('z', k) at 2k-1 and
-    ('zbar', k) at 2k; open label r+j becomes ('x', j) at 2r+j.
-    """
-    r, s, color = validate_colored(e)
-    if color != "o":
-        raise TreeError("doubling is defined for o-colored trees")
-    out = {}
-    for k in range(1, r + 1):
-        out[2 * k - 1] = ("z", k)
-        out[2 * k] = ("zbar", k)
-    for j in range(1, s + 1):
-        out[2 * r + j] = ("x", j)
-    return out
-
-
 @lru_cache(maxsize=4096)
 def doubling(e: Tree) -> Tree:
     """Double the Tau blocks: each Tau subtree T becomes Node(T, T-bar).
 
-    The result is a plain tree on 2r+s leaves with the fixed label
-    convention of :func:`doubled_labels`; EMPTY doubles to EMPTY.
+    The result is a plain tree on 2r+s leaves with a fixed label
+    convention: closed label k becomes 2k-1 (the point z_k) and 2k (its
+    conjugate zbar_k), and open label r+j becomes 2r+j (the boundary
+    point x_j).  EMPTY doubles to EMPTY.
     """
     if isinstance(e, _Empty):
         return EMPTY
@@ -534,53 +518,6 @@ def doubling(e: Tree) -> Tree:
     out = build(e)
     validate_tree(out)
     return out
-
-
-def doubled_compose(e: Tree, p: int, x: Tree) -> Tree:
-    """Compose the doubled trees directly, with the canonical relabeling.
-
-    This is the image of colored composition under the doubling map,
-    computed independently: plain compose at the doubled slot(s), then
-    the coordinate-tracking renumbering back to the fixed convention.
-    ``x`` = EMPTY at a closed slot erases both doubled leaves.  Used as
-    the second route in the doubling-functoriality tests.
-    """
-    re_, se, _ = validate_colored(e)
-    rx, sx, xcol = (0, 0, "c") if isinstance(x, _Empty) else validate_colored(x)
-    etil = doubling(e)
-
-    if p <= re_:
-        if xcol == "o":
-            raise TreeError("closed slot needs a plain or c-colored argument")
-        t = rx
-        plain_x = map_leaves(x, lambda lf: Leaf(lf.label))
-        step1 = compose(etil, 2 * p - 1, plain_x)
-        step2 = compose(step1, 2 * p + t - 1, plain_x)
-        # interleave the two contiguous copies back into z/zbar pairs
-        relabel = {}
-        for i in range(1, t + 1):
-            relabel[2 * p - 2 + i] = 2 * p + 2 * i - 3
-            relabel[2 * p + t - 2 + i] = 2 * p + 2 * i - 2
-        return map_leaves(step2, lambda lf: Leaf(relabel.get(lf.label, lf.label)))
-
-    if xcol != "o":
-        raise TreeError("open slot needs an o-colored argument")
-    j = p - re_
-    q = 2 * re_ + j
-    xtil = doubling(x)
-    plain = compose(etil, q, xtil)
-    r_new = re_ + rx
-    relabel = {}
-    for jp in range(1, j):  # earlier open leaves of e
-        relabel[2 * re_ + jp] = 2 * r_new + jp
-    for k in range(1, rx + 1):  # closed pairs of x
-        relabel[q - 1 + 2 * k - 1] = 2 * (re_ + k) - 1
-        relabel[q - 1 + 2 * k] = 2 * (re_ + k)
-    for jpp in range(1, sx + 1):  # open leaves of x
-        relabel[q - 1 + 2 * rx + jpp] = 2 * r_new + j + jpp - 1
-    for jp in range(j + 1, se + 1):  # later open leaves of e, already shifted
-        relabel[2 * re_ + jp + 2 * rx + sx - 1] = 2 * r_new + jp + sx - 1
-    return map_leaves(plain, lambda lf: Leaf(relabel.get(lf.label, lf.label)))
 
 
 # ---------------------------------------------------------------------------
@@ -604,19 +541,6 @@ def all_trees(labels: Sequence[int]) -> Iterator[Tree]:
         for lt in all_trees(left):
             for rt in all_trees(right):
                 yield Node(lt, rt)
-
-
-def shape_of(t: Tree):
-    """Shape with labels erased, as a nested tuple."""
-    if isinstance(t, Leaf):
-        return "*"
-    if isinstance(t, Node):
-        return (shape_of(t.left), shape_of(t.right))
-    raise TreeError(f"not a plain tree: {t!r}")
-
-
-def all_shapes(n: int) -> set:
-    return {shape_of(t) for t in all_trees(range(1, n + 1))}
 
 
 def _splits(seq):

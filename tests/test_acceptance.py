@@ -17,7 +17,6 @@ from opetree.braids import (
     block_substitution,
     braid_permutation,
     cable_compose,
-    is_pure,
 )
 from opetree.coords import (
     a_coordinates,
@@ -44,16 +43,15 @@ from opetree.series import PowerProduct, evaluate_closed, evaluate_series, expan
 from opetree.trees import (
     ClosedLeaf,
     all_colored_trees,
-    all_shapes,
     all_trees,
     compose,
-    doubled_compose,
     doubling,
     leaf_order,
     map_leaves,
     parse_tree,
     permute,
 )
+from tests.oracles import all_shapes, doubled_compose, is_pure
 from tests.test_trees import random_tree
 
 

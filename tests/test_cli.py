@@ -287,6 +287,30 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "regions", "--seed", "5"], capsys)
         assert code == 0
 
+    def test_regions_fails_on_a_flipped_verdict(self, capsys, monkeypatch):
+        # negative control: a membership that gets the first comb point of
+        # each 1000-point run wrong
+        from opetree import latticecft
+
+        real, calls = latticecft.region_membership, []
+
+        def flip_first_point(cs, pt):
+            memb = real(cs, pt)
+            calls.append(pt)
+            if len(calls) % 1000 != 1:
+                return memb
+            return type(memb)(not memb.in_ubar, memb.in_u, memb.margin)
+
+        monkeypatch.setattr(latticecft, "region_membership", flip_first_point)
+        rep = latticecft.regions_check(5, 1000)
+        assert not rep.passed and rep.max_rel_err == 1.0
+        assert rep.samples == [{"mismatches": 1, "two_comb_reduction": True}]
+        code, out, _ = run_cli(["verify", "regions", "--seed", "5"], capsys)
+        assert code == 1 and len(calls) == 2000
+        obj = json.loads(out)
+        assert obj["passed"] is False and obj["checks"][0]["passed"] is False
+        assert obj["checks"][0]["samples"] == rep.samples
+
     def test_determinism_byte_identical(self, capsys, tmp_path):
         args = ["verify", "skew", "--seed", "11"]
         code1, out1, _ = run_cli(args, capsys)

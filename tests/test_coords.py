@@ -8,6 +8,7 @@ from opetree import coords
 from opetree.coords import (
     CertificateError,
     CoordError,
+    RegionMembership,
     a_coordinates,
     admissibility_certificate,
     nested_configuration,
@@ -309,8 +310,8 @@ class TestOpenRegions:
     def test_one_bulk_one_boundary_domain(self):
         e = parse_tree("t(c1)o2")
         # Re z1 > x2 and 2 y1 < |zbar1 - x2|
-        assert region_membership_open(e, [0.5 + 0.1j, -0.5])
-        assert not region_membership_open(e, [0.5 + 2.0j, -0.5])
+        assert region_membership_open(e, [0.5 + 0.1j, -0.5]).in_ubar
+        assert not region_membership_open(e, [0.5 + 2.0j, -0.5]).in_ubar
 
     def test_two_bulk_domain(self):
         e = parse_tree("t(c1c2)")
@@ -319,13 +320,22 @@ class TestOpenRegions:
             z1.conjugate() - z2.conjugate()
         ) / abs(z2 - z2.conjugate())
         assert lhs < 1
-        assert region_membership_open(e, [z1, z2])
+        assert region_membership_open(e, [z1, z2]).in_ubar
         z1b, z2b = 1.5 + 0.1j, -1.5 + 0.1j
-        assert not region_membership_open(e, [z1b, z2b])
+        assert not region_membership_open(e, [z1b, z2b]).in_ubar
+
+    def test_record_is_the_doubled_trees(self):
+        e = parse_tree("(t(c1)o2)o3")
+        pt = [0.5 + 0.1j, -0.5, -1.5]
+        assert region_membership_open(e, pt) == region_membership(
+            doubling(e), phi_embedding(pt, 1, 2)
+        )
+        # a lone boundary point has no coordinates: everything is its region
+        assert region_membership_open(parse_tree("o1"), [0.0]) == RegionMembership(True, True, 1.0)
 
     def test_degenerate_single_tau(self):
         e = parse_tree("t(c1)")
-        assert region_membership_open(e, [0.3 + 0.7j])
+        assert region_membership_open(e, [0.3 + 0.7j]).in_ubar
 
     def test_malformed_points(self):
         e = parse_tree("t(c1)o2")
@@ -375,4 +385,4 @@ class TestBaseConfigurations:
                     continue
                 for e in all_colored_trees(r, s):
                     pt = nested_configuration_open(e)
-                    assert region_membership_open(e, pt)
+                    assert region_membership_open(e, pt).in_ubar

@@ -35,6 +35,7 @@ from opetree.latticecft import (
     mixed_power_product,
     ope_prefactor_num,
     reference_tree,
+    regions_check,
     single_valuedness_check,
     skew_symmetry_check,
     tree_expansion,
@@ -221,6 +222,19 @@ class TestBoundaryData:
         # valid data of R^2 = 2 read as R^2 = 3 once reported FAIL (error 1.73)
         with pytest.raises(LatticeError, match=r"boundary data for R\^2 = 2, not 3"):
             bootstrap_check(NarainModel(3), build_boundary(NarainModel(2), 1), 2)
+
+    @pytest.mark.parametrize(
+        "box, message",
+        [
+            (-1, "box must be >= 0, got -1"),
+            (1.5, "box must be an int, got 1.5"),
+            (True, "box must be an int, got True"),
+        ],
+    )
+    def test_bootstrap_rejects_bad_box(self, model, boundaries, box, message):
+        # a negative box once read no pair and passed a perturbed control
+        with pytest.raises(LatticeError, match=message):
+            bootstrap_check(model, boundaries[1].perturbed((1, 0), 2), box)
 
     def test_bootstrap_other_radii(self):
         for rsq in (Fraction(1, 2), Fraction(3)):
@@ -1129,6 +1143,11 @@ class TestOpePrefactor:
 
 
 class TestTreeExpansion:
+    @pytest.mark.parametrize("order", [4.5, 4.0, True, "4"])
+    def test_order_must_be_an_int(self, model, order):
+        with pytest.raises(SeriesError, match="truncation order must be an int"):
+            tree_expansion(model, parse_tree("(12)3"), [(1, 0), (0, 1), (-1, -1)], order)
+
     def test_repeated_colored_expansion_compares_no_trees(self, model, boundaries, monkeypatch):
         # doubling and a_coordinates are memoized and an expansion keeps
         # its coordinate system: once a colored tree is expanded, expanding,
@@ -1440,3 +1459,16 @@ class TestSkewAndLoops:
             model, [(1, 0), (0, 1), (-1, 1), (1, -1)], n_samples=4, seed=53
         )
         assert rep.passed, rep.text()
+
+
+class TestRegions:
+    def test_default_seed_report(self):
+        rep = regions_check(1, 1000)
+        assert rep.name == "regions" and rep.passed
+        assert rep.params == {"tree": "1(2(3(45)))", "points": 1000, "seed": 1}
+        assert rep.samples == [{"mismatches": 0, "two_comb_reduction": True}]
+        assert rep.max_rel_err == 0.0 and rep.tolerance == 0.0
+
+    def test_point_count_checked(self):
+        with pytest.raises(LatticeError, match="n_points must be at least 1, got 0"):
+            regions_check(1, 0)

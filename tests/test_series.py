@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 import struct
 from fractions import Fraction
 
@@ -145,6 +146,21 @@ class TestArithmetic:
             GenSeries(("z",), -1)
         with pytest.raises(SeriesError):
             expand(parse_tree("(12)3"), PowerProduct(diffs=(((1, 2), 1),)), -5)
+
+    @pytest.mark.parametrize("order", [2.5, 2.0, True, "3"])
+    def test_order_must_be_an_int(self, order):
+        # 2.5 once escaped expand as a bare ValueError, and True read as 1
+        message = re.escape(f"truncation order must be an int, got {order!r}")
+        with pytest.raises(SeriesError, match=message):
+            GenSeries(("z",), order)
+        with pytest.raises(SeriesError, match=message):
+            expand(parse_tree("(12)3"), PowerProduct(diffs=(((1, 2), 1),)), order)
+
+    def test_only_series_add(self):
+        s = GenSeries.constant(1.0, ("z",), 3)
+        for bad in (lambda: s + 1, lambda: 1 + s, lambda: s - s):
+            with pytest.raises(TypeError):
+                bad()
 
     def test_log1p_requires_unit(self):
         s = GenSeries.monomial(2.0, {}, ("z",), 3)

@@ -16,11 +16,8 @@ from opetree.trees import (
     Tau,
     TreeError,
     all_colored_trees,
-    all_shapes,
     all_trees,
     compose,
-    doubled_compose,
-    doubled_labels,
     doubling,
     format_tree,
     leaf_order,
@@ -30,6 +27,7 @@ from opetree.trees import (
     validate_colored,
     validate_tree,
 )
+from tests.oracles import all_shapes, doubled_compose, doubled_labels
 
 
 def random_tree(rng, labels):
