@@ -35,11 +35,17 @@ by the tail exponent n and holding value ** (b + n), shared by the
 sectors with that base.  Each term is its coefficient times the entries
 picked by the key's digits, in graded order, as the per-term loop that
 skipped zero exponents multiplied them; one summation path, lazy maps
-summed left to right, serves every tail.  A zero total exponent reads
-1+0j instead of being skipped.  Times 1+0j a finite complex keeps its
-nonzero parts and at most flips the sign of a zero part, and the sector
-sum starts at +0j, so a zero part of either sign adds as +0.0: the sum
-is bit for bit the skipping loop's.
+summed left to right, serves every tail.  The digits are decoded apart
+from the sum: :func:`digit_columns` gives, per sector and graded variable,
+that digit of every key in tail order, and a caller that evaluates one
+series at many points (``latticecft.TreeExpansion``) decodes once and
+passes the columns in; without them each call decodes lazily.  Either
+way the tables see the same digits in the same order, so results and
+errors are the same.  A zero total exponent reads 1+0j instead of being
+skipped.  Times 1+0j a finite complex keeps its nonzero parts and at
+most flips the sign of a zero part, and the sector sum starts at +0j, so
+a zero part of either sign adds as +0.0: the sum is bit for bit the
+skipping loop's.
 
 Evaluation uses the principal logarithm, Arg in (-pi, pi); a variable
 raised to a non-integer power (or carrying a log factor) must evaluate
@@ -445,20 +451,27 @@ def _tail_mul(t1, t2, order, prune=True):
     A left term meets only right terms that fit in its room, so keys add
     without carries.  The sums run left term outer, right term inner, both
     in dict order, with first-touch insertion: the result, zeros included
-    when ``prune`` is false, is that of the tuple-keyed double loop.
+    when ``prune`` is false, is that of the tuple-keyed double loop.  With
+    a one-term operand on either side no key is touched twice, so one
+    comprehension builds each coefficient as the loop's first touch.
     """
     right = [(k, _degree(k, order), c) for k, c in t2.items()]
-    fitting = {}  # room -> right terms of degree <= room, in dict order
-    out = {}
-    get = out.get
-    for k1, c1 in t1.items():
-        room = order - _degree(k1, order)
-        terms = fitting.get(room)
-        if terms is None:
-            terms = fitting[room] = [(k, c) for k, d, c in right if d <= room]
-        for k2, c2 in terms:
-            k = k1 + k2
-            out[k] = get(k, 0) + c1 * c2
+    if len(t1) == 1 or len(right) == 1:
+        # every output key is touched once: its first touch, 0 + c1 * c2
+        left = [(k, order - _degree(k, order), c) for k, c in t1.items()]
+        out = {k1 + k2: 0 + c1 * c2 for k1, room, c1 in left for k2, d, c2 in right if d <= room}
+    else:
+        fitting = {}  # room -> right terms of degree <= room, in dict order
+        out = {}
+        get = out.get
+        for k1, c1 in t1.items():
+            room = order - _degree(k1, order)
+            terms = fitting.get(room)
+            if terms is None:
+                terms = fitting[room] = [(k, c) for k, d, c in right if d <= room]
+            for k2, c2 in terms:
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
     if prune:
         return dict(compress(out.items(), out.values()))
     return out
@@ -693,14 +706,16 @@ def _scale_tail(tail, c):
 # Evaluation of series
 
 
-def evaluate_series(s: GenSeries, values: Mapping) -> complex:
+def evaluate_series(s: GenSeries, values: Mapping, columns=None) -> complex:
     """Sum the series at numeric variable values, principal branches.
 
-    Raises :class:`SeriesError` for a missing variable, a variable on
-    the cut raised to a non-integer power or carrying a log factor, or a
-    power beyond the double range.  A
-    value is looked up, a power computed and a cut checked only when some
-    term needs it.
+    ``columns``, if given, are :func:`digit_columns` of ``s``, read
+    instead of decoding every key again; columns of another shape raise
+    :class:`SeriesError`.  Raises :class:`SeriesError` for a missing
+    variable, a variable on the cut raised to a non-integer power or
+    carrying a log factor, or a power beyond the double range.  A value
+    is looked up, a power computed and a cut checked only when some term
+    needs it, so columns change no result and no error.
     """
     logv = {}
 
@@ -715,19 +730,26 @@ def evaluate_series(s: GenSeries, values: Mapping) -> complex:
     tables = {}
 
     def table(v, offset=0):
-        if (v, offset) not in tables:
-            tables[v, offset] = _PowerTable(values, v, offset)
-        return tables[v, offset]
+        tab = tables.get((v, offset))
+        if tab is None:
+            tab = tables[v, offset] = _PowerTable(values, v, offset)
+        return tab
 
+    # Cheaper, same values: an exponent with denominator 1 is its
+    # numerator, and Fraction * complex is complex(q) * complex.
     def power(v, q):
         if q.denominator == 1:
-            return table(v)[int(q)]
-        return cmath.exp(q * log_of(v))
+            return table(v)[q.numerator]
+        return cmath.exp(complex(q) * log_of(v))
 
+    n = len(s.graded)
+    if columns is None:
+        columns = repeat(None)
+    elif len(columns) != len(s.sectors):
+        raise SeriesError("digit columns do not match the series")
     total = 0j
-    base = s.order + 1
     try:
-        for (logs, ungraded, offsets), tail in s.sectors.items():
+        for ((logs, ungraded, offsets), tail), digits in zip(s.sectors.items(), columns):
             sector_val = 1.0 + 0j
             for v, k in logs:
                 sector_val *= log_of(v) ** k
@@ -736,28 +758,53 @@ def evaluate_series(s: GenSeries, values: Mapping) -> complex:
             row = []
             for g, q in zip(s.graded, offsets):
                 if q.denominator == 1:
-                    row.append(table(g, int(q)))
+                    row.append(table(g, q.numerator))
                 else:
                     sector_val *= power(g, q)
                     row.append(table(g))
-            total += sector_val * _tail_sum(tail, row, base)
+            if digits is None:
+                digits = _digits(tail, s.order + 1, n)
+            elif list(map(len, digits)) != [len(tail)] * n:
+                raise SeriesError("digit columns do not match the series")
+            total += sector_val * _tail_sum(tail, row, digits)
     except OverflowError:  # a power beyond the largest double, here or in a _PowerTable
         raise SeriesError("series value out of floating-point range") from None
     return total
 
 
-def _tail_sum(tail, row, base):
-    """Sum over the tail, from +0j, of c * row[0][digit 0] * row[1][digit 1]...
+def digit_columns(s: GenSeries) -> tuple:
+    """The decoded keys of ``s``, for :func:`evaluate_series`: per sector,
+    per graded variable, that digit of every tail key in tail order.
 
-    Lazy maps, one chain per variable, decode the digits and multiply, so
+    A column is ``bytes`` while every digit fits one (N < 256) and a list
+    above that.  The columns describe ``s`` as it is now; a series changed
+    afterwards needs new ones.
+    """
+    column = bytes if s.order < 256 else list
+    n = len(s.graded)
+    return tuple(tuple(map(column, _digits(tail, s.order + 1, n))) for tail in s.sectors.values())
+
+
+def _digits(tail, base, n):
+    """Lazy iterables, one per graded variable: digit i of every key of
+    ``tail`` in base ``base``, in tail order.  The top digit needs no
+    mod, as every key is below base ** n, and digit 0 no floordiv."""
+    out = []
+    for i in range(n):
+        digits = map(floordiv, tail, repeat(base**i)) if i else tail
+        out.append(map(mod, digits, repeat(base)) if i + 1 < n else digits)
+    return out
+
+
+def _tail_sum(tail, row, digits):
+    """Sum over the tail, from +0j, of c * row[0][digits 0] * row[1][digits 1]...
+
+    Lazy maps, one chain per variable, read the digits and multiply, so
     no Python code runs per term.
     """
-    terms = iter(tail.values())
-    for i, tab in enumerate(row):
-        digits = map(floordiv, tail, repeat(base**i)) if i else iter(tail)
-        if i + 1 < len(row):
-            digits = map(mod, digits, repeat(base))
-        terms = map(mul, terms, map(tab.__getitem__, digits))
+    terms = tail.values()
+    for tab, col in zip(row, digits):
+        terms = map(mul, terms, map(tab.__getitem__, col))
     return reduce(add, terms, 0j)
 
 

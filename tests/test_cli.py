@@ -287,6 +287,18 @@ class TestVerifyCommand:
         code, out, _ = run_cli(["verify", "regions", "--seed", "5"], capsys)
         assert code == 0
 
+    def test_text_report_is_byte_identical_between_runs(self, capsys):
+        # the text report carries no runtime, so two identical runs print
+        # the same bytes
+        from opetree.latticecft import VerifyReport
+
+        argv = ["--format", "text", "verify", "regions", "--seed", "5"]
+        first, second = run_cli(argv, capsys), run_cli(argv, capsys)
+        assert first == second
+        assert first[0] == 0 and first[1].startswith("[PASS] regions")
+        fast, slow = (VerifyReport("c", {}, 1, 0.0, 1e-9, True, t, ["n"]) for t in (0.01, 12.5))
+        assert fast.text() == slow.text() == "[PASS] c  max_rel_err=0.000e+00  tol=1.0e-09\n    - n"
+
     def test_regions_fails_on_a_flipped_verdict(self, capsys, monkeypatch):
         # negative control: a membership that gets the first comb point of
         # each 1000-point run wrong

@@ -506,6 +506,12 @@ _coeffs = st.one_of(
     st.sampled_from([0j, complex(-0.0, -0.0), 1 + 0j, -1 + 0j]),
     st.builds(complex, _parts, _parts),
 )
+# ... and parts that are infinite or nan
+_special_coeffs = st.one_of(
+    _coeffs,
+    st.builds(complex, st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1.0]), _parts),
+    st.builds(complex, _parts, st.sampled_from([math.inf, -math.inf, math.nan, -0.0, 1.0])),
+)
 
 
 def _vecs(nvars, order):
@@ -577,6 +583,42 @@ class TestPackedKernel:
             {((), (), half): t2, ((), (), zero): t4},
         )
         _assert_same(a * b, ref_a * ref_b)
+
+    @given(data=st.data(), nvars=st.integers(1, 4), order=st.integers(0, 12), left=st.booleans(), prune=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_one_term_operand_bit_identical_to_loop(self, data, nvars, order, left, prune):
+        # the one-term kernel path, with the one term on either side and of
+        # any degree up to the order, against coefficients that include
+        # signed zeros, infinities and nans
+        vec = data.draw(_vecs(nvars, order).filter(lambda v: sum(v) <= order))
+        one = {vec: data.draw(_special_coeffs)}
+        many = data.draw(st.dictionaries(_vecs(nvars, order), _special_coeffs, max_size=12))
+        t1, t2 = (one, many) if left else (many, one)
+        got = _tail_mul(_packed(t1, order), _packed(t2, order), order, prune=prune)
+        assert _bits(_decoded(got, order, nvars)) == _bits(_loop_tail_mul(t1, t2, order, prune=prune))
+
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("left", [True, False])
+    def test_one_term_operand_of_positive_degree(self, left, prune):
+        # a degree-3 term at order 6 cuts the other side's terms of degree
+        # above 3; zero, signed-zero, inf and nan products on the way
+        inf, nan = math.inf, math.nan
+        one = {(1, 2): complex(-0.0, 2.0)}
+        many = {
+            (0, 0): complex(-0.0, -0.0),
+            (1, 0): complex(inf, 0.0),
+            (0, 1): complex(nan, 1.0),
+            (2, 1): 0j,
+            (1, 3): 1 + 1j,
+            (3, 0): complex(1.0, -0.0),
+            (0, 4): complex(-inf, nan),
+        }
+        t1, t2 = (one, many) if left else (many, one)
+        got = _tail_mul(_packed(t1, 6), _packed(t2, 6), 6, prune=prune)
+        want = _loop_tail_mul(t1, t2, 6, prune=prune)
+        assert _bits(_decoded(got, 6, 2)) == _bits(want)
+        assert (1 + 1, 3 + 2) not in want and (1 + 2, 2 + 2) not in want
+        assert ((1, 2) in want) is not prune  # (0, 0) * one sums to a zero
 
     def test_zero_order_keeps_constants_only(self):
         t = {(0, 0): 2 + 0j, (1, 0): 1 + 0j, (0, 1): 3 + 0j}
@@ -1197,6 +1239,122 @@ class TestEvaluate:
         assert errs[40] <= 1e-8
         assert errs[20] <= errs[10] * 1.1
         assert errs[40] <= errs[20] * 1.1
+
+
+def _reference(s):
+    """A packed series as the tuple-keyed reference _loop_evaluate reads."""
+    n = len(s.graded)
+    return _TupleSeries(s.graded, s.order, {k: _decoded(t, s.order, n) for k, t in s.sectors.items()})
+
+
+def _raw_expansion(s):
+    """A TreeExpansion around ``s`` whose points are its variable values."""
+    from opetree.latticecft import NarainModel, TreeExpansion
+
+    texp = TreeExpansion(NarainModel(2), parse_tree("12"), None, s, 0, False)
+    texp.coordinate_values = dict
+    return texp
+
+
+class TestDigitColumns:
+    """Evaluation on cached digit columns against the decoding call and the
+    per-term loop, bit for bit."""
+
+    def _assert_columns_exact(self, s, points):
+        columns = series.digit_columns(s)
+        ref = _reference(s)
+        for values in points:
+            want = _outcome(_loop_evaluate, ref, values)
+            assert isinstance(want[0], str)  # a value, not an error
+            assert _outcome(evaluate_series, s, values) == want
+            assert _outcome(evaluate_series, s, values, columns) == want
+        return columns
+
+    def test_tree_expansion_decodes_once(self, monkeypatch):
+        from opetree import latticecft
+
+        model = latticecft.NarainModel(Fraction(2))
+        charges = [(-1, 0), (1, -1), (1, 0), (-1, 1)]
+        texp = latticecft.tree_expansion(model, parse_tree("1(2(34))"), charges, 30)
+        points = latticecft._sample_bulk_points(texp.tree, random.Random(3), 3, margin_min=0.45)
+        ref = _reference(texp.series)
+        wants = [_outcome(_loop_evaluate, ref, texp.coordinate_values(pt)) for pt in points]
+        assert all(isinstance(want[0], str) for want in wants) and len(set(wants)) == 3
+        assert [_outcome(evaluate_series, texp.series, texp.coordinate_values(pt)) for pt in points] == wants
+        decodes = []
+        real = series._digits
+        monkeypatch.setattr(series, "_digits", lambda *args: decodes.append(args) or real(*args))
+        assert [_outcome(texp.evaluate_raw, pt) for pt in points] == wants
+        assert len(decodes) == len(texp.series.sectors)  # on the first evaluation only
+        assert all(type(col) is bytes for cols in texp.columns for col in cols)
+        assert texp.series.n_terms() > 10000 and len(texp.series.graded) == 4
+
+    def test_multi_sector_expansion(self):
+        # z2^2 in the coordinates of (1(23))4: one sector per power of x_A
+        diffs = (((1, 2), Fraction(-1, 2)), ((3, 4), Fraction(1, 3)), ((1, 4), Fraction(3, 2)))
+        s = expand(parse_tree("(1(23))4"), PowerProduct(diffs=diffs, powers=((2, 2),)), 12).series
+        assert len(s.sectors) == 3 and s.n_terms() > 200
+        rng = random.Random(5)
+        names = {v for logs, ung, _ in s.sectors for v, _ in logs + ung} | set(s.graded)
+        points = [
+            {v: complex(rng.uniform(0.2, 1.2), rng.uniform(-1, 1)) for v in sorted(names)}
+            for _ in range(4)
+        ]
+        self._assert_columns_exact(s, points)
+
+    def test_wide_digits(self):
+        # N = 300: a digit up to 300 does not fit a byte
+        rng = random.Random(7)
+        sectors = {}
+        for base in ((ZERO, ZERO, ZERO), (Fraction(1, 2), Fraction(-1), ZERO)):
+            tail = {}
+            while len(tail) < 40:
+                a = rng.randint(0, 300)
+                b = rng.randint(0, 300 - a)
+                tail[(a, b, rng.randint(0, 300 - a - b))] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            tail[(0, 0, 300)] = 1 + 0j
+            sectors[((), (), base)] = tail
+        s = GenSeries.from_tails(("a", "b", "c"), 300, sectors)
+        points = [
+            {g: cmath.rect(rng.uniform(0.9, 1.0), rng.uniform(-3, 3)) for g in s.graded} for _ in range(3)
+        ]
+        columns = self._assert_columns_exact(s, points)
+        assert all(type(col) is list for cols in columns for col in cols)
+        assert max(columns[0][2]) == 300
+
+    @pytest.mark.parametrize(
+        "bad, loop_raises_it",
+        [
+            ({"a": 0.5, "x": 2.0}, True),  # no value for b
+            ({"a": 0.5, "b": 0.5, "x": -1.0}, True),  # x on the cut
+            ({"a": 1e200, "b": 0.5, "x": 2.0}, False),  # a ** 3 overflows
+        ],
+    )
+    def test_same_error_on_first_and_later_evaluation(self, bad, loop_raises_it):
+        sectors = {
+            ((), (), (ZERO, ZERO)): {(0, 0): 1 + 0j, (2, 0): 0.5j},
+            ((), (("x", Fraction(1, 2)),), (ZERO, ZERO)): {(0, 0): 1 + 0j, (3, 1): 2 + 0j},
+        }
+        s = GenSeries.from_tails(("a", "b"), 8, sectors)
+        good = {"a": 0.5, "b": 0.25j, "x": 2.0}
+        want = _outcome(evaluate_series, s, bad)
+        assert want[0] is SeriesError
+        texp = _raw_expansion(s)
+        outcomes = [_outcome(texp.evaluate_raw, values) for values in (bad, good, bad)]
+        assert outcomes == [want, _outcome(evaluate_series, s, good), want]
+        if loop_raises_it:  # the loop lets an OverflowError through
+            assert want == _outcome(_loop_evaluate, _reference(s), bad)
+
+    def test_columns_of_another_shape_raise(self):
+        s = GenSeries.from_tails(
+            ("a", "b"), 4, {((), (), (ZERO, ZERO)): {(0, 0): 1 + 0j, (1, 2): 2 + 0j}}
+        )
+        values = {"a": 0.5, "b": 0.5}
+        (cols,) = series.digit_columns(s)
+        for columns in [(), (cols, cols), ((cols[0],),), ((cols[0], cols[1][:1]),), ((cols[0], cols[1] + b"\0"),)]:
+            with pytest.raises(SeriesError, match="digit columns do not match the series"):
+                evaluate_series(s, values, columns)
+        assert evaluate_series(s, values, (cols,)) == evaluate_series(s, values)
 
 
 class TestEvaluateClosed:
