@@ -388,11 +388,8 @@ def _verify_bootstrap(cfg):
     from opetree import latticecft
 
     model, rho = model_from_config(cfg)
-    box = cfg.get("box", 5)
-    if isinstance(box, bool) or not isinstance(box, int) or box < 0:
-        raise CliError(f"box must be a non-negative integer, got {box!r}")
     bd = latticecft.build_boundary(model, rho)
-    return [latticecft.bootstrap_check(model, bd, box)]
+    return [latticecft.bootstrap_check(model, bd, cfg.get("box", 5))]
 
 
 def _verify_boundary(cfg):

@@ -24,7 +24,8 @@ inner, both in dict order, first-touch insertion), and a packed key only
 renames a term, so every coefficient comes out bit for bit as that loop
 gives it.  :func:`_powers` is the one loop making repeated powers u, u^2,
 ... (memoized binomial tails, ``log1p``, :func:`expand`'s plain powers),
-and :func:`expand` builds its difference product as one packed tail chain.
+and :func:`expand` builds its difference product as one packed tail chain,
+skipping the unit factors that would give the chain back unchanged.
 It reads each factor's factorization from the tree's coordinate system
 and its (1 + P)^s from the one binomial memo, keyed on the packed tail,
 s and N: there is no memo per tree and pair.
@@ -288,12 +289,20 @@ class GenSeries:
                     tail[vec] *= c
             return out._prune()
         a, b = self._aligned(other)
+        # The operands' keys use disjoint digits when neither one's graded
+        # variables meet the other's graded or ungraded ones: embedding moves
+        # an ungraded variable that the other operand grades into the sector
+        # base, and folding sectors may then shift it into the tail keys.
+        mine, theirs = set(self.graded), set(other.graded)
+        disjoint = mine.isdisjoint(theirs | _ungraded_names(other)) and theirs.isdisjoint(
+            _ungraded_names(self)
+        )
         out = GenSeries(a.graded, a.order)
         for (l1, u1, b1), t1 in a.sectors.items():
             for (l2, u2, b2), t2 in b.sectors.items():
                 base = tuple(q1 + q2 for q1, q2 in zip(b1, b2))
                 # zeros stay until out._prune(): _merge_sector adds them
-                tail = _tail_mul(t1, t2, a.order, prune=False)
+                tail = _tail_mul(t1, t2, a.order, prune=False, disjoint=disjoint)
                 if tail:
                     out._merge_sector((_merge_keys(l1, l2), _merge_keys(u1, u2), base), tail)
         return out._prune()
@@ -413,11 +422,19 @@ def _finite_result(arg, out):
     although every coefficient of ``arg`` is raises :class:`SeriesError`."""
 
     def finite(s):
-        return all(cmath.isfinite(c) for t in s.sectors.values() for c in t.values())
+        return all(_all_finite(t.values()) for t in s.sectors.values())
 
     if not finite(out) and finite(arg):
         raise SeriesError("series coefficient out of floating-point range")
     return out
+
+
+def _all_finite(coeffs) -> bool:
+    return all(map(cmath.isfinite, coeffs))
+
+
+def _ungraded_names(s) -> set:
+    return {v for _, ungraded, _ in s.sectors for v, _ in ungraded}
 
 
 def _merge_keys(k1, k2):
@@ -445,36 +462,48 @@ def _degree(key, order) -> int:
     return (key % order or order) if key else 0  # key != 0 needs order >= 1
 
 
-def _tail_mul(t1, t2, order, prune=True):
+def _tail_mul(t1, t2, order, prune=True, disjoint=False):
     """Product of two packed tails truncated at total degree ``order``.
 
     A left term meets only right terms that fit in its room, so keys add
     without carries.  The sums run left term outer, right term inner, both
     in dict order, with first-touch insertion: the result, zeros included
-    when ``prune`` is false, is that of the tuple-keyed double loop.  With
-    a one-term operand on either side no key is touched twice, so one
-    comprehension builds each coefficient as the loop's first touch.
+    when ``prune`` is false, is that of the tuple-keyed double loop.  When
+    no key is touched twice, one comprehension builds each coefficient as
+    the loop's first touch: with a one-term operand on either side, or
+    with ``disjoint`` operands, whose keys use disjoint digits (graded
+    variables) so that k1 + k2 is one to one.
     """
     right = [(k, _degree(k, order), c) for k, c in t2.items()]
-    if len(t1) == 1 or len(right) == 1:
+    fitting = {}  # room -> right terms of degree <= room, in dict order
+    if disjoint or len(t1) == 1 or len(right) == 1:
         # every output key is touched once: its first touch, 0 + c1 * c2
         left = [(k, order - _degree(k, order), c) for k, c in t1.items()]
-        out = {k1 + k2: 0 + c1 * c2 for k1, room, c1 in left for k2, d, c2 in right if d <= room}
+        for _, room, _ in left:
+            if room not in fitting:
+                fitting[room] = _fitting(t2, right, room, order)
+        out = {k1 + k2: 0 + c1 * c2 for k1, room, c1 in left for k2, c2 in fitting[room]}
     else:
-        fitting = {}  # room -> right terms of degree <= room, in dict order
         out = {}
         get = out.get
         for k1, c1 in t1.items():
             room = order - _degree(k1, order)
             terms = fitting.get(room)
             if terms is None:
-                terms = fitting[room] = [(k, c) for k, d, c in right if d <= room]
+                terms = fitting[room] = _fitting(t2, right, room, order)
             for k2, c2 in terms:
                 k = k1 + k2
                 out[k] = get(k, 0) + c1 * c2
     if prune:
         return dict(compress(out.items(), out.values()))
     return out
+
+
+def _fitting(t2, right, room, order):
+    """The (key, coeff) terms of ``t2`` of degree <= ``room``, in dict order,
+    read from ``right``, its (key, degree, coeff) list: all of them when
+    room == order, as no key of a tail at that order has a higher degree."""
+    return t2.items() if room == order else [(k, c) for k, d, c in right if d <= room]
 
 
 def _powers(u, order):
@@ -504,7 +533,10 @@ def _binomial_tail_memo(items, q, order):
     for k, power in enumerate(islice(_powers(dict(items), order), order), start=1):
         # C(q, k) from C(q, k-1): the steps binomial(q, k) takes
         coeff = coeff * (q - (k - 1)) / k
-        ck = complex(coeff)
+        try:
+            ck = complex(coeff)
+        except OverflowError:
+            raise SeriesError("series coefficient out of floating-point range") from None
         for vec, c in power.items():
             out[vec] = out.get(vec, 0) + ck * c
     return {v: c for v, c in out.items() if c != 0}
@@ -658,11 +690,19 @@ def expand(
     zero_base = tuple([ZERO] * len(graded))
     tail = {0: complex(f.constant)} if f.constant != 0 else {}
     x_exp, base, negative = ZERO, list(zero_base), []
+    # A unit factor (no pair tail, leading coefficient 1) is {0: 1+0j}, and
+    # 0 + c * (1+0j) is c for a finite c that is not -0.0.  A tail out of
+    # _tail_mul holds no -0.0 (each first touch is 0 + ...), so a unit is
+    # skipped once the tail has been through one product, from a finite
+    # constant: a coefficient that is not finite then raises below.
+    finite = _all_finite(tail.values())
+    skip_units = False
     # one packed tail, the product so far on the left as in GenSeries.__mul__;
-    # a factor's tail is the binomial memo's own dict, copied by _scale_tail
+    # a factor's tail is the binomial memo's own dict, which _tail_mul only reads
     for (i, j), s in f.diffs:
         fac = pair_difference(cs, i, j)
-        factor = _binomial_tail_memo(tuple(_packed_poly(fac.tail, order).items()), s, order)
+        packed = _packed_poly(fac.tail, order)
+        factor = _binomial_tail_memo(tuple(packed.items()), s, order)
         x_exp += s
         for idx, m in enumerate(fac.monomial):
             if m:
@@ -671,7 +711,12 @@ def expand(
         if fac.sign == -1:
             negative.append((i, j))
             coeff = phase_pi(s if negative_branch == "upper" else -s)
+        if skip_units and not packed and coeff == 1:
+            continue
         tail = _tail_mul(tail, _scale_tail(factor, coeff), order)
+        skip_units = finite
+    if finite and not _all_finite(tail.values()):
+        raise SeriesError("series coefficient out of floating-point range")
     if tail:
         out.sectors[((), _ungraded_key({names["x"]: x_exp}), tuple(base))] = tail
     for i, k in f.powers:
@@ -697,8 +742,9 @@ def _packed_poly(poly, order):
 
 
 def _scale_tail(tail, c):
+    """``tail`` times ``c``: a new dict, or ``tail`` itself when c == 1."""
     if c == 1:
-        return dict(tail)
+        return tail
     return {v: c * x for v, x in tail.items()}
 
 

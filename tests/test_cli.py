@@ -183,6 +183,21 @@ class TestExpandCommand:
                 ["(12)3", "(z1-z2)^-400 * z1^1020", "--N", "3"],
                 "error: series coefficient out of floating-point range",
             ),
+            # a binomial C(10^12, k) beyond the largest double
+            (
+                ["(12)3", "(z1-z3)^1000000000000", "--N", "30"],
+                "error: series coefficient out of floating-point range",
+            ),
+            # every difference factor fits, but the chain of their tails does not
+            (
+                [
+                    "((12)3)4",
+                    "(z1-z3)^100000000000 * (z2-z4)^100000000000 * (z1-z4)^100000000000",
+                    "--N",
+                    "30",
+                ],
+                "error: series coefficient out of floating-point range",
+            ),
         ],
     )
     def test_bad_input_exit_2(self, capsys, argv, message):
@@ -395,12 +410,14 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize("box", [-1, 2.7, 3.0, True, "3", None])
     def test_bootstrap_rejects_bad_box(self, capsys, tmp_path, box):
+        # the library's one box rule and its text
         cfg = tmp_path / "model.json"
         cfg.write_text(json.dumps({"box": box}))
         code, out, err = run_cli(["verify", "bootstrap", "--config", str(cfg)], capsys)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: box must be a non-negative integer")
+        want = "box must be >= 0, got -1" if box == -1 else f"box must be an int, got {box!r}"
+        assert err == f"error: {want}\n"
 
     def test_bootstrap_box_zero(self, capsys, tmp_path):
         cfg = tmp_path / "model.json"

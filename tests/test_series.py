@@ -620,6 +620,85 @@ class TestPackedKernel:
         assert (1 + 1, 3 + 2) not in want and (1 + 2, 2 + 2) not in want
         assert ((1, 2) in want) is not prune  # (0, 0) * one sums to a zero
 
+    @given(data=st.data(), split=st.integers(1, 3), nvars=st.integers(2, 5), order=_orders, prune=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_disjoint_operands_bit_identical_to_get_and_add(self, data, split, nvars, order, prune):
+        # the left tail uses the first `split` digits only and the right the
+        # others, so k1 + k2 is one to one and the one-pass branch applies;
+        # signed zeros, infinities and nans, and terms cut by the order
+        split = min(split, nvars - 1)
+        vecs = _vecs(nvars, order)
+        left_vecs = vecs.map(lambda v: v[:split] + (0,) * (nvars - split))
+        right_vecs = vecs.map(lambda v: (0,) * split + v[split:])
+        t1 = _packed(data.draw(st.dictionaries(left_vecs, _special_coeffs, max_size=12)), order)
+        t2 = _packed(data.draw(st.dictionaries(right_vecs, _special_coeffs, max_size=12)), order)
+        want = {}
+        for k1, c1 in t1.items():
+            for k2, c2 in t2.items():
+                if series._degree(k1, order) + series._degree(k2, order) <= order:
+                    want[k1 + k2] = want.get(k1 + k2, 0) + c1 * c2
+        if prune:
+            want = {k: c for k, c in want.items() if c != 0}
+        for disjoint in (True, False):
+            got = _tail_mul(t1, t2, order, prune=prune, disjoint=disjoint)
+            assert [(k, repr(c)) for k, c in got.items()] == [(k, repr(c)) for k, c in want.items()]
+            assert _bits(got) == _bits(want)
+
+    @given(data=st.data(), order=st.integers(0, 8), cross=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_disjoint_series_product_bit_identical_to_loop(self, data, order, cross):
+        # GenSeries.__mul__ over disjoint graded variables, against the
+        # tuple-keyed reference: several sectors and bases fold.  With
+        # `cross`, each operand may carry one of the other's graded
+        # variables ungraded; embedding may fold it into the tails, so the
+        # keys need not be disjoint
+        a, ref_a = data.draw(_series_pair(2, order, ("a0", "a1"), ("b0", "b1") if cross else ()))
+        b, ref_b = data.draw(_series_pair(2, order, ("b0", "b1"), ("a0", "a1") if cross else ()))
+        _assert_same(a * b, ref_a * ref_b)
+        _assert_same(b * a, ref_b * ref_a)
+
+    def test_ungraded_variable_folded_into_the_tail(self):
+        # z3 is graded on the left and ungraded on the right, whose sectors
+        # z3^0 and z3^1 fold into one tail with a z3 digit on embedding:
+        # key (0, 1) is touched twice and sums 1 + 1
+        zero, one = Fraction(0), Fraction(1)
+        a = GenSeries.from_tails(("z3",), 1, {((), (), (zero,)): {(0,): 1 + 0j, (1,): 1 + 0j}})
+        b = GenSeries.from_tails(
+            ("z0",), 1, {((), (), (zero,)): {(0,): 1 + 0j}, ((), (("z3", one),), (zero,)): {(0,): 1 + 0j}}
+        )
+        assert (a * b).terms() == [({}, {}, 1 + 0j), ({"z3": 1}, {}, 2 + 0j)]
+
+    @pytest.mark.parametrize("order", [0, 1, 4, 9])
+    @pytest.mark.parametrize("constant", [1 + 0j, complex(-0.0, 2.0), complex("inf"), 0j])
+    @pytest.mark.parametrize("units_only", [False, True])
+    def test_expand_skips_unit_factors_bit_exactly(self, order, constant, units_only):
+        # on ((12)3)4 the pairs (1,2), (2,3), (3,4) and their reverses factor
+        # with no tail; (2,1)^(-1/2) is a sign -1 unit with a phase and
+        # (4,3)^2 one whose phase is 1.  A unit first meets the raw constant,
+        # later ones the product so far; at N = 0 every pair is a unit.  With
+        # units only, a -0.0 or an infinity in the constant reaches the result.
+        cs = a_coordinates(parse_tree("((12)3)4"))
+        diffs = (
+            ((1, 2), Fraction(1, 2)),
+            ((2, 1), Fraction(-1, 2)),
+            ((1, 3), Fraction(-3, 2)),
+            ((3, 4), Fraction(-1)),
+            ((4, 3), Fraction(2)),
+            ((2, 4), Fraction(1, 3)),
+            ((2, 3), Fraction(3)),
+        )
+        if units_only:
+            diffs = tuple(d for d in diffs if d[0] in [(1, 2), (3, 4), (4, 3), (2, 3)])
+        f = PowerProduct(diffs=diffs, constant=constant)
+        for conjugate, branch in [(False, "upper"), (True, "lower")]:
+            ex = expand(cs, f, order, conjugate=conjugate, negative_branch=branch)
+            want, negative = _per_factor_expand(cs, f, order, conjugate, branch)
+            assert ex.negative_pairs == negative == (((4, 3),) if units_only else ((2, 1), (4, 3)))
+            assert repr(list(ex.series.sectors)) == repr(list(want.sectors))
+            for key, tail in want.sectors.items():
+                assert [repr(c) for c in ex.series.sectors[key].values()] == [repr(c) for c in tail.values()]
+                assert _bits(ex.series.sectors[key]) == _bits(tail)
+
     def test_zero_order_keeps_constants_only(self):
         t = {(0, 0): 2 + 0j, (1, 0): 1 + 0j, (0, 1): 3 + 0j}
         assert _tail_mul(_packed(t, 0), _packed(t, 0), 0) == {0: 4 + 0j}
@@ -856,6 +935,23 @@ class TestExpand:
         with pytest.raises(SeriesError) as err:
             PowerProduct(**fields)
         assert str(err.value) == message
+
+    def test_overflowing_factor_chain_raises(self):
+        # each binomial factor fits a double, but their product overflows
+        cs = a_coordinates(parse_tree("((12)3)4"))
+        s = Fraction(10**11)
+        diffs = (((1, 3), s), ((2, 4), s), ((1, 4), s))
+        with pytest.raises(SeriesError, match="^series coefficient out of floating-point range$"):
+            expand(cs, PowerProduct(diffs=diffs), 30)
+        # from a constant that is not finite, the product may not be either
+        (tail,) = expand(cs, PowerProduct(diffs=diffs, constant=complex("nan")), 30).series.sectors.values()
+        assert not any(map(cmath.isfinite, tail.values()))
+
+    def test_binomial_coefficient_beyond_double_raises(self):
+        # C(10^12, k) leaves the double range before k = 30
+        f = PowerProduct(diffs=(((1, 3), 10**12),))
+        with pytest.raises(SeriesError, match="^series coefficient out of floating-point range$"):
+            expand(parse_tree("(12)3"), f, 30)
 
     def test_worked_expansion_against_oracle(self):
         # (z2 - z1)^{-1} on (23)((15)4) equals x^{-1} sum (-za+zc+zb*zc)^l
