@@ -515,12 +515,19 @@ class TreeExpansion(Record):
     tree's coordinate system, and the tree's OPE prefactor, kept separate
     so region phases can be measured against the raw expansion.  The
     prefactor is the integer phase ``prefactor_num`` mod 2D of ``model``;
-    its complex value ``prefactor`` is computed once.  So are the series'
-    ``digit_columns``, on the first evaluation; every later one reads them
-    instead of decoding the keys again.  ``series`` is therefore not
-    changed after construction."""
+    its complex value ``prefactor`` is computed once.
 
-    _fields = ("model", "tree", "coords", "series", "prefactor_num", "colored")
+    The series' digit blocks (``digit_columns``) are computed once too, on
+    the first evaluation; every later one reads them instead of decoding
+    the keys again.  For a plain tree ``series`` is the product of the z
+    and z-bar expansions held in ``factors``, and the blocks are read off
+    those two factors, one per z term, so the product's keys are never
+    decoded; the factors are then dropped (``factors`` reads ()).  A
+    colored tree's series is its one expansion, and its keys are decoded.
+    ``series`` is therefore not changed after construction."""
+
+    _fields = ("model", "tree", "coords", "series", "prefactor_num", "colored", "factors")
+    _defaults = {"factors": ()}
 
     @cached_property
     def prefactor(self) -> complex:
@@ -528,7 +535,9 @@ class TreeExpansion(Record):
 
     @cached_property
     def columns(self) -> tuple:
-        return digit_columns(self.series)
+        columns = digit_columns(self.series, self.factors)
+        self.factors = ()  # the blocks keep what they read of them
+        return columns
 
     def coordinate_values(self, point) -> dict:
         """Series variable values; ``point`` uses doubled coordinates for a
@@ -605,8 +614,9 @@ def tree_expansion(
     negative = [pair for ex in expanded for pair in ex.negative_pairs]
     if negative:
         raise LatticeError(f"leaf-ordered factor with negative leading sign: {negative}")
-    series = reduce(mul, [ex.series for ex in expanded])
-    return TreeExpansion(model, e, cs, series, pref, colored)
+    factors = tuple(ex.series for ex in expanded)
+    series = reduce(mul, factors)
+    return TreeExpansion(model, e, cs, series, pref, colored, () if colored else factors)
 
 
 # ---------------------------------------------------------------------------

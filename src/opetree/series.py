@@ -36,17 +36,23 @@ by the tail exponent n and holding value ** (b + n), shared by the
 sectors with that base.  Each term is its coefficient times the entries
 picked by the key's digits, in graded order, as the per-term loop that
 skipped zero exponents multiplied them; one summation path, lazy maps
-summed left to right, serves every tail.  The digits are decoded apart
-from the sum: :func:`digit_columns` gives, per sector and graded variable,
-that digit of every key in tail order, and a caller that evaluates one
-series at many points (``latticecft.TreeExpansion``) decodes once and
-passes the columns in; without them each call decodes lazily.  Either
-way the tables see the same digits in the same order, so results and
-errors are the same.  A zero total exponent reads 1+0j instead of being
-skipped.  Times 1+0j a finite complex keeps its nonzero parts and at
-most flips the sign of a zero part, and the sector sum starts at +0j, so
-a zero part of either sign adds as +0.0: the sum is bit for bit the
-skipping loop's.
+summed left to right from +0j, serves every tail.  The digits come apart
+from the sum, in digit blocks: runs of terms in tail order, each with,
+per graded variable, one digit for the whole run or a column of digits.
+Without blocks each call decodes every key lazily, one run a sector.  A
+caller that evaluates one series at many points
+(``latticecft.TreeExpansion``) builds :func:`digit_columns` once and
+passes them in.  A product of two single-sector factors over disjoint
+variables (a bulk tree's z and z-bar parts) gets them read off its two
+factors, in :func:`_tail_mul`'s term order, without decoding the
+product: one block per z term, with that term's z digits as constants,
+each looked up once a block, and the z-bar columns of the terms that fit
+its room, shared per room.  Either way the tables see the same digits in
+the same order, so results and errors are the same.  A zero total
+exponent reads 1+0j instead of being skipped.  Times 1+0j a finite
+complex keeps its nonzero parts and at most flips the sign of a zero
+part, and the sector sum starts at +0j, so a zero part of either sign
+adds as +0.0: the sum is bit for bit the skipping loop's.
 
 Evaluation uses the principal logarithm, Arg in (-pi, pi); a variable
 raised to a non-integer power (or carrying a log factor) must evaluate
@@ -289,14 +295,7 @@ class GenSeries:
                     tail[vec] *= c
             return out._prune()
         a, b = self._aligned(other)
-        # The operands' keys use disjoint digits when neither one's graded
-        # variables meet the other's graded or ungraded ones: embedding moves
-        # an ungraded variable that the other operand grades into the sector
-        # base, and folding sectors may then shift it into the tail keys.
-        mine, theirs = set(self.graded), set(other.graded)
-        disjoint = mine.isdisjoint(theirs | _ungraded_names(other)) and theirs.isdisjoint(
-            _ungraded_names(self)
-        )
+        disjoint = _disjoint(self, other)
         out = GenSeries(a.graded, a.order)
         for (l1, u1, b1), t1 in a.sectors.items():
             for (l2, u2, b2), t2 in b.sectors.items():
@@ -435,6 +434,16 @@ def _all_finite(coeffs) -> bool:
 
 def _ungraded_names(s) -> set:
     return {v for _, ungraded, _ in s.sectors for v, _ in ungraded}
+
+
+def _disjoint(a, b) -> bool:
+    """Whether the keys of a and b use disjoint digits in their product:
+    neither one's graded variables meet the other's graded or ungraded
+    ones.  Embedding moves an ungraded variable that the other operand
+    grades into the sector base, and folding sectors may then shift it
+    into the tail keys."""
+    mine, theirs = set(a.graded), set(b.graded)
+    return mine.isdisjoint(theirs | _ungraded_names(b)) and theirs.isdisjoint(_ungraded_names(a))
 
 
 def _merge_keys(k1, k2):
@@ -691,12 +700,15 @@ def expand(
     tail = {0: complex(f.constant)} if f.constant != 0 else {}
     x_exp, base, negative = ZERO, list(zero_base), []
     # A unit factor (no pair tail, leading coefficient 1) is {0: 1+0j}, and
-    # 0 + c * (1+0j) is c for a finite c that is not -0.0.  A tail out of
-    # _tail_mul holds no -0.0 (each first touch is 0 + ...), so a unit is
-    # skipped once the tail has been through one product, from a finite
-    # constant: a coefficient that is not finite then raises below.
+    # 0 + c * (1+0j) is c for a finite c with no -0.0 part.  So units are
+    # skipped from the start for such a constant, and otherwise, from a
+    # finite constant, once the tail has been through one product: a tail
+    # out of _tail_mul holds no -0.0 (each first touch is 0 + ...), and a
+    # coefficient that is not finite then raises below.
     finite = _all_finite(tail.values())
-    skip_units = False
+    skip_units = finite and not any(
+        p == 0 and math.copysign(1.0, p) < 0 for c in tail.values() for p in (c.real, c.imag)
+    )
     # one packed tail, the product so far on the left as in GenSeries.__mul__;
     # a factor's tail is the binomial memo's own dict, which _tail_mul only reads
     for (i, j), s in f.diffs:
@@ -756,7 +768,7 @@ def evaluate_series(s: GenSeries, values: Mapping, columns=None) -> complex:
     """Sum the series at numeric variable values, principal branches.
 
     ``columns``, if given, are :func:`digit_columns` of ``s``, read
-    instead of decoding every key again; columns of another shape raise
+    instead of decoding every key again; blocks of another shape raise
     :class:`SeriesError`.  Raises :class:`SeriesError` for a missing
     variable, a variable on the cut raised to a non-integer power or
     carrying a log factor, or a power beyond the double range.  A value
@@ -795,7 +807,7 @@ def evaluate_series(s: GenSeries, values: Mapping, columns=None) -> complex:
         raise SeriesError("digit columns do not match the series")
     total = 0j
     try:
-        for ((logs, ungraded, offsets), tail), digits in zip(s.sectors.items(), columns):
+        for ((logs, ungraded, offsets), tail), blocks in zip(s.sectors.items(), columns):
             sector_val = 1.0 + 0j
             for v, k in logs:
                 sector_val *= log_of(v) ** k
@@ -808,27 +820,80 @@ def evaluate_series(s: GenSeries, values: Mapping, columns=None) -> complex:
                 else:
                     sector_val *= power(g, q)
                     row.append(table(g))
-            if digits is None:
+            if blocks is None:
                 digits = _digits(tail, s.order + 1, n)
-            elif list(map(len, digits)) != [len(tail)] * n:
-                raise SeriesError("digit columns do not match the series")
-            total += sector_val * _tail_sum(tail, row, digits)
+                factors = [map(tab.__getitem__, col) for tab, col in zip(row, digits)]
+            else:
+                factors = _block_factors(len(tail), row, blocks)
+            total += sector_val * _tail_sum(tail, factors)
     except OverflowError:  # a power beyond the largest double, here or in a _PowerTable
         raise SeriesError("series value out of floating-point range") from None
     return total
 
 
-def digit_columns(s: GenSeries) -> tuple:
+def digit_columns(s: GenSeries, factors=()) -> tuple:
     """The decoded keys of ``s``, for :func:`evaluate_series`: per sector,
-    per graded variable, that digit of every tail key in tail order.
+    digit blocks that cover its tail in tail order.
 
-    A column is ``bytes`` while every digit fits one (N < 256) and a list
-    above that.  The columns describe ``s`` as it is now; a series changed
-    afterwards needs new ones.
+    A block is ``(count, digits)``: ``count`` terms and, per graded
+    variable, either one digit (an int) shared by every term of the block
+    or a column of ``count`` digits, ``bytes`` while every digit fits one
+    (N < 256) and a list above that; a variable has a digit in every block
+    of a sector or a column in every block.  A sector is one block of columns
+    decoded from its keys, except when ``factors=(a, b)`` are given with
+    ``s = a * b`` (in that order) a product of single-sector series over
+    disjoint graded variables: then its sector gets one block per term of
+    ``a``, that term's digits as ints and the columns of the terms of
+    ``b`` that fit its room.  A product that dropped a zero term, or
+    factors of another shape, are decoded.  The blocks describe ``s`` as
+    it is now; a series changed afterwards needs new ones.
     """
     column = bytes if s.order < 256 else list
+    if factors:
+        blocks = _product_blocks(s, *factors, column)
+        if blocks is not None:
+            return (blocks,)
     n = len(s.graded)
-    return tuple(tuple(map(column, _digits(tail, s.order + 1, n))) for tail in s.sectors.values())
+    return tuple(
+        ((len(tail), tuple(map(column, _digits(tail, s.order + 1, n)))),) for tail in s.sectors.values()
+    )
+
+
+def _product_blocks(s, a, b, column):
+    """The digit blocks of the one sector of ``s`` = ``a`` * ``b``, read
+    off ``a`` and ``b``, or None unless ``s`` is their disjoint
+    single-sector product term for term."""
+    order = s.order
+    if not (
+        len(s.sectors) == len(a.sectors) == len(b.sectors) == 1
+        and a.order == b.order == order
+        and s.graded == tuple(sorted({*a.graded, *b.graded}))
+        and _disjoint(a, b)
+    ):
+        return None
+    (t1,), (t2,), (tail,) = a.sectors.values(), b.sectors.values(), s.sectors.values()
+    base, places = order + 1, {g: i for i, g in enumerate(s.graded)}
+    right = [(k, _degree(k, order), c) for k, c in t2.items()]
+    rooms = {}  # room -> count and digits of b's fitting terms, a's places empty
+    blocks = []
+    for k1, own in zip(t1, zip(*_digits(t1, base, len(a.graded)))):
+        room = order - _degree(k1, order)
+        if room not in rooms:
+            keys = [k for k, _ in _fitting(t2, right, room, order)]
+            digits = [None] * len(s.graded)
+            for g, col in zip(b.graded, _digits(keys, base, len(b.graded))):
+                digits[places[g]] = column(col)
+            rooms[room] = len(keys), digits
+        count, digits = rooms[room]
+        if count:
+            digits = digits.copy()
+            for g, d in zip(a.graded, own):
+                digits[places[g]] = d
+            blocks.append((count, tuple(digits)))
+    # the product drops zero terms (say, an underflow): then the blocks overrun it
+    if sum(count for count, _ in blocks) != len(tail):
+        return None
+    return tuple(blocks)
 
 
 def _digits(tail, base, n):
@@ -842,15 +907,50 @@ def _digits(tail, base, n):
     return out
 
 
-def _tail_sum(tail, row, digits):
-    """Sum over the tail, from +0j, of c * row[0][digits 0] * row[1][digits 1]...
+def _block_factors(length, row, blocks):
+    """Per graded variable, the lazy stream of its table entries over a
+    tail of ``length`` terms that ``blocks`` describe; blocks of another
+    shape raise :class:`SeriesError`."""
+    n = len(row)
+    if len(blocks) == 1 and len(blocks[0]) == 2:  # one block of columns: checked at less cost
+        count, digits = blocks[0]
+        if count == length and len(digits) == n and int not in map(type, digits):
+            if list(map(len, digits)) == [length] * n:
+                return [map(tab.__getitem__, col) for tab, col in zip(row, digits)]
+    if blocks and set(map(len, blocks)) == {2}:
+        counts, rows = zip(*blocks)
+        if sum(counts) == length and set(map(len, rows)) == {n}:
+            factors = list(map(_block_factor, row, zip(*rows), repeat(counts)))
+            if None not in factors:
+                return factors
+    raise SeriesError("digit columns do not match the series")
 
-    Lazy maps, one chain per variable, read the digits and multiply, so
+
+def _block_factor(tab, digits, counts):
+    """The entries of ``tab`` picked by one variable's ``digits``, one
+    digit or one column a block of ``counts`` terms, or None for digits
+    of another shape.  A block's one digit is looked up when the block's
+    first term reaches it, where the per-term lookup would first look it
+    up; a block of no terms would look up a digit no term uses."""
+    kinds = set(map(type, digits))
+    if kinds == {int}:
+        if min(counts) > 0:
+            return chain.from_iterable(map(repeat, map(tab.__getitem__, digits), counts))
+    elif int not in kinds and tuple(map(len, digits)) == counts:
+        return chain.from_iterable(map(map, repeat(tab.__getitem__), digits))
+    return None
+
+
+def _tail_sum(tail, factors):
+    """Sum over the tail, from +0j, of c * f0 * f1 * ..., with one stream
+    of factors per graded variable, in graded order.
+
+    Lazy maps, one chain per variable, read the streams and multiply, so
     no Python code runs per term.
     """
     terms = tail.values()
-    for tab, col in zip(row, digits):
-        terms = map(mul, terms, map(tab.__getitem__, col))
+    for factor in factors:
+        terms = map(mul, terms, factor)
     return reduce(add, terms, 0j)
 
 

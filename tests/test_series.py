@@ -669,14 +669,24 @@ class TestPackedKernel:
         assert (a * b).terms() == [({}, {}, 1 + 0j), ({"z3": 1}, {}, 2 + 0j)]
 
     @pytest.mark.parametrize("order", [0, 1, 4, 9])
-    @pytest.mark.parametrize("constant", [1 + 0j, complex(-0.0, 2.0), complex("inf"), 0j])
+    @pytest.mark.parametrize(
+        "constant",
+        [1 + 0j, complex(-0.0, 2.0), complex("inf"), 0j, 2 - 3j, complex(2, -0.0), complex("nan")],
+    )
     @pytest.mark.parametrize("units_only", [False, True])
-    def test_expand_skips_unit_factors_bit_exactly(self, order, constant, units_only):
+    def test_expand_skips_unit_factors_bit_exactly(self, order, constant, units_only, monkeypatch):
         # on ((12)3)4 the pairs (1,2), (2,3), (3,4) and their reverses factor
         # with no tail; (2,1)^(-1/2) is a sign -1 unit with a phase and
-        # (4,3)^2 one whose phase is 1.  A unit first meets the raw constant,
-        # later ones the product so far; at N = 0 every pair is a unit.  With
-        # units only, a -0.0 or an infinity in the constant reaches the result.
+        # (4,3)^2 one whose phase is 1; at N = 0 every pair is a unit.  A
+        # finite constant with no -0.0 part skips every unit; one with a
+        # -0.0 part meets the first unit, which turns it into +0.0, and a
+        # constant that is not finite meets them all.  With units only, a
+        # -0.0, an infinity or a nan in the constant reaches the result.  The
+        # products are counted on a second expansion, as the first fills the
+        # binomial memo with _tail_mul's help.
+        products = []
+        real = series._tail_mul
+        monkeypatch.setattr(series, "_tail_mul", lambda *args, **kw: products.append(args) or real(*args, **kw))
         cs = a_coordinates(parse_tree("((12)3)4"))
         diffs = (
             ((1, 2), Fraction(1, 2)),
@@ -690,8 +700,14 @@ class TestPackedKernel:
         if units_only:
             diffs = tuple(d for d in diffs if d[0] in [(1, 2), (3, 4), (4, 3), (2, 3)])
         f = PowerProduct(diffs=diffs, constant=constant)
+        finite = cmath.isfinite(constant)
+        negative_zero = any(p == 0 and math.copysign(1.0, p) < 0 for p in (constant.real, constant.imag))
         for conjugate, branch in [(False, "upper"), (True, "lower")]:
+            expand(cs, f, order, conjugate=conjugate, negative_branch=branch)
+            products.clear()
             ex = expand(cs, f, order, conjugate=conjugate, negative_branch=branch)
+            if units_only:
+                assert len(products) == (len(diffs) if not finite else 1 if negative_zero else 0)
             want, negative = _per_factor_expand(cs, f, order, conjugate, branch)
             assert ex.negative_pairs == negative == (((4, 3),) if units_only else ((2, 1), (4, 3)))
             assert repr(list(ex.series.sectors)) == repr(list(want.sectors))
@@ -1343,13 +1359,18 @@ def _reference(s):
     return _TupleSeries(s.graded, s.order, {k: _decoded(t, s.order, n) for k, t in s.sectors.items()})
 
 
-def _raw_expansion(s):
-    """A TreeExpansion around ``s`` whose points are its variable values."""
+def _raw_expansion(s, factors=()):
+    """A TreeExpansion around ``s``, the product of ``factors`` if given,
+    whose points are its variable values."""
     from opetree.latticecft import NarainModel, TreeExpansion
 
-    texp = TreeExpansion(NarainModel(2), parse_tree("12"), None, s, 0, False)
+    texp = TreeExpansion(NarainModel(2), parse_tree("12"), None, s, 0, False, factors)
     texp.coordinate_values = dict
     return texp
+
+
+def _one_sector(graded, order, base, tail, ungraded=()):
+    return GenSeries.from_tails(graded, order, {((), ungraded, base): tail})
 
 
 class TestDigitColumns:
@@ -1367,6 +1388,8 @@ class TestDigitColumns:
         return columns
 
     def test_tree_expansion_decodes_once(self, monkeypatch):
+        # the first evaluation decodes the keys of the z and z-bar factors,
+        # never the 46,376 keys of their product; later ones decode nothing
         from opetree import latticecft
 
         model = latticecft.NarainModel(Fraction(2))
@@ -1377,13 +1400,127 @@ class TestDigitColumns:
         wants = [_outcome(_loop_evaluate, ref, texp.coordinate_values(pt)) for pt in points]
         assert all(isinstance(want[0], str) for want in wants) and len(set(wants)) == 3
         assert [_outcome(evaluate_series, texp.series, texp.coordinate_values(pt)) for pt in points] == wants
+        (z_tail,), (zbar_tail,) = (f.sectors.values() for f in texp.factors)
+        assert len(z_tail) == len(zbar_tail) == 496
         decodes = []
         real = series._digits
-        monkeypatch.setattr(series, "_digits", lambda *args: decodes.append(args) or real(*args))
+        monkeypatch.setattr(series, "_digits", lambda *args: decodes.append(list(args[0])) or real(*args))
+        assert _outcome(texp.evaluate_raw, points[0]) == wants[0]
+        assert decodes[0] == list(z_tail)  # the z keys, once
+        assert all(set(keys) <= zbar_tail.keys() for keys in decodes[1:])  # z-bar keys, once a room
+        assert len(decodes) <= 1 + 31 and texp.factors == ()
+        first = len(decodes)
         assert [_outcome(texp.evaluate_raw, pt) for pt in points] == wants
-        assert len(decodes) == len(texp.series.sectors)  # on the first evaluation only
-        assert all(type(col) is bytes for cols in texp.columns for col in cols)
-        assert texp.series.n_terms() > 10000 and len(texp.series.graded) == 4
+        assert len(decodes) == first
+        (blocks,) = texp.columns
+        assert len(blocks) == 496 and sum(count for count, _ in blocks) == texp.series.n_terms() == 46376
+        kinds = {tuple(type(d).__name__ for d in digits) for _, digits in blocks}
+        assert kinds == {("int", "bytes", "int", "bytes")}  # ze0, ze0c, ze1, ze1c
+
+    @pytest.mark.parametrize(
+        "tree, charges, orders",
+        [
+            ("1(23)", [(1, 0), (-1, 1), (0, -1)], (0, 1, 2, 6, 30)),
+            ("(12)3", [(1, 1), (0, -1), (-1, 0)], (0, 1, 2, 6, 30)),
+            ("1(2(34))", [(-1, 0), (1, -1), (1, 0), (-1, 1)], (0, 1, 2, 6, 30)),
+            ("(12)(34)", [(1, 1), (1, 1), (-1, -1), (-1, -1)], (0, 1, 2, 6, 30)),
+            # at N = 30 a 5-leaf product has 1.9 million terms
+            ("((12)3)(45)", [(1, 1), (-1, 0), (0, -1), (1, 0), (-1, 0)], (0, 1, 2, 6, 14)),
+            ("1(2(3(45)))", [(0, 1), (1, -1), (-1, 0), (1, 0), (-1, 0)], (0, 1, 2, 6)),
+        ],
+    )
+    def test_block_path_bit_identical(self, tree, charges, orders):
+        # plain trees of 3-5 leaves: the blocks read off the factors give the
+        # decoding call's and the per-term loop's value, by repr and bits
+        from opetree import latticecft
+
+        model = latticecft.NarainModel(Fraction(5, 7))
+        t = parse_tree(tree)
+        points = latticecft._sample_bulk_points(t, random.Random(len(tree)), 2, margin_min=0.45)
+        for order in orders:
+            texp = latticecft.tree_expansion(model, t, charges, order)
+            (z_tail,), _ = (f.sectors.values() for f in texp.factors)
+            ref = _reference(texp.series)
+            for pt in points:
+                values = texp.coordinate_values(pt)
+                got = texp.evaluate_raw(pt)
+                assert repr(got) == repr(evaluate_series(texp.series, values))
+                want = _outcome(_loop_evaluate, ref, values)
+                assert (got.real.hex(), got.imag.hex()) == _outcome(evaluate_series, texp.series, values) == want
+            # one block per z term, with the z digits as ints
+            (blocks,) = texp.columns
+            assert len(blocks) == len(z_tail)
+            z_names = texp.coords.var_names()["zeta"]
+            for _, digits in blocks:
+                assert [isinstance(d, int) for d in digits] == [g in z_names for g in texp.series.graded]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"b": 0.5, "x": 2.0},  # no value for a
+            {"a": 0.5, "x": 2.0},  # no value for b
+            {"x": 2.0},  # neither: a is looked up first
+            {"a": 0.5, "b": 0.5, "x": -1.0},  # x on the cut
+            {"a": 1e200, "b": 0.5, "x": 2.0},  # a ** 3 overflows
+            {"a": 0.5, "b": 1e200, "x": 2.0},  # b ** 3 overflows
+            {"a": 1e200, "x": 2.0},  # a ** 3 overflows before b is missed
+            {"a": 0j, "b": 0.5, "x": 2.0},  # a ** -1 at a = 0
+        ],
+    )
+    def test_block_path_same_error_on_first_and_later_evaluation(self, bad):
+        # z over b (one digit per block) times z-bar over a (columns), with
+        # a first in graded order: a term reads a's power, then b's.  The
+        # first block uses b ** 0 only, so a b that is missing or overflows
+        # is met only after a's powers in the first block
+        z = _one_sector(
+            ("b",), 4, (ZERO,), {(0,): 1 + 0j, (1,): 0.5j, (3,): 2 + 0j}, (("x", Fraction(1, 2)),)
+        )
+        zbar = _one_sector(("a",), 4, (Fraction(-1),), {(0,): 1 + 0j, (2,): -1 + 0j, (4,): 0.25 + 0j})
+        s = z * zbar
+        good = {"a": 0.5, "b": 0.25j, "x": 2.0}
+        want = _outcome(evaluate_series, s, bad)
+        assert not isinstance(want[0], str)
+        texp = _raw_expansion(s, (z, zbar))
+        outcomes = [_outcome(texp.evaluate_raw, values) for values in (bad, good, bad)]
+        assert outcomes == [want, _outcome(evaluate_series, s, good), want]
+        (blocks,) = texp.columns
+        assert [count for count, _ in blocks] == [3, 2, 1] and [digits[1] for _, digits in blocks] == [0, 1, 3]
+
+    def test_product_with_a_pruned_term_is_decoded(self):
+        # 1e-200 * 1e-200 underflows to zero and the product prunes it: the
+        # blocks would overrun the tail, so the keys are decoded
+        order, base = 3, (ZERO,)
+        z = _one_sector(("a",), order, base, {(0,): 1e-200 + 0j, (1,): 2 + 0j, (2,): 1 + 1j})
+        zbar = _one_sector(("b",), order, base, {(0,): 1e-200 + 0j, (2,): 1 + 0j})
+        s = z * zbar
+        assert s.n_terms() == 4  # of 5
+        assert series.digit_columns(s, (z, zbar)) == series.digit_columns(s)
+        rng = random.Random(11)
+        for _ in range(3):
+            values = {"a": complex(rng.uniform(-2, 2), rng.uniform(-2, 2)), "b": complex(rng.uniform(-2, 2), 1)}
+            texp = _raw_expansion(s, (z, zbar))
+            want = _outcome(_loop_evaluate, _reference(s), values)
+            assert _outcome(texp.evaluate_raw, values) == _outcome(evaluate_series, s, values) == want
+        # no underflow at 1e-100: one block per z term
+        z.sectors[((), (), base)][0] = 1e-100 + 0j
+        s = z * zbar
+        (blocks,) = series.digit_columns(s, (z, zbar))
+        assert [count for count, _ in blocks] == [2, 2, 1] and s.n_terms() == 5
+        assert evaluate_series(s, values, (blocks,)) == evaluate_series(s, values)
+
+    def test_factors_of_another_shape_are_decoded(self):
+        a = _one_sector(("a",), 3, (ZERO,), {(0,): 1 + 0j, (1,): 2 + 0j})
+        b = _one_sector(("b",), 3, (ZERO,), {(0,): 1 + 0j, (2,): 3 + 0j})
+        ab = _one_sector(("a", "b"), 3, (ZERO, ZERO), {(0, 0): 1 + 0j, (1, 1): 3 + 0j})
+        b2 = _one_sector(("b",), 2, (ZERO,), {(0,): 1 + 0j, (2,): 3 + 0j})
+        b_over_a = _one_sector(("b",), 3, (ZERO,), {(0,): 1 + 0j, (1,): 3 + 0j}, (("a", Fraction(1)),))
+        two = a + _one_sector(("a",), 3, (Fraction(1, 2),), {(0,): 1 + 0j})
+        assert len(two.sectors) == 2
+        # shared graded variables, another order, b carrying a ungraded, two sectors
+        for x, y in [(a, a), (a, ab), (a, b2), (a, b_over_a), (two, b)]:
+            s = x * y
+            assert series.digit_columns(s, (x, y)) == series.digit_columns(s)
+        assert len(series.digit_columns(a * b, (a, b))[0]) == 2  # the blocks
 
     def test_multi_sector_expansion(self):
         # z2^2 in the coordinates of (1(23))4: one sector per power of x_A
@@ -1415,8 +1552,8 @@ class TestDigitColumns:
             {g: cmath.rect(rng.uniform(0.9, 1.0), rng.uniform(-3, 3)) for g in s.graded} for _ in range(3)
         ]
         columns = self._assert_columns_exact(s, points)
-        assert all(type(col) is list for cols in columns for col in cols)
-        assert max(columns[0][2]) == 300
+        assert all(type(col) is list for blocks in columns for _, cols in blocks for col in cols)
+        assert max(columns[0][0][1][2]) == 300
 
     @pytest.mark.parametrize(
         "bad, loop_raises_it",
@@ -1446,13 +1583,29 @@ class TestDigitColumns:
             ("a", "b"), 4, {((), (), (ZERO, ZERO)): {(0, 0): 1 + 0j, (1, 2): 2 + 0j}}
         )
         values = {"a": 0.5, "b": 0.5}
-        (cols,) = series.digit_columns(s)
-        for columns in [(), (cols, cols), ((cols[0],),), ((cols[0], cols[1][:1]),), ((cols[0], cols[1] + b"\0"),)]:
+        ((block,),) = series.digit_columns(s)
+        count, (a, b) = block
+        assert count == 2 and (a, b) == (b"\0\1", b"\0\2")
+        for columns in [
+            (),  # no sector
+            ((block,), (block,)),  # two sectors
+            ((),),  # no block
+            ((a, b),),  # columns, not blocks
+            (((2, (a, b), 0),),),  # not a (count, digits) pair
+            (((2, (a,)),),),  # one variable of two
+            (((2, (a, b, a)),),),  # three
+            (((1, (a[:1], b[:1])),),),  # counts sum to 1, not 2
+            (((1, (a[:1], b[:1])), (2, (a, b))),),  # to 3
+            (((2, (a, b[:1])),),),  # a column shorter than its block
+            (((2, (a, b + b"\0")),),),  # longer
+            (((0, (0, 0)), (1, (0, 0)), (1, (1, 2))),),  # a digit for a block of no terms
+            (((1, (0, 0)), (1, (a[1:], 2))),),  # a digit in one block, a column in another
+        ]:
             with pytest.raises(SeriesError, match="digit columns do not match the series"):
                 evaluate_series(s, values, columns)
-        assert evaluate_series(s, values, (cols,)) == evaluate_series(s, values)
-
-
+        want = evaluate_series(s, values)
+        assert evaluate_series(s, values, ((block,),)) == want
+        assert evaluate_series(s, values, (((1, (0, 0)), (1, (1, 2))),)) == want
 class TestEvaluateClosed:
     def test_exact_square(self):
         f = PowerProduct(diffs=(((1, 2), 2),))
