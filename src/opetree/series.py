@@ -483,7 +483,7 @@ def _tail_mul(t1, t2, order, prune=True, disjoint=False):
     with ``disjoint`` operands, whose keys use disjoint digits (graded
     variables) so that k1 + k2 is one to one.
     """
-    right = [(k, _degree(k, order), c) for k, c in t2.items()]
+    right = list(zip(t2.items(), map(_degree, t2, repeat(order))))
     fitting = {}  # room -> right terms of degree <= room, in dict order
     if disjoint or len(t1) == 1 or len(right) == 1:
         # every output key is touched once: its first touch, 0 + c1 * c2
@@ -510,9 +510,10 @@ def _tail_mul(t1, t2, order, prune=True, disjoint=False):
 
 def _fitting(t2, right, room, order):
     """The (key, coeff) terms of ``t2`` of degree <= ``room``, in dict order,
-    read from ``right``, its (key, degree, coeff) list: all of them when
-    room == order, as no key of a tail at that order has a higher degree."""
-    return t2.items() if room == order else [(k, c) for k, d, c in right if d <= room]
+    read from ``right``, its list of ((key, coeff), degree), whose pairs the
+    lists share rather than copy: all of them when room == order, as no key
+    of a tail at that order has a higher degree."""
+    return t2.items() if room == order else [term for term, d in right if d <= room]
 
 
 def _powers(u, order):
@@ -873,7 +874,7 @@ def _product_blocks(s, a, b, column):
         return None
     (t1,), (t2,), (tail,) = a.sectors.values(), b.sectors.values(), s.sectors.values()
     base, places = order + 1, {g: i for i, g in enumerate(s.graded)}
-    right = [(k, _degree(k, order), c) for k, c in t2.items()]
+    right = list(zip(t2.items(), map(_degree, t2, repeat(order))))
     rooms = {}  # room -> count and digits of b's fitting terms, a's places empty
     blocks = []
     for k1, own in zip(t1, zip(*_digits(t1, base, len(a.graded)))):
