@@ -66,7 +66,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, compress, islice, repeat
-from operator import add, floordiv, mod, mul
+from operator import add, attrgetter, floordiv, mod, mul
 from typing import Mapping, Sequence
 
 from opetree.coords import (
@@ -764,6 +764,8 @@ def _scale_tail(tail, c):
 # ---------------------------------------------------------------------------
 # Evaluation of series
 
+_lookup = attrgetter("__getitem__")  # a power table's lookup of one digit
+
 
 def evaluate_series(s: GenSeries, values: Mapping, columns=None) -> complex:
     """Sum the series at numeric variable values, principal branches.
@@ -822,8 +824,7 @@ def evaluate_series(s: GenSeries, values: Mapping, columns=None) -> complex:
                     sector_val *= power(g, q)
                     row.append(table(g))
             if blocks is None:
-                digits = _digits(tail, s.order + 1, n)
-                factors = [map(tab.__getitem__, col) for tab, col in zip(row, digits)]
+                factors = map(map, map(_lookup, row), _digits(tail, s.order + 1, n))
             else:
                 factors = _block_factors(len(tail), row, blocks)
             total += sector_val * _tail_sum(tail, factors)
@@ -913,12 +914,14 @@ def _block_factors(length, row, blocks):
     tail of ``length`` terms that ``blocks`` describe; blocks of another
     shape raise :class:`SeriesError`."""
     n = len(row)
-    if len(blocks) == 1 and len(blocks[0]) == 2:  # one block of columns: checked at less cost
-        count, digits = blocks[0]
-        if count == length and len(digits) == n and int not in map(type, digits):
-            if list(map(len, digits)) == [length] * n:
-                return [map(tab.__getitem__, col) for tab, col in zip(row, digits)]
-    if blocks and set(map(len, blocks)) == {2}:
+    if len(blocks) == 1:
+        try:  # one block of columns, checked at the cost of decoded columns
+            ((count, digits),) = blocks
+            if count == length and list(map(len, digits)) == [length] * n:
+                return map(map, map(_lookup, row), digits)
+        except (TypeError, ValueError):  # a digit that is an int, a block that is no pair
+            pass
+    if set(map(len, blocks)) == {2}:
         counts, rows = zip(*blocks)
         if sum(counts) == length and set(map(len, rows)) == {n}:
             factors = list(map(_block_factor, row, zip(*rows), repeat(counts)))
