@@ -876,7 +876,7 @@ def _product_blocks(s, a, b, column):
     (t1,), (t2,), (tail,) = a.sectors.values(), b.sectors.values(), s.sectors.values()
     base, places = order + 1, {g: i for i, g in enumerate(s.graded)}
     right = list(zip(t2.items(), map(_degree, t2, repeat(order))))
-    rooms = {}  # room -> count and digits of b's fitting terms, a's places empty
+    rooms = {}  # room -> count and digit row: b's columns, a's places set per term
     blocks = []
     for k1, own in zip(t1, zip(*_digits(t1, base, len(a.graded)))):
         room = order - _degree(k1, order)
@@ -888,7 +888,6 @@ def _product_blocks(s, a, b, column):
             rooms[room] = len(keys), digits
         count, digits = rooms[room]
         if count:
-            digits = digits.copy()
             for g, d in zip(a.graded, own):
                 digits[places[g]] = d
             blocks.append((count, tuple(digits)))
