@@ -320,10 +320,12 @@ def cmd_expand(args) -> int:
         "negative_sign_pairs": [list(p) for p in ex.negative_pairs],
         "terms": series.series_to_obj(ex.series),
     }
-    text = "\n".join(
-        f"{t['exponents']}  logs={t['logs']}  {t['re']:+.6g}{t['im']:+.6g}i"
-        for t in obj["terms"]
-    )
+    text = None
+    if args.format == "text":
+        text = "\n".join(
+            f"{t['exponents']}  logs={t['logs']}  {t['re']:+.6g}{t['im']:+.6g}i"
+            for t in obj["terms"]
+        )
     _emit(args, obj, text)
     return 0
 

@@ -50,11 +50,12 @@ from opetree.coords import (
 from opetree.series import (
     BranchPlan,
     PowerProduct,
+    bits_of,
     digit_columns,
-    evaluate_closed,
     evaluate_series,
     expand,
     phase_pi,
+    prepare_closed,
 )
 from opetree.trees import (
     ClosedLeaf,
@@ -201,9 +202,10 @@ class BoundaryData(Record):
         if self.sigma_table is None:
             self.sigma_table = {}
         # (model, bulk charges, boundary charges) -> mixed_correlator's
-        # (product, plan, prefactor phase), at most 4096 of them; not a
-        # field, so not compared or shown.  sigma_table is not changed after
-        # construction, so an entry never goes stale; perturbed() copies start empty
+        # (charge total, prepared closed form, prefactor phase), at most 4096
+        # of them; not a field, so not compared or shown.  sigma_table is not
+        # changed after construction, so an entry never goes stale;
+        # perturbed() copies start empty
         self.closed_forms = {}
         e1, e2 = (1, 0), (0, 1)  # sigma's closed form reads (M11, M21, M22)
         self._sigma_form = tuple(self.epsilon_prime_num(a, b) for a, b in ((e1, e1), (e2, e1), (e2, e2)))
@@ -475,11 +477,11 @@ def mixed_correlator(
 
     Normalized by the OPE prefactor of the right-comb reference tree;
     the value is the doubled pair product under the fixed branch plan.
-    Zero unless the boundary charge is conserved.  The product, plan and
+    Zero unless the boundary charge is conserved.  The charge total, the
+    product under its checked plan (:func:`prepare_closed`) and the
     prefactor phase are built once per charge set and kept in
-    ``bd.closed_forms``; each call evaluates them at its point.  The
-    bulk and boundary charges are checked to be integers once per charge
-    set.
+    ``bd.closed_forms``; each call evaluates them at its point.  The bulk
+    and boundary charges are checked to be integers once per charge set.
     """
     bulk_charges = tuple(tuple(a) for a, _ in bulk_insertions)
     bdry_charges = tuple(k for k, _ in bdry_insertions)
@@ -493,21 +495,27 @@ def mixed_correlator(
         _check_model(model, bd)
         bulk_charges = tuple(map(_int_charge, bulk_charges))
         bdry_charges = _int_charges(bdry_charges)
-    if sum(bd.t_coeff(a) for a in bulk_charges) + sum(bdry_charges) != int(dual):
-        return 0j
-    if prepared is None:
+        total = sum(bd.t_coeff(a) for a in bulk_charges) + sum(bdry_charges)
+        if total != int(dual):
+            return 0j
         if len(bd.closed_forms) >= 4096:
             bd.closed_forms.clear()
         product, plan = mixed_power_product(bd, bulk_charges, bdry_charges)
         pref = ope_prefactor_num(bd, reference_tree(len(zs), len(xs)), bulk_charges)
-        prepared = bd.closed_forms[key] = product, plan, model.phase(pref)
-    product, plan, phase = prepared
-    point = phi_embedding(zs + xs, len(zs), len(xs))
-    return phase * evaluate_closed(product, point, plan)
+        prepared = bd.closed_forms[key] = total, prepare_closed(product, plan), model.phase(pref)
+    total, closed, phase = prepared
+    if total != int(dual):
+        return 0j
+    return phase * closed(phi_embedding(zs + xs, len(zs), len(xs)))
 
 
 # ---------------------------------------------------------------------------
 # Per-tree expansions
+
+
+# (coordinate tree, colored, point bits) -> TreeExpansion.coordinate_values,
+# at most 4096 of them; the bits tell -0.0 from +0.0, as cmath.log does
+_COORDINATE_VALUES = {}
 
 
 class TreeExpansion(Record):
@@ -541,13 +549,21 @@ class TreeExpansion(Record):
 
     def coordinate_values(self, point) -> dict:
         """Series variable values; ``point`` uses doubled coordinates for a
-        colored tree and plain bulk coordinates otherwise."""
+        colored tree and plain bulk coordinates otherwise.  Computed once
+        per (tree, colored, point bits) and returned as a new dict."""
         cs = self.coords
-        vals = psi(cs, point).as_dict(cs.var_names())
-        if not self.colored:
-            cvb = psi(cs, [complex(z).conjugate() for z in point])
-            vals.update(cvb.as_dict(cs.var_names(conjugate=True)))
-        return vals
+        zs = [complex(z) for z in point]
+        key = cs.tree, self.colored, bits_of(zs)
+        vals = _COORDINATE_VALUES.get(key)
+        if vals is None:
+            vals = psi(cs, zs).as_dict(cs.var_names())
+            if not self.colored:
+                cvb = psi(cs, [z.conjugate() for z in zs])
+                vals.update(cvb.as_dict(cs.var_names(conjugate=True)))
+            if len(_COORDINATE_VALUES) >= 4096:
+                _COORDINATE_VALUES.clear()
+            _COORDINATE_VALUES[key] = vals
+        return dict(vals)
 
     def evaluate_raw(self, point) -> complex:
         return evaluate_series(self.series, self.coordinate_values(point), self.columns)

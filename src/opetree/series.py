@@ -31,11 +31,12 @@ and its (1 + P)^s from the one binomial memo, keyed on the packed tail,
 s and N: there is no memo per tree and pair.
 
 :func:`evaluate_series` is table-driven.  For each graded variable and
-integer base b of a sector it keeps one lazily filled power table, keyed
+integer base b of a sector it reads one lazily filled power table, keyed
 by the tail exponent n and holding value ** (b + n), shared by the
-sectors with that base.  Each term is its coefficient times the entries
-picked by the key's digits, in graded order, as the per-term loop that
-skipped zero exponents multiplied them; one summation path, lazy maps
+sectors with that base and by every call at the same value bits.  Each
+term is its coefficient times the entries picked by the key's digits, in
+graded order, as the per-term loop that skipped zero exponents
+multiplied them; one summation path, lazy maps
 summed left to right from +0j, serves every tail.  The digits come apart
 from the sum, in digit blocks: runs of terms in tail order, each with,
 per graded variable, one digit for the whole run or a column of digits.
@@ -63,6 +64,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import struct
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import chain, compress, islice, repeat
@@ -390,10 +392,13 @@ class GenSeries:
         flat = []
         n = len(self.graded)
         for (logs, ungraded, base), tail in self.sectors.items():
+            shifted = [{} for _ in base]  # per graded variable: digit d -> b + d
             for k, c in tail.items():
-                exps = {v: q for v, q in ungraded}
-                for g, b, d in zip(self.graded, base, _unpack_key(k, self.order + 1, n)):
-                    q = b + d
+                exps = dict(ungraded)
+                for g, b, d, memo in zip(self.graded, base, _unpack_key(k, self.order + 1, n), shifted):
+                    q = memo.get(d)
+                    if q is None:
+                        q = memo[d] = b + d
                     if q:
                         exps[g] = q
                 key = (tuple(sorted(exps.items())), logs)
@@ -539,12 +544,16 @@ def _binomial_tail(u, q, order):
 @lru_cache(maxsize=4096)
 def _binomial_tail_memo(items, q, order):
     out = {0: 1.0 + 0j}
-    coeff = Fraction(1)
+    qn, qd = q.numerator, q.denominator
+    num = den = 1
     for k, power in enumerate(islice(_powers(dict(items), order), order), start=1):
-        # C(q, k) from C(q, k-1): the steps binomial(q, k) takes
-        coeff = coeff * (q - (k - 1)) / k
+        # C(q, k) = num / den from C(q, k-1), the steps binomial(q, k) takes,
+        # left unreduced: int true division rounds the exact rational
+        # correctly, as float(Fraction) does, so ck is complex(binomial(q, k))
+        num *= qn - (k - 1) * qd
+        den *= k * qd
         try:
-            ck = complex(coeff)
+            ck = complex(num / den)
         except OverflowError:
             raise SeriesError("series coefficient out of floating-point range") from None
         for vec, c in power.items():
@@ -612,15 +621,26 @@ class BranchPlan(Frozen):
 
 
 def evaluate_closed(f: PowerProduct, point: Sequence[complex], plan: BranchPlan | None = None) -> complex:
-    """Evaluate a power product at a configuration point.
+    """Evaluate a power product at a configuration point: the closed form
+    of :func:`prepare_closed` at ``point``, with its errors."""
+    return prepare_closed(f, plan)(point)
 
-    The plan is checked before the point: an index out of range, a factor
+
+def prepare_closed(f: PowerProduct, plan: BranchPlan | None = None):
+    """The power product under the branch plan as a function of a point.
+
+    The plan is checked here, once: an index out of range, a factor
     paired with itself or used twice, or paired exponents that do not
-    differ by an integer raise :class:`SeriesError`; so does a power
-    beyond the double range.
+    differ by an integer raise :class:`SeriesError`.  Each exponent is
+    kept as an int, or as the complex that ``Fraction * complex``
+    multiplies by, so a point costs only complex arithmetic, bit for bit
+    as with the Fraction.  At a point, a missing coordinate, paired values
+    that are not conjugate, a non-integer power on the cut and a power
+    beyond the double range raise :class:`SeriesError`.
     """
     plan = plan or BranchPlan()
     paired_idx = set()
+    paired = []
     for a, b in plan.paired:
         for idx in (a, b):
             if idx not in range(len(f.diffs)):
@@ -629,39 +649,48 @@ def evaluate_closed(f: PowerProduct, point: Sequence[complex], plan: BranchPlan 
             raise SeriesError(f"branch plan pairs factor {a} with itself")
         if a in paired_idx or b in paired_idx:
             raise SeriesError(f"branch plan uses factor {a if a in paired_idx else b} twice")
-        if (f.diffs[a][1] - f.diffs[b][1]).denominator != 1:
+        ((i1, j1), s1), ((i2, j2), s2) = f.diffs[a], f.diffs[b]
+        if (s1 - s2).denominator != 1:
             raise SeriesError("paired exponents must differ by an integer")
         paired_idx |= {a, b}
-    z = {}
-    for v in f.variables():
-        if not 1 <= v <= len(point):
-            raise SeriesError(f"point has no coordinate z{v}")
-        z[v] = complex(point[v - 1])
-    total = complex(f.constant)
-    try:
-        for a, b in plan.paired:
-            (i1, j1), s1 = f.diffs[a]
-            (i2, j2), s2 = f.diffs[b]
-            v1 = z[i1] - z[j1]
-            v2 = z[i2] - z[j2]
-            if abs(v2 - v1.conjugate()) > 1e-12 * (1 + abs(v1)):
-                raise SeriesError("paired factors are not complex conjugates")
-            total *= abs(v1) ** float(2 * s2) * v1 ** int(s1 - s2)
-        for idx, ((i, j), s) in enumerate(f.diffs):
-            if idx in paired_idx:
-                continue
-            v = z[i] - z[j]
-            if s.denominator == 1:
-                total *= v ** int(s)
-                continue
-            if on_cut(v):
-                raise SeriesError(f"factor (z{i} - z{j}) on the cut with exponent {s}")
-            total *= cmath.exp(s * cmath.log(v))
-        for i, k in f.powers:
-            total *= z[i] ** k
-    except OverflowError:  # a power beyond the largest double
-        raise SeriesError("closed-form value out of floating-point range") from None
-    return total
+        paired.append((i1, j1, i2, j2, float(2 * s2), int(s1 - s2)))
+    single = [
+        (i, j, s, s.denominator == 1, int(s) if s.denominator == 1 else complex(s))
+        for idx, ((i, j), s) in enumerate(f.diffs)
+        if idx not in paired_idx
+    ]
+    variables = tuple(f.variables())
+    constant = complex(f.constant)
+
+    def at(point: Sequence[complex]) -> complex:
+        z = {}
+        for v in variables:
+            if not 1 <= v <= len(point):
+                raise SeriesError(f"point has no coordinate z{v}")
+            z[v] = complex(point[v - 1])
+        total = constant
+        try:
+            for i1, j1, i2, j2, two_s2, ds in paired:
+                v1 = z[i1] - z[j1]
+                v2 = z[i2] - z[j2]
+                if abs(v2 - v1.conjugate()) > 1e-12 * (1 + abs(v1)):
+                    raise SeriesError("paired factors are not complex conjugates")
+                total *= abs(v1) ** two_s2 * v1**ds
+            for i, j, s, whole, e in single:
+                v = z[i] - z[j]
+                if whole:
+                    total *= v**e
+                    continue
+                if on_cut(v):
+                    raise SeriesError(f"factor (z{i} - z{j}) on the cut with exponent {s}")
+                total *= cmath.exp(e * cmath.log(v))
+            for i, k in f.powers:
+                total *= z[i] ** k
+        except OverflowError:  # a power beyond the largest double
+            raise SeriesError("closed-form value out of floating-point range") from None
+        return total
+
+    return at
 
 
 # ---------------------------------------------------------------------------
@@ -714,8 +743,6 @@ def expand(
     # a factor's tail is the binomial memo's own dict, which _tail_mul only reads
     for (i, j), s in f.diffs:
         fac = pair_difference(cs, i, j)
-        packed = _packed_poly(fac.tail, order)
-        factor = _binomial_tail_memo(tuple(packed.items()), s, order)
         x_exp += s
         for idx, m in enumerate(fac.monomial):
             if m:
@@ -724,8 +751,11 @@ def expand(
         if fac.sign == -1:
             negative.append((i, j))
             coeff = phase_pi(s if negative_branch == "upper" else -s)
-        if skip_units and not packed and coeff == 1:
+        # a unit: every pair tail term above the order, leading coefficient 1
+        if skip_units and coeff == 1 and all(sum(v) > order for v in fac.tail):
             continue
+        packed = _packed_poly(fac.tail, order)
+        factor = _binomial_tail_memo(tuple(packed.items()), s, order)
         tail = _tail_mul(tail, _scale_tail(factor, coeff), order)
         skip_units = finite
     if finite and not _all_finite(tail.values()):
@@ -765,6 +795,7 @@ def _scale_tail(tail, c):
 # Evaluation of series
 
 _lookup = attrgetter("__getitem__")  # a power table's lookup of one digit
+_pack_complex = struct.Struct("dd").pack
 
 
 def evaluate_series(s: GenSeries, values: Mapping, columns=None) -> complex:
@@ -774,9 +805,10 @@ def evaluate_series(s: GenSeries, values: Mapping, columns=None) -> complex:
     instead of decoding every key again; blocks of another shape raise
     :class:`SeriesError`.  Raises :class:`SeriesError` for a missing
     variable, a variable on the cut raised to a non-integer power or
-    carrying a log factor, or a power beyond the double range.  A value
-    is looked up, a power computed and a cut checked only when some term
-    needs it, so columns change no result and no error.
+    carrying a log factor, or a power beyond the double range.  A power
+    is computed, a cut checked and a missing value reported only when some
+    term needs it, so columns change no result and no error.  Integer
+    powers come from tables shared by every call at the same value.
     """
     logv = {}
 
@@ -793,7 +825,7 @@ def evaluate_series(s: GenSeries, values: Mapping, columns=None) -> complex:
     def table(v, offset=0):
         tab = tables.get((v, offset))
         if tab is None:
-            tab = tables[v, offset] = _PowerTable(values, v, offset)
+            tab = tables[v, offset] = _power_table(values, v, offset)
         return tab
 
     # Cheaper, same values: an exponent with denominator 1 is its
@@ -958,23 +990,58 @@ def _tail_sum(tail, factors):
 
 
 class _PowerTable(dict):
-    """n -> value ** (offset + n) of one variable, filled on first use.
+    """n -> value ** (offset + n), filled on first use; offset + n == 0
+    reads 1+0j.  One table serves every call at the same value and offset
+    (:func:`_power_table`)."""
 
-    offset + n == 0 reads 1+0j; any other entry looks the value up the
-    first time one is needed.
-    """
+    __slots__ = ("value", "offset")
 
-    __slots__ = ("values", "var", "offset", "value")
-
-    def __init__(self, values, var, offset):
+    def __init__(self, value, offset):
         self[-offset] = 1.0 + 0j
-        self.values, self.var, self.offset, self.value = values, var, offset, None
+        self.value, self.offset = value, offset
 
     def __missing__(self, n):
-        if self.value is None:
-            self.value = _value_of(self.values, self.var)
         power = self[n] = self.value ** (self.offset + n)
         return power
+
+
+class _Unvalued(dict):
+    """The table of a variable with no value: only offset + n == 0 reads,
+    as 1+0j; any other entry raises :class:`SeriesError`."""
+
+    __slots__ = ("var",)
+
+    def __init__(self, var, offset):
+        self[-offset] = 1.0 + 0j
+        self.var = var
+
+    def __missing__(self, n):
+        raise SeriesError(f"no value for variable {self.var}")
+
+
+_TABLES = {}  # (value bits, offset) -> _PowerTable, at most 4096 of them
+
+
+def _power_table(values, v, offset):
+    """The power table of ``v``'s value, shared by every call at that value
+    and offset.  The key holds the value's bits, as a power's zero parts
+    follow the signs of the value's."""
+    if v not in values:
+        return _Unvalued(v, offset)
+    value = complex(values[v])
+    key = _pack_complex(value.real, value.imag), offset
+    tab = _TABLES.get(key)
+    if tab is None:
+        if len(_TABLES) >= 4096:
+            _TABLES.clear()
+        tab = _TABLES[key] = _PowerTable(value, offset)
+    return tab
+
+
+def bits_of(values) -> bytes:
+    """The bits of complex numbers, a key that tells -0.0 from +0.0 (as
+    ``cmath.log`` and powers do, where ``==`` does not)."""
+    return b"".join([_pack_complex(z.real, z.imag) for z in values])
 
 
 def _value_of(values, v):

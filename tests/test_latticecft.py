@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opetree import latticecft, series
 from opetree.coords import (
     CoordError,
     a_coordinates,
@@ -1165,6 +1166,57 @@ class TestTreeExpansion:
         texp.evaluate_raw(phi_embedding(nested_configuration_open(e), 2, 1))
         _sample_open_points(e, random.Random(5), 2)
         assert calls == []
+
+    def test_point_caches_tell_signed_zeros_apart(self, model, boundaries):
+        # coordinate values, power tables and closed forms are kept per
+        # point bits and charge set: a point and its twin whose zero part
+        # has the other sign evaluate, in any order and again, as they do
+        # with every cache cleared, and their coordinate values keep their
+        # own zero signs
+        bd = boundaries[-1]
+
+        def fresh(fn, *args):
+            latticecft._COORDINATE_VALUES.clear()
+            series._TABLES.clear()
+            bd.closed_forms.clear()
+            return _outcome(fn, *args)
+
+        def bits(values):
+            return {v: (z.real.hex(), z.imag.hex()) for v, z in values.items()}
+
+        plain = tree_expansion(model, parse_tree("(12)3"), [(1, 0), (0, 1), (-1, -1)], 6)
+        colored = tree_expansion(model, parse_tree("t(c1)o2"), [(1, 1)], 8, bd=bd, bdry_charges=[1])
+        dual = bd.t_coeff((1, 1)) + 1
+        cases = [
+            (plain, [0.5 + 0.5j, -0.5 + 0.25j, 2 + 0j], [0.5 + 0.5j, -0.5 + 0.25j, complex(2, -0.0)]),
+            (colored, phi_embedding((0.5j, 0.0), 1, 1), phi_embedding((0.5j, -0.0), 1, 1)),
+        ]
+        for texp, point, twin in cases:
+            calls = [(texp.evaluate_raw, pt) for pt in (point, twin)] + [(texp.evaluate, pt) for pt in (point, twin)]
+            if texp is colored:
+                calls += [(mixed_correlator, model, bd, dual, [((1, 1), pt[0])], [(1, pt[2])]) for pt in (point, twin)]
+            want = [fresh(*call) for call in calls]
+            values = [bits(texp.coordinate_values(pt)) for pt in (point, twin)]
+            latticecft._COORDINATE_VALUES.clear()
+            assert values == [bits(texp.coordinate_values(pt)) for pt in (point, twin)]
+            assert values[0] != values[1]
+            for step in (1, -1, 1):
+                assert [_outcome(*call) for call in calls[::step]] == want[::step]
+            # a caller changing its values leaves the cache intact
+            texp.coordinate_values(point).clear()
+            assert bits(texp.coordinate_values(point)) == values[0]
+        for x in (0.0, -0.0):
+            args = (model, bd, dual, [((1, 1), 0.5j)], [(1, x)])
+            assert _outcome(mixed_correlator, *args) == _outcome(_per_call_mixed, *args)
+
+    def test_coordinate_values_cache_is_bounded(self, model):
+        texp = tree_expansion(model, parse_tree("(12)3"), [(1, 0), (0, 1), (-1, -1)], 4)
+        point = [0.31 + 0.1j, 0.3 + 0.12j, -0.2 + 0.4j]
+        want = texp.coordinate_values(point)
+        latticecft._COORDINATE_VALUES.clear()
+        latticecft._COORDINATE_VALUES.update((("filler", n), None) for n in range(4096))
+        assert texp.coordinate_values(point) == want
+        assert len(latticecft._COORDINATE_VALUES) == 1
 
     def test_two_point_closed_form_no_zeta(self, model):
         # r = 2: no edge variables; the expansion is the closed form

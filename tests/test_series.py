@@ -870,6 +870,38 @@ class TestBinomialTail:
         mine[0] = 99.0 + 0j
         assert _bits(_binomial_tail(_packed(u, 8), q, 8)) == want
 
+    @pytest.mark.parametrize(
+        "q",
+        [
+            Fraction(-7, 3),
+            Fraction(-1, 2),
+            Fraction(5, 2),
+            Fraction(-3),
+            Fraction(4),
+            Fraction(-1, 10**9 + 7),
+            Fraction(-(10**12) - 1, 10**6 + 3),
+            Fraction(-123456789, 2**61 - 1),
+            Fraction(987654321987, 2**40 + 15),
+            Fraction(-(2**53) - 1, 3**20),
+        ],
+    )
+    def test_integer_recurrence_is_complex_of_exact_binomial(self, q):
+        # (1 + z)^q at order 60: the coefficient of z^k is C(q, k) times
+        # 1+0j, so it must be complex(binomial(q, k)) bit for bit
+        got = series._binomial_tail_memo.__wrapped__(((1, 1.0 + 0j),), q, 60)
+        for k in range(61):
+            want = complex(binomial(q, k))
+            c = got.get(k, 0j)
+            assert (c.real.hex(), c.imag.hex()) == (want.real.hex(), want.imag.hex()), (q, k)
+
+    def test_coefficient_beyond_double_range_raises(self):
+        # C(q, k) overflows a double before k = 60 for |q| ~ 10^12
+        for q in (Fraction(10**12), Fraction(-(10**13), 3)):
+            with pytest.raises(OverflowError):
+                float(binomial(q, 60))
+            with pytest.raises(SeriesError, match="^series coefficient out of floating-point range$"):
+                series._binomial_tail_memo.__wrapped__(((1, 1.0 + 0j),), q, 60)
+
     def test_memo_exact_across_signed_zeros(self):
         # the memo key merges 0.0 and -0.0 parts; the tail it returns must
         # still be the one computed from the tail asked for
@@ -1093,7 +1125,14 @@ class TestExpand:
         diffs = data.draw(st.lists(st.tuples(pairs, st.sampled_from(_DIFF_EXPONENTS)), min_size=1, max_size=3))
         f = PowerProduct(diffs=tuple(diffs))
         want, negative = _per_factor_expand(cs, f, order, False, "upper")
-        hits = series._binomial_tail_memo.cache_info().hits
+        # a unit factor (no pair tail up to the order, leading coefficient
+        # 1) is skipped before the memo is read; every other factor reads it
+        # once a call
+        facs = [(pair_difference(cs, i, j), s) for (i, j), s in diffs]
+        non_units = sum(
+            bool(series._packed_poly(fac.tail, order)) or (fac.sign == -1 and phase_pi(s) != 1) for fac, s in facs
+        )
+        before = series._binomial_tail_memo.cache_info()
         for _ in range(3):
             ex = expand(cs, f, order)
             assert ex.negative_pairs == negative
@@ -1104,7 +1143,9 @@ class TestExpand:
                 for tail in returned.sectors.values():
                     for k in tail:
                         tail[k] = -3 * tail[k]
-        assert series._binomial_tail_memo.cache_info().hits >= hits + 2 * len(diffs)
+        after = series._binomial_tail_memo.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses + 3 * non_units
+        assert after.hits >= before.hits + 2 * non_units
 
 
 def _random_product(rng, r):
@@ -1269,6 +1310,32 @@ class TestEvaluate:
                 base = (Fraction(-1), ZERO, Fraction(2), ZERO)
                 s, ref = _pair(graded, order, {((), (), base): tail})
                 assert _outcome(evaluate_series, s, values) == _outcome(_loop_evaluate, ref, values)
+
+    def test_shared_tables_tell_signed_zeros_apart(self):
+        # value ** 150 takes the polar path, whose phase follows the sign of
+        # a zero imaginary part: a table found by == would hand the twin
+        # the first value's powers
+        s = GenSeries.monomial(1, {"a": 150}, ("a",), 2)
+        twins = ({"a": complex(-1.0, 0.0)}, {"a": complex(-1.0, -0.0)})
+        fresh = []
+        for values in twins:
+            series._TABLES.clear()
+            fresh.append(_outcome(evaluate_series, s, values))
+        assert fresh[0] != fresh[1]
+        for _ in range(2):
+            assert [_outcome(evaluate_series, s, values) for values in twins] == fresh
+
+    def test_shared_tables_stay_bounded(self):
+        # every call at a new value adds tables; the cache never holds more
+        # than 4096, and a call after it was emptied reads what it did before
+        s = GenSeries.from_tails(("a",), 3, {((), (("x", Fraction(2)),), (Fraction(-1),)): {(1,): 2j, (3,): 1 + 0j}})
+        ref = _reference(s)
+        series._TABLES.clear()
+        for n in range(2100):
+            values = {"a": complex(1, n), "x": complex(n, 1)}
+            assert _outcome(evaluate_series, s, values) == _outcome(_loop_evaluate, ref, values)
+            assert len(series._TABLES) <= 4096
+        assert len(series._TABLES) == 2 * 2100 - 4096
 
     def test_constant(self):
         s = GenSeries.constant(1.0, ("z",), 3)
