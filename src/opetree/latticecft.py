@@ -32,7 +32,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from operator import add, mul
 
 from opetree.coords import (
@@ -53,7 +53,7 @@ from opetree.series import (
     bits_of,
     digit_columns,
     evaluate_series,
-    expand,
+    expand_pairs,
     phase_pi,
     prepare_closed,
 )
@@ -442,23 +442,13 @@ def _doubled_charge_frames(bd: BoundaryData, bulk_charges, bdry_charges) -> dict
     return frames
 
 
-def _frame_diffs(model: NarainModel, frames, pairs) -> tuple:
-    """``((k, l), frame product)`` for each pair (k, l) whose frame
-    vectors have a nonzero product: the diffs of a ``PowerProduct``."""
-    diffs = []
-    for k, l in pairs:
-        q = model.frame_product(frames[k], frames[l])
-        if q != 0:
-            diffs.append(((k, l), q))
-    return tuple(diffs)
-
-
 def mixed_power_product(bd: BoundaryData, bulk_charges, bdry_charges):
     """Doubled pair product and branch plan, in doubled labels."""
     r, s = len(bulk_charges), len(bdry_charges)
     frames = _doubled_charge_frames(bd, bulk_charges, bdry_charges)
     pairs = itertools.combinations(range(1, 2 * r + s + 1), 2)
-    diffs = _frame_diffs(bd.model, frames, pairs)
+    # the nonzero frame products, in pair order
+    diffs = tuple(((k, l), q) for k, l in pairs if (q := bd.model.frame_product(frames[k], frames[l])))
     index = {pair: idx for idx, (pair, _) in enumerate(diffs)}
     paired = []
     for i in range(1, r + 1):
@@ -572,8 +562,20 @@ class TreeExpansion(Record):
         return self.prefactor * self.evaluate_raw(point)
 
 
-def _ordered_pairs(tree: Tree) -> list:
-    return list(itertools.combinations(leaf_order(tree), 2))
+@lru_cache(maxsize=4096)
+def expansion_plan(e: Tree) -> tuple:
+    """What :func:`tree_expansion` needs of a tree, whatever the charges and
+    the order: ``validate_colored``'s (r, s, color), the coordinate system
+    (None for a c-colored tree or fewer than two leaves to expand), and
+    the leaf-ordered pairs and leaf order of its tree (the doubled one for
+    an o-colored tree).  A plan holds no series."""
+    r, s, color = validate_colored(e)
+    colored = color == "o"
+    if color == "c" or (2 * r + s if colored else r) < 2:
+        return r, s, color, None, (), ()
+    cs = a_coordinates(doubling(e) if colored else e)
+    leaves = tuple(leaf_order(cs.tree))
+    return r, s, color, cs, tuple(itertools.combinations(leaves, 2)), leaves
 
 
 def tree_expansion(
@@ -596,11 +598,14 @@ def tree_expansion(
     non-integral charge, a c-colored tree, an o-colored tree without
     boundary data, boundary data of another model and charge counts that
     do not match the tree (boundary charges on a plain tree included)
-    raise LatticeError.
+    raise LatticeError.  The tree's :func:`expansion_plan` is made once; a
+    call computes only each pair's exponent, the integer
+    ``frame_product_num`` over ``model.D`` (0 leaves the pair out), and the
+    prefactor.
     """
     _check_model(model, bd)
     charges = [_int_charge(a) for a in charges]
-    r, s, color = validate_colored(e)
+    r, s, color, cs, pairs, leaves = expansion_plan(e)
     colored = color == "o"
     if color == "c":
         raise LatticeError("expansion tree must be plain or o-colored")
@@ -611,28 +616,27 @@ def tree_expansion(
         raise LatticeError(f"tree {format_tree(e)} {has} one leaf: no pair to expand")
     if len(charges) != r or len(bdry_charges) != s:
         raise LatticeError("charge count mismatch")
+    if cs is None:  # EMPTY: raises as it has no coordinates
+        a_coordinates(e)
     if colored:  # one part: the doubled frames
-        cs = a_coordinates(doubling(e))
         parts = [(_doubled_charge_frames(bd, charges, bdry_charges), False)]
         pref = ope_prefactor_num(bd, e, charges)
     else:  # left movers in the tree coordinates, right movers in their conjugates
-        cs = a_coordinates(e)
         parts = [
             ({i: vec(a) for i, a in enumerate(charges, start=1)}, conjugate)
             for vec, conjugate in ((model.a_vec, False), (model.abar_vec, True))
         ]
-        pref = _epsilon_num(model, [charges[k - 1] for k in leaf_order(e)])
-    pairs = _ordered_pairs(cs.tree)
-    expanded = []
-    for frames, conjugate in parts:
-        diffs = _frame_diffs(model, frames, pairs)
-        expanded.append(expand(cs, PowerProduct(diffs=diffs), order, conjugate=conjugate))
+        pref = _epsilon_num(model, [charges[k - 1] for k in leaves])  # cs.tree is e
+    num = model.frame_product_num
+    expanded = [
+        expand_pairs(cs, [(k, l, q) for k, l in pairs if (q := num(frames[k], frames[l]))], model.D, order, conjugate)
+        for frames, conjugate in parts
+    ]
     negative = [pair for ex in expanded for pair in ex.negative_pairs]
     if negative:
         raise LatticeError(f"leaf-ordered factor with negative leading sign: {negative}")
     factors = tuple(ex.series for ex in expanded)
-    series = reduce(mul, factors)
-    return TreeExpansion(model, e, cs, series, pref, colored, () if colored else factors)
+    return TreeExpansion(model, e, cs, reduce(mul, factors), pref, colored, () if colored else factors)
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,13 @@ It keeps the tuple-keyed loop's order (left operand outer, right operand
 inner, both in dict order, first-touch insertion), and a packed key only
 renames a term, so every coefficient comes out bit for bit as that loop
 gives it.  :func:`_powers` is the one loop making repeated powers u, u^2,
-... (memoized binomial tails, ``log1p``, :func:`expand`'s plain powers),
-and :func:`expand` builds its difference product as one packed tail chain,
-skipping the unit factors that would give the chain back unchanged.
-It reads each factor's factorization from the tree's coordinate system
-and its (1 + P)^s from the one binomial memo, keyed on the packed tail,
-s and N: there is no memo per tree and pair.
+... (memoized binomial tails, ``log1p``, :func:`expand`'s plain powers).
+:func:`expand_pairs`, under :func:`expand` and ``tree_expansion``, builds
+a difference product as one packed tail chain, skipping the unit factors
+that would give the chain back unchanged.  A pair plan made once per
+tree, order and conjugate holds each pair's monomial, sign and packed
+tail; exponents are summed as integers over one denominator; (1 + P)^s is
+read from the one binomial memo, keyed on the packed tail, s and N.
 
 :func:`evaluate_series` is table-driven.  For each graded variable and
 integer base b of a sector it reads one lazily filled power table, keyed
@@ -115,6 +116,13 @@ def _logs_key(logs: Mapping) -> tuple:
     return tuple(sorted((v, int(k)) for v, k in logs.items() if k))
 
 
+def _check_order(order) -> int:
+    order = require_int(order, "truncation order", SeriesError)
+    if order < 0:
+        raise SeriesError(f"truncation order must be >= 0, got {order}")
+    return order
+
+
 def _ungraded_key(exps: Mapping) -> tuple:
     return tuple(sorted((v, Fraction(q)) for v, q in exps.items() if q))
 
@@ -126,9 +134,7 @@ class GenSeries:
 
     def __init__(self, graded: Sequence[str], order: int):
         self.graded = tuple(graded)
-        self.order = require_int(order, "truncation order", SeriesError)
-        if self.order < 0:
-            raise SeriesError(f"truncation order must be >= 0, got {self.order}")
+        self.order = _check_order(order)
         # key: (logs, ungraded, base) with base a Fraction tuple over graded
         # value: tail {packed exponent vector: complex coeff}
         self.sectors = {}
@@ -719,16 +725,46 @@ def expand(
     exp(i pi s) for the upper convention, exp(-i pi s) for the lower;
     affected factors are reported in ``negative_pairs``.  Plain powers
     whose coefficients leave the double range raise :class:`SeriesError`.
+    The difference factors go through :func:`expand_pairs`.
     """
     cs = a if isinstance(a, CoordSystem) else a_coordinates(a)
+    den = math.lcm(*(s.denominator for _, s in f.diffs))
+    terms = [(i, j, s.numerator * (den // s.denominator)) for (i, j), s in f.diffs]
+    ex = expand_pairs(cs, terms, den, order, conjugate, f.constant, negative_branch)
+    out, names = ex.series, cs.var_names(conjugate=conjugate)
+    zero_base = tuple([ZERO] * len(out.graded))
+    for i, k in f.powers:
+        if i not in cs.q_polys:
+            raise CoordError(f"no leaf labeled {i}")
+        # z_i^k = sum_m C(k, m) z_A^(k-m) x_A^m Q_i^m; the ungraded keys all
+        # differ, so no two sectors fold.  Q_i has a constant term: take k powers.
+        qpows = islice(_powers(_packed_poly(cs.q_polys[i], order), order), k)
+        piece = GenSeries(out.graded, order)
+        for m, qpow in enumerate(chain([{0: 1.0 + 0j}], qpows)):
+            ungraded = _ungraded_key({names["z"]: k - m, names["x"]: m})
+            try:
+                binom = complex(math.comb(k, m))
+            except OverflowError:
+                raise SeriesError("series coefficient out of floating-point range") from None
+            piece.sectors[((), ungraded, zero_base)] = _scale_tail(qpow, binom)
+        out = _finite_result(out, out * piece)
+    return ExpandedProduct(out, ex.negative_pairs)
+
+
+def expand_pairs(
+    cs: CoordSystem, terms, den: int, order: int, conjugate=False, constant=1.0 + 0j, negative_branch="upper"
+) -> ExpandedProduct:
+    """``constant`` times the factors (z_i - z_j)^(num/den), for the
+    ``(i, j, num)`` of ``terms`` in order, expanded as :func:`expand` does,
+    with each pair read from its :func:`_pair_plan` and the x_A and base
+    exponents summed as integers over ``den``, made Fractions at the end."""
     if negative_branch not in ("upper", "lower"):
         raise SeriesError("negative_branch must be 'upper' or 'lower'")
-    names = cs.var_names(conjugate=conjugate)
-    graded = names["zeta"]
+    # the order is checked first: 4.0 == 4 would find order 4's plan
+    graded, x_name, pairs = _pair_plan(cs.tree, _check_order(order), conjugate)
     out = GenSeries(graded, order)
-    zero_base = tuple([ZERO] * len(graded))
-    tail = {0: complex(f.constant)} if f.constant != 0 else {}
-    x_exp, base, negative = ZERO, list(zero_base), []
+    tail = {0: complex(constant)} if constant != 0 else {}
+    x_num, base, negative = 0, [0] * len(graded), []
     # A unit factor (no pair tail, leading coefficient 1) is {0: 1+0j}, and
     # 0 + c * (1+0j) is c for a finite c with no -0.0 part.  So units are
     # skipped from the start for such a constant, and otherwise, from a
@@ -741,43 +777,45 @@ def expand(
     )
     # one packed tail, the product so far on the left as in GenSeries.__mul__;
     # a factor's tail is the binomial memo's own dict, which _tail_mul only reads
-    for (i, j), s in f.diffs:
-        fac = pair_difference(cs, i, j)
-        x_exp += s
-        for idx, m in enumerate(fac.monomial):
-            if m:
-                base[idx] += s * m
+    for i, j, num in terms:
+        monomial, sign, packed = pairs.get((i, j)) or pair_difference(cs, i, j)  # raises: no such pair
+        x_num += num
+        for idx, m in monomial:
+            base[idx] += num * m
         coeff = 1.0 + 0j
-        if fac.sign == -1:
+        if sign == -1:
             negative.append((i, j))
-            coeff = phase_pi(s if negative_branch == "upper" else -s)
-        # a unit: every pair tail term above the order, leading coefficient 1
-        if skip_units and coeff == 1 and all(sum(v) > order for v in fac.tail):
+            coeff = phase_pi(Fraction(num if negative_branch == "upper" else -num, den))
+        if skip_units and coeff == 1 and not packed:  # a unit
             continue
-        packed = _packed_poly(fac.tail, order)
-        factor = _binomial_tail_memo(tuple(packed.items()), s, order)
+        factor = _binomial_tail_memo(packed, Fraction(num, den), order)
         tail = _tail_mul(tail, _scale_tail(factor, coeff), order)
         skip_units = finite
     if finite and not _all_finite(tail.values()):
         raise SeriesError("series coefficient out of floating-point range")
     if tail:
-        out.sectors[((), _ungraded_key({names["x"]: x_exp}), tuple(base))] = tail
-    for i, k in f.powers:
-        if i not in cs.q_polys:
-            raise CoordError(f"no leaf labeled {i}")
-        # z_i^k = sum_m C(k, m) z_A^(k-m) x_A^m Q_i^m; the ungraded keys all
-        # differ, so no two sectors fold.  Q_i has a constant term: take k powers.
-        qpows = islice(_powers(_packed_poly(cs.q_polys[i], order), order), k)
-        piece = GenSeries(graded, order)
-        for m, qpow in enumerate(chain([{0: 1.0 + 0j}], qpows)):
-            ungraded = _ungraded_key({names["z"]: k - m, names["x"]: m})
-            try:
-                binom = complex(math.comb(k, m))
-            except OverflowError:
-                raise SeriesError("series coefficient out of floating-point range") from None
-            piece.sectors[((), ungraded, zero_base)] = _scale_tail(qpow, binom)
-        out = _finite_result(out, out * piece)
+        ungraded = ((x_name, Fraction(x_num, den)),) if x_num else ()
+        out.sectors[((), ungraded, tuple(Fraction(b, den) for b in base))] = tail
     return ExpandedProduct(out, tuple(negative))
+
+
+@lru_cache(maxsize=4096)
+def _pair_plan(tree: Tree, order: int, conjugate) -> tuple:
+    """(graded names, x_A name, pairs) of a tree's coordinates at ``order``:
+    each ordered leaf pair maps to its nonzero monomial digits as (index,
+    power), its leading sign and its packed pair tail in the binomial memo's
+    key form, empty for a tail with no term up to the order."""
+    cs = a_coordinates(tree)
+    names = cs.var_names(conjugate=conjugate)
+    pairs = {
+        pair: (
+            tuple((idx, m) for idx, m in enumerate(fac.monomial) if m),
+            fac.sign,
+            tuple(_packed_poly(fac.tail, order).items()),
+        )
+        for pair, fac in cs.pairs.items()
+    }
+    return names["zeta"], names["x"], pairs
 
 
 def _packed_poly(poly, order):

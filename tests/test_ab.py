@@ -1,0 +1,44 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location("ab", Path(__file__).resolve().parent.parent / "tools" / "ab.py")
+ab = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ab)
+
+
+def _run(pair, side, **metrics):
+    return {"pair": pair, "side": side, "final_line": {"metrics": {m: {"value": v} for m, v in metrics.items()}}}
+
+
+def test_summary_counts_wins_in_each_metrics_direction():
+    # pairs won by the change: lower wall_s in pairs 0 and 2, higher
+    # ops_per_s in pair 1 only; a tie counts for neither side
+    runs = [
+        _run(0, "parent", wall_s=1.0, ops_per_s=10.0),
+        _run(0, "change", wall_s=0.8, ops_per_s=10.0),
+        _run(1, "change", wall_s=1.1, ops_per_s=12.0),
+        _run(1, "parent", wall_s=1.0, ops_per_s=11.0),
+        _run(2, "parent", wall_s=1.2, ops_per_s=10.0),
+        _run(2, "change", wall_s=0.9, ops_per_s=9.0),
+    ]
+    out = ab.summarize(runs, {"wall_s": "lower", "ops_per_s": "higher"})
+    assert out["wall_s"]["change_wins"] == "2/3"
+    assert out["ops_per_s"]["change_wins"] == "1/3"
+    assert out["wall_s"]["parent"] == {"q1": 1.0, "median": 1.0, "q3": 1.1}
+    assert out["wall_s"]["change"]["median"] == 0.9
+    assert out["wall_s"]["change_vs_parent"] == pytest.approx(-0.1)
+
+
+def test_one_pair_reads_its_value_as_every_quartile():
+    out = ab.summarize([_run(0, "parent", wall_s=2.0), _run(0, "change", wall_s=1.0)], {"wall_s": "lower"})
+    assert out["wall_s"]["parent"] == {"q1": 2.0, "median": 2.0, "q3": 2.0}
+    assert out["wall_s"]["change_wins"] == "1/1"
+    assert out["wall_s"]["change_vs_parent"] == -0.5
+
+
+@pytest.mark.parametrize("item", ["bulk-trees", "bulk-trees=0", "bulk-trees=x"])
+def test_pair_counts_must_be_positive(item):
+    with pytest.raises(SystemExit, match="NAME=PAIRS"):
+        ab.parse_counts([item], "--workload")

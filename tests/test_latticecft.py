@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,7 @@ from opetree.latticecft import (
 )
 from opetree.series import SeriesError, evaluate_closed, phase_pi
 from opetree.trees import (
+    EMPTY,
     ClosedLeaf,
     Leaf,
     Node,
@@ -1157,6 +1159,8 @@ class TestTreeExpansion:
         # test would be a key found by value.
         doubling.cache_clear()
         a_coordinates.cache_clear()
+        latticecft.expansion_plan.cache_clear()
+        series._pair_plan.cache_clear()
         e, charges, bd = parse_tree("t(c1c2)o3"), [(1, 0), (0, 1)], boundaries[1]
         tree_expansion(model, e, charges, 4, bd=bd, bdry_charges=[1])
         calls = []
@@ -1331,6 +1335,178 @@ class TestTreeExpansion:
         monkeypatch.undo()
         texp = tree_expansion(model, parse_tree("t(c1)"), [(1, 0)], 4, bd=boundaries[1])
         assert texp.series.n_terms() == 1
+
+
+def _series_bits(s):
+    """Sector keys by repr, in order, and each tail's keys and coefficient bits."""
+    return repr(list(s.sectors)), [[(k, struct.pack("<dd", c.real, c.imag)) for k, c in t.items()] for t in s.sectors.values()]
+
+
+def _charge_frames(model, bd, charges, bdry_charges):
+    """tree_expansion's (frames, conjugate) parts: the doubled frames with
+    boundary data, else left movers and conjugated right movers."""
+    if bd is not None:
+        return [(latticecft._doubled_charge_frames(bd, charges, bdry_charges), False)]
+    return [({i: vec(a) for i, a in enumerate(charges, 1)}, conj) for vec, conj in ((model.a_vec, False), (model.abar_vec, True))]
+
+
+def _generic_expansion(model, bd, e, charges, bdry_charges, order):
+    """tree_expansion's coordinates, series, negative pairs and factors
+    through ``series.expand`` of a PowerProduct of Fraction frame products."""
+    cs = a_coordinates(e if bd is None else doubling(e))
+    pairs = list(itertools.combinations(latticecft.leaf_order(cs.tree), 2))
+    expanded = []
+    for frames, conj in _charge_frames(model, bd, charges, bdry_charges):
+        diffs = [((k, l), model.frame_product(frames[k], frames[l])) for k, l in pairs]
+        f = series.PowerProduct(diffs=tuple((pair, q) for pair, q in diffs if q != 0))
+        expanded.append(series.expand(cs, f, order, conjugate=conj))
+    factors = [ex.series for ex in expanded]
+    product = factors[0] if bd is not None else factors[0] * factors[1]
+    return cs, product, [ex.negative_pairs for ex in expanded], () if bd is not None else factors
+
+
+class TestExpansionPlan:
+    TREES = ["t(c1)o2", "o2t(c1)", "(t(c1))(t(c2))", "t(c1c2)", "t(c1c2)o3", "(12)3", "((12)3)4", "1(2(34))"]
+
+    def test_plan_is_bit_identical_to_generic_expand(self):
+        # all-zero charges, two seeded charge sets and the first set with a
+        # zero pair exponent (that pair is left out), on two models and both
+        # reflections, at orders up to 30 on trees of at most 3 leaves
+        rng = random.Random(31)
+        box = list(itertools.product(range(-2, 3), repeat=2))
+        for rsq, rho in itertools.product((Fraction(2), Fraction(5, 7)), (1, -1)):
+            model = NarainModel(rsq)
+            bd = build_boundary(model, rho)
+            for text in self.TREES:
+                e = parse_tree(text)
+                r, s, color = latticecft.validate_colored(e)
+                if color == "plain" and rho == -1:
+                    continue  # a plain tree reads no boundary data
+                tbd = bd if color == "o" else None
+                sets = [([(0, 0)] * r, [0] * s)]
+                sets += [([rng.choice(box) for _ in range(r)], [rng.randint(-2, 2) for _ in range(s)]) for _ in range(2)]
+                sets += [
+                    next(
+                        (list(c), list(b))
+                        for c in itertools.product(box[1:], repeat=r)
+                        for b in itertools.product(range(1, 3), repeat=s)
+                        if any(
+                            model.frame_product_num(f[k], f[l]) == 0
+                            for f, _ in _charge_frames(model, tbd, c, b)
+                            for k, l in itertools.combinations(sorted(f), 2)
+                        )
+                    )
+                ]
+                n = 2 * r + s if tbd else r
+                for order in (0, 1, 2, 6, 14) + ((30,) if n <= 3 else ()):
+                    for charges, bdry in sets:
+                        texp = tree_expansion(model, e, charges, order, bd=tbd, bdry_charges=bdry)
+                        cs, want, negative, factors = _generic_expansion(model, tbd, e, charges, bdry, order)
+                        assert negative == [()] * len(negative)
+                        assert texp.coords is cs
+                        assert _series_bits(texp.series) == _series_bits(want)
+                        assert [_series_bits(f) for f in texp.factors] == [_series_bits(f) for f in factors]
+                        keys = list(texp.series.sectors)
+                        assert all(type(q) is Fraction for _, ungraded, base in keys for q in [q for _, q in ungraded] + list(base))
+
+    def test_errors_keep_text_and_precedence_once_planned(self, model, boundaries):
+        # each error, and which of two comes first, is the same on a first
+        # call and once plans exist for the tree at orders 4 and 1: 4.0 and
+        # True hash and compare equal to 4 and 1, so the order is checked
+        # before a plan is looked up
+        bd, other = boundaries[1], build_boundary(NarainModel(3), 1)
+        t11, plain = parse_tree("t(c1)o2"), parse_tree("(12)3")
+        ok = {t11: ([(1, 0)], bd, [1]), plain: ([(1, 0), (0, 1), (-1, 1)], None, [])}
+        cases = [
+            (plain, ok[plain][0], 4.0, None, [], "truncation order must be an int, got 4.0"),
+            (plain, ok[plain][0], True, None, [], "truncation order must be an int, got True"),
+            (t11, [(1, 0)], "4", bd, [1], "truncation order must be an int, got '4'"),
+            (t11, [(1, 0)], True, bd, [1], "truncation order must be an int, got True"),
+            (t11, [(1, 0)], -1, bd, [1], "truncation order must be >= 0, got -1"),
+            (parse_tree("c1c2"), [(1, 0), (0, 1)], 4.0, bd, [], "expansion tree must be plain or o-colored"),
+            (t11, [(1, 0)], 4.0, None, [1], "colored expansion needs boundary data"),
+            (t11, [(1, 0)], 4, None, [1, 2], "colored expansion needs boundary data"),
+            (t11, [(1, 0)], 4.0, bd, [1, 2], "charge count mismatch"),
+            (plain, ok[plain][0], 4, None, [1], "charge count mismatch"),
+            (plain, [(1, 0), (0.5, 1), (-1, 1)], 4.0, None, [1], "must be an integer pair"),
+            (t11, [(1, 0)], -1, bd, [1.5], r"boundary charges must be integers, got \[1.5\]"),
+            (t11, [(0.5, 0)], 4, other, [1], r"boundary data for R\^2 = 3, not 2"),
+            (EMPTY, [(1, 0)], 4, None, [], "charge count mismatch"),
+            (EMPTY, [], 4, None, [], "needs r >= 2, got r = 0"),
+        ]
+
+        def outcomes():
+            out = []
+            for e, charges, order, cbd, bdry, message in cases:
+                with pytest.raises((LatticeError, SeriesError, TreeError), match=message) as err:
+                    tree_expansion(model, e, charges, order, bd=cbd, bdry_charges=bdry)
+                out.append((type(err.value), str(err.value)))
+            return out
+
+        def expansions():
+            return [
+                _series_bits(tree_expansion(model, e, charges, order, bd=cbd, bdry_charges=bdry).series)
+                for e, (charges, cbd, bdry) in ok.items()
+                for order in (4, 1)
+            ]
+
+        def clear():
+            latticecft.expansion_plan.cache_clear()
+            series._pair_plan.cache_clear()
+
+        clear()
+        want = expansions()
+        clear()
+        first = outcomes()  # these calls meet no plan
+        assert expansions() == want  # and leave none behind
+        assert outcomes() == first
+
+    def test_returned_series_do_not_reach_a_later_expansion(self, model, boundaries):
+        # the plan and the memos hold no series: changing every tail of an
+        # expansion in place leaves a later expansion of the same inputs as
+        # it was; a unit-only colored product (all-zero charges) included
+        bd = boundaries[-1]
+        calls = [
+            (parse_tree("(12)3"), [(1, 0), (0, 1), (-1, 1)], None, []),
+            (parse_tree("t(c1c2)"), [(1, 2), (-1, 0)], bd, []),
+            (parse_tree("t(c1)o2"), [(1, 1)], bd, [2]),
+            (parse_tree("t(c1)o2"), [(0, 0)], bd, [0]),
+        ]
+        for e, charges, cbd, bdry in calls:
+            want = tree_expansion(model, e, charges, 6, bd=cbd, bdry_charges=bdry)
+            wants = [_series_bits(s) for s in (want.series, *want.factors)]
+            for _ in range(2):
+                texp = tree_expansion(model, e, charges, 6, bd=cbd, bdry_charges=bdry)
+                assert [_series_bits(s) for s in (texp.series, *texp.factors)] == wants
+                for s in (texp.series, *texp.factors):
+                    for tail in s.sectors.values():
+                        for k in tail:
+                            tail[k] = -3 * tail[k]
+                        tail[10**9] = 1j
+                    s.sectors.clear()
+
+    def test_plans_hold_no_series(self, model, boundaries):
+        # a plan is charge-independent and small: it holds no GenSeries (a
+        # bulk series is megabytes) and no expansion
+        for text, charges, bd, bdry in [
+            ("((12)3)4", [(1, 0), (0, 1), (-1, 1), (0, -2)], None, []),
+            ("t(c1c2)o3", [(1, 0), (0, 1)], boundaries[1], [1]),
+        ]:
+            e = parse_tree(text)
+            tree_expansion(model, e, charges, 6, bd=bd, bdry_charges=bdry)
+            plan = latticecft.expansion_plan(e)
+            seen, todo = [], [plan] + [series._pair_plan(plan[3].tree, 6, conj) for conj in (False, True)]
+            while todo:
+                x = todo.pop()
+                assert not isinstance(x, (series.GenSeries, series.ExpandedProduct, latticecft.TreeExpansion))
+                seen.append(x)
+                if isinstance(x, dict):
+                    todo += list(x.keys()) + list(x.values())
+                elif isinstance(x, (tuple, list)):
+                    todo += list(x)
+                elif hasattr(x, "_fields"):
+                    todo += [getattr(x, f) for f in x._fields]
+            assert len(seen) > 20
 
 
 class TestConsistency:
