@@ -168,9 +168,6 @@ class NarainModel(Stored):
     def abarbar(self, alpha, beta) -> Fraction:
         return self.frame_product(self.abar_vec(alpha), self.abar_vec(beta))
 
-    def weight(self, alpha) -> tuple:
-        return self.aa(alpha, alpha) / 2, self.abarbar(alpha, alpha) / 2
-
 
 # ---------------------------------------------------------------------------
 # Boundary data: reflection, boundary charge map, cocycles

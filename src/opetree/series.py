@@ -6,7 +6,8 @@ a polynomial tail in the *graded* variables (the edge ratios) with
 nonnegative integer exponents of total degree at most the truncation
 order N.  Ungraded variables (the root difference x_A and the
 translation z_A) are never truncated.  Exponent arithmetic is exact
-rational; coefficients are complex doubles.
+rational; coefficients are complex doubles.  The one operation between
+series is their truncated product.
 
 A tail is stored packed (Monagan & Pearce's packed exponent vectors):
 ``{key: coeff}``, the exponent vector as one integer in base N + 1 with
@@ -15,15 +16,15 @@ term is <= N, so keys whose degrees sum to at most N add without carry.
 A key's degree is its digit sum; as N + 1 = 1 (mod N) that is
 ``key % N``, or N for a nonzero key with ``key % N == 0``.  Tuples
 appear only at the boundary: :meth:`GenSeries.from_tails` packs them;
-``terms``, ``coefficient``, :func:`series_to_obj` and the re-keying for
-another variable set or order decode them.
+``terms``, :func:`series_to_obj` and the re-keying for another variable
+set or order decode them.
 
 Every truncated tail product goes through one kernel, :func:`_tail_mul`.
 It keeps the tuple-keyed loop's order (left operand outer, right operand
 inner, both in dict order, first-touch insertion), and a packed key only
 renames a term, so every coefficient comes out bit for bit as that loop
 gives it.  :func:`_powers` is the one loop making repeated powers u, u^2,
-... (memoized binomial tails, ``log1p``, :func:`expand`'s plain powers).
+... (the memoized binomial tails and :func:`expand`'s plain powers).
 :func:`expand_pairs`, under :func:`expand` and ``tree_expansion``, builds
 a difference product as one packed tail chain, skipping the unit factors
 that would give the chain back unchanged.  A pair plan made once per
@@ -76,7 +77,6 @@ from opetree.coords import (
     CoordError,
     CoordSystem,
     a_coordinates,
-    minimal_monomials,
     on_cut,
     pair_difference,
 )
@@ -128,7 +128,11 @@ def _ungraded_key(exps: Mapping) -> tuple:
 
 
 class GenSeries:
-    """Truncated generalized power series over a fixed graded variable set."""
+    """Truncated generalized power series over a fixed graded variable set.
+
+    ``*`` of two series is its one arithmetic operation; a series does not
+    add, negate or scale.
+    """
 
     __slots__ = ("graded", "order", "sectors")
 
@@ -156,10 +160,6 @@ class GenSeries:
         return s
 
     @classmethod
-    def constant(cls, c, graded: Sequence[str], order: int) -> "GenSeries":
-        return cls.monomial(c, {}, graded, order)
-
-    @classmethod
     def monomial(
         cls,
         coeff,
@@ -180,11 +180,6 @@ class GenSeries:
         return s
 
     # -- bookkeeping -------------------------------------------------------
-
-    def copy(self) -> "GenSeries":
-        out = GenSeries(self.graded, self.order)
-        out.sectors = {k: dict(t) for k, t in self.sectors.items()}
-        return out
 
     def n_terms(self) -> int:
         return sum(len(t) for t in self.sectors.values())
@@ -276,32 +271,11 @@ class GenSeries:
                     dest[k + step] = get(k + step, 0) + c
         return dest
 
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, GenSeries):
-            return NotImplemented
-        a, b = self._aligned(other)
-        out = GenSeries(a.graded, a.order)
-        for key, tail in [*a.sectors.items(), *b.sectors.items()]:
-            out._merge_sector(key, dict(tail))
-        return out._prune()
-
-    def __neg__(self):
-        out = self.copy()
-        for tail in out.sectors.values():
-            for vec in tail:
-                tail[vec] = -tail[vec]
-        return out
+    # -- product -----------------------------------------------------------
 
     def __mul__(self, other):
         if not isinstance(other, GenSeries):
-            out = self.copy()
-            c = complex(other)
-            for tail in out.sectors.values():
-                for vec in tail:
-                    tail[vec] *= c
-            return out._prune()
+            return NotImplemented
         a, b = self._aligned(other)
         disjoint = _disjoint(self, other)
         out = GenSeries(a.graded, a.order)
@@ -313,83 +287,6 @@ class GenSeries:
                 if tail:
                     out._merge_sector((_merge_keys(l1, l2), _merge_keys(u1, u2), base), tail)
         return out._prune()
-
-    __rmul__ = __mul__
-
-    def truncate(self, order: int) -> "GenSeries":
-        out = GenSeries(self.graded, min(self.order, order))
-        for key, tail in self._at_order(out.order).sectors.items():
-            if tail:
-                out._merge_sector(key, dict(tail))
-        return out._prune()
-
-    # -- leading-term operations -------------------------------------------
-
-    def _leading(self):
-        """For c*(monomial)*(1+u) series: (key, c, u as a packed tail).
-
-        A unique divisibility-minimal tail monomial is factored into the
-        sector base first, so z + z^2 is accepted as z*(1 + z).
-        """
-        if len(self.sectors) != 1:
-            raise SeriesError("operation needs a single-sector series")
-        (key,) = self.sectors
-        logs, ungraded, base = key
-        tail = self.sectors[key]
-        if not tail:
-            raise SeriesError("zero series has no leading term")
-        n = len(self.graded)
-        minimal = minimal_monomials([_unpack_key(k, self.order + 1, n) for k in tail])
-        if len(minimal) != 1:
-            raise SeriesError("leading term is not an invertible monomial")
-        m0 = minimal[0]
-        if any(m0):
-            # every key is digitwise >= m0, so subtracting never borrows
-            base = tuple(b + m for b, m in zip(base, m0))
-            key = (logs, ungraded, base)
-            k0 = _pack(m0, self.order + 1)
-            tail = {k - k0: c for k, c in tail.items()}
-        c = tail[0]
-        if c == 0:
-            raise SeriesError("zero leading coefficient")
-        u = {k: coeff / c for k, coeff in tail.items() if k}
-        return key, c, u
-
-    def pow(self, q) -> "GenSeries":
-        """Raise a c*(monomial)*(1+u) series to an exact rational power.
-
-        The leading constant uses the principal branch c^q = exp(q Log c).
-        """
-        q = Fraction(q)
-        key, c, u = self._leading()
-        logs, ungraded, base = key
-        if logs:
-            raise SeriesError("cannot exponentiate a series with log factors")
-        if on_cut(c) and q.denominator != 1:
-            raise SeriesError("leading coefficient on the cut")
-        try:
-            cq = c ** int(q) if q.denominator == 1 else cmath.exp(q * cmath.log(c))
-        except (ZeroDivisionError, OverflowError):
-            raise SeriesError("leading coefficient to this power out of range") from None
-        newkey = ((), tuple((v, e * q) for v, e in ungraded), tuple(e * q for e in base))
-        out = GenSeries(self.graded, self.order)
-        out._merge_sector(newkey, _scale_tail(_binomial_tail(u, q, self.order), cq))
-        return _finite_result(self, out._prune())
-
-    def log1p(self) -> "GenSeries":
-        """log of a series with unit constant term and trivial base."""
-        key, c, u = self._leading()
-        logs, ungraded, base = key
-        if logs or ungraded or any(base) or c != 1:
-            raise SeriesError("log1p needs a series of the form 1 + u")
-        tail = {}
-        for k, power in enumerate(islice(_powers(u, self.order), self.order), start=1):
-            sign = (-1.0) ** (k + 1) / k
-            for vec, coeff in power.items():
-                tail[vec] = tail.get(vec, 0) + sign * coeff
-        out = GenSeries(self.graded, self.order)
-        out._merge_sector(((), (), tuple([0] * len(self.graded))), tail)
-        return _finite_result(self, out._prune())
 
     # -- introspection ------------------------------------------------------
 
@@ -411,14 +308,6 @@ class GenSeries:
                 flat.append((key, exps, dict(logs), c))
         flat.sort(key=lambda it: it[0])
         return [(exps, logs, c) for _, exps, logs, c in flat]
-
-    def coefficient(self, exponents: Mapping, logs: Mapping | None = None) -> complex:
-        want = {v: Fraction(q) for v, q in exponents.items() if q}
-        want_logs = {v: k for v, k in (logs or {}).items() if k}
-        for exps, lg, c in self.terms():
-            if exps == want and lg == want_logs:
-                return c
-        return 0j
 
     def __repr__(self):
         return (
@@ -535,20 +424,17 @@ def _powers(u, order):
         yield power
 
 
-def _binomial_tail(u, q, order):
-    """(1+u)^q truncated: sum_k C(q,k) u^k with u of positive degree.
-
-    Memoized on u's items in dict order, which fixes the summation order.
-    The key's complex equality does not tell 0.0 from -0.0, and need not:
-    every sum starts from int 0 or 1+0j, so a part that sums to zero comes
-    out +0.0 and no other bit depends on the sign of a zero.  Returns a
-    fresh dict, so a caller may change it.
-    """
-    return dict(_binomial_tail_memo(tuple(u.items()), Fraction(q), order))
-
-
 @lru_cache(maxsize=4096)
 def _binomial_tail_memo(items, q, order):
+    """(1+u)^q truncated: sum_k C(q,k) u^k, for u of positive degree
+    given as its packed ``items``, in dict order, which fixes the
+    summation order.
+
+    The key's complex equality does not tell 0.0 from -0.0, and need not:
+    every sum starts from int 0 or 1+0j, so a part that sums to zero comes
+    out +0.0 and no other bit depends on the sign of a zero.  Every caller
+    gets the memo's own dict, which no caller may change.
+    """
     out = {0: 1.0 + 0j}
     qn, qd = q.numerator, q.denominator
     num = den = 1

@@ -2,8 +2,11 @@
 
 Each helper computes independently something the library computes one
 way only: the doubled composite, the doubled-label convention, tree
-shapes, pure braids and the discrete invariants of a braid morphism.
+shapes, pure braids, the discrete invariants of a braid morphism and
+the coefficient of one term of a series.
 """
+
+from fractions import Fraction
 
 from opetree.braids import BraidWord, PaPBMorphism, braid_permutation
 from opetree.trees import (
@@ -124,3 +127,10 @@ def invariants(m: PaPBMorphism) -> tuple:
         braid_permutation(m.word),
         tuple(sorted(abelianization(m.word).items())),
     )
+
+
+def coefficient(s, exponents: dict) -> complex:
+    """The coefficient of the log-free term of the series ``s`` with these
+    exponents (zeros left out), or 0j: a scan of ``s.terms()``."""
+    want = {v: Fraction(q) for v, q in exponents.items() if q}
+    return next((c for exps, logs, c in s.terms() if exps == want and not logs), 0j)

@@ -1,8 +1,11 @@
 """The package namespace: every public name loads lazily from its submodule."""
 
+import ast
 import importlib
 import inspect
 import os
+import pathlib
+import re
 import subprocess
 import sys
 
@@ -11,6 +14,16 @@ import pytest
 import opetree
 
 SUBMODULES = ("trees", "coords", "series", "braids", "latticecft")
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# Library code with no caller yet, kept for the ROADMAP item that will call it.
+UNCALLED = {
+    "papb_identity",  # item 1: locality, in the braid layer
+    "papb_compose",  # item 1
+    "then",  # item 1
+    "all_colored_trees",  # item 2: the claim on every colored tree
+}
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def run_child(code):
@@ -80,3 +93,34 @@ def test_bare_import_loads_no_submodule():
         "['opetree', 'opetree.coords', 'opetree.series', 'opetree.trees']",
         "",
     ]
+
+
+def test_every_library_definition_is_named_outside_its_body():
+    # a function, class or method of src/opetree that neither the library
+    # nor the benchmark names outside its own body has no caller.  A dotted
+    # string (the lazy export table, the tracer's patch targets) names each
+    # of its parts; dunder methods are called by the language
+    defs, uses = [], {}
+    paths = [(path, True) for path in sorted((ROOT / "src" / "opetree").glob("*.py"))]
+    paths += [(path, False) for path in sorted((ROOT / "perfbench").glob("*.py"))]
+    for path, library in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if library and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs.append((node.name, path, node.lineno, node.end_lineno))
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and _DOTTED.fullmatch(node.value):
+                names = node.value.split(".")
+            else:
+                continue
+            for name in names:
+                uses.setdefault(name, []).append((path, node.lineno))
+    dead = {
+        name
+        for name, path, first, last in defs
+        if not (name.startswith("__") and name.endswith("__"))
+        and all(p == path and first <= line <= last for p, line in uses.get(name, []))
+    }
+    assert dead == UNCALLED, sorted(dead ^ UNCALLED)
