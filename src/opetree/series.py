@@ -24,13 +24,16 @@ It keeps the tuple-keyed loop's order (left operand outer, right operand
 inner, both in dict order, first-touch insertion), and a packed key only
 renames a term, so every coefficient comes out bit for bit as that loop
 gives it.  :func:`_powers` is the one loop making repeated powers u, u^2,
-... (the memoized binomial tails and :func:`expand`'s plain powers).
+... (the memoized powers of a pair tail and :func:`expand`'s plain powers).
 :func:`expand_pairs`, under :func:`expand` and ``tree_expansion``, builds
 a difference product as one packed tail chain, skipping the unit factors
-that would give the chain back unchanged.  A pair plan made once per
-tree, order and conjugate holds each pair's monomial, sign and packed
-tail; exponents are summed as integers over one denominator; (1 + P)^s is
-read from the one binomial memo, keyed on the packed tail, s and N.
+that would give the chain back unchanged and, from the constant 1, taking
+the first factor's tail as it is.  A pair plan made once per tree, order
+and conjugate holds each pair's monomial, sign and packed tail; exponents
+are summed as integers over one denominator; (1 + P)^s is read from the
+one binomial memo, keyed on the packed tail, s in lowest terms as two
+integers, and N, which reads the powers of P from their own memo, keyed
+on the tail and N alone.
 
 :func:`evaluate_series` is table-driven.  For each graded variable and
 integer base b of a sector it reads one lazily filled power table, keyed
@@ -148,15 +151,18 @@ class GenSeries:
     @classmethod
     def from_tails(cls, graded: Sequence[str], order: int, sectors: Mapping) -> "GenSeries":
         """A series from ``{(logs, ungraded, base): {exponent tuple: coeff}}``,
-        in the same order; terms of degree above ``order`` are dropped."""
+        in the same order; terms of degree above ``order`` are dropped, and
+        so is a sector left with no term."""
         s = cls(graded, order)
         for key, tail in sectors.items():
-            packed = s.sectors[key] = {}
+            packed = {}
             for vec, c in tail.items():
                 if len(vec) != len(s.graded) or min(vec, default=0) < 0:
                     raise SeriesError(f"bad tail exponent vector {vec}")
                 if sum(vec) <= s.order:
                     packed[_pack(vec, s.order + 1)] = c
+            if packed:
+                s.sectors[key] = packed
         return s
 
     @classmethod
@@ -424,11 +430,27 @@ def _powers(u, order):
         yield power
 
 
+@lru_cache(maxsize=256)
+def _powers_memo(items, order):
+    """u, ..., u^N of the packed tail u given as ``items``, in dict order,
+    truncated at degree N = ``order``, stopping at the first power that
+    vanishes.  An entry holds up to N tails, so the memo is kept small; a
+    miss costs what building the powers always cost.
+
+    As in :func:`_binomial_tail_memo`, the key's complex equality does not
+    tell 0.0 from -0.0, and need not: every sum in :func:`_tail_mul` starts
+    at ``0 +``, so a part that sums to zero comes out +0.0 and no other bit
+    depends on the sign of a zero.  Callers only read the tails.
+    """
+    return tuple(islice(_powers(dict(items), order), order))
+
+
 @lru_cache(maxsize=4096)
-def _binomial_tail_memo(items, q, order):
-    """(1+u)^q truncated: sum_k C(q,k) u^k, for u of positive degree
-    given as its packed ``items``, in dict order, which fixes the
-    summation order.
+def _binomial_tail_memo(items, qn, qd, order):
+    """(1+u)^q truncated, q = qn/qd in lowest terms with qd > 0: sum_k
+    C(q,k) u^k, for u of positive degree given as its packed ``items``, in
+    dict order, which fixes the summation order; the powers of u are read
+    from :func:`_powers_memo`.
 
     The key's complex equality does not tell 0.0 from -0.0, and need not:
     every sum starts from int 0 or 1+0j, so a part that sums to zero comes
@@ -436,9 +458,8 @@ def _binomial_tail_memo(items, q, order):
     gets the memo's own dict, which no caller may change.
     """
     out = {0: 1.0 + 0j}
-    qn, qd = q.numerator, q.denominator
     num = den = 1
-    for k, power in enumerate(islice(_powers(dict(items), order), order), start=1):
+    for k, power in enumerate(_powers_memo(items, order), start=1):
         # C(q, k) = num / den from C(q, k-1), the steps binomial(q, k) takes,
         # left unreduced: int true division rounds the exact rational
         # correctly, as float(Fraction) does, so ck is complex(binomial(q, k))
@@ -643,7 +664,7 @@ def expand_pairs(
     """``constant`` times the factors (z_i - z_j)^(num/den), for the
     ``(i, j, num)`` of ``terms`` in order, expanded as :func:`expand` does,
     with each pair read from its :func:`_pair_plan` and the x_A and base
-    exponents summed as integers over ``den``, made Fractions at the end."""
+    exponents summed as integers over ``den`` > 0, made Fractions at the end."""
     if negative_branch not in ("upper", "lower"):
         raise SeriesError("negative_branch must be 'upper' or 'lower'")
     # the order is checked first: 4.0 == 4 would find order 4's plan
@@ -661,6 +682,12 @@ def expand_pairs(
     skip_units = finite and not any(
         p == 0 and math.copysign(1.0, p) < 0 for c in tail.values() for p in (c.real, c.imag)
     )
+    # From the tail {0: 1+0j}, +0.0 imaginary part included, a factor with
+    # coefficient 1 is its memo tail itself: 0 + (1+0j) * c is c for a memo
+    # coefficient, which is never zero and has no -0.0 part, and a
+    # coefficient that is not finite raises below either way.
+    one = skip_units and tail == {0: 1}
+    shared = None  # the memo's own dict, while it is the tail
     # one packed tail, the product so far on the left as in GenSeries.__mul__;
     # a factor's tail is the binomial memo's own dict, which _tail_mul only reads
     for i, j, num in terms:
@@ -674,11 +701,18 @@ def expand_pairs(
             coeff = phase_pi(Fraction(num if negative_branch == "upper" else -num, den))
         if skip_units and coeff == 1 and not packed:  # a unit
             continue
-        factor = _binomial_tail_memo(packed, Fraction(num, den), order)
-        tail = _tail_mul(tail, _scale_tail(factor, coeff), order)
+        g = math.gcd(num, den)  # the memo key is Fraction(num, den), as integers
+        factor = _binomial_tail_memo(packed, num // g, den // g, order)
+        if one and coeff == 1:
+            tail = shared = factor
+        else:
+            tail = _tail_mul(tail, _scale_tail(factor, coeff), order)
+        one = False
         skip_units = finite
     if finite and not _all_finite(tail.values()):
         raise SeriesError("series coefficient out of floating-point range")
+    if tail is shared:
+        tail = dict(tail)
     if tail:
         ungraded = ((x_name, Fraction(x_num, den)),) if x_num else ()
         out.sectors[((), ungraded, tuple(Fraction(b, den) for b in base))] = tail

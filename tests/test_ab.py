@@ -38,6 +38,33 @@ def test_one_pair_reads_its_value_as_every_quartile():
     assert out["wall_s"]["change_vs_parent"] == -0.5
 
 
+def _claim_runs(parent, change):
+    return [_run(p, side, wall_s=v) for p, pair in enumerate(zip(parent, change)) for side, v in zip(ab.SIDES, pair)]
+
+
+@pytest.mark.parametrize(
+    "change, met",
+    [
+        ([0.8] * 9 + [1.2], True),  # 9/10 pairs, medians 0.2 apart
+        ([0.8] * 8 + [1.2] * 2, False),  # 8/10 pairs
+        ([0.99] * 10, False),  # 10/10, but 0.01 apart, inside the parent's q1-q3 (0.985-1.015)
+        ([1.2] * 10, False),  # worse in every pair
+    ],
+)
+def test_claim_met_needs_nine_tenths_and_medians_apart(change, met):
+    parent = [0.96, 0.98, 0.98, 1.0, 1.0, 1.0, 1.0, 1.02, 1.02, 1.04]
+    summary = ab.summarize(_claim_runs(parent, change), {"wall_s": "lower"})["wall_s"]
+    assert summary["parent"]["q3"] - summary["parent"]["q1"] == pytest.approx(0.03)
+    assert ab.claim_met(summary, "lower") is met
+
+
+def test_claim_met_in_the_higher_direction():
+    parent, change = [10.0, 10.5, 11.0] * 3 + [10.0], [12.0] * 10
+    summary = ab.summarize(_claim_runs(parent, change), {"wall_s": "higher"})["wall_s"]
+    assert ab.claim_met(summary, "higher")
+    assert not ab.claim_met(summary, "lower")
+
+
 @pytest.mark.parametrize("item", ["bulk-trees", "bulk-trees=0", "bulk-trees=x"])
 def test_pair_counts_must_be_positive(item):
     with pytest.raises(SystemExit, match="NAME=PAIRS"):

@@ -1172,6 +1172,20 @@ class TestTreeExpansion:
         _sample_open_points(e, random.Random(5), 2)
         assert calls == []
 
+    def test_new_exponents_reuse_the_tail_powers(self, model):
+        # the powers of a pair tail depend on the tail alone: expanding a
+        # tree again with other charges, so other exponents, builds new
+        # binomial tails from the powers already kept
+        series._binomial_tail_memo.cache_clear()
+        series._powers_memo.cache_clear()
+        e = parse_tree("(12)3")
+        tree_expansion(model, e, [(1, 0), (0, 1), (-1, -1)], 6)
+        binomial, powers = series._binomial_tail_memo.cache_info(), series._powers_memo.cache_info()
+        assert powers.misses > 0
+        tree_expansion(model, e, [(2, 0), (0, 1), (-2, -1)], 6)
+        assert series._binomial_tail_memo.cache_info().misses > binomial.misses
+        assert series._powers_memo.cache_info().misses == powers.misses
+
     def test_point_caches_tell_signed_zeros_apart(self, model, boundaries):
         # coordinate values, power tables and closed forms are kept per
         # point bits and charge set: a point and its twin whose zero part

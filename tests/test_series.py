@@ -50,7 +50,8 @@ def _decoded(tail, order, nvars):
 def _one_plus_to(u, q, order):
     """(1 + u)^q from the binomial memo, for a tuple-keyed u, decoded."""
     nvars = len(next(iter(u)))
-    tail = series._binomial_tail_memo(tuple(_packed(u, order).items()), Fraction(q), order)
+    q = Fraction(q)
+    tail = series._binomial_tail_memo(tuple(_packed(u, order).items()), q.numerator, q.denominator, order)
     return _decoded(tail, order, nvars)
 
 
@@ -294,12 +295,13 @@ class _TupleSeries:
 def _pair(graded, order, sectors):
     """The same tuple-keyed sectors as a packed series and as the reference.
 
-    Terms above the order are left out of both, as from_tails drops them."""
+    Terms above the order are left out of both, and so are the sectors
+    left with no term, as from_tails drops them."""
     kept = {
         key: {v: c for v, c in tail.items() if sum(v) <= order}
         for key, tail in sectors.items()
     }
-    ref = _TupleSeries(graded, order, {k: dict(t) for k, t in kept.items()})
+    ref = _TupleSeries(graded, order, {k: dict(t) for k, t in kept.items() if t})
     return GenSeries.from_tails(graded, order, sectors), ref
 
 
@@ -504,7 +506,7 @@ class TestPackedKernel:
     @pytest.mark.parametrize("order", [0, 1, 4, 9])
     @pytest.mark.parametrize(
         "constant",
-        [1 + 0j, complex(-0.0, 2.0), complex("inf"), 0j, 2 - 3j, complex(2, -0.0), complex("nan")],
+        [1 + 0j, complex(1.0, -0.0), complex(-0.0, 2.0), complex("inf"), 0j, 2 - 3j, complex(2, -0.0), complex("nan")],
     )
     @pytest.mark.parametrize("units_only", [False, True])
     def test_expand_skips_unit_factors_bit_exactly(self, order, constant, units_only, monkeypatch):
@@ -652,7 +654,7 @@ class TestBinomialTail:
         # reads: scaling it and multiplying by it make new dicts, and
         # changing those leaves the memo intact
         u = _packed({(1, 0): 0.5 + 0j, (0, 1): -0.25 + 0j, (1, 1): 0.125 + 0j}, 8)
-        key = (tuple(u.items()), Fraction(-5, 3), 8)
+        key = (tuple(u.items()), -5, 3, 8)
         first = series._binomial_tail_memo(*key)
         want = _bits(first)
         before = series._binomial_tail_memo.cache_info().hits
@@ -684,7 +686,7 @@ class TestBinomialTail:
     def test_integer_recurrence_is_complex_of_exact_binomial(self, q):
         # (1 + z)^q at order 60: the coefficient of z^k is C(q, k) times
         # 1+0j, so it must be complex(binomial(q, k)) bit for bit
-        got = series._binomial_tail_memo.__wrapped__(((1, 1.0 + 0j),), q, 60)
+        got = series._binomial_tail_memo.__wrapped__(((1, 1.0 + 0j),), q.numerator, q.denominator, 60)
         for k in range(61):
             want = complex(binomial(q, k))
             c = got.get(k, 0j)
@@ -696,7 +698,7 @@ class TestBinomialTail:
             with pytest.raises(OverflowError):
                 float(binomial(q, 60))
             with pytest.raises(SeriesError, match="^series coefficient out of floating-point range$"):
-                series._binomial_tail_memo.__wrapped__(((1, 1.0 + 0j),), q, 60)
+                series._binomial_tail_memo.__wrapped__(((1, 1.0 + 0j),), q.numerator, q.denominator, 60)
 
     def test_memo_exact_across_signed_zeros(self):
         # the memo key merges 0.0 and -0.0 parts; the tail it returns must
@@ -705,10 +707,18 @@ class TestBinomialTail:
         minus = {1: complex(0.5, -0.0), 2: complex(-1.0, -0.0), 3: -0j}
         for q in (Fraction(1, 2), Fraction(-3), Fraction(2)):
             for u in (plus, minus):
-                fresh = series._binomial_tail_memo.__wrapped__(tuple(u.items()), q, 6)
-                assert _bits(series._binomial_tail_memo(tuple(u.items()), q, 6)) == _bits(fresh)
+                fresh = series._binomial_tail_memo.__wrapped__(tuple(u.items()), q.numerator, q.denominator, 6)
+                assert _bits(series._binomial_tail_memo(tuple(u.items()), q.numerator, q.denominator, 6)) == _bits(fresh)
                 want = _loop_binomial_tail({(k,): c for k, c in u.items()}, q, 6, 1)
                 assert _bits(_decoded(fresh, 6, 1)) == _bits(want)
+        # so must the powers, which both keys share
+        for u in (plus, minus):
+            fresh = series._powers_memo.__wrapped__(tuple(u.items()), 6)
+            assert [_bits(p) for p in series._powers_memo(tuple(u.items()), 6)] == [_bits(p) for p in fresh]
+            power = {(0,): 1.0 + 0j}
+            for p in fresh:
+                power = _loop_tail_mul(power, {(k,): c for k, c in u.items()}, 6)
+                assert _bits(_decoded(p, 6, 1)) == _bits(power)
 
 
 def _per_factor_expand(cs, f, order, conjugate, negative_branch):
@@ -733,7 +743,8 @@ def _per_factor_expand(cs, f, order, conjugate, negative_branch):
         piece = GenSeries.monomial(coeff, exps, graded, order)
         (key,) = piece.sectors
         tail_u = series._packed_poly(fac.tail, order)
-        tail = dict(series._binomial_tail_memo(tuple(tail_u.items()), Fraction(s), order))
+        q = Fraction(s)
+        tail = dict(series._binomial_tail_memo(tuple(tail_u.items()), q.numerator, q.denominator, order))
         piece.sectors[key] = series._scale_tail(tail, coeff)
         out = out * piece
     for i, k in f.powers:
@@ -906,6 +917,18 @@ class TestExpand:
             assert _bits(ex.series.sectors[key]) == _bits(tail)
         assert _term_bits(ex.series) == _term_bits(want)
 
+    def test_first_factor_tail_is_a_copy_of_the_memo(self):
+        # from the constant 1+0j, the one non-unit factor's memo tail is the
+        # result's tail, copied: changing it leaves the memo intact
+        cs = a_coordinates(parse_tree("((12)3)4"))
+        packed = series._pair_plan(cs.tree, 9, False)[2][(1, 3)][2]
+        memo = series._binomial_tail_memo(packed, -3, 2, 9)
+        want = _bits(memo)
+        (tail,) = expand(cs, PowerProduct(diffs=(((1, 3), Fraction(-3, 2)),)), 9).series.sectors.values()
+        assert tail is not memo and _bits(tail) == want
+        for k in tail:
+            tail[k] = 99.0 + 0j
+        assert _bits(series._binomial_tail_memo(packed, -3, 2, 9)) == want
 
     @given(data=st.data(), r=st.integers(2, 5), order=st.integers(0, 10))
     @settings(max_examples=60, deadline=None)
@@ -1144,6 +1167,13 @@ class TestEvaluate:
                 GenSeries.from_tails(("a", "b"), 4, {((), (), (ZERO, ZERO)): {(0, 1): 1 + 0j}}),
                 {"a": 2.0},
             )
+
+    def test_sector_above_the_order_is_dropped(self):
+        # its one term lies above the order, so the sector is gone and its
+        # ungraded x needs no value
+        s = GenSeries.from_tails(("a",), 1, {((), (("x", Fraction(1, 2)),), (0,)): {(2,): 1}})
+        assert s.sectors == {}
+        assert evaluate_series(s, {"a": 1.0}) == 0
 
     def test_zero_value_with_nonnegative_exponents(self):
         # base -1 with tail exponents >= 1: a^0 and a^2 at a = 0; the

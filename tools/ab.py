@@ -18,7 +18,10 @@ quartiles on each side (``statistics.quantiles(n=4, method='inclusive')``
 and the median), the number of pairs in which the change did better
 (``change_wins``, in the direction ``BENCHMARK.json`` gives) and the
 relative change of the medians (``change_vs_parent``), with every run's
-last JSON line.  It is rewritten after each pair, so a stopped session
+last JSON line.  With ``--claim``, ``claim`` states the claimed metric's
+summary and ``claim_met`` whether the gain holds: the change won at least
+nine tenths of the pairs run and its median is better than the parent's
+by more than the parent's q1-q3 distance.  It is rewritten after each pair, so a stopped session
 keeps the pairs it finished.
 """
 
@@ -79,6 +82,15 @@ def summarize(runs, better) -> dict:
     return out
 
 
+def claim_met(summary, direction) -> bool:
+    """Whether the change won at least 9/10 of the pairs run and its median
+    beats the parent's, in ``direction``, by more than the parent's q3 - q1."""
+    wins, pairs = map(int, summary["change_wins"].split("/"))
+    p, c = summary["parent"], summary["change"]
+    gain = p["median"] - c["median"] if direction == "lower" else c["median"] - p["median"]
+    return 10 * wins >= 9 * pairs and gain > p["q3"] - p["q1"]
+
+
 def claim_text(workload, metric, summary, unit) -> str:
     p, c = summary["parent"], summary["change"]
     return (
@@ -133,6 +145,7 @@ def main() -> int:
         "workloads run one after another in the order " + ", ".join(name for name, *_ in plan),
         "quartiles": "statistics.quantiles(n=4, method='inclusive') over the pair runs of each side",
         "claim": None,
+        "claim_met": None,
         "notes": dict(item.partition("=")[::2] for item in args.note),
     }
     with tempfile.TemporaryDirectory(prefix="opetree-ab-") as tmp:
@@ -156,6 +169,7 @@ def main() -> int:
                 if section == "workloads" and name == claim_name:
                     summary = entry["summary"][claim_metric]
                     result["claim"] = claim_text(name, claim_metric, summary, units[claim_metric])
+                    result["claim_met"] = claim_met(summary, better[claim_metric])
                 args.out.write_text(json.dumps(result, indent=1) + "\n")
                 print(f"{section} {name} pair {pair + 1}/{pairs}", file=sys.stderr, flush=True)
     return 0
