@@ -930,6 +930,18 @@ class TestExpand:
             tail[k] = 99.0 + 0j
         assert _bits(series._binomial_tail_memo(packed, -3, 2, 9)) == want
 
+    def test_memo_key_is_the_exponent_in_lowest_terms(self):
+        # alone, (1,3)^(1/2) and (2,4)^(1/3) sum their exponents over 2 and
+        # 3; together over 6, and both factors still read the same entries
+        cs = a_coordinates(parse_tree("((12)3)4"))
+        diffs = (((1, 3), Fraction(1, 2)), ((2, 4), Fraction(1, 3)))
+        for diff in diffs:
+            expand(cs, PowerProduct(diffs=(diff,)), 9)
+        before = series._binomial_tail_memo.cache_info()
+        expand(cs, PowerProduct(diffs=diffs), 9)
+        after = series._binomial_tail_memo.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (2, 0)
+
     @given(data=st.data(), r=st.integers(2, 5), order=st.integers(0, 10))
     @settings(max_examples=60, deadline=None)
     def test_factor_memo_is_bit_exact_and_unaliased(self, data, r, order):

@@ -21,8 +21,8 @@ relative change of the medians (``change_vs_parent``), with every run's
 last JSON line.  With ``--claim``, ``claim`` states the claimed metric's
 summary and ``claim_met`` whether the gain holds: the change won at least
 nine tenths of the pairs run and its median is better than the parent's
-by more than the parent's q1-q3 distance.  It is rewritten after each pair, so a stopped session
-keeps the pairs it finished.
+by more than the parent's q1-q3 distance.  The file is rewritten after
+each pair, so a stopped session keeps the pairs it finished.
 """
 
 from __future__ import annotations
