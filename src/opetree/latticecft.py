@@ -517,7 +517,9 @@ class TreeExpansion(Record):
     the keys again.  For a plain tree ``series`` is the product of the z
     and z-bar expansions held in ``factors``, and the blocks are read off
     those two factors, one per z term, so the product's keys are never
-    decoded; the factors are then dropped (``factors`` reads ()).  A
+    decoded; the factors are then dropped (``factors`` reads ()).  The
+    z-bar columns of the last few z-bar key sequences are memoized, so
+    another charge set of the tree at the same order mostly reuses them.  A
     colored tree's series is its one expansion, and its keys are decoded.
     ``series`` is therefore not changed after construction."""
 

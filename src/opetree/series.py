@@ -53,8 +53,14 @@ variables (a bulk tree's z and z-bar parts) gets them read off its two
 factors, in :func:`_tail_mul`'s term order, without decoding the
 product: one block per z term, with that term's z digits as constants,
 each looked up once a block, and the z-bar columns of the terms that fit
-its room, shared per room.  Either way the tables see the same digits in
-the same order, so results and errors are the same.  A zero total
+its room, shared per room.  Those columns depend only on the z-bar
+factor's graded names, the order and its keys, so a small memo keeps
+them for the next charge set of the tree.  A call looks up each room's
+column once, into a list that every block of the room streams; if a
+lookup raises there, that column is looked up term by term instead, so
+the error raised is the one the per-term order meets first.  Either way
+each term multiplies the same table entries in the same order, so
+results and errors are the same.  A zero total
 exponent reads 1+0j instead of being skipped.  Times 1+0j a finite
 complex keeps its nonzero parts and at most flips the sign of a zero
 part, and the sector sum starts at +0j, so a zero part of either sign
@@ -836,22 +842,24 @@ def digit_columns(s: GenSeries, factors=()) -> tuple:
     ``s = a * b`` (in that order) a product of single-sector series over
     disjoint graded variables: then its sector gets one block per term of
     ``a``, that term's digits as ints and the columns of the terms of
-    ``b`` that fit its room.  A product that dropped a zero term, or
+    ``b`` that fit its room, one column object per room, shared by the
+    blocks of that room and read from :func:`_room_columns`, a memo keyed
+    on ``b``'s graded names, the order and its keys.  A product that
+    dropped a zero term, or
     factors of another shape, are decoded.  The blocks describe ``s`` as
     it is now; a series changed afterwards needs new ones.
     """
-    column = bytes if s.order < 256 else list
     if factors:
-        blocks = _product_blocks(s, *factors, column)
+        blocks = _product_blocks(s, *factors)
         if blocks is not None:
             return (blocks,)
-    n = len(s.graded)
+    column, n = _column(s.order), len(s.graded)
     return tuple(
         ((len(tail), tuple(map(column, _digits(tail, s.order + 1, n)))),) for tail in s.sectors.values()
     )
 
 
-def _product_blocks(s, a, b, column):
+def _product_blocks(s, a, b):
     """The digit blocks of the one sector of ``s`` = ``a`` * ``b``, read
     off ``a`` and ``b``, or None unless ``s`` is their disjoint
     single-sector product term for term."""
@@ -865,17 +873,19 @@ def _product_blocks(s, a, b, column):
         return None
     (t1,), (t2,), (tail,) = a.sectors.values(), b.sectors.values(), s.sectors.values()
     base, places = order + 1, {g: i for i, g in enumerate(s.graded)}
-    right = list(zip(t2.items(), map(_degree, t2, repeat(order))))
+    # list columns are mutable, so only bytes columns are shared
+    room_columns = _room_columns if _column(order) is bytes else _room_columns.__wrapped__
+    columns = room_columns(b.graded, order, tuple(t2))
     rooms = {}  # room -> count and digit row: b's columns, a's places set per term
     blocks = []
     for k1, own in zip(t1, zip(*_digits(t1, base, len(a.graded)))):
         room = order - _degree(k1, order)
         if room not in rooms:
-            keys = [k for k, _ in _fitting(t2, right, room, order)]
+            count, cols = columns[room]
             digits = [None] * len(s.graded)
-            for g, col in zip(b.graded, _digits(keys, base, len(b.graded))):
-                digits[places[g]] = column(col)
-            rooms[room] = len(keys), digits
+            for g, col in zip(b.graded, cols):
+                digits[places[g]] = col
+            rooms[room] = count, digits
         count, digits = rooms[room]
         if count:
             for g, d in zip(a.graded, own):
@@ -885,6 +895,31 @@ def _product_blocks(s, a, b, column):
     if sum(count for count, _ in blocks) != len(tail):
         return None
     return tuple(blocks)
+
+
+@lru_cache(maxsize=8)
+def _room_columns(graded, order, keys):
+    """Per room 0, ..., ``order``: the number of the packed ``keys`` over
+    ``graded`` of degree <= room, and their digit columns, in key order,
+    one per graded variable.  These are the columns of the right factor's
+    terms that fit a room in a disjoint product, the part of its digit
+    blocks that costs; the charge sets of one plain tree at one order
+    mostly share their factor keys, so the few most recent are kept.  An
+    entry holds only ints, bytes and tuples, so callers share nothing
+    mutable."""
+    column, base, n = _column(order), order + 1, len(graded)
+    right = list(zip(keys, map(_degree, keys, repeat(order))))
+    out = []
+    for room in range(order + 1):
+        fit = [k for k, d in right if d <= room]
+        out.append((len(fit), tuple(map(column, _digits(fit, base, n)))))
+    return tuple(out)
+
+
+def _column(order):
+    """The type of a digit column at ``order``: bytes while every digit
+    fits one."""
+    return bytes if order < 256 else list
 
 
 def _digits(tail, base, n):
@@ -924,13 +959,28 @@ def _block_factor(tab, digits, counts):
     digit or one column a block of ``counts`` terms, or None for digits
     of another shape.  A block's one digit is looked up when the block's
     first term reaches it, where the per-term lookup would first look it
-    up; a block of no terms would look up a digit no term uses."""
+    up; a block of no terms would look up a digit no term uses.  Each
+    distinct column object (one a room of :func:`_room_columns`) is
+    looked up once, into a list that every block of it streams; the
+    entries are the per-term lookup's, as the tables are pure caches.
+    Only the order of the lookups differs, and that order decides which
+    error comes first: if one raises here, the column is streamed with a
+    lookup per term instead, which raises the per-term loop's first error
+    when the sum reaches it."""
     kinds = set(map(type, digits))
+    lookup = tab.__getitem__
     if kinds == {int}:
         if min(counts) > 0:
-            return chain.from_iterable(map(repeat, map(tab.__getitem__, digits), counts))
+            return chain.from_iterable(map(repeat, map(lookup, digits), counts))
     elif int not in kinds and tuple(map(len, digits)) == counts:
-        return chain.from_iterable(map(map, repeat(tab.__getitem__), digits))
+        entries = {}  # id of a column -> its entries
+        try:
+            for col in digits:
+                if id(col) not in entries:
+                    entries[id(col)] = list(map(lookup, col))
+        except Exception:  # retried per term below, where it raises in order
+            return chain.from_iterable(map(map, repeat(lookup), digits))
+        return chain.from_iterable([entries[id(col)] for col in digits])
     return None
 
 

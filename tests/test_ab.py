@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,30 @@ def test_claim_met_in_the_higher_direction():
 def test_pair_counts_must_be_positive(item):
     with pytest.raises(SystemExit, match="NAME=PAIRS"):
         ab.parse_counts([item], "--workload")
+
+
+def test_both_sides_run_from_one_path(tmp_path, monkeypatch):
+    # each side's checkout is moved to the same path for its runs, so the
+    # directory's name cannot tell the sides apart
+    def checkout(rev, dest):
+        dest.mkdir()
+        (dest / "rev").write_text(rev)
+        return dest
+
+    spec = json.loads((ab.ROOT / "BENCHMARK.json").read_text())
+    line = {"failed": 0, "metrics": {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}}
+    seen = []
+
+    def run_once(tree, workload, seed, seconds):
+        seen.append((tree, (tree / "rev").read_text()))
+        return line
+
+    monkeypatch.setattr(ab, "checkout", checkout)
+    monkeypatch.setattr(ab, "run_once", run_once)
+    out = tmp_path / "out.json"
+    argv = ["ab.py", "--parent", "P", "--change", "C", "--out", str(out), "--workload", "bulk-trees=2"]
+    monkeypatch.setattr(sys, "argv", argv)
+    assert ab.main() == 0
+    assert [rev for _, rev in seen] == ["P", "C", "C", "P"]
+    assert len({tree for tree, _ in seen}) == 1 and seen[0][0].name == "tree"
+    assert json.loads(out.read_text())["workloads"]["bulk-trees"]["failed"] == {"parent": 0, "change": 0}

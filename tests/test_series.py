@@ -1291,7 +1291,8 @@ class TestDigitColumns:
 
     def test_tree_expansion_decodes_once(self, monkeypatch):
         # the first evaluation decodes the keys of the z and z-bar factors,
-        # never the 46,376 keys of their product; later ones decode nothing
+        # never the 46,376 keys of their product; later ones decode nothing,
+        # and another charge set with the same keys decodes only the z keys
         from opetree import latticecft
 
         model = latticecft.NarainModel(Fraction(2))
@@ -1307,13 +1308,17 @@ class TestDigitColumns:
         decodes = []
         real = series._digits
         monkeypatch.setattr(series, "_digits", lambda *args: decodes.append(list(args[0])) or real(*args))
+        series._room_columns.cache_clear()
         assert _outcome(texp.evaluate_raw, points[0]) == wants[0]
-        assert decodes[0] == list(z_tail)  # the z keys, once
-        assert all(set(keys) <= zbar_tail.keys() for keys in decodes[1:])  # z-bar keys, once a room
-        assert len(decodes) <= 1 + 31 and texp.factors == ()
+        assert all(set(keys) <= zbar_tail.keys() for keys in decodes[:-1])  # z-bar keys, once a room
+        assert decodes[-1] == list(z_tail)  # the z keys, once
+        assert len(decodes) == 31 + 1 and texp.factors == ()
         first = len(decodes)
         assert [_outcome(texp.evaluate_raw, pt) for pt in points] == wants
         assert len(decodes) == first
+        other = latticecft.tree_expansion(model, texp.tree, [(1, 1), (1, 1), (-1, -1), (-1, -1)], 30)
+        del decodes[:]
+        assert len(other.columns[0]) == 496 and decodes == [list(z_tail)]
         (blocks,) = texp.columns
         assert len(blocks) == 496 and sum(count for count, _ in blocks) == texp.series.n_terms() == 46376
         kinds = {tuple(type(d).__name__ for d in digits) for _, digits in blocks}
@@ -1388,6 +1393,51 @@ class TestDigitColumns:
         (blocks,) = texp.columns
         assert [count for count, _ in blocks] == [3, 2, 1] and [digits[1] for _, digits in blocks] == [0, 1, 3]
 
+    def test_block_path_keeps_the_per_term_error_order(self):
+        # the first term reads a ** -1, then b, which has no value; the
+        # first block's room, read whole, would meet a ** 3, which
+        # overflows, before b: the per-term error comes first all the same
+        z = _one_sector(
+            ("b",), 6, (ZERO,), {(1,): 0.5j, (0,): 1 + 0j, (3,): 2 + 0j}, (("x", Fraction(1, 2)),)
+        )
+        zbar = _one_sector(("a",), 6, (Fraction(-1),), {(0,): 1 + 0j, (2,): -1 + 0j, (4,): 0.25 + 0j})
+        s = z * zbar
+        bad = {"a": 1e200, "x": 2.0}
+        want = (SeriesError, "no value for variable b")
+        assert _outcome(evaluate_series, s, bad) == _outcome(_loop_evaluate, _reference(s), bad) == want
+        texp = _raw_expansion(s, (z, zbar))
+        assert _outcome(texp.evaluate_raw, bad) == want
+        (blocks,) = texp.columns
+        assert [count for count, _ in blocks] == [3, 3, 2] and [digits[1] for _, digits in blocks] == [1, 0, 3]
+
+    def test_room_columns_are_memoized_per_factor_keys(self):
+        # another charge set of the same tree and order has the same factor
+        # keys: its z-bar room columns are a hit of the memo, and its blocks
+        # evaluate as the decoding call does
+        from opetree import latticecft
+
+        model = latticecft.NarainModel(Fraction(2))
+        t = parse_tree("1(2(34))")
+        first = latticecft.tree_expansion(model, t, [(-1, 0), (1, -1), (1, 0), (-1, 1)], 12)
+        second = latticecft.tree_expansion(model, t, [(1, 1), (1, 1), (-1, -1), (-1, -1)], 12)
+
+        def keys(texp):
+            return [tuple(tail) for f in texp.factors for tail in f.sectors.values()]
+
+        assert keys(first) == keys(second)
+        assert list(first.series.sectors.values()) != list(second.series.sectors.values())
+        (blocks,) = first.columns
+        hits = series._room_columns.cache_info().hits
+        assert second.columns == (blocks,)
+        assert series._room_columns.cache_info().hits == hits + 1
+        assert series._room_columns.cache_info().maxsize == 8
+        # the z-bar columns (ze0c, ze1c) are the memo's own bytes
+        (other,) = second.columns
+        assert all(x[1][i] is y[1][i] for x, y in zip(blocks, other) for i in (1, 3))
+        for pt in latticecft._sample_bulk_points(t, random.Random(2), 2, margin_min=0.45):
+            want = _outcome(evaluate_series, second.series, second.coordinate_values(pt))
+            assert isinstance(want[0], str) and _outcome(second.evaluate_raw, pt) == want
+
     def test_product_with_a_pruned_term_is_decoded(self):
         # 1e-200 * 1e-200 underflows to zero and the product prunes it: the
         # blocks would overrun the tail, so the keys are decoded
@@ -1409,6 +1459,12 @@ class TestDigitColumns:
         (blocks,) = series.digit_columns(s, (z, zbar))
         assert [count for count, _ in blocks] == [2, 2, 1] and s.n_terms() == 5
         assert evaluate_series(s, values, (blocks,)) == evaluate_series(s, values)
+        # the pruned product again, on a hit of the blocks memo: decoded too
+        z.sectors[((), (), base)][0] = 1e-200 + 0j
+        s = z * zbar
+        hits = series._room_columns.cache_info().hits
+        assert series.digit_columns(s, (z, zbar)) == series.digit_columns(s)
+        assert series._room_columns.cache_info().hits == hits + 1 and s.n_terms() == 4
 
     def test_factors_of_another_shape_are_decoded(self):
         a = _one_sector(("a",), 3, (ZERO,), {(0,): 1 + 0j, (1,): 2 + 0j})

@@ -9,9 +9,12 @@ Usage:
 Each side is a ``git archive`` of its revision, unpacked into its own
 temporary directory, and every run is that side's unmodified
 ``python3 perfbench/run.py --workload NAME --seed N --seconds S``, one at a
-time.  Pair p runs the parent first when p is even and the change first
-when p is odd.  Workloads run in the order given, then the seed check
-(``--check``, at ``--check-seed``).
+time.  For each run the side's directory is renamed to one path,
+``<tmp>/tree``, and back after it, so both sides run from the same path:
+the name of the checkout directory alone moves ``peak_rss_mb``.  Pair p
+runs the parent first when p is even and the change first when p is odd.
+Workloads run in the order given, then the seed check (``--check``, at
+``--check-seed``).
 
 The output is a JSON file: per workload, each end-to-end metric's
 quartiles on each side (``statistics.quantiles(n=4, method='inclusive')``
@@ -28,6 +31,7 @@ each pair, so a stopped session keeps the pairs it finished.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -50,6 +54,16 @@ def checkout(rev: str, dest: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
         archive.extractall(dest, **safe)
     return dest
+
+
+@contextlib.contextmanager
+def placed(tree: Path, path: Path):
+    """``tree`` renamed to ``path`` while the block runs, then back."""
+    tree.rename(path)
+    try:
+        yield path
+    finally:
+        path.rename(tree)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -139,7 +153,7 @@ def main() -> int:
         "host": (
             f"{os.cpu_count()}-core {platform.machine()} {platform.system()}, Python {platform.python_version()}, "
             f"one run at a time; each side from a git archive of its revision "
-            f"(parent {args.parent}, change {args.change})"
+            f"(parent {args.parent}, change {args.change}), run from one path, <tmp>/tree"
         ),
         "order": "pairs alternate which side runs first: pair 0 parent then change, pair 1 change then parent, ...; "
         "workloads run one after another in the order " + ", ".join(name for name, *_ in plan),
@@ -162,7 +176,8 @@ def main() -> int:
             for pair in range(pairs):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for position, side in enumerate(order):
-                    line = run_once(trees[side], name, seed, args.seconds)
+                    with placed(trees[side], Path(tmp) / "tree") as tree:
+                        line = run_once(tree, name, seed, args.seconds)
                     entry["failed"][side] += line["failed"]
                     runs.append({"pair": pair, "position": position, "side": side, "final_line": line})
                 entry["summary"] = summarize(runs, better)
