@@ -845,9 +845,9 @@ def digit_columns(s: GenSeries, factors=()) -> tuple:
     ``b`` that fit its room, one column object per room, shared by the
     blocks of that room and read from :func:`_room_columns`, a memo keyed
     on ``b``'s graded names, the order and its keys.  A product that
-    dropped a zero term, or
-    factors of another shape, are decoded.  The blocks describe ``s`` as
-    it is now; a series changed afterwards needs new ones.
+    dropped a zero term, or factors of another shape, are decoded.  The
+    blocks describe ``s`` as it is now; a series changed afterwards needs
+    new ones.
     """
     if factors:
         blocks = _product_blocks(s, *factors)
@@ -960,13 +960,11 @@ def _block_factor(tab, digits, counts):
     of another shape.  A block's one digit is looked up when the block's
     first term reaches it, where the per-term lookup would first look it
     up; a block of no terms would look up a digit no term uses.  Each
-    distinct column object (one a room of :func:`_room_columns`) is
-    looked up once, into a list that every block of it streams; the
-    entries are the per-term lookup's, as the tables are pure caches.
-    Only the order of the lookups differs, and that order decides which
-    error comes first: if one raises here, the column is streamed with a
-    lookup per term instead, which raises the per-term loop's first error
-    when the sum reaches it."""
+    distinct column object (a room of :func:`_room_columns`) is looked up
+    once, into a list that its blocks stream: the same entries, as the
+    tables are pure caches, in another order.  That order decides which
+    error comes first, so a column whose lookup raises here is streamed
+    with a lookup per term instead."""
     kinds = set(map(type, digits))
     lookup = tab.__getitem__
     if kinds == {int}:

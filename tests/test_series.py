@@ -1459,7 +1459,7 @@ class TestDigitColumns:
         (blocks,) = series.digit_columns(s, (z, zbar))
         assert [count for count, _ in blocks] == [2, 2, 1] and s.n_terms() == 5
         assert evaluate_series(s, values, (blocks,)) == evaluate_series(s, values)
-        # the pruned product again, on a hit of the blocks memo: decoded too
+        # the pruned product again, on a hit of the room-columns memo: decoded too
         z.sectors[((), (), base)][0] = 1e-200 + 0j
         s = z * zbar
         hits = series._room_columns.cache_info().hits

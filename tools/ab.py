@@ -31,7 +31,6 @@ each pair, so a stopped session keeps the pairs it finished.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import io
 import json
 import os
@@ -54,16 +53,6 @@ def checkout(rev: str, dest: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(tar.stdout)) as archive:
         archive.extractall(dest, **safe)
     return dest
-
-
-@contextlib.contextmanager
-def placed(tree: Path, path: Path):
-    """``tree`` renamed to ``path`` while the block runs, then back."""
-    tree.rename(path)
-    try:
-        yield path
-    finally:
-        path.rename(tree)
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -176,8 +165,11 @@ def main() -> int:
             for pair in range(pairs):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
                 for position, side in enumerate(order):
-                    with placed(trees[side], Path(tmp) / "tree") as tree:
+                    tree = trees[side].rename(Path(tmp) / "tree")  # one path for both sides
+                    try:
                         line = run_once(tree, name, seed, args.seconds)
+                    finally:
+                        tree.rename(trees[side])
                     entry["failed"][side] += line["failed"]
                     runs.append({"pair": pair, "position": position, "side": side, "final_line": line})
                 entry["summary"] = summarize(runs, better)
