@@ -296,11 +296,10 @@ def cmd_coords(args) -> int:
     obj = {"tree": trees.format_tree(a), "coordinates": desc}
     if args.at:
         cv = coords.psi(cs, _point(args.at))
-        obj["values"] = {
-            "zA": cv.z,
-            "xA": cv.x,
-            **{f"ze{k}": z for k, z in enumerate(cv.zeta)},
-        }
+        obj["values"] = {"zA": cv.z, "xA": cv.x, **{f"ze{k}": z for k, z in enumerate(cv.zeta)}}
+        for name, z in obj["values"].items():
+            if not (math.isfinite(z.real) and math.isfinite(z.imag)):  # JSON has no inf or nan
+                raise CliError(f"coordinate {name} out of floating-point range")
     lines = [f"{k} = {v}" for k, v in desc.items()]
     lines += [f"value of {k} = {v}" for k, v in obj.get("values", {}).items()]
     _emit(args, obj, "\n".join(lines))

@@ -32,7 +32,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from operator import add, mul
 
 from opetree.coords import (
@@ -56,6 +56,7 @@ from opetree.series import (
     expand_pairs,
     phase_pi,
     prepare_closed,
+    values_of,
 )
 from opetree.trees import (
     ClosedLeaf,
@@ -198,14 +199,14 @@ class BoundaryData(Record):
             raise LatticeError("reflection sign must be +1 or -1")
         if self.sigma_table is None:
             self.sigma_table = {}
-        # (model, bulk charges, boundary charges) -> mixed_correlator's
-        # (charge total, prepared closed form, prefactor phase), at most 4096
-        # of them; not a field, so not compared or shown.  sigma_table is not
-        # changed after construction, so an entry never goes stale;
-        # perturbed() copies start empty
-        self.closed_forms = {}
+        # mixed_correlator's memo, not a field; sigma_table is not changed
+        # after construction, so no entry goes stale; copies start empty
+        self.prepare_mixed = lru_cache(maxsize=4096)(partial(_prepare_mixed, self))
         e1, e2 = (1, 0), (0, 1)  # sigma's closed form reads (M11, M21, M22)
         self._sigma_form = tuple(self.epsilon_prime_num(a, b) for a, b in ((e1, e1), (e2, e1), (e2, e2)))
+
+    def __reduce__(self):  # a copy or an unpickled one builds its own memo
+        return type(self), self._astuple()
 
     def t_coeff(self, alpha: Charge) -> int:
         """Boundary charge of alpha in units of the group generator."""
@@ -464,11 +465,10 @@ def mixed_correlator(
 
     Normalized by the OPE prefactor of the right-comb reference tree;
     the value is the doubled pair product under the fixed branch plan.
-    Zero unless the boundary charge is conserved.  The charge total, the
-    product under its checked plan (:func:`prepare_closed`) and the
-    prefactor phase are built once per charge set and kept in
-    ``bd.closed_forms``; each call evaluates them at its point.  The bulk
-    and boundary charges are checked to be integers once per charge set.
+    Zero unless the boundary charge is conserved; a non-integral dual
+    raises.  The product under its checked plan (:func:`prepare_closed`)
+    and the prefactor phase are built once per charge set and dual, by
+    ``bd.prepare_mixed``; each call evaluates them at its point.
     """
     bulk_charges = tuple(tuple(a) for a, _ in bulk_insertions)
     bdry_charges = tuple(k for k, _ in bdry_insertions)
@@ -476,33 +476,42 @@ def mixed_correlator(
     xs = [complex(x) for _, x in bdry_insertions]
     validate_halfplane_point(zs + xs, len(zs), len(xs))
     _check_distinct(zs)
-    key = (model, bulk_charges, bdry_charges)
-    prepared = bd.closed_forms.get(key)
-    if prepared is None:
-        _check_model(model, bd)
-        bulk_charges = tuple(map(_int_charge, bulk_charges))
-        bdry_charges = _int_charges(bdry_charges)
-        total = sum(bd.t_coeff(a) for a in bulk_charges) + sum(bdry_charges)
-        if total != int(dual):
-            return 0j
-        if len(bd.closed_forms) >= 4096:
-            bd.closed_forms.clear()
-        product, plan = mixed_power_product(bd, bulk_charges, bdry_charges)
-        pref = ope_prefactor_num(bd, reference_tree(len(zs), len(xs)), bulk_charges)
-        prepared = bd.closed_forms[key] = total, prepare_closed(product, plan), model.phase(pref)
-    total, closed, phase = prepared
-    if total != int(dual):
+    if (prepared := bd.prepare_mixed(model, bulk_charges, bdry_charges, dual)) is None:
         return 0j
+    closed, phase = prepared
     return phase * closed(phi_embedding(zs + xs, len(zs), len(xs)))
+
+
+def _prepare_mixed(bd, model, bulk_charges, bdry_charges, dual):
+    """:func:`mixed_correlator`'s closed form and prefactor phase, or None
+    if the boundary charge is not conserved; memoized as ``bd.prepare_mixed``
+    (4096 entries).  The charges and the dual must be integers."""
+    _check_model(model, bd)
+    bulk_charges = tuple(map(_int_charge, bulk_charges))
+    bdry_charges = _int_charges(bdry_charges)
+    if int(dual) != dual:
+        raise LatticeError(f"dual charge must be an integer, got {dual!r}")
+    if sum(bd.t_coeff(a) for a in bulk_charges) + sum(bdry_charges) != dual:
+        return None
+    product, plan = mixed_power_product(bd, bulk_charges, bdry_charges)
+    pref = ope_prefactor_num(bd, reference_tree(len(bulk_charges), len(bdry_charges)), bulk_charges)
+    return prepare_closed(product, plan), model.phase(pref)
 
 
 # ---------------------------------------------------------------------------
 # Per-tree expansions
 
 
-# (coordinate tree, colored, point bits) -> TreeExpansion.coordinate_values,
-# at most 4096 of them; the bits tell -0.0 from +0.0, as cmath.log does
-_COORDINATE_VALUES = {}
+@lru_cache(maxsize=4096)
+def _coordinate_values(tree, colored, bits) -> dict:
+    """:meth:`TreeExpansion.coordinate_values` at the point with these bits
+    (:func:`bits_of`, which tells -0.0 from +0.0, as cmath.log does)."""
+    cs, zs = a_coordinates(tree), values_of(bits)
+    vals = psi(cs, zs).as_dict(cs.var_names())
+    if not colored:
+        cvb = psi(cs, [z.conjugate() for z in zs])
+        vals.update(cvb.as_dict(cs.var_names(conjugate=True)))
+    return vals
 
 
 class TreeExpansion(Record):
@@ -540,19 +549,8 @@ class TreeExpansion(Record):
         """Series variable values; ``point`` uses doubled coordinates for a
         colored tree and plain bulk coordinates otherwise.  Computed once
         per (tree, colored, point bits) and returned as a new dict."""
-        cs = self.coords
-        zs = [complex(z) for z in point]
-        key = cs.tree, self.colored, bits_of(zs)
-        vals = _COORDINATE_VALUES.get(key)
-        if vals is None:
-            vals = psi(cs, zs).as_dict(cs.var_names())
-            if not self.colored:
-                cvb = psi(cs, [z.conjugate() for z in zs])
-                vals.update(cvb.as_dict(cs.var_names(conjugate=True)))
-            if len(_COORDINATE_VALUES) >= 4096:
-                _COORDINATE_VALUES.clear()
-            _COORDINATE_VALUES[key] = vals
-        return dict(vals)
+        bits = bits_of([complex(z) for z in point])
+        return dict(_coordinate_values(self.coords.tree, self.colored, bits))
 
     def evaluate_raw(self, point) -> complex:
         return evaluate_series(self.series, self.coordinate_values(point), self.columns)

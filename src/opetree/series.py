@@ -38,10 +38,10 @@ on the tail and N alone.
 :func:`evaluate_series` is table-driven.  For each graded variable and
 integer base b of a sector it reads one lazily filled power table, keyed
 by the tail exponent n and holding value ** (b + n), shared by the
-sectors with that base and by every call at the same value bits.  Each
-term is its coefficient times the entries picked by the key's digits, in
-graded order, as the per-term loop that skipped zero exponents
-multiplied them; one summation path, lazy maps
+sectors with that base and by every call at the same value bits (an
+``lru_cache`` of 4096 tables).  Each term is its coefficient times the
+entries picked by the key's digits, in graded order, as the per-term loop
+that skipped zero exponents multiplied them; one summation path, lazy maps
 summed left to right from +0j, serves every tail.  The digits come apart
 from the sum, in digit blocks: runs of terms in tail order, each with,
 per graded variable, one digit for the whole run or a column of digits.
@@ -760,6 +760,7 @@ def _scale_tail(tail, c):
 
 _lookup = attrgetter("__getitem__")  # a power table's lookup of one digit
 _pack_complex = struct.Struct("dd").pack
+_unpack_complexes = struct.Struct("dd").iter_unpack
 
 
 def evaluate_series(s: GenSeries, values: Mapping, columns=None) -> complex:
@@ -998,7 +999,7 @@ def _tail_sum(tail, factors):
 class _PowerTable(dict):
     """n -> value ** (offset + n), filled on first use; offset + n == 0
     reads 1+0j.  One table serves every call at the same value and offset
-    (:func:`_power_table`)."""
+    (:func:`_shared_table`)."""
 
     __slots__ = ("value", "offset")
 
@@ -1025,29 +1026,30 @@ class _Unvalued(dict):
         raise SeriesError(f"no value for variable {self.var}")
 
 
-_TABLES = {}  # (value bits, offset) -> _PowerTable, at most 4096 of them
+@lru_cache(maxsize=4096)
+def _shared_table(bits, offset):
+    """The power table at ``offset`` of the value with these bits."""
+    return _PowerTable(*values_of(bits), offset)
 
 
 def _power_table(values, v, offset):
-    """The power table of ``v``'s value, shared by every call at that value
-    and offset.  The key holds the value's bits, as a power's zero parts
-    follow the signs of the value's."""
+    """``v``'s power table, keyed by its value's bits (:func:`bits_of`), as
+    a power's zero parts follow the signs of the value's."""
     if v not in values:
         return _Unvalued(v, offset)
     value = complex(values[v])
-    key = _pack_complex(value.real, value.imag), offset
-    tab = _TABLES.get(key)
-    if tab is None:
-        if len(_TABLES) >= 4096:
-            _TABLES.clear()
-        tab = _TABLES[key] = _PowerTable(value, offset)
-    return tab
+    return _shared_table(_pack_complex(value.real, value.imag), offset)
 
 
 def bits_of(values) -> bytes:
     """The bits of complex numbers, a key that tells -0.0 from +0.0 (as
     ``cmath.log`` and powers do, where ``==`` does not)."""
     return b"".join([_pack_complex(z.real, z.imag) for z in values])
+
+
+def values_of(bits: bytes) -> list:
+    """The complex numbers :func:`bits_of` packed, bit for bit."""
+    return [complex(re, im) for re, im in _unpack_complexes(bits)]
 
 
 def _value_of(values, v):

@@ -154,6 +154,19 @@ class TestCoordsCommand:
         assert out == ""
         assert err.strip() == message
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize(
+        "tree, at, name",
+        [("12", "[1e308, -1e308]", "xA"), ("(12)3", "[1e308, -1e308, 0]", "ze0")],
+        ids=["inf", "nan"],
+    )
+    def test_overflowing_coordinate_exit_2(self, capsys, fmt, tree, at, name):
+        # finite entries whose coordinate is not: JSON has no inf or nan
+        code, out, err = run_cli(["--format", fmt, "coords", tree, "--at", at], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.strip() == f"error: coordinate {name} out of floating-point range"
+
 
 class TestExpandCommand:
     def test_worked_expansion(self, capsys):

@@ -757,6 +757,8 @@ def _per_call_mixed(model, bd, dual, bulk_insertions, bdry_insertions):
         raise LatticeError("coincident insertion points")
     if bd.model != model:
         raise LatticeError(f"boundary data for R^2 = {bd.model.r_squared}, not {model.r_squared}")
+    if int(dual) != dual:
+        raise LatticeError(f"dual charge must be an integer, got {dual!r}")
     if sum(bd.t_coeff(a) for a in bulk_charges) + sum(bdry_charges) != int(dual):
         return 0j
     product, plan = mixed_power_product(bd, bulk_charges, bdry_charges)
@@ -792,7 +794,7 @@ class TestMixedCorrelator:
         charge = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
         bulk = data.draw(st.lists(charge, min_size=r, max_size=r))
         bdry = data.draw(st.lists(st.integers(-2, 2), min_size=s, max_size=s))
-        dual = sum(bd.t_coeff(a) for a in bulk) + sum(bdry) + data.draw(st.sampled_from((0, 0, 1)))
+        dual = sum(bd.t_coeff(a) for a in bulk) + sum(bdry) + data.draw(st.sampled_from((0, 0, 1, 0.5)))
         control = bd.perturbed(bulk[0] if bulk else (1, 0), 2)
         models = (model, NarainModel(Fraction(p, q) + 1))
         upper = st.builds(complex, st.floats(-3, 3), st.floats(0.01, 3))
@@ -807,13 +809,26 @@ class TestMixedCorrelator:
 
     def test_closed_forms_memo_is_bounded(self, model):
         # a sweep over many charge sets on one BoundaryData keeps at most
-        # 4096 prepared closed forms
+        # 4096 prepared closed forms, and a charge set met again reads them
         bd = BoundaryData(model, 1)
-        bd.closed_forms.update((("filler", n), None) for n in range(4096))
+        for n in range(1, 4101):  # no charge, dual n: not conserved
+            assert mixed_correlator(model, bd, n, [], [(0, 0.5)]) == 0j
+        assert bd.prepare_mixed.cache_info()[2:] == (4096, 4096)
         args = (bd.t_coeff((1, 0)), [((1, 0), 0.5 + 0.5j)], [])
-        got = mixed_correlator(model, bd, *args)
-        assert list(bd.closed_forms) == [(model, ((1, 0),), ())]
-        assert repr(got) == repr(_per_call_mixed(model, bd, *args))
+        got = [mixed_correlator(model, bd, *args) for _ in range(2)]
+        assert bd.prepare_mixed.cache_info()[:] == (1, 4101, 4096, 4096)
+        assert repr(got) == repr([_per_call_mixed(model, bd, *args)] * 2)
+
+    def test_non_integral_dual_raises(self, model):
+        # a dual is an integer, as a boundary charge is; 1 and 1.0 are one
+        bd = BoundaryData(model, 1)
+        want = mixed_correlator(model, bd, 1, [((1, 0), 0.3 + 0.5j)], [])
+        assert want != 0j
+        assert mixed_correlator(model, bd, 1.0, [((1, 0), 0.3 + 0.5j)], []) == want
+        for dual in (1.5, 1.9, Fraction(3, 2)):
+            args = (model, bd, dual, [((1, 0), 0.3 + 0.5j)], [])
+            want = ("LatticeError", f"dual charge must be an integer, got {dual!r}")
+            assert _outcome(mixed_correlator, *args) == _outcome(_per_call_mixed, *args) == want
 
     def test_reproduces_G(self, model, boundaries):
         # (r,s) = (1,1): sigma eta (z1-zb1)^{(pa,phi pba)} (z1-x2)^{(pa,tb)}
@@ -1195,9 +1210,9 @@ class TestTreeExpansion:
         bd = boundaries[-1]
 
         def fresh(fn, *args):
-            latticecft._COORDINATE_VALUES.clear()
-            series._TABLES.clear()
-            bd.closed_forms.clear()
+            latticecft._coordinate_values.cache_clear()
+            series._shared_table.cache_clear()
+            bd.prepare_mixed.cache_clear()
             return _outcome(fn, *args)
 
         def bits(values):
@@ -1216,7 +1231,7 @@ class TestTreeExpansion:
                 calls += [(mixed_correlator, model, bd, dual, [((1, 1), pt[0])], [(1, pt[2])]) for pt in (point, twin)]
             want = [fresh(*call) for call in calls]
             values = [bits(texp.coordinate_values(pt)) for pt in (point, twin)]
-            latticecft._COORDINATE_VALUES.clear()
+            latticecft._coordinate_values.cache_clear()
             assert values == [bits(texp.coordinate_values(pt)) for pt in (point, twin)]
             assert values[0] != values[1]
             for step in (1, -1, 1):
@@ -1232,10 +1247,12 @@ class TestTreeExpansion:
         texp = tree_expansion(model, parse_tree("(12)3"), [(1, 0), (0, 1), (-1, -1)], 4)
         point = [0.31 + 0.1j, 0.3 + 0.12j, -0.2 + 0.4j]
         want = texp.coordinate_values(point)
-        latticecft._COORDINATE_VALUES.clear()
-        latticecft._COORDINATE_VALUES.update((("filler", n), None) for n in range(4096))
-        assert texp.coordinate_values(point) == want
-        assert len(latticecft._COORDINATE_VALUES) == 1
+        latticecft._coordinate_values.cache_clear()
+        for n in range(4100):
+            texp.coordinate_values([p + n for p in point])
+        assert latticecft._coordinate_values.cache_info()[2:] == (4096, 4096)
+        assert [texp.coordinate_values(point) for _ in range(2)] == [want, want]
+        assert latticecft._coordinate_values.cache_info()[:2] == (1, 4101)
 
     def test_two_point_closed_form_no_zeta(self, model):
         # r = 2: no edge variables; the expansion is the closed form

@@ -124,3 +124,30 @@ def test_every_library_definition_is_named_outside_its_body():
         and all(p == path and first <= line <= last for p, line in uses.get(name, []))
     }
     assert dead == UNCALLED, sorted(dead ^ UNCALLED)
+
+
+def test_every_library_memo_is_a_bounded_lru_cache():
+    # a module-level name bound to an empty dict is a hand-rolled cache,
+    # with no bound or hit count of its own; every lru_cache names an
+    # integer maxsize, so it is bounded and reports cache_info()
+    def empty_dict(node):
+        if isinstance(node, ast.Call):
+            return isinstance(node.func, ast.Name) and node.func.id == "dict" and not (node.args or node.keywords)
+        return isinstance(node, ast.Dict) and not node.keys
+
+    def bounded(call):
+        sizes = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args[:1]
+        return [type(getattr(size, "value", None)) for size in sizes] == [int]
+
+    found = []
+    for path in sorted((ROOT / "src" / "opetree").glob("*.py")):
+        module = ast.parse(path.read_text(), str(path))
+        for node in module.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and empty_dict(node.value):
+                found.append(f"{path.name}:{node.lineno} empty dict")
+        ok = {id(node.func) for node in ast.walk(module) if isinstance(node, ast.Call) and bounded(node)}
+        for node in ast.walk(module):
+            named = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and named == "lru_cache" and id(node) not in ok:
+                found.append(f"{path.name}:{node.lineno} lru_cache without an integer maxsize")
+    assert not found

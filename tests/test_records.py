@@ -9,7 +9,7 @@ import pytest
 
 from opetree.braids import BraidWord
 from opetree.coords import Certificate, CoordValues
-from opetree.latticecft import BoundaryData, NarainModel, VerifyReport, tree_expansion
+from opetree.latticecft import BoundaryData, NarainModel, VerifyReport, mixed_correlator, tree_expansion
 from opetree.series import BranchPlan, PowerProduct
 from opetree.trees import EMPTY, ClosedLeaf, Leaf, Node, OpenLeaf, Tau, parse_tree
 
@@ -106,9 +106,12 @@ def test_mutable_records_are_unhashable_values():
     model = NarainModel(2)
     bd = BoundaryData(model, 1)
     same = BoundaryData(model, 1)
-    same.closed_forms["k"] = None  # a cache, not a field
+    mixed_correlator(model, same, 1, [((1, 0), 0.5j)], [])  # fills a cache, not a field
+    assert same.prepare_mixed.cache_info().currsize == 1
     assert bd == same and bd.sigma_table is not same.sigma_table
-    assert "closed_forms" not in repr(same)
+    assert "prepare_mixed" not in repr(same)
+    for clone in (copy.copy(same), copy.deepcopy(same), pickle.loads(pickle.dumps(same))):
+        assert clone == same and clone.prepare_mixed.cache_info().currsize == 0
     report = VerifyReport("x", {}, [], 0.0, 1.0, True, 0.1)
     assert report.notes == [] and report.notes is not VerifyReport("y", {}, [], 0, 1, 1, 0).notes
     report.passed = False

@@ -1147,23 +1147,27 @@ class TestEvaluate:
         twins = ({"a": complex(-1.0, 0.0)}, {"a": complex(-1.0, -0.0)})
         fresh = []
         for values in twins:
-            series._TABLES.clear()
+            series._shared_table.cache_clear()
             fresh.append(_outcome(evaluate_series, s, values))
         assert fresh[0] != fresh[1]
         for _ in range(2):
             assert [_outcome(evaluate_series, s, values) for values in twins] == fresh
 
     def test_shared_tables_stay_bounded(self):
-        # every call at a new value adds tables; the cache never holds more
-        # than 4096, and a call after it was emptied reads what it did before
+        # every call at a new value adds two tables; the cache never holds
+        # more than 4096, and a call after an eviction reads what it did
+        # before
         s = GenSeries.from_tails(("a",), 3, {((), (("x", Fraction(2)),), (Fraction(-1),)): {(1,): 2j, (3,): 1 + 0j}})
         ref = _reference(s)
-        series._TABLES.clear()
+        series._shared_table.cache_clear()
         for n in range(2100):
             values = {"a": complex(1, n), "x": complex(n, 1)}
             assert _outcome(evaluate_series, s, values) == _outcome(_loop_evaluate, ref, values)
-            assert len(series._TABLES) <= 4096
-        assert len(series._TABLES) == 2 * 2100 - 4096
+            assert series._shared_table.cache_info().currsize == min(2 * n + 2, 4096)
+        assert series._shared_table.cache_info().maxsize == 4096
+        values = {"a": 1 + 0j, "x": 0j}  # the first value's tables were evicted
+        assert _outcome(evaluate_series, s, values) == _outcome(_loop_evaluate, ref, values)
+        assert series._shared_table.cache_info().currsize == 4096
 
     def test_constant(self):
         s = GenSeries.monomial(1.0, {}, ("z",), 3)
