@@ -274,11 +274,24 @@ class BoundaryData(Record):
         return BoundaryData(self.model, self.rho, table)
 
 
-def _int_charge(alpha) -> Charge:
-    """A charge (n, m) as ints; a non-integral one raises, never truncates."""
-    if (charge := (int(alpha[0]), int(alpha[1]))) != tuple(alpha):
-        raise LatticeError(f"charge must be an integer pair, got {tuple(alpha)}")
-    return charge
+def _is_int(k) -> bool:
+    """Whether k is a finite number of integral value and not a bool."""
+    try:
+        return int(k) == k and type(k) is not bool
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _int_charge(alpha, what="charge") -> Charge:
+    """A charge (n, m) as ints; anything but a pair of :func:`_is_int`
+    numbers raises, never truncates."""
+    try:
+        n, m = alpha
+    except (TypeError, ValueError):  # not a pair
+        n = m = None
+    if not (_is_int(n) and _is_int(m)):
+        raise LatticeError(f"{what} must be an integer pair, got {alpha!r}")
+    return int(n), int(m)
 
 
 def build_boundary(model: NarainModel, rho: int) -> BoundaryData:
@@ -342,12 +355,12 @@ def bulk_correlator(model: NarainModel, dual: Charge, insertions) -> complex:
 
     epsilon prefactor over the insertion order times the single-valued
     pair product |z_ij|^{2 abar_i abar_j} z_ij^{(alpha_i, alpha_j)};
-    zero unless the charges sum to the dual charge.  A non-integral
-    charge raises LatticeError.
+    zero unless the charges sum to the dual charge.  A charge or dual
+    that is not an integer pair raises LatticeError.
     """
     charges = [_int_charge(a) for a, _ in insertions]
     points = [complex(z) for _, z in insertions]
-    if (sum(n for n, _ in charges), sum(m for _, m in charges)) != tuple(dual):
+    if (sum(n for n, _ in charges), sum(m for _, m in charges)) != _int_charge(dual, "dual charge"):
         return 0j
     _check_distinct(points)
     value = 1.0 + 0j
@@ -377,11 +390,10 @@ def _check_distinct(points) -> None:
 
 
 def _int_charges(charges) -> list:
-    """Boundary charges as ints; a non-integer charge raises, never truncates."""
-    ints = [int(k) for k in charges]
-    if ints != list(charges):
+    """Boundary charges as ints; one that is not :func:`_is_int` raises, never truncates."""
+    if not all(map(_is_int, charges)):
         raise LatticeError(f"boundary charges must be integers, got {list(charges)}")
-    return ints
+    return [int(k) for k in charges]
 
 
 def reference_tree(r: int, s: int) -> Tree:
@@ -489,7 +501,7 @@ def _prepare_mixed(bd, model, bulk_charges, bdry_charges, dual):
     _check_model(model, bd)
     bulk_charges = tuple(map(_int_charge, bulk_charges))
     bdry_charges = _int_charges(bdry_charges)
-    if int(dual) != dual:
+    if not _is_int(dual):
         raise LatticeError(f"dual charge must be an integer, got {dual!r}")
     if sum(bd.t_coeff(a) for a in bulk_charges) + sum(bdry_charges) != dual:
         return None
@@ -671,35 +683,43 @@ def bootstrap_check(
     on the basis pairs except (e1, e2), where it is 0 iff eps' is
     symmetric.  So (2) can fail only where a, b or a + b is in O, and
     only those box pairs are read (none without overrides, whatever the
-    box), unless eps' is asymmetric: then every box pair is.  The verdict
-    and every error are the full sweep's, bit for bit.  A ``box`` that is
-    not an int >= 0 raises :class:`LatticeError`.
+    box), unless eps' is asymmetric: then every box pair is.  Their sweep
+    reads eps' on the four basis pairs (it is bilinear mod 2D, see
+    :func:`build_boundary`), sigma once per distinct charge, and one float
+    error per distinct residue pair that differs.  The verdict and every
+    error are the full sweep's, bit for bit.  A ``box`` that is not an
+    int >= 0 raises :class:`LatticeError`.
     """
     if require_int(box, "box", LatticeError) < 0:
         raise LatticeError(f"box must be >= 0, got {box}")
     t0 = time.perf_counter()
     _check_model(model, bd)
-    sigma, eps_prime = bd.sigma_num, bd.epsilon_prime_num
+    eps_prime, two_d = bd.epsilon_prime_num, 2 * model.D
     e1, e2 = basis = ((1, 0), (0, 1))
     # (3) and the kernel property on the generators; phase error 0 iff c = 0 mod 2D
     comm = {(a, b): _phase_error(model, 0, bd.commutator_num(a, b)) for a in basis for b in basis}
     kernel_worst = max(comm[bd.kernel_generator, b] for b in basis)
-    worst = max(_phase_error(model, sigma((0, 0)), 0), *comm.values())
+    sigma = {(0, 0): bd.sigma_num((0, 0))}  # each charge's sigma, read once
+    worst = max(_phase_error(model, sigma[0, 0], 0), *comm.values())
     symmetric = eps_prime(e1, e2) == eps_prime(e2, e1)
-    pairs = ()  # the box pairs (a, b) on which (2) can fail
-    if bd.sigma_table or not symmetric:
+    if bd.sigma_table or not symmetric:  # sweep the box pairs (a, b) on which (2) can fail
         span = range(-box, box + 1)
         charges = [(n, m) for n in span for m in span]
         pairs = itertools.product(charges, repeat=2)
-        if symmetric:  # (c, x), (x, c) and (x, c - x) for c in O, inside the box
-            pairs = [(a, b) for c in bd.sigma_table for x in charges
-                     for a, b in ((c, x), (x, c), (x, (c[0] - x[0], c[1] - x[1])))
-                     if max(map(abs, a + b)) <= box]
-    for a, b in pairs:
-        lhs = eps_prime(a, b) + sigma((a[0] + b[0], a[1] + b[1]))
-        rhs = sigma(a) + sigma(b)
-        if (lhs - rhs) % (2 * model.D):
-            worst = max(worst, _phase_error(model, lhs, rhs))
+        if symmetric:  # (c, x) and (x, c) for c in O inside the box, (x, c - x) for c - x inside it
+            pairs = [p for c in bd.sigma_table if max(map(abs, c)) <= box for x in charges for p in ((c, x), (x, c))]
+            pairs += [(x, y) for c in bd.sigma_table for x in charges
+                      if max(map(abs, y := (c[0] - x[0], c[1] - x[1]))) <= box]
+        (m11, m12), (m21, m22) = [[eps_prime(a, b) for b in basis] for a in basis]  # eps'(e_i, e_j)
+        triples = [(a, b, (a[0] + b[0], a[1] + b[1])) for a, b in pairs]
+        sigma.update((c, bd.sigma_num(c)) for c in set(itertools.chain.from_iterable(triples)) - sigma.keys())
+        # (2)'s two sides mod 2D; phase() reads k mod 2D, and max ignores order
+        residues = {
+            ((n * (m11 * n2 + m12 * m2) + m * (m21 * n2 + m22 * m2) + sigma[s]) % two_d, (sigma[a] + sigma[b]) % two_d)
+            for a, b, s in triples
+            for (n, m), (n2, m2) in ((a, b),)
+        }
+        worst = max([worst] + [_phase_error(model, lhs, rhs) for lhs, rhs in residues if lhs != rhs])
     return VerifyReport(
         name="bootstrap",
         params={"R^2": str(model.r_squared), "rho": bd.rho, "box": box},
@@ -980,9 +1000,9 @@ def continue_bulk(model: NarainModel, dual, charges, path) -> complex:
     """Continue the bulk correlator along a discretized path of
     configurations, tracking each pair logarithm by principal-log
     increments (valid while single steps stay off the ratio cut).  A
-    non-integral charge raises LatticeError."""
+    charge or dual that is not an integer pair raises LatticeError."""
     charges = [_int_charge(a) for a in charges]
-    if (sum(n for n, _ in charges), sum(m for _, m in charges)) != tuple(dual):
+    if (sum(n for n, _ in charges), sum(m for _, m in charges)) != _int_charge(dual, "dual charge"):
         return 0j
     pts = [list(map(complex, p)) for p in path]
     total = 0j

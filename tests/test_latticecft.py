@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import struct
 from fractions import Fraction
 
@@ -152,6 +153,18 @@ class TestBulkCorrelator:
         assert got == want
         want = continue_bulk(model, (1, 1), [(1, 0), (0, 1)], path)
         assert continue_bulk(model, (1, 1), [(1.0, 0), (0, Fraction(1))], path) == want
+
+    @pytest.mark.parametrize("dual", ((1.5, 0), (1,)))
+    def test_invalid_dual_raises(self, model, dual):
+        # both read each dual as a charge total not conserved: 0j
+        ins, path = [((1, 0), 0.3 + 0.5j)], [[0.3 + 0.5j], [0.4 + 0.5j]]
+        assert bulk_correlator(model, (1.0, 0), ins) == bulk_correlator(model, (1, 0), ins) != 0
+        assert continue_bulk(model, (1.0, 0), [(1, 0)], path) == continue_bulk(model, (1, 0), [(1, 0)], path) != 0
+        message = re.escape(f"dual charge must be an integer pair, got {dual!r}")
+        with pytest.raises(LatticeError, match=message):
+            bulk_correlator(model, dual, ins)
+        with pytest.raises(LatticeError, match=message):
+            continue_bulk(model, dual, [(1, 0)], path)
 
     def test_loop_sampler_gives_up(self):
         # coincident points never give a clear loop; this once looped forever
@@ -569,6 +582,13 @@ class TestExactPhases:
             with pytest.raises(LatticeError, match="integer pair"):
                 bd.perturbed(alpha, 2)
 
+    @pytest.mark.parametrize("alpha", ((math.inf, 0), (math.nan, 0), (1,), (None, 0), (True, 0)))
+    def test_invalid_sigma_charge_raises(self, boundaries, alpha):
+        # these raised OverflowError, ValueError, IndexError and TypeError,
+        # and (True, 0) read as sigma(1, 0)
+        with pytest.raises(LatticeError, match="charge must be an integer pair"):
+            boundaries[1].sigma_num(alpha)
+
     @given(
         p=st.integers(1, 40),
         q=st.integers(1, 40),
@@ -691,20 +711,46 @@ class TestOverridePairs:
             assert len(errors) <= 5
             assert [alpha for _, alpha in sigmas] == [(0, 0)]
 
+    @given(
+        p=st.integers(1, 12),
+        q=st.integers(1, 12),
+        rho=st.sampled_from((1, -1)),
+        box=st.integers(0, 6),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_box_sweep_on_drawn_overrides(self, p, q, rho, box, data):
+        # each override shifts sigma by a drawn k, as perturbed shifts it by
+        # D: a sign flip alone reads 2 wherever it is seen, whichever it is
+        model = NarainModel(Fraction(p, q))
+        two_d, edge = 2 * model.D, 2 * box + 1  # inside, on and just outside what a + b reaches
+        charge = st.tuples(st.integers(-edge, edge), st.integers(-edge, edge))
+        overrides = data.draw(st.lists(st.tuples(charge, st.integers(1, two_d - 1)), max_size=3))
+        bd = BoundaryData(model, rho)
+        table = {alpha: (bd.sigma_num(alpha) + k) % two_d for alpha, k in overrides}
+        self._assert_matches_sweep(model, BoundaryData(model, rho, table), box)
+
     def test_one_override_reads_three_box_squares(self, monkeypatch):
+        import opetree.latticecft as lc
+
         model = NarainModel(Fraction(2))
         box = 4
         for rho in (1, -1):
             control = build_boundary(model, rho).perturbed((1, 0), box)
-            reads, exact = [], BoundaryData.epsilon_prime_num
-            monkeypatch.setattr(
-                BoundaryData, "epsilon_prime_num", lambda *a: reads.append(a) or exact(*a)
-            )
+            reads, sigmas, errors = [], [], []
+            exact, sigma_num, phase_error = BoundaryData.epsilon_prime_num, BoundaryData.sigma_num, lc._phase_error
+            monkeypatch.setattr(BoundaryData, "epsilon_prime_num", lambda *a: reads.append(a) or exact(*a))
+            monkeypatch.setattr(BoundaryData, "sigma_num", lambda bd, a: sigmas.append(a) or sigma_num(bd, a))
+            monkeypatch.setattr(lc, "_phase_error", lambda *a: errors.append(a) or phase_error(*a))
             rep = bootstrap_check(model, control, box)
             monkeypatch.undo()
             assert not rep.passed
-            # two reads decide the symmetry of eps'; the rest are one per pair
-            assert 0 < len(reads) - 2 <= 3 * (2 * box + 1) ** 2
+            # two reads decide the symmetry of eps'; four are its basis table
+            assert len(reads) == 2 + 4
+            # sigma once per distinct charge, each in the box or its shift by the override
+            assert len(sigmas) == len(set(sigmas)) <= 2 * (2 * box + 1) ** 2
+            # five errors for (1) and (3); the sweep's, at most one per residue pair mod 2D
+            assert 0 < len(errors) - 5 <= (2 * model.D) ** 2
 
 
 _O_TREES = [
@@ -829,6 +875,19 @@ class TestMixedCorrelator:
             args = (model, bd, dual, [((1, 0), 0.3 + 0.5j)], [])
             want = ("LatticeError", f"dual charge must be an integer, got {dual!r}")
             assert _outcome(mixed_correlator, *args) == _outcome(_per_call_mixed, *args) == want
+
+    @pytest.mark.parametrize(
+        "dual, bdry, message",
+        (
+            (math.inf, [], "dual charge must be an integer, got inf"),  # was OverflowError
+            (1, [(math.nan, -0.5)], r"boundary charges must be integers, got \[nan\]"),  # was ValueError
+        ),
+        ids=("inf dual", "nan boundary charge"),
+    )
+    def test_non_finite_charge_raises(self, model, dual, bdry, message):
+        bd = BoundaryData(model, 1)
+        with pytest.raises(LatticeError, match=message):
+            mixed_correlator(model, bd, dual, [((1, 0), 0.3 + 0.5j)], bdry)
 
     def test_reproduces_G(self, model, boundaries):
         # (r,s) = (1,1): sigma eta (z1-zb1)^{(pa,phi pba)} (z1-x2)^{(pa,tb)}
