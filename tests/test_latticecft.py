@@ -721,7 +721,7 @@ class TestOverridePairs:
     @settings(max_examples=60, deadline=None)
     def test_matches_full_box_sweep_on_drawn_overrides(self, p, q, rho, box, data):
         # each override shifts sigma by a drawn k, as perturbed shifts it by
-        # D: a sign flip alone reads 2 wherever it is seen, whichever it is
+        # D: sign flips alone read the same error 2 at every override
         model = NarainModel(Fraction(p, q))
         two_d, edge = 2 * model.D, 2 * box + 1  # inside, on and just outside what a + b reaches
         charge = st.tuples(st.integers(-edge, edge), st.integers(-edge, edge))
@@ -731,17 +731,15 @@ class TestOverridePairs:
         self._assert_matches_sweep(model, BoundaryData(model, rho, table), box)
 
     def test_one_override_reads_three_box_squares(self, monkeypatch):
-        import opetree.latticecft as lc
-
         model = NarainModel(Fraction(2))
         box = 4
         for rho in (1, -1):
             control = build_boundary(model, rho).perturbed((1, 0), box)
             reads, sigmas, errors = [], [], []
-            exact, sigma_num, phase_error = BoundaryData.epsilon_prime_num, BoundaryData.sigma_num, lc._phase_error
+            exact, sigma_num, phase_error = BoundaryData.epsilon_prime_num, BoundaryData.sigma_num, latticecft._phase_error
             monkeypatch.setattr(BoundaryData, "epsilon_prime_num", lambda *a: reads.append(a) or exact(*a))
             monkeypatch.setattr(BoundaryData, "sigma_num", lambda bd, a: sigmas.append(a) or sigma_num(bd, a))
-            monkeypatch.setattr(lc, "_phase_error", lambda *a: errors.append(a) or phase_error(*a))
+            monkeypatch.setattr(latticecft, "_phase_error", lambda *a: errors.append(a) or phase_error(*a))
             rep = bootstrap_check(model, control, box)
             monkeypatch.undo()
             assert not rep.passed
